@@ -139,14 +139,26 @@ void BM_PairingScheduler(benchmark::State& state) {
 BENCHMARK(BM_PairingScheduler)->Arg(10)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_AllReduceExec(benchmark::State& state) {
+  // One 64x64 fp32 state per agent, averaged by the halving/doubling
+  // collective over an InProcTransport on a uniform 100 Mbps grid.
   const auto agents = state.range(0);
+  constexpr int64_t kElems = 64 * 64;
   Rng rng(5);
-  std::vector<std::vector<Tensor>> base;
-  for (int64_t a = 0; a < agents; ++a)
-    base.push_back({rng.normal_tensor({64, 64}, 0, 1)});
+  std::vector<double> base(static_cast<size_t>(agents * kElems));
+  for (double& v : base) v = rng.normal();
+  const comm::Collective& hd =
+      comm::collective(comm::Protocol::kHalvingDoublingAllReduce);
   for (auto _ : state) {
-    auto states = base;
-    benchmark::DoNotOptimize(comm::allreduce_average(states));
+    std::vector<double> slab = base;
+    comm::InProcTransport transport(
+        comm::LinkGrid::uniform(agents, 100.0));
+    comm::CollectiveRequest req;
+    req.elems = kElems;
+    for (int64_t a = 0; a < agents; ++a)
+      req.buffers.push_back(slab.data() + a * kElems);
+    benchmark::DoNotOptimize(hd.run(transport, req));
+    benchmark::DoNotOptimize(slab.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_AllReduceExec)->Arg(4)->Arg(16)->Arg(64);

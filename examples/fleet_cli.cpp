@@ -49,7 +49,7 @@ struct Args {
   double dropout = 0.0;
   bool real = false;
   /// Bucketed/overlapped aggregation (real mode): state bucket size in
-  /// bytes (0 = one flat collective), whether bucket collectives overlap
+  /// bytes (0 = one whole-state bucket), whether bucket collectives overlap
   /// the compute tail, the bucket wire codec, and error feedback.
   int64_t bucket_bytes = 0;
   bool overlap = false;
@@ -153,7 +153,8 @@ bool parse(int argc, char** argv, Args& args) {
           "  [--agents N] [--rounds N] [--participation F] [--topology P]\n"
           "  [--target ACC] [--dropout P] [--seed N] [--real]\n"
           "  [--bucket-bytes N] [--overlap]   (real mode: bucketed /\n"
-          "   overlapped aggregation through the round pipeline)\n"
+          "   overlapped aggregation through the round pipeline; 0 = one\n"
+          "   whole-state bucket)\n"
           "  [--codec fp32|quantized] [--no-error-feedback]   (bucket wire\n"
           "   codec: quantized ships dense int8 payloads ~4x smaller;\n"
           "   error feedback carries the quantization error across rounds)\n"
@@ -161,11 +162,11 @@ bool parse(int argc, char** argv, Args& args) {
           "   before round R, or dies after N batches (:bN), after\n"
           "   publishing N buckets (:kN), or at collective step S (:cS);\n"
           "   repeatable)\n"
-          "  [--drop-prob P]   (real comdml + --bucket-bytes: drop each\n"
+          "  [--drop-prob P]   (real comdml: drop each\n"
           "   aggregation message with probability P; the collectives\n"
           "   retransmit with backoff — tune via COMDML_RETRY_MAX and\n"
           "   COMDML_BACKOFF_BASE_MS)\n"
-          "  [--deadline-ms MS]   (real comdml + --bucket-bytes: defer solo\n"
+          "  [--deadline-ms MS]   (real comdml: defer solo\n"
           "   stragglers whose round would outlast MS; their late update\n"
           "   rides the error-feedback residual into the next round)\n"
           "  [--checkpoint-every N] [--checkpoint-dir DIR]   (real comdml:\n"
@@ -287,12 +288,12 @@ core::FleetRuntime build_real(const Args& args, Method method,
     opt.faults.checkpoint_every = 0;
     opt.faults.checkpoint_dir.clear();
   }
-  if (args.bucket_bytes > 0 && method != Method::kComDML &&
-      method != Method::kAllReduceDML) {
+  if ((args.bucket_bytes > 0 || args.overlap || args.codec != "fp32") &&
+      method != Method::kComDML && method != Method::kAllReduceDML) {
     std::fprintf(stderr,
-                 "note: --bucket-bytes/--overlap only affect methods that "
-                 "aggregate through an allreduce (comdml, allreduce); "
-                 "%s runs its normal aggregation\n",
+                 "note: --bucket-bytes/--overlap/--codec only affect "
+                 "methods that aggregate through an allreduce (comdml, "
+                 "allreduce); %s runs its normal aggregation\n",
                  args.method.c_str());
   }
   core::ModelFactory factory = [](tensor::Rng& r) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "comm/gossip.hpp"
+#include "comm/allreduce.hpp"
 #include "comm/link.hpp"
 #include "sim/resources.hpp"
 

@@ -38,12 +38,11 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
   for (size_t i = 1; i < models_.size(); ++i)
     nn::load_state(*models_[i], init);
 
-  if (method_ == learncurve::Method::kAllReduceDML &&
-      options_.comms.bucket_bytes > 0) {
+  if (method_ == learncurve::Method::kAllReduceDML) {
     bucket_plan_ =
         nn::BucketPlan::build(*models_[0], options_.comms.bucket_bytes);
     pipeline_ = std::make_unique<core::RoundPipeline>(
-        static_cast<int64_t>(models_.size()), *bucket_plan_,
+        static_cast<int64_t>(models_.size()), bucket_plan_,
         core::bottleneck_grid(topology_, options_.comms.latency_sec),
         options_.comms.aggregation, options_.comms.bucket_codec(),
         options_.comms.error_feedback);
@@ -159,17 +158,6 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
       for (auto& m : models_) nn::load_state(*m, avg);
       break;
     }
-    case learncurve::Method::kAllReduceDML: {
-      COMDML_CHECK(pipeline_ == nullptr);  // bucketed rounds skip aggregate()
-      const auto outcome = comm::allreduce_average_over(
-          states,
-          core::bottleneck_grid(topology_, options_.comms.latency_sec),
-          options_.comms.aggregation);
-      for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
-      stats.aggregation_seconds = outcome.cost.seconds;
-      stats.aggregation_bytes = outcome.cost.bytes_per_agent;
-      break;
-    }
     case learncurve::Method::kGossip: {
       const int64_t bytes =
           static_cast<int64_t>(nn::state_bytes(*models_[0]));
@@ -181,6 +169,7 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
       stats.aggregation_bytes = bytes;
       break;
     }
+    case learncurve::Method::kAllReduceDML:  // runs through pipeline_
     case learncurve::Method::kComDML:
       COMDML_CHECK(false);
   }
@@ -196,37 +185,28 @@ RealBaselineFleet::RoundStats RealBaselineFleet::step() {
   // and batcher; `global` is read-only), so local training fans out to the
   // pool. Per-agent losses land in fixed slots and are reduced in agent
   // order, keeping the round identical for every thread count.
-  //
-  // Bucketed AllReduce-DML: each agent publishes its buckets as its local
-  // training ends; RoundPipeline::run_round adds (overlap) one collector
-  // slot per pool thread so idle workers reduce ready buckets while slower
-  // agents still train, and aborts the pipeline on task exceptions.
-  const bool bucketed = pipeline_ != nullptr;
-  const bool overlap = bucketed && options_.comms.overlap;
-  if (bucketed) pipeline_->begin_round();
   const int64_t n_agents = static_cast<int64_t>(models_.size());
   std::vector<float> losses(models_.size(), 0.0f);
   const auto train_task = [&](int64_t i) {
     losses[static_cast<size_t>(i)] =
         train_locally(static_cast<size_t>(i), global ? &*global : nullptr);
-    if (bucketed) {
-      std::vector<tensor::Tensor*> ptrs;
-      models_[static_cast<size_t>(i)]->collect_state(ptrs);
-      pipeline_->publish_state(i, ptrs);
-    }
   };
-  if (bucketed) {
-    pipeline_->run_round(n_agents, train_task, overlap);
-  } else {
-    core::parallel_for(0, n_agents, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) train_task(i);
-    });
-  }
-  float loss = 0.0f;
-  for (const float l : losses) loss += l;
-  stats.mean_loss = loss / static_cast<float>(models_.size());
-
-  if (bucketed) {
+  if (method_ == learncurve::Method::kAllReduceDML) {
+    // Each agent publishes its buckets as its local training ends;
+    // RoundPipeline::run_round adds (overlap) one collector slot per pool
+    // thread so idle workers reduce ready buckets while slower agents still
+    // train, and aborts the pipeline on task exceptions.
+    const bool overlap = options_.comms.overlap;
+    pipeline_->begin_round();
+    pipeline_->run_round(
+        n_agents,
+        [&](int64_t i) {
+          train_task(i);
+          std::vector<tensor::Tensor*> ptrs;
+          models_[static_cast<size_t>(i)]->collect_state(ptrs);
+          pipeline_->publish_state(i, ptrs);
+        },
+        overlap);
     if (!overlap) pipeline_->drain();
     for (size_t i = 0; i < models_.size(); ++i) {
       std::vector<tensor::Tensor*> ptrs;
@@ -236,9 +216,15 @@ RealBaselineFleet::RoundStats RealBaselineFleet::step() {
     const core::PipelineStats ps = pipeline_->stats();
     stats.aggregation_seconds = ps.comm_seconds;
     stats.aggregation_bytes = ps.max_bytes_sent;
-    return stats;
+  } else {
+    core::parallel_for(0, n_agents, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) train_task(i);
+    });
+    aggregate(stats);
   }
-  aggregate(stats);
+  float loss = 0.0f;
+  for (const float l : losses) loss += l;
+  stats.mean_loss = loss / static_cast<float>(models_.size());
   return stats;
 }
 

@@ -4,8 +4,6 @@
 // and examples to compare learning behaviour against ComDML's RealFleet.
 #pragma once
 
-#include <optional>
-
 #include "core/real_fleet.hpp"
 #include "core/round_pipeline.hpp"
 
@@ -55,14 +53,16 @@ class RealBaselineFleet {
   std::vector<std::unique_ptr<data::Batcher>> batchers_;
   /// Per-round aggregation merge buffers, reused across rounds.
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
-  /// Bucketed AllReduce-DML aggregation (comms.bucket_bytes > 0): agents
-  /// publish their buckets as their local training finishes, and idle pool
-  /// workers reduce ready buckets concurrently (comms.overlap).
-  std::optional<nn::BucketPlan> bucket_plan_;
+  /// AllReduce-DML aggregation (one whole-state bucket when
+  /// comms.bucket_bytes == 0): agents publish their buckets as their local
+  /// training finishes, and idle pool workers reduce ready buckets
+  /// concurrently (comms.overlap). Unused by the other methods.
+  nn::BucketPlan bucket_plan_;
   std::unique_ptr<core::RoundPipeline> pipeline_;
 
   float train_locally(size_t agent,
                       const std::vector<tensor::Tensor>* global);
+  /// Aggregation of the methods that do not run an allreduce.
   void aggregate(RoundStats& stats);
 };
 

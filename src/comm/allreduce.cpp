@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/workspace.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::comm {
@@ -46,60 +45,6 @@ CollectiveCost allreduce_cost(int64_t agents, int64_t model_bytes,
   (void)collective(allreduce_protocol(algo)).run(transport, req);
   const TransportStats& stats = transport.stats();
   return {stats.seconds, stats.steps, stats.max_bytes_sent()};
-}
-
-AllReduceOutcome allreduce_average_over(
-    std::vector<std::vector<Tensor>>& agent_states, const LinkGrid& grid,
-    AllReduceAlgo algo) {
-  const size_t k = agent_states.size();
-  COMDML_CHECK(k > 0);
-  COMDML_CHECK(grid.endpoints() == static_cast<int64_t>(k));
-  AllReduceOutcome out;
-  out.trace.bytes_sent.assign(k, 0);
-  if (k == 1) return out;
-
-  // Validate structural identity and flatten.
-  for (size_t a = 1; a < k; ++a) {
-    COMDML_REQUIRE(agent_states[a].size() == agent_states[0].size(),
-                   "agent " << a << " state arity differs");
-    for (size_t t = 0; t < agent_states[0].size(); ++t)
-      COMDML_REQUIRE(
-          agent_states[a][t].shape() == agent_states[0][t].shape(),
-          "agent " << a << " state tensor " << t << " shape differs");
-  }
-  // One arena slab holds every agent's flattened double vector; the slab
-  // is released on return and its high-water backing is reused next round,
-  // so steady-state rounds do not touch the heap here.
-  const int64_t n = state_elems(agent_states[0]);
-  core::Scratch<double> slab(static_cast<int64_t>(k) * n);
-
-  InProcTransport transport(grid);
-  CollectiveRequest req;
-  req.elems = n;
-  req.buffers.resize(k);
-  for (size_t a = 0; a < k; ++a) {
-    req.buffers[a] = slab.data() + static_cast<int64_t>(a) * n;
-    flatten_state(agent_states[a], req.buffers[a]);
-  }
-  (void)collective(allreduce_protocol(algo)).run(transport, req);
-  for (size_t a = 0; a < k; ++a)
-    unflatten_state(req.buffers[a], agent_states[a]);
-
-  const TransportStats& stats = transport.stats();
-  out.trace.steps = stats.steps;
-  out.trace.bytes_sent = stats.bytes_sent;
-  out.cost = {stats.seconds, stats.steps, stats.max_bytes_sent()};
-  return out;
-}
-
-AllReduceTrace allreduce_average(std::vector<std::vector<Tensor>>& agent_states,
-                                 AllReduceAlgo algo) {
-  const size_t k = agent_states.size();
-  COMDML_CHECK(k > 0);
-  return allreduce_average_over(
-             agent_states,
-             LinkGrid::uniform(static_cast<int64_t>(k), 100.0), algo)
-      .trace;
 }
 
 std::vector<Tensor> mean_state(

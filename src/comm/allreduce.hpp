@@ -8,10 +8,10 @@
 //
 // Both algorithms live in comm/collective.hpp as transport-generic
 // protocols: the analytic cost (SimTransport) and the executed real
-// collective (InProcTransport) are literally the same schedule. The
-// functions here are the byte/tensor-level entry points fleets use —
-// `allreduce_cost` and `allreduce_average` keep their historical
-// signatures as thin wrappers over that substrate.
+// collective (InProcTransport) are literally the same schedule. Fleets
+// execute them through core::RoundPipeline; this header keeps the
+// algorithm enum, the analytic `allreduce_cost` used by the paper-scale
+// simulators, and the tensor-state helpers shared by every aggregation.
 #pragma once
 
 #include <vector>
@@ -42,32 +42,6 @@ struct CollectiveCost {
     int64_t agents, int64_t model_bytes, double bottleneck_mbps,
     AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling,
     double latency_sec = kDefaultLatencySec);
-
-/// Execution trace of a real collective (for validating the cost model).
-struct AllReduceTrace {
-  int64_t steps = 0;
-  std::vector<int64_t> bytes_sent;  ///< per agent
-};
-
-/// Executed collective plus its modeled clock, over an explicit link grid.
-struct AllReduceOutcome {
-  AllReduceTrace trace;
-  CollectiveCost cost;  ///< modeled seconds/steps/max-bytes of the same run
-};
-
-/// In-place averaging of per-agent state snapshots over an
-/// InProcTransport on `grid`, executed with the real message schedule of
-/// the chosen algorithm. All agents must hold structurally identical
-/// state lists.
-AllReduceOutcome allreduce_average_over(
-    std::vector<std::vector<Tensor>>& agent_states, const LinkGrid& grid,
-    AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling);
-
-/// Historical entry point: averaging over an implicit uniform 100 Mbps
-/// grid; returns only the traffic trace.
-AllReduceTrace allreduce_average(
-    std::vector<std::vector<Tensor>>& agent_states,
-    AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling);
 
 /// Plain arithmetic mean across agents (reference for tests; no traffic).
 [[nodiscard]] std::vector<Tensor> mean_state(

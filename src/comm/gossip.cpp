@@ -5,28 +5,6 @@
 
 namespace comdml::comm {
 
-namespace {
-
-/// Per-agent push time of `model_bytes` over each agent's chosen link.
-/// (Kept on `model_bytes` rather than the executed wire bytes so the
-/// historical timing semantics of the shims survive: fleets pass the full
-/// serialized model size here.)
-std::vector<double> partner_times(
-    const Topology& topology,
-    const std::vector<std::optional<int64_t>>& partners,
-    int64_t model_bytes) {
-  std::vector<double> times(partners.size(), 0.0);
-  for (size_t i = 0; i < partners.size(); ++i) {
-    if (!partners[i]) continue;
-    times[i] = transfer_seconds(
-        model_bytes,
-        topology.bandwidth_mbps(static_cast<int64_t>(i), *partners[i]));
-  }
-  return times;
-}
-
-}  // namespace
-
 std::vector<std::optional<int64_t>> gossip_partners(const Topology& topology,
                                                     Rng& rng) {
   std::vector<std::optional<int64_t>> partners(
@@ -61,18 +39,16 @@ std::vector<double> gossip_exchange(std::vector<std::vector<Tensor>>& states,
       collective(Protocol::kGossip).run(transport, req);
   for (size_t a = 0; a < k; ++a)
     unflatten_state(req.buffers[a], states[a]);
-  return partner_times(topology, rep.partners, model_bytes);
-}
-
-std::vector<double> gossip_exchange_cost(const Topology& topology,
-                                         int64_t model_bytes, Rng& rng) {
-  SimTransport transport(LinkGrid::from_topology(topology));
-  CollectiveRequest req;
-  req.elems = fp32_wire_elems(model_bytes);
-  req.rng = &rng;
-  const CollectiveReport rep =
-      collective(Protocol::kGossip).run(transport, req);
-  return partner_times(topology, rep.partners, model_bytes);
+  // Push time of `model_bytes` (the full serialized model the caller
+  // passes, not the executed wire bytes) over each agent's chosen link.
+  std::vector<double> times(k, 0.0);
+  for (size_t i = 0; i < k; ++i) {
+    if (!rep.partners[i]) continue;
+    times[i] = transfer_seconds(
+        model_bytes,
+        topology.bandwidth_mbps(static_cast<int64_t>(i), *rep.partners[i]));
+  }
+  return times;
 }
 
 }  // namespace comdml::comm

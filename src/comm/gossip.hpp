@@ -2,8 +2,8 @@
 // one randomly chosen neighbor per round and averages what it receives.
 //
 // The protocol itself lives in comm/collective.hpp ("gossip") and runs over
-// any comm::Transport; these wrappers keep the historical topology/tensor
-// signatures used by fleets and tests.
+// any comm::Transport; these wrappers keep the topology/tensor signatures
+// the real gossip baseline uses.
 #pragma once
 
 #include <optional>
@@ -31,10 +31,5 @@ using tensor::Tensor;
 std::vector<double> gossip_exchange(std::vector<std::vector<Tensor>>& states,
                                     const Topology& topology,
                                     int64_t model_bytes, Rng& rng);
-
-/// Timing-only variant (used by the paper-scale simulator): the identical
-/// schedule over a SimTransport.
-[[nodiscard]] std::vector<double> gossip_exchange_cost(
-    const Topology& topology, int64_t model_bytes, Rng& rng);
 
 }  // namespace comdml::comm

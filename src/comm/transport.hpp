@@ -510,8 +510,7 @@ class Transport {
 };
 
 /// Analytic clock only: accounts every byte/step/second of the schedule,
-/// never moves data. This is the cost model that used to be scattered
-/// across `allreduce_cost`, `gossip_exchange_cost`, `server_round_times`.
+/// never moves data. `allreduce_cost` and `server_round_times` run on it.
 class SimTransport final : public Transport {
  public:
   using Transport::Transport;

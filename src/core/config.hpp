@@ -92,14 +92,14 @@ struct FleetOptions {
     /// across concurrent transfers.
     double server_mbps = 1000.0;
     double latency_sec = comm::kDefaultLatencySec;
-    /// Bucketed aggregation: partition model state into buckets of about
-    /// this many fp32 wire bytes and aggregate per bucket through the
-    /// round pipeline (core/round_pipeline.hpp). 0 keeps the historical
-    /// single flat collective.
+    /// Partition model state into buckets of about this many fp32 wire
+    /// bytes and aggregate per bucket through the round pipeline
+    /// (core/round_pipeline.hpp). 0 = one whole-state bucket (a flat
+    /// round).
     int64_t bucket_bytes = 0;
     /// Overlapped rounds: run bucket collectives concurrently with the
-    /// tail of local training (requires bucket_bytes > 0). Off, the same
-    /// buckets reduce sequentially after the training barrier — the two
+    /// tail of local training. Off, the same buckets reduce sequentially
+    /// after the training barrier — the two
     /// modes are bit-identical; overlap only changes the wall-clock
     /// schedule. With differential privacy the overlap window closes:
     /// noise draws are serialized on the fleet RNG after training, so
@@ -112,8 +112,6 @@ struct FleetOptions {
     /// payloads and stays bit-identical to the uncompressed rounds;
     /// kInt8Quantized compresses every exchange-step payload to dense
     /// symmetric int8 (~4x fewer wire bytes, lossy at int8 resolution).
-    /// Requires bucket_bytes > 0 — the flat collective path is always
-    /// fp32.
     enum class Codec { kFp32, kInt8Quantized };
     Codec codec = Codec::kFp32;
     /// Error-feedback residual accumulation per (agent, bucket): each
@@ -154,11 +152,11 @@ struct FleetOptions {
       int64_t after_batches = -1;
       /// Die after publishing this many buckets of the final batch — 0
       /// kills the agent at its first publish attempt, mid split-backward
-      /// for a paired slow agent (-1 = off; needs bucket_bytes > 0).
+      /// for a paired slow agent (-1 = off).
       int64_t after_buckets = -1;
       /// Kill the agent's endpoint once any bucket collective reaches
       /// this transport step: the in-flight collective recovers around
-      /// the survivors (-1 = off; needs bucket_bytes > 0).
+      /// the survivors (-1 = off).
       int64_t at_collective_step = -1;
     };
     std::vector<AgentFailure> failures;
@@ -168,8 +166,8 @@ struct FleetOptions {
     /// with exponential backoff, and the retransmission traffic is
     /// reported separately so goodput still matches the fault-free run.
     double message_drop_prob = 0.0;
-    /// Per-round straggler deadline in modeled seconds (0 = off; needs
-    /// bucket_bytes > 0). A solo agent whose round would exceed the
+    /// Per-round straggler deadline in modeled seconds (0 = off). A solo
+    /// agent whose round would exceed the
     /// deadline is deferred: the on-time agents aggregate without it, its
     /// late update lands in its error-feedback residual for the next
     /// round, and it re-syncs to the fleet consensus. Paired agents are
@@ -232,13 +230,6 @@ struct FleetOptions {
     COMDML_REQUIRE(comms.bucket_bytes >= 0,
                    "bucket_bytes must be non-negative, got "
                        << comms.bucket_bytes);
-    COMDML_REQUIRE(!comms.overlap || comms.bucket_bytes > 0,
-                   "overlapped rounds need bucket_bytes > 0 (overlap "
-                   "pipelines per-bucket collectives)");
-    COMDML_REQUIRE(
-        comms.codec == CommOptions::Codec::kFp32 || comms.bucket_bytes > 0,
-        "a lossy bucket codec needs bucket_bytes > 0 (only the bucket "
-        "collectives are codec-aware; the flat collective is always fp32)");
     COMDML_REQUIRE(privacy.dp_epsilon > 0.0,
                    "dp_epsilon must be positive, got " << privacy.dp_epsilon);
     COMDML_REQUIRE(privacy.dp_sensitivity > 0.0,
@@ -255,10 +246,6 @@ struct FleetOptions {
                         (f.at_collective_step >= 0);
       COMDML_REQUIRE(modes <= 1,
                      "agent failure must pick at most one death point");
-      COMDML_REQUIRE(
-          (f.after_buckets < 0 && f.at_collective_step < 0) ||
-              comms.bucket_bytes > 0,
-          "bucket-level and collective-step failures need bucket_bytes > 0");
     }
     COMDML_REQUIRE(
         faults.message_drop_prob >= 0.0 && faults.message_drop_prob < 1.0,
@@ -267,9 +254,6 @@ struct FleetOptions {
     COMDML_REQUIRE(faults.deadline_sec >= 0.0,
                    "deadline_sec must be non-negative, got "
                        << faults.deadline_sec);
-    COMDML_REQUIRE(faults.deadline_sec == 0.0 || comms.bucket_bytes > 0,
-                   "a straggler deadline needs bucket_bytes > 0 (deferral "
-                   "folds the late update into the bucket residuals)");
     COMDML_REQUIRE(faults.checkpoint_every >= 0,
                    "checkpoint_every must be non-negative, got "
                        << faults.checkpoint_every);

@@ -54,8 +54,8 @@ struct RoundReport {
   double idle_seconds = 0.0;
   double unbalanced_seconds = 0.0;   ///< counterfactual without offloading
   int64_t aggregation_bytes = 0;     ///< executed collective traffic (real)
-  /// Bucketed aggregation (comms.bucket_bytes > 0): bucket count and the
-  /// aggregation time left on the round's critical path after overlapping
+  /// Real ComDML rounds: bucket count (1 when comms.bucket_bytes == 0) and
+  /// the aggregation time left on the round's critical path after overlapping
   /// collectives with the compute tail (== aggregation_seconds when
   /// nothing is hidden).
   int64_t buckets = 0;

@@ -7,7 +7,6 @@
 
 #include "comm/allreduce.hpp"
 #include "comm/compress.hpp"
-#include "core/parallel.hpp"
 #include "nn/arch_specs.hpp"
 #include "privacy/dcor.hpp"
 #include "privacy/dp.hpp"
@@ -57,40 +56,37 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
     plateau_.emplace(options_.train.plateau_factor, options_.train.plateau_patience);
   }
 
-  if (options_.comms.bucket_bytes > 0) {
-    // Bucketed aggregation: one plan and one pipeline for the fleet's
-    // lifetime (all replicas are structurally identical).
-    bucket_plan_ =
-        nn::BucketPlan::build(*agents_[0].model, options_.comms.bucket_bytes);
-    // Unreliable-network injection on the bucket transports: every bucket
-    // collective then retransmits through comm::ReliableChannel and the
-    // retransmission traffic is reported per round.
-    comm::FaultPlan faults;
-    faults.drop_prob = options_.faults.message_drop_prob;
-    faults.seed = options_.seed;
-    pipeline_ = std::make_unique<RoundPipeline>(
-        static_cast<int64_t>(agents_.size()), *bucket_plan_,
-        bottleneck_grid(topology_, options_.comms.latency_sec),
-        options_.comms.aggregation, options_.comms.bucket_codec(),
-        options_.comms.error_feedback, faults,
-        /*straggler_support=*/options_.faults.deadline_sec > 0.0);
-    // Modeled backward-tail fraction per bucket: the share of one batch's
-    // work still ahead of the final backward sweep when the bucket's
-    // lowest unit has finished — this is the compute window the bucket's
-    // collective can hide inside.
-    const auto costs = agents_[0].model->unit_costs(in_shape_);
-    double total = 0.0;
-    for (const auto& c : costs) total += c.flops_forward + c.flops_backward;
-    std::vector<double> below(costs.size() + 1, 0.0);
-    for (size_t u = 0; u < costs.size(); ++u)
-      below[u + 1] = below[u] + costs[u].flops_backward;
-    bucket_back_frac_.resize(static_cast<size_t>(bucket_plan_->buckets()));
-    for (int64_t b = 0; b < bucket_plan_->buckets(); ++b)
-      bucket_back_frac_[static_cast<size_t>(b)] =
-          total > 0.0
-              ? below[bucket_plan_->bucket(b).first_unit] / total
-              : 0.0;
-  }
+  // One plan and one pipeline for the fleet's lifetime (all replicas are
+  // structurally identical). bucket_bytes == 0 is a single whole-state
+  // bucket: the flat round is the same pipeline with one collective.
+  bucket_plan_ =
+      nn::BucketPlan::build(*agents_[0].model, options_.comms.bucket_bytes);
+  // Unreliable-network injection on the bucket transports: every bucket
+  // collective then retransmits through comm::ReliableChannel and the
+  // retransmission traffic is reported per round.
+  comm::FaultPlan faults;
+  faults.drop_prob = options_.faults.message_drop_prob;
+  faults.seed = options_.seed;
+  pipeline_ = std::make_unique<RoundPipeline>(
+      static_cast<int64_t>(agents_.size()), bucket_plan_,
+      bottleneck_grid(topology_, options_.comms.latency_sec),
+      options_.comms.aggregation, options_.comms.bucket_codec(),
+      options_.comms.error_feedback, faults,
+      /*straggler_support=*/options_.faults.deadline_sec > 0.0);
+  // Modeled backward-tail fraction per bucket: the share of one batch's
+  // work still ahead of the final backward sweep when the bucket's lowest
+  // unit has finished — this is the compute window the bucket's collective
+  // can hide inside.
+  const auto costs = agents_[0].model->unit_costs(in_shape_);
+  double total = 0.0;
+  for (const auto& c : costs) total += c.flops_forward + c.flops_backward;
+  std::vector<double> below(costs.size() + 1, 0.0);
+  for (size_t u = 0; u < costs.size(); ++u)
+    below[u + 1] = below[u] + costs[u].flops_backward;
+  bucket_back_frac_.resize(static_cast<size_t>(bucket_plan_.buckets()));
+  for (int64_t b = 0; b < bucket_plan_.buckets(); ++b)
+    bucket_back_frac_[static_cast<size_t>(b)] =
+        total > 0.0 ? below[bucket_plan_.bucket(b).first_unit] / total : 0.0;
 }
 
 std::vector<AgentInfo> RealFleet::build_infos() const {
@@ -138,7 +134,6 @@ RealFleet::RoundStats RealFleet::step() {
     } else if (f.after_buckets >= 0) {
       publish_budget[static_cast<size_t>(f.agent)] = f.after_buckets;
     } else if (f.at_collective_step >= 0) {
-      COMDML_CHECK(pipeline_ != nullptr);  // enforced by validate()
       pipeline_->schedule_endpoint_failure(f.agent, f.at_collective_step);
       collective_victims.push_back(f.agent);
     } else {
@@ -208,29 +203,29 @@ RealFleet::RoundStats RealFleet::step() {
       task_agent[t] = plan.solo[t - n_pairs];
   }
 
-  // Bucketed aggregation modes. DP noise draws from the fleet Rng in agent
-  // order after training (historical semantics), so with DP the buckets are
+  // Aggregation modes. DP noise draws from the fleet Rng in agent order
+  // after training (historical semantics), so with DP the buckets are
   // published after the noising pass instead of from inside the tasks, and
-  // the layerwise overlap window closes.
-  const bool bucketed = pipeline_ != nullptr;
+  // the layerwise overlap window closes. Multi-process rounds aggregate
+  // through the owned-rows collective instead (aggregate_owned), so their
+  // tasks publish nothing.
   const bool dp = options_.privacy.technique ==
                   learncurve::PrivacyTechnique::kDifferentialPrivacy;
-  const bool publish_in_task = bucketed && !dp;
+  const bool publish_in_task = !dp && !dist_;
   const bool overlap = publish_in_task && options_.comms.overlap;
-  if (bucketed) {
-    pipeline_->begin_round();
-    // Deferred stragglers are excluded up front so no bucket waits for
-    // their contribution.
-    for (int64_t a = 0; a < agents(); ++a)
-      if (late[static_cast<size_t>(a)] != 0) pipeline_->defer(a);
-  }
+  pipeline_->begin_round();
+  // Deferred stragglers are excluded up front so no bucket waits for their
+  // contribution.
+  for (int64_t a = 0; a < agents(); ++a)
+    if (late[static_cast<size_t>(a)] != 0) pipeline_->defer(a);
 
-  // Flatten + contribute one bucket of `agent`'s live state — the publish
-  // step shared by the full-model and split last-batch unit walks. An
-  // armed publish budget kills the agent mid-stream: after `after_buckets`
-  // publishes the next attempt never lands, and the pipeline re-targets
-  // the dead agent's remaining buckets. All of one agent's publishes run
-  // on its own training task, so the budget needs no synchronization.
+  // Flatten + contribute one bucket of `agent`'s state — the publish step
+  // shared by the full-model and split last-batch unit walks and the DP
+  // post-noise pass. An armed publish budget kills the agent mid-stream:
+  // after `after_buckets` publishes the next attempt never lands, and the
+  // pipeline re-targets the dead agent's remaining buckets. All of one
+  // agent's publishes run on one thread (its training task, or the DP
+  // pass), so the budget needs no synchronization.
   const auto publish_bucket = [&](int64_t agent,
                                   const std::vector<tensor::Tensor*>& ptrs,
                                   int64_t bk) {
@@ -241,7 +236,7 @@ RealFleet::RoundStats RealFleet::step() {
       budget = -1;
       return;
     }
-    bucket_plan_->flatten_bucket(ptrs, bk, pipeline_->slot(agent, bk));
+    bucket_plan_.flatten_bucket(ptrs, bk, pipeline_->slot(agent, bk));
     pipeline_->contribute(agent, bk);
     if (budget > 0 && --budget == 0) {
       kill_agent(agent);
@@ -270,10 +265,10 @@ RealFleet::RoundStats RealFleet::step() {
           late[static_cast<size_t>(agent)] == 0) {
         std::vector<tensor::Tensor*> ptrs;
         st.model->collect_state(ptrs);
-        nn::BucketReadyTracker tracker(*bucket_plan_);
+        nn::BucketReadyTracker tracker(bucket_plan_);
         const auto res = nn::train_batch_full_notify(
             *st.model, opt, batch.x, batch.y,
-            bucket_plan_->unit_param_counts(), [&](size_t u) {
+            bucket_plan_.unit_param_counts(), [&](size_t u) {
               tracker.unit_done(
                   u, [&](int64_t bk) { publish_bucket(agent, ptrs, bk); });
             });
@@ -326,11 +321,11 @@ RealFleet::RoundStats RealFleet::step() {
           // either way).
           std::vector<tensor::Tensor*> ptrs;
           slow.model->collect_state(ptrs);
-          nn::BucketReadyTracker tracker(*bucket_plan_);
+          nn::BucketReadyTracker tracker(bucket_plan_);
           const size_t total_units = slow.model->size();
           size_t units_done = 0;
           step = split.train_batch_notify(
-              batch.x, batch.y, bucket_plan_->unit_param_counts(),
+              batch.x, batch.y, bucket_plan_.unit_param_counts(),
               [&](size_t u) {
                 ++units_done;
                 tracker.unit_done(u, [&](int64_t bk) {
@@ -371,17 +366,9 @@ RealFleet::RoundStats RealFleet::step() {
     }
   };
 
-  // Fan the tasks out. Bucketed rounds go through the shared pipeline
-  // orchestration (collector slots in overlapped mode, abort-on-exception);
-  // flat rounds are a plain fan-out.
-  if (bucketed) {
-    pipeline_->run_round(static_cast<int64_t>(n_tasks), run_task, overlap);
-  } else {
-    parallel_for(0, static_cast<int64_t>(n_tasks), 1,
-                 [&](int64_t lo, int64_t hi) {
-                   for (int64_t t = lo; t < hi; ++t) run_task(t);
-                 });
-  }
+  // Fan the tasks out through the pipeline orchestration (collector slots
+  // in overlapped mode, abort-on-exception).
+  pipeline_->run_round(static_cast<int64_t>(n_tasks), run_task, overlap);
 
   // Multi-process: gather every worker's owned TaskResults into the full
   // vector so the serial fold below stays one code path — every worker
@@ -437,218 +424,24 @@ RealFleet::RoundStats RealFleet::step() {
         t_comp = std::max(t_comp,
                           infos[static_cast<size_t>(id)].tau_solo);
   }
-  if (!bucketed) {
-    // Optional DP on each agent's state before it leaves the device. The
-    // merge buffers are fleet members reused round over round. Snapshots
-    // and noise draws cover every agent (dead ones included) so the fleet
-    // rng sequence does not depend on the failure pattern; only the live
-    // agents' states enter the collective.
-    std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
-    states.resize(agents_.size());
-    for (size_t i = 0; i < agents_.size(); ++i)
-      nn::copy_state_into(*agents_[i].model, states[i]);
-    if (dp) {
-      for (auto& s : states)
-        privacy::laplace_mechanism(s, options_.privacy.dp_epsilon,
-                                   options_.privacy.dp_sensitivity, rng_);
-    }
-
-    // Real message-level decentralized aggregation over an InProcTransport.
-    // The collective routes through the overlay at the bottleneck rate (the
-    // seed cost models' assumption), and one run yields both the executed
-    // traffic and the modeled clock — predicted cost and real bytes are the
-    // same schedule by construction. Agents that died this round are
-    // excluded: the survivors aggregate over a grid of their own size,
-    // exactly a from-scratch survivor-only fleet.
-    const std::vector<int64_t> live = live_agents();
-    std::vector<std::vector<tensor::Tensor>> live_states;
-    live_states.reserve(live.size());
-    for (const int64_t a : live)
-      live_states.push_back(std::move(states[static_cast<size_t>(a)]));
-    if (dist_) {
-      // Multi-process: the same survivor schedule runs rank-partitioned
-      // over the shared (socket) transport — identical message pattern,
-      // identical merge order and arithmetic, so every worker's owned
-      // buffers land on the same bit-identical consensus mean. Non-owned
-      // rows hold stale replicas; their buffers are never read (only
-      // owned sends post, only owned recvs fold).
-      //
-      // A worker crash mid-collective surfaces as EndpointDownError on
-      // some (not necessarily all — schedules don't touch every pair every
-      // step) survivors. Recovery: after every attempt the collective_sync
-      // barrier reconciles the survivors' views, the dead worker's agents
-      // leave the fleet, the data mesh is rebuilt (a fresh transport
-      // cannot carry stale frames from the aborted schedule), and the
-      // survivor set re-runs from the pristine post-training snapshots —
-      // exactly the schedule a from-scratch survivor-only fleet would run.
-      const int64_t n = comm::state_elems(live_states[0]);
-      std::vector<double> slab(
-          static_cast<size_t>(agents_.size()) * static_cast<size_t>(n));
-      comm::CollectiveRequest req;
-      req.elems = n;
-      std::vector<char> owned(agents_.size(), 0);
-      std::vector<int64_t> row(agents_.size(), -1);
-      for (size_t i = 0; i < live.size(); ++i)
-        row[static_cast<size_t>(live[i])] = static_cast<int64_t>(i);
-      // Re-point the request at `parts` and re-fill every owned row from
-      // its pristine post-training state (an aborted attempt leaves owned
-      // buffers partially folded). Returns the first owned participant.
-      const auto flatten_owned =
-          [&](const std::vector<int64_t>& parts) -> int64_t {
-        std::fill(owned.begin(), owned.end(), 0);
-        req.buffers.assign(agents_.size(), nullptr);
-        int64_t first_owned = -1;
-        for (const int64_t p : parts) {
-          const auto a = static_cast<size_t>(p);
-          req.buffers[a] = slab.data() + a * static_cast<size_t>(n);
-          if (dist_->owner[a] == dist_->shard) {
-            owned[a] = 1;
-            comm::flatten_state(live_states[static_cast<size_t>(row[a])],
-                                req.buffers[a]);
-            if (first_owned < 0) first_owned = p;
-          }
-        }
-        return first_owned;
-      };
-      std::vector<int64_t> parts = live;
-      int64_t first_owned = flatten_owned(parts);
-      COMDML_REQUIRE(first_owned >= 0,
-                     "shard " << dist_->shard
-                              << " owns no live agent; it cannot take part "
-                                 "in the aggregation round");
-      for (;;) {
-        bool ok = true;
-        if (parts.size() > 1) {
-          try {
-            const auto sched = comm::allreduce_schedule_over(
-                comm::allreduce_protocol(options_.comms.aggregation), parts,
-                n);
-            comm::execute_schedule_owned(sched, *dist_->transport, req,
-                                         owned);
-          } catch (const comm::EndpointDownError&) {
-            ok = false;
-          }
-        }
-        // This worker's view of the survivors: the attempted participants
-        // minus the endpoints the transport has declared dead.
-        std::vector<int64_t> view;
-        for (const int64_t p : parts)
-          if (dist_->transport->endpoint_alive(p)) view.push_back(p);
-        if (dist_->collective_sync) {
-          auto agreement = dist_->collective_sync(view, ok);
-          std::sort(agreement.first.begin(), agreement.first.end());
-          for (const int64_t p : parts)
-            if (!std::binary_search(agreement.first.begin(),
-                                    agreement.first.end(), p) &&
-                agents_[static_cast<size_t>(p)].alive)
-              kill_agent(p);
-          parts = std::move(agreement.first);
-          COMDML_REQUIRE(!parts.empty(),
-                         "collective recovery lost every live agent");
-          if (agreement.second == nullptr) break;  // settled everywhere
-          dist_->transport = agreement.second;
-          first_owned = flatten_owned(parts);
-          COMDML_REQUIRE(first_owned >= 0,
-                         "shard " << dist_->shard
-                                  << " owns no agent surviving the "
-                                     "collective recovery");
-        } else {
-          if (ok) break;
-          // No coordinator to arbitrate (single-worker context in tests):
-          // trust the local view, drop in-flight frames, and retry.
-          for (const int64_t p : parts)
-            if (!dist_->transport->endpoint_alive(p) &&
-                agents_[static_cast<size_t>(p)].alive)
-              kill_agent(p);
-          COMDML_REQUIRE(!view.empty(),
-                         "collective recovery lost every live agent");
-          dist_->transport->clear_pending();
-          parts = std::move(view);
-          first_owned = flatten_owned(parts);
-          COMDML_REQUIRE(first_owned >= 0,
-                         "shard " << dist_->shard
-                                  << " owns no agent surviving the "
-                                     "collective recovery");
-        }
-      }
-      // Every owned surviving buffer now holds the same mean; adopt it as
-      // the consensus on every surviving replica — owned or not — so
-      // evaluate(), rejoin() and the next round's training see one fleet
-      // model. Agents killed mid-collective only hand their buffers back.
-      const double* mean = req.buffers[static_cast<size_t>(first_owned)];
-      for (size_t i = 0; i < live.size(); ++i) {
-        const auto a = static_cast<size_t>(live[i]);
-        if (agents_[a].alive) {
-          comm::unflatten_state(mean, live_states[i]);
-          nn::load_state(*agents_[a].model, live_states[i]);
-        }
-        states[a] = std::move(live_states[i]);  // hand the buffers back
-      }
-
-      // This worker's share of the executed traffic; the daemon merges
-      // the per-worker step histories into the fleet-level clock.
-      const comm::TransportStats ts = dist_->transport->stats_snapshot();
-      stats.aggregation_seconds = ts.seconds;
-      stats.aggregation_bytes = ts.max_bytes_sent();
-      stats.exposed_comm_seconds = ts.seconds;
-      stats.sim_time = t_comp + ts.seconds;
-    } else {
-      const auto min_bw = topology_.min_link_bandwidth();
-      COMDML_REQUIRE(min_bw.has_value() || live.size() == 1,
-                     "topology has no usable link");
-      const auto agg = comm::allreduce_average_over(
-          live_states,
-          comm::LinkGrid::uniform(static_cast<int64_t>(live.size()),
-                                  min_bw.value_or(100.0),
-                                  options_.comms.latency_sec),
-          options_.comms.aggregation);
-      for (size_t i = 0; i < live.size(); ++i) {
-        const auto a = static_cast<size_t>(live[i]);
-        nn::load_state(*agents_[a].model, live_states[i]);
-        states[a] = std::move(live_states[i]);  // hand the buffers back
-      }
-
-      // Simulated wall-clock: balanced round span + the collective.
-      stats.aggregation_seconds = agg.cost.seconds;
-      stats.aggregation_bytes = agg.cost.bytes_per_agent;
-      stats.exposed_comm_seconds = agg.cost.seconds;
-      stats.sim_time = t_comp + agg.cost.seconds;
-    }
+  if (dist_) {
+    aggregate_owned(stats, t_comp);
   } else {
     if (dp) {
-      // Snapshot + noise in agent order with the fleet Rng (same draw
-      // sequence as the flat path, dead agents included), then publish
-      // every live agent's buckets — an armed publish budget kills its
-      // agent mid-publication here, just like the in-task path.
-      std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
-      states.resize(agents_.size());
-      for (size_t i = 0; i < agents_.size(); ++i)
-        nn::copy_state_into(*agents_[i].model, states[i]);
-      for (auto& s : states)
-        privacy::laplace_mechanism(s, options_.privacy.dp_epsilon,
-                                   options_.privacy.dp_sensitivity, rng_);
+      // Publish every live on-time agent's noised snapshot — an armed
+      // publish budget kills its agent mid-publication here, just like
+      // the in-task path.
+      std::vector<std::vector<tensor::Tensor>>& states = snapshot_states();
       for (size_t i = 0; i < agents_.size(); ++i) {
-        const auto a = static_cast<int64_t>(i);
         if (!agents_[i].alive || late[i] != 0) continue;
-        int64_t& budget = publish_budget[i];
-        for (int64_t bk = 0; bk < bucket_plan_->buckets(); ++bk) {
-          if (budget == 0) {
-            kill_agent(a);
-            budget = -1;
-            break;
-          }
-          bucket_plan_->flatten_bucket(states[i], bk, pipeline_->slot(a, bk));
-          pipeline_->contribute(a, bk);
-          if (budget > 0 && --budget == 0) {
-            kill_agent(a);
-            budget = -1;
-            break;
-          }
-        }
+        std::vector<tensor::Tensor*> ptrs;
+        for (tensor::Tensor& t : states[i]) ptrs.push_back(&t);
+        for (int64_t bk = 0; bk < bucket_plan_.buckets(); ++bk)
+          publish_bucket(static_cast<int64_t>(i), ptrs, bk);
       }
     }
     // Overlapped rounds drained inside the training fan-out; sequential
-    // bucketed rounds reduce here, in ready order on this thread.
+    // rounds reduce here, in ready order on this thread.
     if (!overlap) pipeline_->drain();
 
     // Mid-collective victims died during the reduce; take them out before
@@ -729,11 +522,20 @@ RealFleet::RoundStats RealFleet::step() {
     stats.sim_time = std::max(t_comp, timeline.span);
     stats.exposed_comm_seconds = stats.sim_time - t_comp;
   }
+  // Slow batches actually run: a paired slow agent armed to die after N
+  // batches contributes N. Every worker derives the same count from the
+  // plan, so multi-process rounds need no extra TaskResult field.
+  int64_t slow_batches = 0;
+  for (const OffloadDecision& p : plan.pairs) {
+    const int64_t die_at =
+        die_after_batches[static_cast<size_t>(p.slow_agent)];
+    slow_batches += die_at >= 0
+                        ? std::min(options_.train.batches_per_round, die_at)
+                        : options_.train.batches_per_round;
+  }
   stats.mean_slow_loss =
-      plan.pairs.empty()
-          ? 0.0f
-          : slow_loss_sum / static_cast<float>(plan.pairs.size() *
-                                               options_.train.batches_per_round);
+      slow_batches == 0 ? 0.0f
+                        : slow_loss_sum / static_cast<float>(slow_batches);
   stats.mean_loss =
       loss_count == 0 ? 0.0f : loss_sum / static_cast<float>(loss_count);
   stats.mean_dcor =
@@ -788,13 +590,13 @@ int64_t RealFleet::first_live() const {
 
 void RealFleet::kill_agent(int64_t agent) {
   agents_[static_cast<size_t>(agent)].alive = false;
-  if (pipeline_) pipeline_->deactivate(agent);
+  pipeline_->deactivate(agent);
 }
 
 void RealFleet::leave(int64_t agent) {
   COMDML_CHECK(agent >= 0 && agent < agents());
   agents_[static_cast<size_t>(agent)].alive = false;
-  if (pipeline_) pipeline_->leave(agent);
+  pipeline_->leave(agent);
 }
 
 void RealFleet::rejoin(int64_t agent) {
@@ -807,7 +609,7 @@ void RealFleet::rejoin(int64_t agent) {
   nn::load_state(*st.model, nn::state_of(*agents_[static_cast<size_t>(src)].model));
   st.velocity.clear();
   st.alive = true;
-  if (pipeline_) pipeline_->rejoin(agent);
+  pipeline_->rejoin(agent);
 }
 
 namespace {
@@ -840,8 +642,11 @@ std::vector<uint8_t> RealFleet::checkpoint() {
     body.i64(bs.epoch);
     body.str(bs.rng);
   }
-  body.u8(pipeline_ != nullptr ? 1 : 0);
-  if (pipeline_) body.f64s(pipeline_->residuals());
+  // "A residual slab follows": fleets without error feedback or straggler
+  // deferral write a bare 0, whatever their bucket layout.
+  const std::vector<double>& residuals = pipeline_->residuals();
+  body.u8(residuals.empty() ? 0 : 1);
+  if (!residuals.empty()) body.f64s(residuals);
 
   const std::vector<uint8_t> payload = body.bytes();
   tensor::ByteWriter w;
@@ -908,15 +713,6 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
       bs.epoch = r.i64();
       bs.rng = r.str();
       st.batcher->load(bs);
-      if (pipeline_) {
-        // Sync the pipeline's membership (rejoin also clears residuals and
-        // endpoint faults for the agent; the checkpointed residual slab is
-        // loaded right after, so the order matters).
-        if (st.alive)
-          pipeline_->rejoin(a);
-        else
-          pipeline_->leave(a);
-      }
     }
     // A narrower checkpoint restores into a wider fleet: the agents beyond
     // the checkpointed set come up as left (the consensus does not include
@@ -925,30 +721,30 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
       AgentState& st = agents_[static_cast<size_t>(a)];
       st.alive = false;
       st.velocity.clear();
-      if (pipeline_) pipeline_->leave(a);
     }
-    const bool has_pipeline = r.u8() != 0;
-    if (has_pipeline != (pipeline_ != nullptr))
-      throw CheckpointError("checkpoint bucketing config mismatch");
-    if (pipeline_) {
-      std::vector<double> residuals = r.f64s();
-      const size_t want = pipeline_->residuals().size();
-      if (want > 0) {
-        // The checkpointed slab covers k agents; rows for the extra agents
-        // of a wider fleet start zeroed (no residual history).
-        const size_t per_agent = want / static_cast<size_t>(agents());
-        if (residuals.size() != per_agent * static_cast<size_t>(k))
-          throw CheckpointError(
-              "checkpoint residual slab mismatch: holds " +
-              std::to_string(residuals.size()) + " values, expected " +
-              std::to_string(per_agent * static_cast<size_t>(k)));
-        residuals.resize(want, 0.0);
-        pipeline_->load_residuals(residuals);
-      } else if (!residuals.empty()) {
+    // Rejoin clears residuals, so the checkpointed slab loads after this.
+    sync_pipeline_membership();
+    // The residual slab is laid out agent-major over the whole flat state,
+    // so it is independent of the bucket layout: only its presence and
+    // width must match.
+    std::vector<double> residuals;
+    if (r.u8() != 0) residuals = r.f64s();
+    const size_t want = pipeline_->residuals().size();
+    if (want > 0) {
+      // The checkpointed slab covers k agents; rows for the extra agents of
+      // a wider fleet start zeroed (no residual history).
+      const size_t per_agent = want / static_cast<size_t>(agents());
+      if (residuals.size() != per_agent * static_cast<size_t>(k))
         throw CheckpointError(
-            "checkpoint carries error-feedback residuals but this fleet "
-            "has no residual slab (codec/straggler config mismatch)");
-      }
+            "checkpoint residual slab mismatch: holds " +
+            std::to_string(residuals.size()) + " values, expected " +
+            std::to_string(per_agent * static_cast<size_t>(k)));
+      residuals.resize(want, 0.0);
+      pipeline_->load_residuals(residuals);
+    } else if (!residuals.empty()) {
+      throw CheckpointError(
+          "checkpoint carries error-feedback residuals but this fleet "
+          "has no residual slab (codec/straggler config mismatch)");
     }
     r.expect_done();
   } catch (const CheckpointError&) {
@@ -960,14 +756,182 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
   rounds_since_checkpoint_ = 0;
 }
 
+std::vector<std::vector<tensor::Tensor>>& RealFleet::snapshot_states() {
+  // Snapshots and noise draws cover every agent (dead ones included) so the
+  // fleet rng sequence does not depend on the failure pattern.
+  std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
+  states.resize(agents_.size());
+  for (size_t i = 0; i < agents_.size(); ++i)
+    nn::copy_state_into(*agents_[i].model, states[i]);
+  if (options_.privacy.technique ==
+      learncurve::PrivacyTechnique::kDifferentialPrivacy) {
+    for (auto& s : states)
+      privacy::laplace_mechanism(s, options_.privacy.dp_epsilon,
+                                 options_.privacy.dp_sensitivity, rng_);
+  }
+  return states;
+}
+
+void RealFleet::sync_pipeline_membership() {
+  for (int64_t a = 0; a < agents(); ++a) {
+    if (agents_[static_cast<size_t>(a)].alive)
+      pipeline_->rejoin(a);
+    else
+      pipeline_->leave(a);
+  }
+}
+
+void RealFleet::aggregate_owned(RoundStats& stats, double t_comp) {
+  // Only the live agents' snapshots enter the collective; their buffers
+  // return to the scratch afterwards.
+  std::vector<std::vector<tensor::Tensor>>& states = snapshot_states();
+  const std::vector<int64_t> live = live_agents();
+  std::vector<std::vector<tensor::Tensor>> live_states;
+  live_states.reserve(live.size());
+  for (const int64_t a : live)
+    live_states.push_back(std::move(states[static_cast<size_t>(a)]));
+  // Multi-process: the same survivor schedule runs rank-partitioned
+  // over the shared (socket) transport — identical message pattern,
+  // identical merge order and arithmetic, so every worker's owned
+  // buffers land on the same bit-identical consensus mean. Non-owned
+  // rows hold stale replicas; their buffers are never read (only
+  // owned sends post, only owned recvs fold).
+  //
+  // A worker crash mid-collective surfaces as EndpointDownError on
+  // some (not necessarily all — schedules don't touch every pair every
+  // step) survivors. Recovery: after every attempt the collective_sync
+  // barrier reconciles the survivors' views, the dead worker's agents
+  // leave the fleet, the data mesh is rebuilt (a fresh transport
+  // cannot carry stale frames from the aborted schedule), and the
+  // survivor set re-runs from the pristine post-training snapshots —
+  // exactly the schedule a from-scratch survivor-only fleet would run.
+  const int64_t n = comm::state_elems(live_states[0]);
+  std::vector<double> slab(
+      static_cast<size_t>(agents_.size()) * static_cast<size_t>(n));
+  comm::CollectiveRequest req;
+  req.elems = n;
+  std::vector<char> owned(agents_.size(), 0);
+  std::vector<int64_t> row(agents_.size(), -1);
+  for (size_t i = 0; i < live.size(); ++i)
+    row[static_cast<size_t>(live[i])] = static_cast<int64_t>(i);
+  // Re-point the request at `parts` and re-fill every owned row from
+  // its pristine post-training state (an aborted attempt leaves owned
+  // buffers partially folded). Returns the first owned participant.
+  const auto flatten_owned =
+      [&](const std::vector<int64_t>& parts) -> int64_t {
+    std::fill(owned.begin(), owned.end(), 0);
+    req.buffers.assign(agents_.size(), nullptr);
+    int64_t first_owned = -1;
+    for (const int64_t p : parts) {
+      const auto a = static_cast<size_t>(p);
+      req.buffers[a] = slab.data() + a * static_cast<size_t>(n);
+      if (dist_->owner[a] == dist_->shard) {
+        owned[a] = 1;
+        comm::flatten_state(live_states[static_cast<size_t>(row[a])],
+                            req.buffers[a]);
+        if (first_owned < 0) first_owned = p;
+      }
+    }
+    return first_owned;
+  };
+  std::vector<int64_t> parts = live;
+  int64_t first_owned = flatten_owned(parts);
+  COMDML_REQUIRE(first_owned >= 0,
+                 "shard " << dist_->shard
+                          << " owns no live agent; it cannot take part "
+                             "in the aggregation round");
+  for (;;) {
+    bool ok = true;
+    if (parts.size() > 1) {
+      try {
+        const auto sched = comm::allreduce_schedule_over(
+            comm::allreduce_protocol(options_.comms.aggregation), parts,
+            n);
+        comm::execute_schedule_owned(sched, *dist_->transport, req,
+                                     owned);
+      } catch (const comm::EndpointDownError&) {
+        ok = false;
+      }
+    }
+    // This worker's view of the survivors: the attempted participants
+    // minus the endpoints the transport has declared dead.
+    std::vector<int64_t> view;
+    for (const int64_t p : parts)
+      if (dist_->transport->endpoint_alive(p)) view.push_back(p);
+    if (dist_->collective_sync) {
+      auto agreement = dist_->collective_sync(view, ok);
+      std::sort(agreement.first.begin(), agreement.first.end());
+      for (const int64_t p : parts)
+        if (!std::binary_search(agreement.first.begin(),
+                                agreement.first.end(), p) &&
+            agents_[static_cast<size_t>(p)].alive)
+          kill_agent(p);
+      parts = std::move(agreement.first);
+      COMDML_REQUIRE(!parts.empty(),
+                     "collective recovery lost every live agent");
+      if (agreement.second == nullptr) break;  // settled everywhere
+      dist_->transport = agreement.second;
+      first_owned = flatten_owned(parts);
+      COMDML_REQUIRE(first_owned >= 0,
+                     "shard " << dist_->shard
+                              << " owns no agent surviving the "
+                                 "collective recovery");
+    } else {
+      if (ok) break;
+      // No coordinator to arbitrate (a single-shard context): trust the
+      // local view, drop in-flight frames, and retry.
+      for (const int64_t p : parts)
+        if (!dist_->transport->endpoint_alive(p) &&
+            agents_[static_cast<size_t>(p)].alive)
+          kill_agent(p);
+      COMDML_REQUIRE(!view.empty(),
+                     "collective recovery lost every live agent");
+      dist_->transport->clear_pending();
+      parts = std::move(view);
+      first_owned = flatten_owned(parts);
+      COMDML_REQUIRE(first_owned >= 0,
+                     "shard " << dist_->shard
+                              << " owns no agent surviving the "
+                                 "collective recovery");
+    }
+  }
+  // Every owned surviving buffer now holds the same mean; adopt it as
+  // the consensus on every surviving replica — owned or not — so
+  // evaluate(), rejoin() and the next round's training see one fleet
+  // model. Agents killed mid-collective only hand their buffers back.
+  const double* mean = req.buffers[static_cast<size_t>(first_owned)];
+  for (size_t i = 0; i < live.size(); ++i) {
+    const auto a = static_cast<size_t>(live[i]);
+    if (agents_[a].alive) {
+      comm::unflatten_state(mean, live_states[i]);
+      nn::load_state(*agents_[a].model, live_states[i]);
+    }
+    states[a] = std::move(live_states[i]);  // hand the buffers back
+  }
+
+  // This worker's share of the executed traffic; the daemon merges
+  // the per-worker step histories into the fleet-level clock.
+  const comm::TransportStats ts = dist_->transport->stats_snapshot();
+  stats.aggregation_seconds = ts.seconds;
+  stats.aggregation_bytes = ts.max_bytes_sent();
+  stats.exposed_comm_seconds = ts.seconds;
+  stats.sim_time = t_comp + ts.seconds;
+}
+
 void RealFleet::set_dist_context(DistContext ctx) {
   COMDML_REQUIRE(round_ == 0,
                  "set_dist_context must run before the first step()");
   COMDML_REQUIRE(ctx.shards >= 1 && ctx.shard >= 0 && ctx.shard < ctx.shards,
                  "bad shard index " << ctx.shard << " of " << ctx.shards);
-  COMDML_REQUIRE(pipeline_ == nullptr,
-                 "multi-process mode needs a flat (non-bucketed, "
-                 "non-pipelined) fleet");
+  // The owned-rows collective reduces the whole state as one fp32
+  // payload after the training barrier.
+  COMDML_REQUIRE(bucket_plan_.buckets() == 1,
+                 "multi-process mode needs one whole-state bucket "
+                 "(bucket_bytes 0)");
+  COMDML_REQUIRE(options_.comms.codec == FleetOptions::CommOptions::Codec::kFp32,
+                 "multi-process mode needs the fp32 codec");
+  COMDML_REQUIRE(!options_.comms.overlap,
+                 "multi-process mode does not support overlapped rounds");
   COMDML_REQUIRE(ctx.transport != nullptr, "multi-process mode needs a "
                                            "transport");
   COMDML_REQUIRE(ctx.transport->endpoints() == agents(),
@@ -1088,8 +1052,9 @@ std::vector<uint8_t> RealFleet::checkpoint_shard(
 
 void RealFleet::restore_shards(
     const std::vector<std::vector<uint8_t>>& shards) {
-  COMDML_REQUIRE(pipeline_ == nullptr,
-                 "shard restore needs a flat (non-bucketed) fleet");
+  COMDML_REQUIRE(pipeline_->residuals().empty(),
+                 "shard restore needs a fleet without an error-feedback "
+                 "residual slab (shards carry no residuals)");
   if (shards.empty())
     throw CheckpointError("shard restore got zero shards");
 
@@ -1222,6 +1187,7 @@ void RealFleet::restore_shards(
       if (agents_[static_cast<size_t>(a)].alive) ++live;
     }
   }
+  sync_pipeline_membership();
   if (live == 0)
     throw CheckpointError(
         "checkpoint shards restore zero live agents; need a quorum "

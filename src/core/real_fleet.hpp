@@ -54,13 +54,13 @@ class RealFleet {
     /// Measured wire compression of the real activations crossing the cut
     /// (bitmask + int8 codec; see comm/compress.hpp). 0 when no pairs.
     double mean_wire_compression = 0.0;
-    /// Executed traffic of the aggregation collective (InProcTransport).
-    double aggregation_seconds = 0.0;  ///< modeled clock of the collective
+    /// Executed traffic of the aggregation collectives (InProcTransport).
+    double aggregation_seconds = 0.0;  ///< modeled clock of the collectives
     int64_t aggregation_bytes = 0;     ///< max bytes any agent sent
-    /// Bucketed aggregation (comms.bucket_bytes > 0): bucket count and the
+    /// Bucket count (1 for a flat bucket_bytes == 0 round) and the
     /// aggregation time left on the round's critical path after overlap
-    /// (== aggregation_seconds when nothing is hidden; sequential and flat
-    /// rounds expose everything).
+    /// (== aggregation_seconds when nothing is hidden; sequential rounds
+    /// expose everything).
     int64_t buckets = 0;
     double exposed_comm_seconds = 0.0;
     /// Buckets that split-trained slow replicas published while their
@@ -119,10 +119,12 @@ class RealFleet {
   /// hosting the agents whose owner[] entry names it. Every worker runs
   /// the same deterministic fleet (same seeds -> identical replicas) but
   /// trains only the tasks whose primary agent it owns; `exchange` merges
-  /// TaskResults and borrowed agent state across workers, and the flat
-  /// aggregation executes rank-partitioned over `transport` (endpoints ==
-  /// agents) — same schedule, same arithmetic, so the consensus mean is
-  /// bit-identical to the single-process collective.
+  /// TaskResults and borrowed agent state across workers, and the
+  /// whole-state aggregation executes rank-partitioned over `transport`
+  /// (endpoints == agents) — the same schedule and arithmetic as the
+  /// in-process pipeline's single bucket, so the consensus mean is
+  /// bit-identical to the single-process round. A single-shard context
+  /// (shards == 1, every agent owned) runs this path in one process.
   struct DistContext {
     int64_t shard = 0;
     int64_t shards = 1;
@@ -136,17 +138,18 @@ class RealFleet {
     /// (never null when the set must be retried — rebuilding the data mesh
     /// guarantees no stale frame from the aborted schedule leaks into the
     /// survivor schedule) or nullptr when every worker agrees and the
-    /// collective is settled. Workers without a coordinator (single
-    /// process) leave this unset and recover from the local view.
+    /// collective is settled. Workers without a coordinator (a single-shard
+    /// context) leave this unset and recover from the local view.
     std::function<std::pair<std::vector<int64_t>, comm::Transport*>(
         const std::vector<int64_t>&, bool)>
         collective_sync;
   };
 
-  /// Enable multi-process mode. Requires a flat (non-bucketed,
-  /// non-pipelined) fleet, leave-mode-only fault plans, no straggler
-  /// deadline, and no message loss; throws otherwise. Call before the
-  /// first step() (a rejoining worker calls it before restore()).
+  /// Enable multi-process mode. Requires one whole-state bucket
+  /// (bucket_bytes 0), the fp32 codec, no overlap, leave-mode-only fault
+  /// plans, no straggler deadline, and no message loss; throws otherwise.
+  /// Call before the first step() (a rejoining worker calls it before
+  /// restore()).
   void set_dist_context(DistContext ctx);
   /// Swap the data-mesh transport between rounds (a remesh after worker
   /// churn). The previous transport is the caller's to destroy.
@@ -196,15 +199,19 @@ class RealFleet {
 
   /// Serialize the full fleet state between rounds: every agent's model,
   /// momentum, batcher position, liveness, the fleet rng / LR / plateau
-  /// controller, and the pipeline's error-feedback residuals. The blob is
+  /// controller, and the pipeline's error-feedback residuals (when the
+  /// fleet keeps a residual slab). The blob is
   /// framed [magic | version | fnv1a(payload) | payload], so restore()
   /// detects truncation and bit rot before touching fleet state. Restoring
   /// into a structurally identical fleet resumes bit-identically to never
   /// having stopped.
   [[nodiscard]] std::vector<uint8_t> checkpoint();
   /// Validates and loads a checkpoint. Throws CheckpointError for an
-  /// unusable blob (bad magic/version, checksum mismatch, truncation) and
-  /// for a checkpoint of *more* agents than this fleet. A checkpoint of
+  /// unusable blob (bad magic/version, checksum mismatch, truncation), for
+  /// a checkpoint of *more* agents than this fleet, and for a residual
+  /// slab this fleet does not keep (or lacks). The bucket layout does not
+  /// matter: a flat checkpoint restores into a bucketed fleet and the
+  /// other way round. A checkpoint of
   /// fewer agents restores into the wider fleet: the extra agents come up
   /// as left (rejoinable from consensus), so a crashed fleet can resume
   /// into different live-set geometry.
@@ -222,7 +229,8 @@ class RealFleet {
   /// subset of the original workers: agents covered by a present shard
   /// come up live with their exact state, the rest come up as left
   /// (rejoinable from consensus). Throws CheckpointError for unusable or
-  /// mutually inconsistent shards. Flat fleets only.
+  /// mutually inconsistent shards. Shards carry no error-feedback
+  /// residuals, so the fleet must not keep a residual slab.
   void restore_shards(const std::vector<std::vector<uint8_t>>& shards);
 
   /// Rounds completed since the last auto-checkpoint write (0 right after
@@ -252,13 +260,14 @@ class RealFleet {
   tensor::Shape in_shape_;
   SplitProfile profile_;
   std::vector<AgentState> agents_;
-  /// Per-round aggregation merge buffers, reused across rounds so the
-  /// collective stops heap-allocating after the first round.
+  /// Per-round state snapshots (DP noising, multi-process rows), reused
+  /// across rounds so they stop heap-allocating after the first round.
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
-  /// Bucketed aggregation (comms.bucket_bytes > 0): the shared state
-  /// partition, the concurrent collective engine, and the modeled
-  /// backward-tail fraction per bucket (for the overlapped clock).
-  std::optional<nn::BucketPlan> bucket_plan_;
+  /// The shared state partition (one whole-state bucket when
+  /// comms.bucket_bytes == 0), the aggregation engine every in-process
+  /// round runs through, and the modeled backward-tail fraction per bucket
+  /// (for the overlapped clock).
+  nn::BucketPlan bucket_plan_;
   std::unique_ptr<RoundPipeline> pipeline_;
   std::vector<double> bucket_back_frac_;
   int64_t round_ = 0;
@@ -275,6 +284,16 @@ class RealFleet {
   /// Mid-round death: mark the agent dead and drop its pending bucket
   /// contributions. Safe from the agent's own training task.
   void kill_agent(int64_t agent);
+  /// Snapshot every agent's state into state_scratch_ (dead agents
+  /// included), noised in agent order with the fleet Rng under
+  /// differential privacy.
+  std::vector<std::vector<tensor::Tensor>>& snapshot_states();
+  /// Align the pipeline's live set with the agents' liveness after a bulk
+  /// state load (rejoin also zeroes the agent's residual row).
+  void sync_pipeline_membership();
+  /// Multi-process aggregation: the owned-rows whole-state collective over
+  /// dist_->transport, with collective_sync crash recovery.
+  void aggregate_owned(RoundStats& stats, double t_comp);
   [[nodiscard]] int64_t first_live() const;
   /// Write `<checkpoint_dir>/fleet_r<round>.cmdl` and prune beyond the
   /// retention count.

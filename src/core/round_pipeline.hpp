@@ -1,5 +1,11 @@
-// Overlapped round engine: concurrent bucketed collectives that hide
+// Round aggregation engine: concurrent bucketed collectives that hide
 // aggregation behind the tail of local training.
+//
+// This is the only in-process aggregation path. Both real fleets
+// (core::RealFleet and baselines::RealBaselineFleet's AllReduce-DML) build
+// one pipeline for their lifetime; a flat round (bucket_bytes == 0) is a
+// single whole-state bucket, so codecs, error feedback, straggler deferral
+// and bucket-level faults work the same at every bucket size.
 //
 // A fleet round used to be strictly `train -> (barrier) -> aggregate`; the
 // collective only started after the slowest agent finished, so the round

@@ -19,7 +19,7 @@
 // across collectives, not what is summed. Halving/doubling reduces every
 // element through the same balanced binary tree over agent indices
 // regardless of segmentation, so a bucketed halving/doubling round is
-// bit-identical to the flat collective for any bucket_bytes. Ring's
+// bit-identical to the one-bucket round for any bucket_bytes. Ring's
 // per-element accumulation order rotates with its chunk boundaries, so ring
 // results are only guaranteed identical across *schedules with the same
 // bucket plan* (e.g. overlapped vs sequential execution of the same
@@ -52,7 +52,7 @@ class BucketPlan {
   /// fp32 wire bytes (4 bytes/element). Whole-tensor granularity: a tensor
   /// never splits across buckets, so a tensor larger than `bucket_bytes`
   /// gets a bucket of its own. `bucket_bytes == 0` yields one bucket
-  /// holding the entire state (the flat-collective layout).
+  /// holding the entire state (a flat round).
   [[nodiscard]] static BucketPlan build(Sequential& model,
                                         int64_t bucket_bytes);
 

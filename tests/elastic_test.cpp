@@ -513,6 +513,31 @@ TEST(ElasticFleet, MidTrainingDeathUnderOverlapCompletes) {
   expect_live_replicas_equal(fleet);
 }
 
+TEST(ElasticFleet, SlowLossMeanCountsOnlyTheBatchesRun) {
+  // A paired slow agent dying after 1 of 4 batches contributes one slow
+  // loss, so it must weigh one batch in the mean — not four, which would
+  // dilute mean_slow_loss to well under the clean round's value.
+  FleetOptions opt;
+  opt.train.batches_per_round = 4;
+  RealFleet clean = make_fleet(opt, 4);
+  FleetOptions::FaultOptions::AgentFailure f;
+  f.agent = 1;  // cpu 0.2 in hetero_mesh: the slow side of a split pair
+  f.round = 0;
+  f.after_batches = 1;
+  opt.faults.failures.push_back(f);
+  RealFleet dying = make_fleet(opt, 4);
+  const auto c = clean.step();
+  const auto d = dying.step();
+  ASSERT_GT(d.num_pairs, 0);
+  ASSERT_EQ(d.dropped_agents, 1);
+  ASSERT_GT(c.mean_slow_loss, 0.0f);
+  // Same pairs, same first batch; the dying round only loses the paired
+  // agent's later (lower-loss) batches, so its mean sits above the clean
+  // one. Dividing by four batches for it would pull the mean below.
+  EXPECT_GT(d.mean_slow_loss, c.mean_slow_loss);
+  EXPECT_LT(d.mean_slow_loss, 2.0f * c.mean_slow_loss);
+}
+
 TEST(ElasticFleet, SplitBackwardDeathDoesNotHang) {
   FleetOptions opt = bucketed_options();
   opt.comms.overlap = true;

@@ -3,11 +3,14 @@
 // (AsyncCollective poll/wait vs the blocking run), bucket determinism
 // (bit-identical model state across bucket sizes, thread counts, and
 // overlapped-vs-sequential mode), predicted-vs-executed overlap parity,
-// the timeline composer, and FleetOptions validation.
+// the timeline composer, flat (one-bucket) rounds in every pipeline mode,
+// and FleetOptions validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "baselines/real_baselines.hpp"
@@ -673,14 +676,6 @@ TEST(CompressedBuckets, IdentityCodecStaysBitIdenticalRegardlessOfEf) {
   }
 }
 
-TEST(CompressedBuckets, ValidateRejectsLossyCodecWithoutBuckets) {
-  FleetOptions opt;
-  opt.comms.codec = FleetOptions::CommOptions::Codec::kInt8Quantized;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt.comms.bucket_bytes = 4096;
-  EXPECT_NO_THROW(opt.validate());
-}
-
 // ---- split-trainer layerwise readiness --------------------------------------
 
 std::vector<int64_t> batch_labels(int64_t samples, int64_t classes,
@@ -872,6 +867,178 @@ TEST(FleetBucketDeterminism, BaselineAllReduceBucketedMatchesFlat) {
   expect_states_equal(flat, run(512, true), "baseline overlapped");
 }
 
+// ---- flat rounds are one-bucket pipeline rounds -----------------------------
+
+/// Per-round stats and the final concatenated agent state of a 3-round
+/// fleet run.
+struct ThreeRounds {
+  std::vector<RealFleet::RoundStats> rounds;
+  std::vector<Tensor> state;
+};
+
+ThreeRounds run_three_rounds(RealFleet& fleet) {
+  ThreeRounds out;
+  for (int r = 0; r < 3; ++r) out.rounds.push_back(fleet.step());
+  for (int64_t a = 0; a < fleet.agents(); ++a) {
+    auto s = nn::state_of(fleet.model(a));
+    out.state.insert(out.state.end(), s.begin(), s.end());
+  }
+  return out;
+}
+
+ThreeRounds run_three_rounds(const FleetOptions& opt, int64_t agents) {
+  RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(agents, 30, 3, 6, 55),
+                  hetero_mesh(agents), opt);
+  return run_three_rounds(fleet);
+}
+
+TEST(FlatRoundModes, EveryPipelineModeRunsAtZeroBucketBytes) {
+  // bucket_bytes == 0 is one whole-state bucket of the same pipeline, so
+  // every mode the bucketed rounds support works on a flat fleet too.
+  FleetOptions flat;
+  flat.seed = 99;
+  const ThreeRounds fp32 = run_three_rounds(flat, 4);
+  using Failure = FleetOptions::FaultOptions::AgentFailure;
+  const auto fail_at = [](int64_t after_buckets, int64_t at_step) {
+    Failure f;
+    f.agent = 1;  // cpu 0.2 in hetero_mesh: the slow side of a split pair
+    f.round = 1;
+    f.after_buckets = after_buckets;
+    f.at_collective_step = at_step;
+    return f;
+  };
+  struct Mode {
+    const char* name;
+    int64_t agents;
+    std::function<void(FleetOptions&)> configure;
+    std::function<void(const ThreeRounds&)> check;
+  };
+  const std::vector<Mode> modes = {
+      {"int8+ef", 4,
+       [](FleetOptions& o) {
+         o.comms.codec = FleetOptions::CommOptions::Codec::kInt8Quantized;
+         o.comms.error_feedback = true;
+       },
+       [&](const ThreeRounds& run) {
+         for (size_t r = 0; r < run.rounds.size(); ++r)
+           EXPECT_LE(10 * run.rounds[r].aggregation_bytes,
+                     3 * fp32.rounds[r].aggregation_bytes)
+               << "round " << r;
+       }},
+      {"deadline", 5,  // odd fleet: pairing leaves one solo to defer
+       [](FleetOptions& o) { o.faults.deadline_sec = 1e-9; },
+       [](const ThreeRounds& run) {
+         for (const auto& st : run.rounds) EXPECT_GT(st.late_agents, 0);
+       }},
+      {":k0", 4,
+       [&](FleetOptions& o) { o.faults.failures.push_back(fail_at(0, -1)); },
+       [](const ThreeRounds& run) {
+         EXPECT_EQ(run.rounds[1].dropped_agents, 1);
+       }},
+      {":c1", 4,
+       [&](FleetOptions& o) { o.faults.failures.push_back(fail_at(-1, 1)); },
+       [](const ThreeRounds& run) {
+         EXPECT_EQ(run.rounds[1].dropped_agents, 1);
+       }},
+      {"overlap", 4, [](FleetOptions& o) { o.comms.overlap = true; },
+       [&](const ThreeRounds& run) {
+         expect_states_equal(fp32.state, run.state, "overlap vs sequential");
+       }},
+  };
+  for (const Mode& m : modes) {
+    SCOPED_TRACE(m.name);
+    FleetOptions opt = flat;
+    m.configure(opt);
+    ASSERT_NO_THROW(opt.validate());
+    const ThreeRounds run = run_three_rounds(opt, m.agents);
+    for (const auto& st : run.rounds) {
+      EXPECT_EQ(st.buckets, 1);
+      EXPECT_TRUE(std::isfinite(st.mean_loss));
+    }
+    m.check(run);
+  }
+}
+
+TEST(FlatRoundModes, SingleShardOwnedRowsMatchThePipelineBitwise) {
+  // The owned-rows collective of a multi-process fleet is the one flat
+  // aggregation implemented outside the pipeline. A single-shard context
+  // (every agent owned, no exchange) runs it in-process; it must land on
+  // the pipeline's one-bucket round bit for bit, through a leave.
+  for (const auto algo :
+       {comm::AllReduceAlgo::kHalvingDoubling, comm::AllReduceAlgo::kRing}) {
+    SCOPED_TRACE(algo == comm::AllReduceAlgo::kRing ? "ring" : "hd");
+    FleetOptions opt;
+    opt.seed = 99;
+    opt.comms.aggregation = algo;
+    FleetOptions::FaultOptions::AgentFailure leave;
+    leave.agent = 2;
+    leave.round = 1;  // every death mode off: clean leave before round 1
+    opt.faults.failures.push_back(leave);
+    constexpr int64_t k = 4;
+    RealFleet pipeline(mlp_factory(6, 3), 3, blob_shards(k, 30, 3, 6, 55),
+                       hetero_mesh(k), opt);
+    RealFleet owned(mlp_factory(6, 3), 3, blob_shards(k, 30, 3, 6, 55),
+                    hetero_mesh(k), opt);
+    comm::InProcTransport mesh(comm::LinkGrid::uniform(k, 100.0));
+    RealFleet::DistContext ctx;
+    ctx.shard = 0;
+    ctx.shards = 1;
+    ctx.owner.assign(k, 0);
+    ctx.transport = &mesh;
+    owned.set_dist_context(std::move(ctx));
+    const ThreeRounds want = run_three_rounds(pipeline);
+    const ThreeRounds got = run_three_rounds(owned);
+    for (size_t r = 0; r < want.rounds.size(); ++r) {
+      EXPECT_EQ(got.rounds[r].mean_loss, want.rounds[r].mean_loss)
+          << "round " << r;
+      EXPECT_EQ(got.rounds[r].dropped_agents, want.rounds[r].dropped_agents);
+    }
+    EXPECT_EQ(want.rounds[1].dropped_agents, 1);
+    expect_states_equal(want.state, got.state, "owned rows vs pipeline");
+  }
+}
+
+TEST(FlatRoundModes, FlatCheckpointResumesInABucketedFleet) {
+  // The checkpoint carries no bucket layout: a flat blob resumes in a
+  // bucketed fleet bit-identically (halving/doubling is bucket-size
+  // invariant), and that fleet's blob resumes in a flat one.
+  FleetOptions flat;
+  flat.seed = 99;
+  FleetOptions bucketed = flat;
+  bucketed.comms.bucket_bytes = 512;
+  const auto make = [](const FleetOptions& o) {
+    return std::make_unique<RealFleet>(mlp_factory(6, 3), 3,
+                                       blob_shards(4, 30, 3, 6, 55),
+                                       hetero_mesh(4), o);
+  };
+  const auto state = [](RealFleet& f) {
+    std::vector<Tensor> all;
+    for (int64_t a = 0; a < f.agents(); ++a) {
+      auto s = nn::state_of(f.model(a));
+      all.insert(all.end(), s.begin(), s.end());
+    }
+    return all;
+  };
+  auto reference = make(flat);
+  for (int r = 0; r < 2; ++r) (void)reference->step();
+  const std::vector<uint8_t> flat_blob = reference->checkpoint();
+
+  auto resumed = make(bucketed);
+  ASSERT_NO_THROW(resumed->restore(flat_blob));
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(resumed->step().mean_loss, reference->step().mean_loss);
+  }
+  expect_states_equal(state(*reference), state(*resumed),
+                      "flat blob resumed bucketed");
+
+  auto back = make(flat);
+  ASSERT_NO_THROW(back->restore(resumed->checkpoint()));
+  (void)back->step();
+  (void)reference->step();
+  expect_states_equal(state(*reference), state(*back),
+                      "bucketed blob resumed flat");
+}
+
 TEST(FleetRuntimeOverlap, FacadeReportsBucketsAndExposedComm) {
   FleetOptions opt;
   opt.comms.bucket_bytes = 512;
@@ -922,9 +1089,6 @@ TEST(FleetOptionsValidate, RejectsBadCommKnobs) {
   EXPECT_THROW(opt.validate(), std::invalid_argument);
   opt = FleetOptions{};
   opt.comms.bucket_bytes = -4;
-  EXPECT_THROW(opt.validate(), std::invalid_argument);
-  opt = FleetOptions{};
-  opt.comms.overlap = true;  // overlap without bucketing
   EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 
