@@ -39,10 +39,19 @@ double* buffer_of(const CollectiveRequest& req, int64_t a) {
 }
 
 void validate_buffers(const CollectiveRequest& req, int64_t agents) {
+  COMDML_REQUIRE(req.owned.empty() ||
+                     static_cast<int64_t>(req.owned.size()) == agents,
+                 "owned mask covers " << req.owned.size() << " endpoints, "
+                                      << "transport has " << agents);
   if (req.buffers.empty()) return;
   COMDML_REQUIRE(static_cast<int64_t>(req.buffers.size()) == agents,
                  "collective got " << req.buffers.size() << " buffers for "
                                    << agents << " agents");
+}
+
+/// Does this process host endpoint `e` (see CollectiveRequest::owned)?
+bool owns(const CollectiveRequest& req, int64_t e) {
+  return req.owned.empty() || req.owned[static_cast<size_t>(e)] != 0;
 }
 
 CollectiveReport report_of(const Transport& t) {
@@ -196,13 +205,15 @@ SteppedSchedule halving_doubling_schedule(int64_t k, int64_t elems) {
   return sched;
 }
 
-/// Execute one schedule step: post every send, close the transport step,
-/// fold every delivered payload. With a channel, sends park retransmit
-/// copies and receives retry through backoff — the schedule completes over
-/// lossy/corrupting links exactly as it would over clean ones.
+/// Execute one schedule step: post every owned send, close the transport
+/// step, fold every delivered payload into its owned destination. With a
+/// channel, sends park retransmit copies and receives retry through backoff
+/// — the schedule completes over lossy/corrupting links exactly as it would
+/// over clean ones.
 void execute_schedule_step(Transport& t, const CollectiveRequest& req,
                            const ScheduleStep& step, ReliableChannel* ch) {
   for (const ScheduleStep::Send& s : step.sends) {
+    if (!owns(req, s.src)) continue;
     const double* data = buffer_of(req, s.src);
     const double* payload = data != nullptr ? data + s.span.begin : nullptr;
     if (ch != nullptr)
@@ -210,16 +221,20 @@ void execute_schedule_step(Transport& t, const CollectiveRequest& req,
     else
       t.send(s.src, s.dst, s.span.size(), payload);
   }
+  // Close the step even when this process posted nothing: the positional
+  // step history must line up across processes.
   t.end_step();
   for (const ScheduleStep::Recv& r : step.recvs) {
+    if (!owns(req, r.dst)) continue;
     const Message msg =
         ch != nullptr ? ch->recv(r.dst, r.src) : t.recv(r.dst, r.src);
     merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
   }
 }
 
-/// Sum -> mean after the last step, over the schedule's participants (all
-/// endpoints when unset). Survivor schedules divide by the live-set size.
+/// Sum -> mean after the last step, over the schedule's owned participants
+/// (all endpoints when unset). Survivor schedules divide by the live-set
+/// size.
 void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
                    int64_t endpoints) {
   if (req.buffers.empty()) return;
@@ -228,6 +243,7 @@ void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
                         : static_cast<int64_t>(sched.participants.size());
   const double inv_k = 1.0 / static_cast<double>(k);
   const auto scale = [&](int64_t a) {
+    if (!owns(req, a)) return;
     double* mine = buffer_of(req, a);
     for (int64_t i = 0; i < req.elems; ++i) mine[i] *= inv_k;
   };
@@ -615,52 +631,6 @@ SteppedSchedule allreduce_schedule_over(
   return sched;
 }
 
-void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
-                            const CollectiveRequest& req,
-                            const std::vector<char>& owned) {
-  validate_buffers(req, t.endpoints());
-  COMDML_REQUIRE(static_cast<int64_t>(owned.size()) == t.endpoints(),
-                 "owned mask covers " << owned.size() << " endpoints, "
-                                      << "transport has " << t.endpoints());
-  const auto is_owned = [&](int64_t e) {
-    return owned[static_cast<size_t>(e)] != 0;
-  };
-  for (const ScheduleStep& step : sched.steps) {
-    for (const ScheduleStep::Send& s : step.sends) {
-      if (!is_owned(s.src)) continue;
-      const double* data = buffer_of(req, s.src);
-      const double* payload =
-          data != nullptr ? data + s.span.begin : nullptr;
-      t.send(s.src, s.dst, s.span.size(), payload);
-    }
-    // Close the step even when this process posted nothing: the positional
-    // step history must line up across processes for the merged stats to
-    // reproduce the single-transport clock.
-    t.end_step();
-    for (const ScheduleStep::Recv& r : step.recvs) {
-      if (!is_owned(r.dst)) continue;
-      const Message msg = t.recv(r.dst, r.src);
-      merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
-    }
-  }
-  if (!sched.scale_to_mean || req.buffers.empty()) return;
-  const int64_t k = sched.participants.empty()
-                        ? t.endpoints()
-                        : static_cast<int64_t>(sched.participants.size());
-  const double inv_k = 1.0 / static_cast<double>(k);
-  const auto scale = [&](int64_t a) {
-    if (!is_owned(a)) return;
-    double* mine = buffer_of(req, a);
-    if (mine == nullptr) return;
-    for (int64_t i = 0; i < req.elems; ++i) mine[i] *= inv_k;
-  };
-  if (sched.participants.empty()) {
-    for (int64_t a = 0; a < t.endpoints(); ++a) scale(a);
-  } else {
-    for (const int64_t a : sched.participants) scale(a);
-  }
-}
-
 AsyncCollective::AsyncCollective(Protocol protocol, Transport& transport,
                                  CollectiveRequest request)
     : transport_(&transport),
@@ -670,6 +640,9 @@ AsyncCollective::AsyncCollective(Protocol protocol, Transport& transport,
     // No stepped schedule: the whole (recoverable, reliable) blocking
     // protocol runs inside one poll(). Validation happens there — the
     // param-server star has one fewer agent buffer than endpoints.
+    COMDML_REQUIRE(request_.owned.empty(),
+                   "an owned mask needs a stepped schedule; '"
+                       << collective(protocol).name() << "' has none");
     one_shot_ = protocol;
     return;
   }
@@ -696,6 +669,9 @@ AsyncCollective::~AsyncCollective() = default;
 
 void AsyncCollective::enable_recovery(Protocol protocol) {
   if (one_shot_.has_value()) return;  // recovery lives inside the protocol
+  COMDML_REQUIRE(request_.owned.empty(),
+                 "recovery needs every endpoint owned: processes of a "
+                 "multi-process run agree on survivors through a barrier");
   COMDML_REQUIRE(next_step_ == 0,
                  "enable_recovery() must precede the first poll()");
   recovery_ = true;

@@ -49,6 +49,12 @@ struct CollectiveRequest {
   /// sequence is identical with and without buffers, so a timing-only run
   /// with an equally-seeded Rng predicts the executed schedule exactly.
   tensor::Rng* rng = nullptr;
+  /// Endpoints this process hosts (stepped protocols; empty = all). Only
+  /// sends from owned endpoints post, only recvs into owned endpoints fold,
+  /// and the final mean scales owned rows only; non-owned buffers are never
+  /// touched. Every step still closes one transport step, so per-process
+  /// step histories stay aligned for merge_transport_stats().
+  std::vector<char> owned;
 };
 
 struct CollectiveReport {
@@ -133,19 +139,6 @@ struct SteppedSchedule {
     Protocol protocol, const std::vector<int64_t>& participants,
     int64_t elems);
 
-/// Execute a stepped schedule from one process of a multi-process run.
-/// `owned[e] != 0` marks the endpoints this process hosts: only sends
-/// whose src is owned are posted and only recvs whose dst is owned are
-/// folded (the transport blocks until the remote frame arrives), but every
-/// schedule step still closes one transport step so the per-process step
-/// histories stay positionally aligned for merge_transport_stats(). The
-/// final sum -> mean scaling runs over owned participants only. With every
-/// endpoint owned this is exactly the blocking single-process execution:
-/// same sends, same merge order, bit-identical buffers.
-void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
-                            const CollectiveRequest& req,
-                            const std::vector<char>& owned);
-
 /// Non-blocking stepped collective: construction starts the operation (no
 /// traffic yet), each poll() executes exactly one schedule step over the
 /// transport, wait() drives it to completion. This is what lets a bucket
@@ -190,7 +183,9 @@ class AsyncCollective {
   /// Polls until done.
   void wait();
 
-  /// Arm mid-collective endpoint-failure recovery. Must be called before
+  /// Arm mid-collective endpoint-failure recovery (throws for a request
+  /// with an owned mask: processes must agree on survivors externally).
+  /// Must be called before
   /// the first poll(): it snapshots every participant's input buffer, and
   /// on EndpointDown the operation (1) drops the dead endpoints from the
   /// participant set, (2) restores the survivors' buffers from the

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "comm/allreduce.hpp"
 #include "comm/compress.hpp"
 #include "nn/arch_specs.hpp"
 #include "privacy/dcor.hpp"
@@ -206,9 +205,8 @@ RealFleet::RoundStats RealFleet::step() {
   // Aggregation modes. DP noise draws from the fleet Rng in agent order
   // after training (historical semantics), so with DP the buckets are
   // published after the noising pass instead of from inside the tasks, and
-  // the layerwise overlap window closes. Multi-process rounds aggregate
-  // through the owned-rows collective instead (aggregate_owned), so their
-  // tasks publish nothing.
+  // the layerwise overlap window closes. Multi-process rounds publish after
+  // the exchange too: a borrowed replica only comes home there.
   const bool dp = options_.privacy.technique ==
                   learncurve::PrivacyTechnique::kDifferentialPrivacy;
   const bool publish_in_task = !dp && !dist_;
@@ -424,104 +422,152 @@ RealFleet::RoundStats RealFleet::step() {
         t_comp = std::max(t_comp,
                           infos[static_cast<size_t>(id)].tau_solo);
   }
-  if (dist_) {
-    aggregate_owned(stats, t_comp);
-  } else {
-    if (dp) {
-      // Publish every live on-time agent's noised snapshot — an armed
-      // publish budget kills its agent mid-publication here, just like
-      // the in-task path.
-      std::vector<std::vector<tensor::Tensor>>& states = snapshot_states();
-      for (size_t i = 0; i < agents_.size(); ++i) {
-        if (!agents_[i].alive || late[i] != 0) continue;
-        std::vector<tensor::Tensor*> ptrs;
-        for (tensor::Tensor& t : states[i]) ptrs.push_back(&t);
-        for (int64_t bk = 0; bk < bucket_plan_.buckets(); ++bk)
-          publish_bucket(static_cast<int64_t>(i), ptrs, bk);
-      }
+  // DP noise covers every agent (dead ones included) in agent order, so
+  // the fleet rng sequence does not depend on the failure pattern.
+  if (dp) {
+    state_scratch_.resize(agents_.size());
+    for (size_t i = 0; i < agents_.size(); ++i) {
+      nn::copy_state_into(*agents_[i].model, state_scratch_[i]);
+      privacy::laplace_mechanism(state_scratch_[i], options_.privacy.dp_epsilon,
+                                 options_.privacy.dp_sensitivity, rng_);
     }
-    // Overlapped rounds drained inside the training fan-out; sequential
-    // rounds reduce here, in ready order on this thread.
-    if (!overlap) pipeline_->drain();
-
-    // Mid-collective victims died during the reduce; take them out before
-    // the write-back (their slots hold pre-recovery payloads, not means)
-    // and disarm the transport faults so the next round's reset step
-    // counters do not re-kill them against the survivors.
-    for (const int64_t v : collective_victims) {
-      if (agents_[static_cast<size_t>(v)].alive) {
-        agents_[static_cast<size_t>(v)].alive = false;
-        pipeline_->leave(v);
-      }
-    }
-    if (!collective_victims.empty()) pipeline_->clear_endpoint_failures();
-
-    // Every on-time live agent's slots now hold the bucket means; write
-    // them back. Deferred stragglers are re-synced below instead.
+  }
+  // Whole-replica publication after training: the DP-noised snapshots, or
+  // every live replica of a multi-process round. An armed publish budget
+  // kills its agent mid-publication here, just like the in-task path.
+  const auto publish_live = [&] {
     for (size_t i = 0; i < agents_.size(); ++i) {
       if (!agents_[i].alive || late[i] != 0) continue;
       std::vector<tensor::Tensor*> ptrs;
-      agents_[i].model->collect_state(ptrs);
-      pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
-    }
-
-    // Deferred stragglers: stage the late update, fold (late - consensus)
-    // into the agent's residual so the work re-enters the stream next
-    // round, and adopt the consensus so the fleet stays synchronized.
-    if (n_late > 0) {
-      int64_t src = -1;
-      for (int64_t a = 0; a < agents(); ++a)
-        if (agents_[static_cast<size_t>(a)].alive &&
-            late[static_cast<size_t>(a)] == 0) {
-          src = a;
-          break;
-        }
-      COMDML_REQUIRE(src >= 0,
-                     "straggler deferral lost every on-time agent this round");
-      for (int64_t a = 0; a < agents(); ++a) {
-        if (late[static_cast<size_t>(a)] == 0 ||
-            !agents_[static_cast<size_t>(a)].alive)
-          continue;
-        std::vector<tensor::Tensor*> ptrs;
-        agents_[static_cast<size_t>(a)].model->collect_state(ptrs);
-        pipeline_->stage_state(a, ptrs);
-        pipeline_->absorb_late(a, src);
-        pipeline_->restore_state(a, ptrs);
+      if (dp) {
+        for (tensor::Tensor& t : state_scratch_[i]) ptrs.push_back(&t);
+      } else {
+        agents_[i].model->collect_state(ptrs);
       }
+      for (int64_t bk = 0; bk < bucket_plan_.buckets(); ++bk)
+        publish_bucket(static_cast<int64_t>(i), ptrs, bk);
     }
-
-    const PipelineStats ps = pipeline_->stats();
-    stats.aggregation_seconds = ps.comm_seconds;
-    stats.aggregation_bytes = ps.max_bytes_sent;
-    stats.buckets = ps.buckets;
-    stats.retransmit_bytes = ps.retransmit_bytes;
-
-    // Modeled clock. Overlapped: bucket b is producible no earlier than
-    // the fastest agent's backward tail allows (the last agent to finalize
-    // a bucket gates it, and agents finish the balanced round together),
-    // so ready(b) = t_comp - tau_batch_min * back_frac(b). Sequential:
-    // everything is ready at the training barrier. Either way the bucket
-    // collectives serialize on the shared link from their ready times —
-    // the same composition the parity tests run on SimTransport-predicted
-    // bucket costs.
-    double tau_min = 0.0;
-    if (overlap) {
-      tau_min = 1e300;
-      for (const AgentInfo& a : infos)
-        tau_min = std::min(tau_min, 1.0 / a.proc_speed);
+  };
+  if (!publish_in_task) publish_live();
+  // Overlapped rounds drained inside the training fan-out; sequential
+  // rounds reduce here, in ready order on this thread. A worker crash
+  // mid-collective surfaces as EndpointDownError on some survivors of a
+  // multi-process round; the collective_sync barrier then agrees on the
+  // live set, the rest die, and the survivors re-publish and re-reduce on
+  // a fresh mesh. The models are untouched until the write-back below, so
+  // the retry restarts from pristine state.
+  while (!overlap) {
+    std::vector<int64_t> live;
+    if (dist_) {
+      live = live_agents();
+      const auto owned = [&](int64_t a) {
+        return dist_->owner[static_cast<size_t>(a)] == dist_->shard;
+      };
+      COMDML_REQUIRE(std::any_of(live.begin(), live.end(), owned),
+                     "shard " << dist_->shard
+                              << " owns no live agent; it cannot take part "
+                                 "in the aggregation round");
     }
-    std::vector<double> ready(static_cast<size_t>(ps.buckets), t_comp);
-    if (overlap) {
-      for (int64_t b = 0; b < ps.buckets; ++b)
-        ready[static_cast<size_t>(b)] = std::max(
-            0.0,
-            t_comp - tau_min * bucket_back_frac_[static_cast<size_t>(b)]);
+    bool ok = true;
+    try {
+      pipeline_->drain();
+    } catch (const comm::EndpointDownError&) {
+      if (!dist_ || !dist_->collective_sync) throw;
+      ok = false;
     }
-    const OverlapTimeline timeline =
-        compose_overlap_timeline(ready, ps.bucket_seconds);
-    stats.sim_time = std::max(t_comp, timeline.span);
-    stats.exposed_comm_seconds = stats.sim_time - t_comp;
+    if (!dist_ || !dist_->collective_sync) break;
+    std::vector<int64_t> view;
+    for (const int64_t a : live)
+      if (dist_->transport->endpoint_alive(a)) view.push_back(a);
+    auto [agreed, mesh] = dist_->collective_sync(view, ok);
+    std::sort(agreed.begin(), agreed.end());
+    for (const int64_t a : live)
+      if (!std::binary_search(agreed.begin(), agreed.end(), a)) kill_agent(a);
+    COMDML_REQUIRE(!agreed.empty(),
+                   "collective recovery lost every live agent");
+    if (mesh == nullptr) break;  // settled on every worker
+    set_dist_transport(mesh);
+    pipeline_->begin_round();
+    publish_live();
   }
+
+  // Mid-collective victims died during the reduce; take them out before
+  // the write-back (their slots hold pre-recovery payloads, not means)
+  // and disarm the transport faults so the next round's reset step
+  // counters do not re-kill them against the survivors.
+  for (const int64_t v : collective_victims) {
+    if (agents_[static_cast<size_t>(v)].alive) {
+      agents_[static_cast<size_t>(v)].alive = false;
+      pipeline_->leave(v);
+    }
+  }
+  if (!collective_victims.empty()) pipeline_->clear_endpoint_failures();
+
+  // Every on-time live agent's slots now hold the bucket means; write
+  // them back. Deferred stragglers are re-synced below instead.
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    if (!agents_[i].alive || late[i] != 0) continue;
+    std::vector<tensor::Tensor*> ptrs;
+    agents_[i].model->collect_state(ptrs);
+    pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
+  }
+
+  // Deferred stragglers: stage the late update, fold (late - consensus)
+  // into the agent's residual so the work re-enters the stream next
+  // round, and adopt the consensus so the fleet stays synchronized.
+  if (n_late > 0) {
+    int64_t src = -1;
+    for (int64_t a = 0; a < agents(); ++a)
+      if (agents_[static_cast<size_t>(a)].alive &&
+          late[static_cast<size_t>(a)] == 0) {
+        src = a;
+        break;
+      }
+    COMDML_REQUIRE(src >= 0,
+                   "straggler deferral lost every on-time agent this round");
+    for (int64_t a = 0; a < agents(); ++a) {
+      if (late[static_cast<size_t>(a)] == 0 ||
+          !agents_[static_cast<size_t>(a)].alive)
+        continue;
+      std::vector<tensor::Tensor*> ptrs;
+      agents_[static_cast<size_t>(a)].model->collect_state(ptrs);
+      pipeline_->stage_state(a, ptrs);
+      pipeline_->absorb_late(a, src);
+      pipeline_->restore_state(a, ptrs);
+    }
+  }
+
+  const PipelineStats ps = pipeline_->stats();
+  stats.aggregation_seconds = ps.comm_seconds;
+  stats.aggregation_bytes = ps.max_bytes_sent;
+  stats.buckets = ps.buckets;
+  stats.retransmit_bytes = ps.retransmit_bytes;
+
+  // Modeled clock. Overlapped: bucket b is producible no earlier than
+  // the fastest agent's backward tail allows (the last agent to finalize
+  // a bucket gates it, and agents finish the balanced round together),
+  // so ready(b) = t_comp - tau_batch_min * back_frac(b). Sequential:
+  // everything is ready at the training barrier. Either way the bucket
+  // collectives serialize on the shared link from their ready times —
+  // the same composition the parity tests run on SimTransport-predicted
+  // bucket costs.
+  double tau_min = 0.0;
+  if (overlap) {
+    tau_min = 1e300;
+    for (const AgentInfo& a : infos)
+      tau_min = std::min(tau_min, 1.0 / a.proc_speed);
+  }
+  std::vector<double> ready(static_cast<size_t>(ps.buckets), t_comp);
+  if (overlap) {
+    for (int64_t b = 0; b < ps.buckets; ++b)
+      ready[static_cast<size_t>(b)] = std::max(
+          0.0,
+          t_comp - tau_min * bucket_back_frac_[static_cast<size_t>(b)]);
+  }
+  const OverlapTimeline timeline =
+      compose_overlap_timeline(ready, ps.bucket_seconds);
+  stats.sim_time = std::max(t_comp, timeline.span);
+  stats.exposed_comm_seconds = stats.sim_time - t_comp;
   // Slow batches actually run: a paired slow agent armed to die after N
   // batches contributes N. Every worker derives the same count from the
   // plan, so multi-process rounds need no extra TaskResult field.
@@ -756,22 +802,6 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
   rounds_since_checkpoint_ = 0;
 }
 
-std::vector<std::vector<tensor::Tensor>>& RealFleet::snapshot_states() {
-  // Snapshots and noise draws cover every agent (dead ones included) so the
-  // fleet rng sequence does not depend on the failure pattern.
-  std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
-  states.resize(agents_.size());
-  for (size_t i = 0; i < agents_.size(); ++i)
-    nn::copy_state_into(*agents_[i].model, states[i]);
-  if (options_.privacy.technique ==
-      learncurve::PrivacyTechnique::kDifferentialPrivacy) {
-    for (auto& s : states)
-      privacy::laplace_mechanism(s, options_.privacy.dp_epsilon,
-                                 options_.privacy.dp_sensitivity, rng_);
-  }
-  return states;
-}
-
 void RealFleet::sync_pipeline_membership() {
   for (int64_t a = 0; a < agents(); ++a) {
     if (agents_[static_cast<size_t>(a)].alive)
@@ -781,157 +811,32 @@ void RealFleet::sync_pipeline_membership() {
   }
 }
 
-void RealFleet::aggregate_owned(RoundStats& stats, double t_comp) {
-  // Only the live agents' snapshots enter the collective; their buffers
-  // return to the scratch afterwards.
-  std::vector<std::vector<tensor::Tensor>>& states = snapshot_states();
-  const std::vector<int64_t> live = live_agents();
-  std::vector<std::vector<tensor::Tensor>> live_states;
-  live_states.reserve(live.size());
-  for (const int64_t a : live)
-    live_states.push_back(std::move(states[static_cast<size_t>(a)]));
-  // Multi-process: the same survivor schedule runs rank-partitioned
-  // over the shared (socket) transport — identical message pattern,
-  // identical merge order and arithmetic, so every worker's owned
-  // buffers land on the same bit-identical consensus mean. Non-owned
-  // rows hold stale replicas; their buffers are never read (only
-  // owned sends post, only owned recvs fold).
-  //
-  // A worker crash mid-collective surfaces as EndpointDownError on
-  // some (not necessarily all — schedules don't touch every pair every
-  // step) survivors. Recovery: after every attempt the collective_sync
-  // barrier reconciles the survivors' views, the dead worker's agents
-  // leave the fleet, the data mesh is rebuilt (a fresh transport
-  // cannot carry stale frames from the aborted schedule), and the
-  // survivor set re-runs from the pristine post-training snapshots —
-  // exactly the schedule a from-scratch survivor-only fleet would run.
-  const int64_t n = comm::state_elems(live_states[0]);
-  std::vector<double> slab(
-      static_cast<size_t>(agents_.size()) * static_cast<size_t>(n));
-  comm::CollectiveRequest req;
-  req.elems = n;
-  std::vector<char> owned(agents_.size(), 0);
-  std::vector<int64_t> row(agents_.size(), -1);
-  for (size_t i = 0; i < live.size(); ++i)
-    row[static_cast<size_t>(live[i])] = static_cast<int64_t>(i);
-  // Re-point the request at `parts` and re-fill every owned row from
-  // its pristine post-training state (an aborted attempt leaves owned
-  // buffers partially folded). Returns the first owned participant.
-  const auto flatten_owned =
-      [&](const std::vector<int64_t>& parts) -> int64_t {
-    std::fill(owned.begin(), owned.end(), 0);
-    req.buffers.assign(agents_.size(), nullptr);
-    int64_t first_owned = -1;
-    for (const int64_t p : parts) {
-      const auto a = static_cast<size_t>(p);
-      req.buffers[a] = slab.data() + a * static_cast<size_t>(n);
-      if (dist_->owner[a] == dist_->shard) {
-        owned[a] = 1;
-        comm::flatten_state(live_states[static_cast<size_t>(row[a])],
-                            req.buffers[a]);
-        if (first_owned < 0) first_owned = p;
-      }
-    }
-    return first_owned;
-  };
-  std::vector<int64_t> parts = live;
-  int64_t first_owned = flatten_owned(parts);
-  COMDML_REQUIRE(first_owned >= 0,
-                 "shard " << dist_->shard
-                          << " owns no live agent; it cannot take part "
-                             "in the aggregation round");
-  for (;;) {
-    bool ok = true;
-    if (parts.size() > 1) {
-      try {
-        const auto sched = comm::allreduce_schedule_over(
-            comm::allreduce_protocol(options_.comms.aggregation), parts,
-            n);
-        comm::execute_schedule_owned(sched, *dist_->transport, req,
-                                     owned);
-      } catch (const comm::EndpointDownError&) {
-        ok = false;
-      }
-    }
-    // This worker's view of the survivors: the attempted participants
-    // minus the endpoints the transport has declared dead.
-    std::vector<int64_t> view;
-    for (const int64_t p : parts)
-      if (dist_->transport->endpoint_alive(p)) view.push_back(p);
-    if (dist_->collective_sync) {
-      auto agreement = dist_->collective_sync(view, ok);
-      std::sort(agreement.first.begin(), agreement.first.end());
-      for (const int64_t p : parts)
-        if (!std::binary_search(agreement.first.begin(),
-                                agreement.first.end(), p) &&
-            agents_[static_cast<size_t>(p)].alive)
-          kill_agent(p);
-      parts = std::move(agreement.first);
-      COMDML_REQUIRE(!parts.empty(),
-                     "collective recovery lost every live agent");
-      if (agreement.second == nullptr) break;  // settled everywhere
-      dist_->transport = agreement.second;
-      first_owned = flatten_owned(parts);
-      COMDML_REQUIRE(first_owned >= 0,
-                     "shard " << dist_->shard
-                              << " owns no agent surviving the "
-                                 "collective recovery");
-    } else {
-      if (ok) break;
-      // No coordinator to arbitrate (a single-shard context): trust the
-      // local view, drop in-flight frames, and retry.
-      for (const int64_t p : parts)
-        if (!dist_->transport->endpoint_alive(p) &&
-            agents_[static_cast<size_t>(p)].alive)
-          kill_agent(p);
-      COMDML_REQUIRE(!view.empty(),
-                     "collective recovery lost every live agent");
-      dist_->transport->clear_pending();
-      parts = std::move(view);
-      first_owned = flatten_owned(parts);
-      COMDML_REQUIRE(first_owned >= 0,
-                     "shard " << dist_->shard
-                              << " owns no agent surviving the "
-                                 "collective recovery");
-    }
-  }
-  // Every owned surviving buffer now holds the same mean; adopt it as
-  // the consensus on every surviving replica — owned or not — so
-  // evaluate(), rejoin() and the next round's training see one fleet
-  // model. Agents killed mid-collective only hand their buffers back.
-  const double* mean = req.buffers[static_cast<size_t>(first_owned)];
-  for (size_t i = 0; i < live.size(); ++i) {
-    const auto a = static_cast<size_t>(live[i]);
-    if (agents_[a].alive) {
-      comm::unflatten_state(mean, live_states[i]);
-      nn::load_state(*agents_[a].model, live_states[i]);
-    }
-    states[a] = std::move(live_states[i]);  // hand the buffers back
-  }
-
-  // This worker's share of the executed traffic; the daemon merges
-  // the per-worker step histories into the fleet-level clock.
-  const comm::TransportStats ts = dist_->transport->stats_snapshot();
-  stats.aggregation_seconds = ts.seconds;
-  stats.aggregation_bytes = ts.max_bytes_sent();
-  stats.exposed_comm_seconds = ts.seconds;
-  stats.sim_time = t_comp + ts.seconds;
-}
-
 void RealFleet::set_dist_context(DistContext ctx) {
   COMDML_REQUIRE(round_ == 0,
                  "set_dist_context must run before the first step()");
   COMDML_REQUIRE(ctx.shards >= 1 && ctx.shard >= 0 && ctx.shard < ctx.shards,
                  "bad shard index " << ctx.shard << " of " << ctx.shards);
-  // The owned-rows collective reduces the whole state as one fp32
-  // payload after the training barrier.
-  COMDML_REQUIRE(bucket_plan_.buckets() == 1,
-                 "multi-process mode needs one whole-state bucket "
-                 "(bucket_bytes 0)");
-  COMDML_REQUIRE(options_.comms.codec == FleetOptions::CommOptions::Codec::kFp32,
-                 "multi-process mode needs the fp32 codec");
+  // Settings a multi-process round cannot take: FleetSpec carries none of
+  // them, and each lacks the cross-process wire or stat machinery.
+  COMDML_REQUIRE(
+      options_.comms.codec == FleetOptions::CommOptions::Codec::kFp32,
+      "multi-process mode needs the fp32 codec (comms.codec): residuals of "
+      "agents a worker does not own would diverge");
   COMDML_REQUIRE(!options_.comms.overlap,
-                 "multi-process mode does not support overlapped rounds");
+                 "multi-process mode cannot overlap (comms.overlap): borrowed "
+                 "replicas come home only at the exchange");
+  for (const FleetOptions::FaultOptions::AgentFailure& f :
+       options_.faults.failures)
+    COMDML_REQUIRE(f.after_batches < 0 && f.after_buckets < 0 &&
+                       f.at_collective_step < 0,
+                   "multi-process fleets take leave-mode failures only (no "
+                   ":bN, :kN, :cS): every worker must see one live set");
+  COMDML_REQUIRE(options_.faults.deadline_sec == 0.0,
+                 "multi-process fleets take no straggler deadline "
+                 "(faults.deadline_sec): its residual lives on one worker");
+  COMDML_REQUIRE(options_.faults.message_drop_prob == 0.0,
+                 "multi-process fleets need a loss-free wire "
+                 "(faults.message_drop_prob): retransmits desync step logs");
   COMDML_REQUIRE(ctx.transport != nullptr, "multi-process mode needs a "
                                            "transport");
   COMDML_REQUIRE(ctx.transport->endpoints() == agents(),
@@ -949,21 +854,12 @@ void RealFleet::set_dist_context(DistContext ctx) {
   COMDML_REQUIRE(owns_one, "shard " << ctx.shard << " owns no agent");
   COMDML_REQUIRE(ctx.shards == 1 || static_cast<bool>(ctx.exchange),
                  "multi-worker fleets need a TaskResult exchange");
-  // Constraints the partitioned round cannot honor yet: mid-round deaths
-  // (every worker must see the same live set at every point), straggler
-  // deferral (needs the pipeline's residual machinery), and message loss
-  // on the aggregation wire (the NACK path retransmits, but the per-step
-  // histories then desynchronize across workers).
-  for (const FleetOptions::FaultOptions::AgentFailure& f :
-       options_.faults.failures)
-    COMDML_REQUIRE(f.after_batches < 0 && f.after_buckets < 0 &&
-                       f.at_collective_step < 0,
-                   "multi-process fleets support leave-mode failures only");
-  COMDML_REQUIRE(options_.faults.deadline_sec == 0.0,
-                 "multi-process fleets do not support straggler deadlines");
-  COMDML_REQUIRE(options_.faults.message_drop_prob == 0.0,
-                 "multi-process fleets need a loss-free aggregation wire");
+  COMDML_REQUIRE(ctx.shards == 1 || static_cast<bool>(ctx.collective_sync),
+                 "multi-worker fleets need a collective_sync barrier, or "
+                 "each worker retries from its own local view");
+  comm::Transport* mesh = ctx.transport;
   dist_ = std::move(ctx);
+  set_dist_transport(mesh);
 }
 
 void RealFleet::set_dist_transport(comm::Transport* transport) {
@@ -975,6 +871,10 @@ void RealFleet::set_dist_transport(comm::Transport* transport) {
                                     << " endpoints, fleet has " << agents()
                                     << " agents");
   dist_->transport = transport;
+  std::vector<char> owned(agents_.size(), 0);
+  for (size_t a = 0; a < owned.size(); ++a)
+    owned[a] = dist_->owner[a] == dist_->shard ? 1 : 0;
+  pipeline_->set_mesh(transport, std::move(owned));
 }
 
 std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {

@@ -54,7 +54,9 @@ class RealFleet {
     /// Measured wire compression of the real activations crossing the cut
     /// (bitmask + int8 codec; see comm/compress.hpp). 0 when no pairs.
     double mean_wire_compression = 0.0;
-    /// Executed traffic of the aggregation collectives (InProcTransport).
+    /// Executed traffic of the round's bucket collectives: the pipeline's
+    /// in-process bucket transports, or this process's share of the mesh
+    /// in a multi-process fleet (the fleetd coordinator merges the shares).
     double aggregation_seconds = 0.0;  ///< modeled clock of the collectives
     int64_t aggregation_bytes = 0;     ///< max bytes any agent sent
     /// Bucket count (1 for a flat bucket_bytes == 0 round) and the
@@ -119,12 +121,14 @@ class RealFleet {
   /// hosting the agents whose owner[] entry names it. Every worker runs
   /// the same deterministic fleet (same seeds -> identical replicas) but
   /// trains only the tasks whose primary agent it owns; `exchange` merges
-  /// TaskResults and borrowed agent state across workers, and the
-  /// whole-state aggregation executes rank-partitioned over `transport`
-  /// (endpoints == agents) — the same schedule and arithmetic as the
-  /// in-process pipeline's single bucket, so the consensus mean is
-  /// bit-identical to the single-process round. A single-shard context
-  /// (shards == 1, every agent owned) runs this path in one process.
+  /// TaskResults and borrowed agent state across workers. Aggregation is
+  /// the ordinary RoundPipeline in mesh mode: every bucket collective runs
+  /// over `transport` (endpoints == agents) with this worker's owned rows,
+  /// the same schedules and arithmetic as the in-process buckets, so the
+  /// consensus is bit-identical to the single-process round. A single-shard
+  /// context (shards == 1, every agent owned) runs this path in one
+  /// process; it needs neither `exchange` nor `collective_sync`, and a
+  /// transport error propagates out of step().
   struct DistContext {
     int64_t shard = 0;
     int64_t shards = 1;
@@ -138,21 +142,23 @@ class RealFleet {
     /// (never null when the set must be retried — rebuilding the data mesh
     /// guarantees no stale frame from the aborted schedule leaks into the
     /// survivor schedule) or nullptr when every worker agrees and the
-    /// collective is settled. Workers without a coordinator (a single-shard
-    /// context) leave this unset and recover from the local view.
+    /// collective is settled. This barrier is the only membership source
+    /// across processes; required whenever shards > 1.
     std::function<std::pair<std::vector<int64_t>, comm::Transport*>(
         const std::vector<int64_t>&, bool)>
         collective_sync;
   };
 
-  /// Enable multi-process mode. Requires one whole-state bucket
-  /// (bucket_bytes 0), the fp32 codec, no overlap, leave-mode-only fault
-  /// plans, no straggler deadline, and no message loss; throws otherwise.
-  /// Call before the first step() (a rejoining worker calls it before
-  /// restore()).
+  /// Enable multi-process mode; any bucket_bytes works. Throws, naming the
+  /// setting, for what a multi-process round cannot take: a lossy codec,
+  /// overlap, a straggler deadline, :bN/:kN/:cS failure modes (only
+  /// leave-mode failures), and message loss — plus shards > 1 without
+  /// `exchange` or `collective_sync`. Call before the first step() (a
+  /// rejoining worker calls it before restore()).
   void set_dist_context(DistContext ctx);
-  /// Swap the data-mesh transport between rounds (a remesh after worker
-  /// churn). The previous transport is the caller's to destroy.
+  /// Swap the data-mesh transport (a remesh after worker churn, or the
+  /// collective_sync retry). The previous transport is the caller's to
+  /// destroy.
   void set_dist_transport(comm::Transport* transport);
 
   /// Serialize one agent's mutable round state (liveness, weights,
@@ -260,13 +266,13 @@ class RealFleet {
   tensor::Shape in_shape_;
   SplitProfile profile_;
   std::vector<AgentState> agents_;
-  /// Per-round state snapshots (DP noising, multi-process rows), reused
-  /// across rounds so they stop heap-allocating after the first round.
+  /// Per-round DP-noised state snapshots, reused across rounds so they stop
+  /// heap-allocating after the first round.
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
   /// The shared state partition (one whole-state bucket when
-  /// comms.bucket_bytes == 0), the aggregation engine every in-process
-  /// round runs through, and the modeled backward-tail fraction per bucket
-  /// (for the overlapped clock).
+  /// comms.bucket_bytes == 0), the aggregation engine every round runs
+  /// through (mesh mode in a multi-process fleet), and the modeled
+  /// backward-tail fraction per bucket (for the overlapped clock).
   nn::BucketPlan bucket_plan_;
   std::unique_ptr<RoundPipeline> pipeline_;
   std::vector<double> bucket_back_frac_;
@@ -284,16 +290,9 @@ class RealFleet {
   /// Mid-round death: mark the agent dead and drop its pending bucket
   /// contributions. Safe from the agent's own training task.
   void kill_agent(int64_t agent);
-  /// Snapshot every agent's state into state_scratch_ (dead agents
-  /// included), noised in agent order with the fleet Rng under
-  /// differential privacy.
-  std::vector<std::vector<tensor::Tensor>>& snapshot_states();
   /// Align the pipeline's live set with the agents' liveness after a bulk
   /// state load (rejoin also zeroes the agent's residual row).
   void sync_pipeline_membership();
-  /// Multi-process aggregation: the owned-rows whole-state collective over
-  /// dist_->transport, with collective_sync crash recovery.
-  void aggregate_owned(RoundStats& stats, double t_comp);
   [[nodiscard]] int64_t first_live() const;
   /// Write `<checkpoint_dir>/fleet_r<round>.cmdl` and prune beyond the
   /// retention count.

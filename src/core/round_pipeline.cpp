@@ -80,6 +80,13 @@ void RoundPipeline::begin_round() {
   aborted_ = false;
 }
 
+void RoundPipeline::set_mesh(comm::Transport* mesh, std::vector<char> owned) {
+  COMDML_CHECK(mesh != nullptr && mesh->endpoints() == agents_);
+  COMDML_CHECK(owned.empty() || static_cast<int64_t>(owned.size()) == agents_);
+  mesh_ = mesh;
+  owned_ = std::move(owned);
+}
+
 int64_t RoundPipeline::live_count() const {
   int64_t k = 0;
   for (const char l : live_) k += (l != 0);
@@ -269,14 +276,6 @@ void RoundPipeline::publish_state(int64_t agent,
   }
 }
 
-void RoundPipeline::publish_state(int64_t agent,
-                                  const std::vector<tensor::Tensor>& state) {
-  for (int64_t b = 0; b < plan_->buckets(); ++b) {
-    plan_->flatten_bucket(state, b, slot(agent, b));
-    contribute(agent, b);
-  }
-}
-
 void RoundPipeline::restore_state(
     int64_t agent, const std::vector<tensor::Tensor*>& state) {
   for (int64_t b = 0; b < plan_->buckets(); ++b)
@@ -296,7 +295,9 @@ void RoundPipeline::run_bucket(int64_t bucket) {
   req.buffers.resize(static_cast<size_t>(agents_));
   for (int64_t a = 0; a < agents_; ++a)
     req.buffers[static_cast<size_t>(a)] = slot(a, bucket);
-  comm::Transport& transport = *transports_[static_cast<size_t>(bucket)];
+  req.owned = owned_;
+  comm::Transport& transport =
+      mesh_ != nullptr ? *mesh_ : *transports_[static_cast<size_t>(bucket)];
   const bool full = static_cast<int64_t>(contributors.size()) == agents_;
   comm::SteppedSchedule survivor_schedule;
   if (!full)
@@ -307,12 +308,58 @@ void RoundPipeline::run_bucket(int64_t bucket) {
       transport, std::move(req));
   // With fault injection armed on this transport, a mid-collective
   // endpoint death re-forms the schedule around the survivors instead of
-  // failing the round.
-  if (transport.has_endpoint_faults()) op.enable_recovery(protocol_);
+  // failing the round. Never on the mesh: survivors there are agreed
+  // across processes by the fleet's barrier.
+  if (mesh_ == nullptr && transport.has_endpoint_faults())
+    op.enable_recovery(protocol_);
   op.wait();
+  if (owned_.empty()) return;
+  // Non-owned rows were never touched; they adopt the owned mean.
+  const auto first = std::find_if(
+      contributors.begin(), contributors.end(),
+      [&](int64_t a) { return owned_[static_cast<size_t>(a)] != 0; });
+  COMDML_REQUIRE(first != contributors.end(),
+                 "bucket " << bucket << " has no owned contributor");
+  const double* mean = slot(*first, bucket);
+  const int64_t n = plan_->bucket(bucket).elems;
+  for (const int64_t a : contributors)
+    if (owned_[static_cast<size_t>(a)] == 0)
+      std::copy(mean, mean + n, slot(a, bucket));
+}
+
+void RoundPipeline::drain_mesh() {
+  const int64_t total = plan_->buckets();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    COMDML_REQUIRE(static_cast<int64_t>(ready_.size()) == total,
+                   "mesh mode reduces once every bucket is published");
+    ready_.clear();
+  }
+  const comm::TransportStats before = mesh_->stats_snapshot();
+  mesh_stats_ = PipelineStats{};
+  mesh_stats_.buckets = total;
+  double clock = before.seconds;
+  for (int64_t b = 0; b < total; ++b) {
+    run_bucket(b);
+    const double now = mesh_->stats_snapshot().seconds;
+    mesh_stats_.bucket_seconds.push_back(now - clock);
+    mesh_stats_.comm_seconds += now - clock;
+    clock = now;
+  }
+  const comm::TransportStats after = mesh_->stats_snapshot();
+  mesh_stats_.steps = after.steps - before.steps;
+  mesh_stats_.retransmit_bytes =
+      after.retransmit_wire_bytes - before.retransmit_wire_bytes;
+  for (size_t a = 0; a < after.bytes_sent.size(); ++a)
+    mesh_stats_.max_bytes_sent = std::max(
+        mesh_stats_.max_bytes_sent, after.bytes_sent[a] - before.bytes_sent[a]);
 }
 
 void RoundPipeline::drain() {
+  if (mesh_ != nullptr) {
+    drain_mesh();
+    return;
+  }
   const int64_t total = plan_->buckets();
   for (;;) {
     int64_t bucket = -1;
@@ -378,6 +425,7 @@ void RoundPipeline::abort() {
 }
 
 PipelineStats RoundPipeline::stats() const {
+  if (mesh_ != nullptr) return mesh_stats_;
   PipelineStats out;
   out.buckets = plan_->buckets();
   out.bucket_seconds.reserve(transports_.size());

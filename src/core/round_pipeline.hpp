@@ -1,11 +1,23 @@
 // Round aggregation engine: concurrent bucketed collectives that hide
 // aggregation behind the tail of local training.
 //
-// This is the only in-process aggregation path. Both real fleets
-// (core::RealFleet and baselines::RealBaselineFleet's AllReduce-DML) build
-// one pipeline for their lifetime; a flat round (bucket_bytes == 0) is a
-// single whole-state bucket, so codecs, error feedback, straggler deferral
-// and bucket-level faults work the same at every bucket size.
+// This is the only aggregation path, in-process and across processes. Both
+// real fleets (core::RealFleet and baselines::RealBaselineFleet's
+// AllReduce-DML) build one pipeline for their lifetime; a flat round
+// (bucket_bytes == 0) is a single whole-state bucket, so codecs, error
+// feedback, straggler deferral and bucket-level faults work the same at
+// every bucket size. A multi-process fleet (fleetd) runs it in mesh mode
+// (set_mesh): each bucket collective runs over the one shared socket mesh
+// with this process's owned rows only (comm::CollectiveRequest::owned),
+// under two rules:
+//
+//   - Ordering: drain() reduces the buckets in plan order on the calling
+//     thread, so every process walks the same steps in the same order and
+//     the per-process step histories stay positionally aligned.
+//   - No reset: the pipeline never reset()s or clear_pending()s the mesh
+//     and never arms collective recovery on it. The mesh owner resets it
+//     between rounds, a crash retry runs on a fresh mesh whose peers may
+//     already be sending, and membership comes from the fleet's barrier.
 //
 // A fleet round used to be strictly `train -> (barrier) -> aggregate`; the
 // collective only started after the slowest agent finished, so the round
@@ -117,6 +129,12 @@ class RoundPipeline {
   /// contribute()/drain() when this runs.
   void begin_round();
 
+  /// Mesh mode: run every bucket collective over `mesh` (borrowed;
+  /// endpoints == agents) with only the rows `owned` marks (empty = all).
+  /// After each bucket reduces, the non-owned contributor rows copy the
+  /// first owned contributor's mean. Call again after a remesh.
+  void set_mesh(comm::Transport* mesh, std::vector<char> owned);
+
   [[nodiscard]] const nn::BucketPlan& plan() const noexcept {
     return *plan_;
   }
@@ -194,7 +212,6 @@ class RoundPipeline {
   /// into the agent's slots and contribute them — the whole-replica
   /// producer used by both fleets.
   void publish_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
-  void publish_state(int64_t agent, const std::vector<tensor::Tensor>& state);
   /// After the round completes: write the agent's reduced bucket means
   /// back into `state`.
   void restore_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
@@ -202,7 +219,8 @@ class RoundPipeline {
   /// Collector loop: pops ready buckets and executes their collectives
   /// until every bucket of the round is reduced (or abort()). Any number
   /// of threads may drain concurrently; idle pool workers call this after
-  /// finishing their training tasks.
+  /// finishing their training tasks. In mesh mode every bucket must be
+  /// ready; transport errors (a crashed peer) propagate.
   void drain();
 
   /// Fan `n_tasks` training tasks over the thread pool with, in overlapped
@@ -223,11 +241,12 @@ class RoundPipeline {
 
   /// Executed traffic of the finished round. After the reduce, every
   /// agent's slots hold the bucket means (unflatten them back into the
-  /// replicas).
+  /// replicas). In mesh mode: deltas of the mesh's own counters.
   [[nodiscard]] PipelineStats stats() const;
 
  private:
   void run_bucket(int64_t bucket);
+  void drain_mesh();
   /// Publish-time error feedback: fold the carried residual into the
   /// agent's slot, quantize the slot once through the codec, and keep the
   /// new quantization error for next round.
@@ -245,6 +264,10 @@ class RoundPipeline {
   /// schedule per bucket so steady-state rounds stop re-deriving them.
   std::vector<std::unique_ptr<comm::InProcTransport>> transports_;
   std::vector<comm::SteppedSchedule> schedules_;
+  /// Mesh mode (nullptr = off): transport, owned rows, round traffic.
+  comm::Transport* mesh_ = nullptr;
+  std::vector<char> owned_;
+  PipelineStats mesh_stats_;
   std::vector<double> slab_;  ///< agents_ x plan.total_elems(), agent-major
   /// Error-feedback residuals, same layout as slab_; empty when disabled.
   /// Persists across rounds — that is the point of error feedback.

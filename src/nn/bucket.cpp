@@ -103,26 +103,6 @@ void BucketPlan::unflatten_bucket(
   });
 }
 
-void BucketPlan::flatten_bucket(const std::vector<tensor::Tensor>& state,
-                                int64_t b, double* out) const {
-  const Bucket& bk = bucket(b);
-  for_bucket_tensors(tensor_elems_, bk, state, [&](size_t t, int64_t elems) {
-    const auto flat = state[t].flat();
-    COMDML_CHECK(static_cast<int64_t>(flat.size()) == elems);
-    for (const float v : flat) *out++ = v;
-  });
-}
-
-void BucketPlan::unflatten_bucket(const double* in, int64_t b,
-                                  std::vector<tensor::Tensor>& state) const {
-  const Bucket& bk = bucket(b);
-  for_bucket_tensors(tensor_elems_, bk, state, [&](size_t t, int64_t elems) {
-    auto flat = state[t].flat();
-    COMDML_CHECK(static_cast<int64_t>(flat.size()) == elems);
-    for (float& v : flat) v = static_cast<float>(*in++);
-  });
-}
-
 // ---- BucketReadyTracker -----------------------------------------------------
 
 BucketReadyTracker::BucketReadyTracker(const BucketPlan& plan)

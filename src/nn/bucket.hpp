@@ -79,18 +79,13 @@ class BucketPlan {
     return unit_param_counts_;
   }
 
-  /// Copy bucket `b` of a structurally matching state list into `out`
-  /// (fp64 accumulator layout, `bucket(b).elems` values) and back. The
-  /// pointer overloads serve in-place model state
-  /// (Module::collect_state); the value overloads serve snapshot lists.
+  /// Copy bucket `b` of a structurally matching state list (in-place model
+  /// state, Module::collect_state) into `out` (fp64 accumulator layout,
+  /// `bucket(b).elems` values) and back.
   void flatten_bucket(const std::vector<tensor::Tensor*>& state, int64_t b,
                       double* out) const;
   void unflatten_bucket(const double* in, int64_t b,
                         const std::vector<tensor::Tensor*>& state) const;
-  void flatten_bucket(const std::vector<tensor::Tensor>& state, int64_t b,
-                      double* out) const;
-  void unflatten_bucket(const double* in, int64_t b,
-                        std::vector<tensor::Tensor>& state) const;
 
  private:
   std::vector<Bucket> buckets_;

@@ -4,17 +4,26 @@
 // (bit-identical model state across bucket sizes, thread counts, and
 // overlapped-vs-sequential mode), predicted-vs-executed overlap parity,
 // the timeline composer, flat (one-bucket) rounds in every pipeline mode,
-// and FleetOptions validation.
+// a two-shard fleet over a socket mesh, and FleetOptions validation.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "baselines/real_baselines.hpp"
 #include "comm/allreduce.hpp"
+#include "comm/socket_transport.hpp"
 #include "core/fleet_runtime.hpp"
 #include "core/parallel.hpp"
 #include "core/real_fleet.hpp"
@@ -960,41 +969,284 @@ TEST(FlatRoundModes, EveryPipelineModeRunsAtZeroBucketBytes) {
 }
 
 TEST(FlatRoundModes, SingleShardOwnedRowsMatchThePipelineBitwise) {
-  // The owned-rows collective of a multi-process fleet is the one flat
-  // aggregation implemented outside the pipeline. A single-shard context
-  // (every agent owned, no exchange) runs it in-process; it must land on
-  // the pipeline's one-bucket round bit for bit, through a leave.
-  for (const auto algo :
-       {comm::AllReduceAlgo::kHalvingDoubling, comm::AllReduceAlgo::kRing}) {
-    SCOPED_TRACE(algo == comm::AllReduceAlgo::kRing ? "ring" : "hd");
+  // A single-shard context (every agent owned, no exchange) runs the
+  // pipeline in mesh mode over one caller-supplied transport: all buckets
+  // in plan order on one mesh instead of one in-process transport per
+  // bucket. It must land on the ordinary fleet's round bit for bit, at
+  // every bucket size and through a leave.
+  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
+    for (const auto algo : {comm::AllReduceAlgo::kHalvingDoubling,
+                            comm::AllReduceAlgo::kRing}) {
+      SCOPED_TRACE(std::string(algo == comm::AllReduceAlgo::kRing ? "ring"
+                                                                  : "hd") +
+                   " bucket_bytes " + std::to_string(bucket_bytes));
+      FleetOptions opt;
+      opt.seed = 99;
+      opt.comms.aggregation = algo;
+      opt.comms.bucket_bytes = bucket_bytes;
+      FleetOptions::FaultOptions::AgentFailure leave;
+      leave.agent = 2;
+      leave.round = 1;  // every death mode off: clean leave before round 1
+      opt.faults.failures.push_back(leave);
+      constexpr int64_t k = 4;
+      RealFleet pipeline(mlp_factory(6, 3), 3, blob_shards(k, 30, 3, 6, 55),
+                         hetero_mesh(k), opt);
+      RealFleet owned(mlp_factory(6, 3), 3, blob_shards(k, 30, 3, 6, 55),
+                      hetero_mesh(k), opt);
+      comm::InProcTransport mesh(comm::LinkGrid::uniform(k, 100.0));
+      RealFleet::DistContext ctx;
+      ctx.shard = 0;
+      ctx.shards = 1;
+      ctx.owner.assign(k, 0);
+      ctx.transport = &mesh;
+      owned.set_dist_context(std::move(ctx));
+      const ThreeRounds want = run_three_rounds(pipeline);
+      const ThreeRounds got = run_three_rounds(owned);
+      for (size_t r = 0; r < want.rounds.size(); ++r) {
+        EXPECT_EQ(got.rounds[r].mean_loss, want.rounds[r].mean_loss)
+            << "round " << r;
+        EXPECT_EQ(got.rounds[r].dropped_agents, want.rounds[r].dropped_agents);
+        EXPECT_EQ(got.rounds[r].buckets, want.rounds[r].buckets)
+            << "round " << r;
+        if (bucket_bytes == 0) {
+          EXPECT_EQ(got.rounds[r].buckets, 1);
+        } else {
+          EXPECT_GT(got.rounds[r].buckets, 1);
+        }
+      }
+      EXPECT_EQ(want.rounds[1].dropped_agents, 1);
+      expect_states_equal(want.state, got.state, "owned rows vs pipeline");
+    }
+  }
+}
+
+/// In-process stand-in for the fleetd coordinator's round barrier: every
+/// shard deposits its owned task results and borrowed replicas, and once
+/// all shards arrived for the round each one reads the merged set.
+class ExchangeHub {
+ public:
+  ExchangeHub(int64_t shards, std::vector<int64_t> owner)
+      : shards_(shards), owner_(std::move(owner)) {}
+
+  void exchange(int64_t shard, int64_t round, RealFleet::ExchangeIO& io) {
+    std::unique_lock<std::mutex> lk(mu_);
+    Slot& slot = slots_[round];
+    slot.results.resize(io.results->size());
+    for (size_t t = 0; t < io.task_agent->size(); ++t)
+      if (owner_[static_cast<size_t>((*io.task_agent)[t])] == shard)
+        slot.results[t] = (*io.results)[t];
+    slot.blobs.insert(slot.blobs.end(), io.state_out.begin(),
+                      io.state_out.end());
+    ++slot.arrived;
+    cv_.notify_all();
+    if (!cv_.wait_for(lk, std::chrono::seconds(60),
+                      [&] { return slot.arrived == shards_; }))
+      throw std::runtime_error("exchange barrier timed out");
+    *io.results = slot.results;
+    io.state_in = slot.blobs;
+    io.died.clear();
+  }
+
+ private:
+  struct Slot {
+    std::vector<RealFleet::TaskResult> results;
+    std::vector<RealFleet::AgentBlob> blobs;
+    int64_t arrived = 0;
+  };
+  int64_t shards_;
+  std::vector<int64_t> owner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<int64_t, Slot> slots_;
+};
+
+TEST(FlatRoundModes, TwoShardSocketMeshMatchesThePipelineBitwise) {
+  // Two shards of one fleet, each on its own thread with its own end of a
+  // socket mesh (a two-worker fleetd fleet without the daemon), aggregate
+  // through the pipeline in mesh mode. Every bucket plan must reproduce the
+  // single-process round bit for bit, paired offloads and a leave included.
+  static int run = 0;
+  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
+    SCOPED_TRACE("bucket_bytes " + std::to_string(bucket_bytes));
     FleetOptions opt;
     opt.seed = 99;
-    opt.comms.aggregation = algo;
+    opt.comms.bucket_bytes = bucket_bytes;
     FleetOptions::FaultOptions::AgentFailure leave;
     leave.agent = 2;
-    leave.round = 1;  // every death mode off: clean leave before round 1
+    leave.round = 1;
     opt.faults.failures.push_back(leave);
     constexpr int64_t k = 4;
-    RealFleet pipeline(mlp_factory(6, 3), 3, blob_shards(k, 30, 3, 6, 55),
-                       hetero_mesh(k), opt);
-    RealFleet owned(mlp_factory(6, 3), 3, blob_shards(k, 30, 3, 6, 55),
+    const std::vector<int64_t> owner = {0, 1, 0, 1};
+    const auto make = [&] {
+      return std::make_unique<RealFleet>(mlp_factory(6, 3), 3,
+                                         blob_shards(k, 30, 3, 6, 55),
+                                         hetero_mesh(k), opt);
+    };
+    auto reference = make();
+    const ThreeRounds want = run_three_rounds(*reference);
+
+    std::vector<std::string> addrs;
+    for (int p = 0; p < 2; ++p)
+      addrs.push_back("unix:/tmp/comdml_pt_" + std::to_string(::getpid()) +
+                      "_" + std::to_string(run) + "_" + std::to_string(p) +
+                      ".sock");
+    ++run;
+    ExchangeHub hub(2, owner);
+    std::vector<std::unique_ptr<RealFleet>> shards;
+    std::vector<std::unique_ptr<comm::SocketTransport>> meshes;
+    for (int64_t s = 0; s < 2; ++s) {
+      comm::SocketPeerConfig cfg;
+      cfg.owner = owner;
+      cfg.self = s;
+      cfg.addrs = addrs;
+      cfg.recv_timeout_sec = 60.0;
+      meshes.push_back(std::make_unique<comm::SocketTransport>(
+          comm::LinkGrid::uniform(k, 100.0), cfg));
+      shards.push_back(make());
+      RealFleet& fleet = *shards.back();
+      RealFleet::DistContext ctx;
+      ctx.shard = s;
+      ctx.shards = 2;
+      ctx.owner = owner;
+      ctx.transport = meshes.back().get();
+      ctx.exchange = [&hub, &fleet, s](RealFleet::ExchangeIO& io) {
+        hub.exchange(s, fleet.round(), io);
+      };
+      ctx.collective_sync = [](const std::vector<int64_t>& view, bool ok) {
+        EXPECT_TRUE(ok);
+        return std::pair<std::vector<int64_t>, comm::Transport*>(view,
+                                                                 nullptr);
+      };
+      fleet.set_dist_context(std::move(ctx));
+    }
+    std::vector<ThreeRounds> got(2);
+    std::vector<std::exception_ptr> errors(2);
+    std::vector<std::thread> workers;
+    for (size_t s = 0; s < 2; ++s)
+      workers.emplace_back([&, s] {
+        try {
+          meshes[s]->wait_ready();
+          got[s] = run_three_rounds(*shards[s]);
+        } catch (...) {
+          errors[s] = std::current_exception();
+        }
+      });
+    for (std::thread& w : workers) w.join();
+    for (const std::exception_ptr& e : errors)
+      if (e) std::rethrow_exception(e);
+
+    for (size_t s = 0; s < 2; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      for (size_t r = 0; r < want.rounds.size(); ++r) {
+        EXPECT_EQ(got[s].rounds[r].mean_loss, want.rounds[r].mean_loss)
+            << "round " << r;
+        EXPECT_EQ(got[s].rounds[r].num_pairs, want.rounds[r].num_pairs);
+        EXPECT_EQ(got[s].rounds[r].buckets, want.rounds[r].buckets);
+        EXPECT_EQ(got[s].rounds[r].dropped_agents,
+                  want.rounds[r].dropped_agents);
+      }
+      expect_states_equal(want.state, got[s].state, "shard vs pipeline");
+    }
+    EXPECT_GE(want.rounds[0].num_pairs, 1);
+    EXPECT_EQ(want.rounds[0].buckets > 1, bucket_bytes > 0);
+  }
+}
+
+TEST(FlatRoundModes, SetDistContextRefusesWhatAMultiProcessRoundCannotTake) {
+  constexpr int64_t k = 4;
+  using Failure = FleetOptions::FaultOptions::AgentFailure;
+  const auto fail = [](int64_t after_batches, int64_t after_buckets,
+                       int64_t at_step) {
+    Failure f;
+    f.agent = 1;
+    f.round = 0;
+    f.after_batches = after_batches;
+    f.after_buckets = after_buckets;
+    f.at_collective_step = at_step;
+    return f;
+  };
+  struct Case {
+    const char* name;
+    std::function<void(FleetOptions&)> options;
+    std::function<void(RealFleet::DistContext&)> context;
+    const char* refusal;  ///< nullptr = accepted
+  };
+  const auto two_shards = [](RealFleet::DistContext& c) {
+    c.shards = 2;
+    c.owner = {0, 1, 0, 1};
+  };
+  const auto exchange = [](RealFleet::ExchangeIO&) {};
+  const auto sync = [](const std::vector<int64_t>& view, bool) {
+    return std::pair<std::vector<int64_t>, comm::Transport*>(view, nullptr);
+  };
+  const std::vector<Case> cases = {
+      {"int8 codec",
+       [](FleetOptions& o) {
+         o.comms.codec = FleetOptions::CommOptions::Codec::kInt8Quantized;
+       },
+       {}, "comms.codec"},
+      {"overlap",
+       [](FleetOptions& o) {
+         o.comms.bucket_bytes = 512;
+         o.comms.overlap = true;
+       },
+       {}, "comms.overlap"},
+      {"deadline", [](FleetOptions& o) { o.faults.deadline_sec = 1.0; }, {},
+       "faults.deadline_sec"},
+      {":bN", [&](FleetOptions& o) { o.faults.failures = {fail(1, -1, -1)}; },
+       {}, ":bN"},
+      {":kN", [&](FleetOptions& o) { o.faults.failures = {fail(-1, 1, -1)}; },
+       {}, ":kN"},
+      {":cS", [&](FleetOptions& o) { o.faults.failures = {fail(-1, -1, 1)}; },
+       {}, ":cS"},
+      {"drop probability",
+       [](FleetOptions& o) { o.faults.message_drop_prob = 0.1; }, {},
+       "faults.message_drop_prob"},
+      {"two shards without exchange", {},
+       [&](RealFleet::DistContext& c) {
+         two_shards(c);
+         c.collective_sync = sync;
+       },
+       "exchange"},
+      {"two shards without collective_sync", {},
+       [&](RealFleet::DistContext& c) {
+         two_shards(c);
+         c.exchange = exchange;
+       },
+       "collective_sync"},
+      {"two shards with both hooks", {},
+       [&](RealFleet::DistContext& c) {
+         two_shards(c);
+         c.exchange = exchange;
+         c.collective_sync = sync;
+       },
+       nullptr},
+      {"bucket_bytes 512",
+       [](FleetOptions& o) { o.comms.bucket_bytes = 512; }, {}, nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FleetOptions opt;
+    opt.seed = 5;
+    if (c.options) c.options(opt);
+    RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(k, 20, 3, 6, 71),
                     hetero_mesh(k), opt);
     comm::InProcTransport mesh(comm::LinkGrid::uniform(k, 100.0));
     RealFleet::DistContext ctx;
-    ctx.shard = 0;
-    ctx.shards = 1;
     ctx.owner.assign(k, 0);
     ctx.transport = &mesh;
-    owned.set_dist_context(std::move(ctx));
-    const ThreeRounds want = run_three_rounds(pipeline);
-    const ThreeRounds got = run_three_rounds(owned);
-    for (size_t r = 0; r < want.rounds.size(); ++r) {
-      EXPECT_EQ(got.rounds[r].mean_loss, want.rounds[r].mean_loss)
-          << "round " << r;
-      EXPECT_EQ(got.rounds[r].dropped_agents, want.rounds[r].dropped_agents);
+    if (c.context) c.context(ctx);
+    if (c.refusal == nullptr) {
+      EXPECT_NO_THROW(fleet.set_dist_context(std::move(ctx)));
+      continue;
     }
-    EXPECT_EQ(want.rounds[1].dropped_agents, 1);
-    expect_states_equal(want.state, got.state, "owned rows vs pipeline");
+    try {
+      fleet.set_dist_context(std::move(ctx));
+      ADD_FAILURE() << "set_dist_context accepted " << c.name;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find(c.refusal), std::string::npos)
+          << "refusal does not name '" << c.refusal << "': " << e.what();
+    }
   }
 }
 

@@ -171,68 +171,74 @@ TEST(SocketTransport, TcpLoopbackMesh) {
   EXPECT_DOUBLE_EQ(t1.recv(1, 0).payload[0], -3.25);
 }
 
-/// Reference + distributed run of one allreduce schedule; asserts
-/// bit-identical buffers and exactly merged stats.
-void check_distributed_allreduce(Protocol protocol) {
-  constexpr int64_t kAgents = 4, kElems = 24;
-  const auto make_buffers = [] {
-    std::vector<std::vector<double>> bufs(kAgents);
-    tensor::Rng rng(99);
+/// Back-to-back allreduces of `sizes` elements (the way a round's buckets
+/// share one mesh), run once through the registry over an InProcTransport
+/// and once split across two SocketTransports with AsyncCollective and an
+/// owned mask. Asserts bit-identical owned buffers and exactly merged
+/// stats, step by step.
+void check_distributed_allreduce(Protocol protocol,
+                                 const std::vector<int64_t>& sizes) {
+  constexpr int64_t kAgents = 4;
+  using Buffers = std::vector<std::vector<double>>;
+  const auto make_buffers = [](int64_t elems) {
+    Buffers bufs(kAgents);
+    tensor::Rng rng(99 + static_cast<uint64_t>(elems));
     for (auto& b : bufs) {
-      b.resize(kElems);
+      b.resize(static_cast<size_t>(elems));
       for (auto& v : b) v = static_cast<double>(rng.uniform(-1.0f, 1.0f));
     }
     return bufs;
   };
-  const SteppedSchedule sched =
-      allreduce_schedule_over(protocol, {0, 1, 2, 3}, kElems);
 
-  // Single-process reference: every endpoint owned.
-  auto ref = make_buffers();
+  // Single-process reference: the registry path, every endpoint owned.
   InProcTransport inproc(LinkGrid::uniform(kAgents, 100.0));
-  {
+  std::vector<Buffers> ref;
+  for (const int64_t elems : sizes) {
+    ref.push_back(make_buffers(elems));
     CollectiveRequest req;
-    req.elems = kElems;
-    for (auto& b : ref) req.buffers.push_back(b.data());
-    execute_schedule_owned(sched, inproc, req,
-                           std::vector<char>(kAgents, 1));
+    req.elems = elems;
+    for (auto& b : ref.back()) req.buffers.push_back(b.data());
+    (void)collective(protocol).run(inproc, req);
   }
 
-  // The same schedule split across two SocketTransports (endpoints 0,1 on
-  // process 0; endpoints 2,3 on process 1), driven concurrently.
+  // The same collectives split across two SocketTransports (endpoints 0,1
+  // on process 0; endpoints 2,3 on process 1), driven concurrently.
   const auto addrs = unix_addrs(2);
   const std::vector<int64_t> owner = {0, 0, 1, 1};
   SocketTransport t0(LinkGrid::uniform(kAgents, 100.0),
                      two_proc_config(owner, 0, addrs));
   SocketTransport t1(LinkGrid::uniform(kAgents, 100.0),
                      two_proc_config(owner, 1, addrs));
-  auto bufs0 = make_buffers();
-  auto bufs1 = make_buffers();
-  const auto drive = [&](SocketTransport& t,
-                         std::vector<std::vector<double>>& bufs,
+  std::vector<Buffers> got0, got1;
+  const auto drive = [&](SocketTransport& t, std::vector<Buffers>& got,
                          int64_t self) {
     t.wait_ready();
-    CollectiveRequest req;
-    req.elems = kElems;
-    std::vector<char> owned(kAgents, 0);
-    for (int64_t e = 0; e < kAgents; ++e) {
-      req.buffers.push_back(bufs[static_cast<size_t>(e)].data());
-      owned[static_cast<size_t>(e)] = owner[static_cast<size_t>(e)] == self;
+    for (const int64_t elems : sizes) {
+      got.push_back(make_buffers(elems));
+      CollectiveRequest req;
+      req.elems = elems;
+      for (int64_t e = 0; e < kAgents; ++e) {
+        req.buffers.push_back(got.back()[static_cast<size_t>(e)].data());
+        req.owned.push_back(owner[static_cast<size_t>(e)] == self ? 1 : 0);
+      }
+      AsyncCollective op(protocol, t, std::move(req));
+      op.wait();
     }
-    execute_schedule_owned(sched, t, req, owned);
   };
-  std::thread w0(drive, std::ref(t0), std::ref(bufs0), 0);
-  std::thread w1(drive, std::ref(t1), std::ref(bufs1), 1);
+  std::thread w0(drive, std::ref(t0), std::ref(got0), 0);
+  std::thread w1(drive, std::ref(t1), std::ref(got1), 1);
   w0.join();
   w1.join();
 
   // Owned rows are bit-identical to the reference mean.
-  for (int64_t e : {0, 1})
-    EXPECT_EQ(bufs0[static_cast<size_t>(e)], ref[static_cast<size_t>(e)])
-        << "endpoint " << e;
-  for (int64_t e : {2, 3})
-    EXPECT_EQ(bufs1[static_cast<size_t>(e)], ref[static_cast<size_t>(e)])
-        << "endpoint " << e;
+  for (size_t c = 0; c < sizes.size(); ++c) {
+    for (const size_t e : {0u, 1u})
+      EXPECT_EQ(got0[c][e], ref[c][e]) << "collective " << c << " endpoint "
+                                       << e;
+    for (const size_t e : {2u, 3u})
+      EXPECT_EQ(got1[c][e], ref[c][e]) << "collective " << c << " endpoint "
+                                       << e;
+  }
 
   // Merged per-process accounting reproduces the single-transport run.
   const TransportStats want = inproc.stats();
@@ -251,11 +257,19 @@ void check_distributed_allreduce(Protocol protocol) {
 }
 
 TEST(SocketTransport, DistributedRingAllreduceMatchesInProc) {
-  check_distributed_allreduce(Protocol::kRingAllReduce);
+  check_distributed_allreduce(Protocol::kRingAllReduce, {24});
 }
 
 TEST(SocketTransport, DistributedHalvingDoublingMatchesInProc) {
-  check_distributed_allreduce(Protocol::kHalvingDoublingAllReduce);
+  check_distributed_allreduce(Protocol::kHalvingDoublingAllReduce, {24});
+}
+
+TEST(SocketTransport, BackToBackCollectivesOfDifferentSizesShareOneMesh) {
+  for (const Protocol p :
+       {Protocol::kRingAllReduce, Protocol::kHalvingDoublingAllReduce}) {
+    SCOPED_TRACE(collective(p).name());
+    check_distributed_allreduce(p, {24, 7});
+  }
 }
 
 TEST(SocketTransport, ReliableChannelRecoversCrossProcessDropViaNack) {
@@ -361,9 +375,9 @@ TEST(SocketTransport, StatsSnapshotIsSafeUnderConcurrentTraffic) {
       EXPECT_LE(s.bytes_received[1], kMessages * 8);
     }
   });
-  const double v = 2.0;
+  const double v[2] = {2.0, 2.0};
   for (int i = 0; i < kMessages; ++i) {
-    (void)t0.send(0, 1, 2, &v);
+    (void)t0.send(0, 1, 2, v);
     t0.end_step();
     (void)t1.recv(1, 0);
     t1.end_step();
@@ -535,6 +549,12 @@ TEST(Fleetd, MultiProcessFleetMatchesSingleProcessBitForBit) {
     EXPECT_NEAR(dist.aggregation_seconds, want.aggregation_seconds, 1e-9);
     EXPECT_NEAR(dist.round_seconds, want.round_seconds, 1e-9)
         << "round " << r;
+    // One aggregation path: the round's shape matches too.
+    EXPECT_EQ(dist.buckets, want.buckets) << "round " << r;
+    EXPECT_EQ(dist.split_early_buckets, want.split_early_buckets)
+        << "round " << r;
+    EXPECT_EQ(dist.late_agents, want.late_agents) << "round " << r;
+    EXPECT_EQ(dist.dropped_agents, want.dropped_agents) << "round " << r;
   }
 
   // Transport-stats parity over the wire: the merged snapshot is fault
@@ -885,6 +905,11 @@ TEST(Fleetd, HeterogeneousScalesPairAcrossProcessesBitForBit) {
     EXPECT_EQ(dist[r].mean_loss, want.mean_loss) << "round " << r;
     EXPECT_EQ(dist[r].mean_slow_loss, want.mean_slow_loss)
         << "round " << r;
+    EXPECT_EQ(dist[r].buckets, want.buckets) << "round " << r;
+    EXPECT_EQ(dist[r].split_early_buckets, want.split_early_buckets)
+        << "round " << r;
+    EXPECT_EQ(dist[r].late_agents, want.late_agents) << "round " << r;
+    EXPECT_EQ(dist[r].dropped_agents, want.dropped_agents) << "round " << r;
   }
   EXPECT_EQ(dist_weights, fleet_weights(local));
 }
