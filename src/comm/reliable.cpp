@@ -75,7 +75,7 @@ Message ReliableChannel::recv(int64_t dst, int64_t src) {
       auto& window = sent_[e];
       while (!window.empty() && window.front().seq <= m->seq)
         window.pop_front();  // cumulative ack
-      return *m;
+      return std::move(*m);
     }
     // Recomputed per attempt: drops charged by this very receive's
     // retransmits keep counting, so a lossy edge earns patience even

@@ -72,7 +72,10 @@ void close_fd(int fd) noexcept;
 // ---- frames -----------------------------------------------------------------
 
 inline constexpr uint32_t kFrameMagic = 0x434D4446;  // "CMDF"
-inline constexpr uint16_t kWireVersion = 2;
+/// Version 3: a data frame's checksum field carries the word-wise payload
+/// hash of comm::Message::checksum (version 2 carried byte-wise FNV-1a), so
+/// a peer of another version would reject every payload as corrupted.
+inline constexpr uint16_t kWireVersion = 3;
 /// Upper bound on a frame body — rejects desynchronized/garbage peers
 /// before a bad length turns into a huge allocation.
 inline constexpr uint32_t kMaxFrameBody = 1u << 30;

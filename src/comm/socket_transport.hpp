@@ -5,8 +5,8 @@
 // each process runs one SocketTransport over the full LinkGrid. Sends
 // between two locally-owned endpoints take the ordinary in-process path.
 // Sends to a remote endpoint run the SAME shared accounting core — codec
-// encode, per-edge seq numbers, FNV-1a checksums, deterministic fault
-// decisions — and then ship a length-prefixed data frame to the owning
+// encode, per-edge seq numbers, word-wise FNV-1a checksums, deterministic
+// fault decisions — and then ship a length-prefixed data frame to the owning
 // process, where a reader thread injects it into the destination mailbox
 // and charges the receive-side half of the accounting. Because both halves
 // come from the one core in comm/transport.cpp, predicted-vs-executed

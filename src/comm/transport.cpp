@@ -5,7 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "tensor/serialize.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace comdml::comm {
@@ -41,6 +41,36 @@ uint64_t message_hash(uint64_t seed, int64_t step, int64_t src, int64_t dst,
 /// Top 53 bits as a uniform double in [0, 1).
 double hash_uniform(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Word-wise FNV-1a over a payload's 64-bit words: four independent lanes
+/// (word i feeds lane i % 4) so the multiplies pipeline instead of forming
+/// one 8-per-word dependency chain as byte-wise FNV-1a does, folded into
+/// one hash with the word count at the end. Each lane step (h ^ w) * prime
+/// is a bijection of h for a fixed w and of w for a fixed h (the prime is
+/// odd), and so is each fold step, so changing any single word always
+/// changes the result.
+uint64_t payload_checksum(const double* data, size_t words) {
+  constexpr uint64_t kBasis = 1469598103934665603ull;  // FNV offset basis
+  constexpr uint64_t kPrime = 1099511628211ull;        // FNV prime
+  uint64_t w[4] = {};
+  uint64_t h0 = kBasis, h1 = kBasis ^ 1, h2 = kBasis ^ 2, h3 = kBasis ^ 3;
+  size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    std::memcpy(w, data + i, sizeof(w));
+    h0 = (h0 ^ w[0]) * kPrime;
+    h1 = (h1 ^ w[1]) * kPrime;
+    h2 = (h2 ^ w[2]) * kPrime;
+    h3 = (h3 ^ w[3]) * kPrime;
+  }
+  const size_t tail = words - i;  // 0..3 words, lanes 0..tail-1
+  if (tail > 0) std::memcpy(w, data + i, tail * sizeof(double));
+  if (tail > 0) h0 = (h0 ^ w[0]) * kPrime;
+  if (tail > 1) h1 = (h1 ^ w[1]) * kPrime;
+  if (tail > 2) h2 = (h2 ^ w[2]) * kPrime;
+  uint64_t h = kBasis ^ static_cast<uint64_t>(words);
+  for (const uint64_t lane : {h0, h1, h2, h3}) h = (h ^ lane) * kPrime;
+  return h;
 }
 
 }  // namespace
@@ -101,6 +131,82 @@ LinkModel& LinkGrid::link(int64_t src, int64_t dst) {
 
 namespace {
 
+// The int8 round trip's two passes, scalar (the reference) and AVX2. The
+// AVX2 pass reproduces the scalar one bit for bit, NaN, Inf and signed
+// zeros included: abs-max is max_pd(|x|, acc), which keeps acc on a NaN
+// exactly as std::max(acc, |x|) does; round_pd to nearest is nearbyint
+// under the default rounding mode; and min_pd(127, max_pd(-127, q)) puts
+// each constant first so a NaN q passes through as it does std::clamp.
+
+double max_abs_scalar(const double* data, int64_t elems) {
+  double max_abs = 0.0;
+  for (int64_t i = 0; i < elems; ++i)
+    max_abs = std::max(max_abs, std::fabs(data[i]));
+  return max_abs;
+}
+
+void round_trip_scalar(double* data, int64_t elems, double scale,
+                       double inv_scale) {
+  for (int64_t i = 0; i < elems; ++i) {
+    const double q = std::nearbyint(data[i] * inv_scale);
+    data[i] = scale * std::clamp(q, -127.0, 127.0);
+  }
+}
+
+#if COMDML_SIMD_X86
+__attribute__((target("avx2"))) double max_abs_avx2(const double* data,
+                                                    int64_t elems) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  int64_t i = 0;
+  for (; i + 8 <= elems; i += 8) {
+    acc0 = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(data + i)),
+                         acc0);
+    acc1 = _mm256_max_pd(
+        _mm256_andnot_pd(sign, _mm256_loadu_pd(data + i + 4)), acc1);
+  }
+  // The accumulators never hold a NaN, so the lane order is immaterial.
+  alignas(32) double lanes[4] = {};
+  _mm256_store_pd(lanes, _mm256_max_pd(acc0, acc1));
+  double max_abs = 0.0;
+  for (const double v : lanes) max_abs = std::max(max_abs, v);
+  return std::max(max_abs, max_abs_scalar(data + i, elems - i));
+}
+
+__attribute__((target("avx2"))) void round_trip_avx2(double* data,
+                                                     int64_t elems,
+                                                     double scale,
+                                                     double inv_scale) {
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m256d vinv = _mm256_set1_pd(inv_scale);
+  const __m256d lo = _mm256_set1_pd(-127.0);
+  const __m256d hi = _mm256_set1_pd(127.0);
+  int64_t i = 0;
+  for (; i + 4 <= elems; i += 4) {
+    const __m256d q =
+        _mm256_round_pd(_mm256_mul_pd(_mm256_loadu_pd(data + i), vinv),
+                        _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    const __m256d c = _mm256_min_pd(hi, _mm256_max_pd(lo, q));
+    _mm256_storeu_pd(data + i, _mm256_mul_pd(vscale, c));
+  }
+  round_trip_scalar(data + i, elems - i, scale, inv_scale);
+}
+#endif  // COMDML_SIMD_X86
+
+struct QuantizeKernels {
+  double (*max_abs)(const double*, int64_t);
+  void (*round_trip)(double*, int64_t, double, double);
+};
+
+QuantizeKernels resolve_quantize_kernels() {
+#if COMDML_SIMD_X86
+  if (__builtin_cpu_supports("avx2"))
+    return {max_abs_avx2, round_trip_avx2};
+#endif
+  return {max_abs_scalar, round_trip_scalar};
+}
+
 class IdentityCodec final : public Codec {
  public:
   [[nodiscard]] std::string_view name() const override { return "fp32"; }
@@ -136,9 +242,8 @@ void QuantizingCodec::transform(double* data, int64_t elems) const {
   // Symmetric int8 round trip: scale = max|v|/127, q = round(v/scale)
   // clamped to [-127, 127], v' = scale * q. The scale travels as fp32 (the
   // 4-byte header), so dequantization uses the wire-precision scale.
-  double max_abs = 0.0;
-  for (int64_t i = 0; i < elems; ++i)
-    max_abs = std::max(max_abs, std::fabs(data[i]));
+  static const QuantizeKernels kernels = resolve_quantize_kernels();
+  const double max_abs = kernels.max_abs(data, elems);
   if (max_abs == 0.0) return;  // all-zero payload is exact
   const float scale = static_cast<float>(max_abs / 127.0);
   // Degenerate dynamic ranges cannot ride the fp32 scale header: an
@@ -149,12 +254,8 @@ void QuantizingCodec::transform(double* data, int64_t elems) const {
   // under error feedback, the residual — with NaNs.
   if (!std::isfinite(scale) || scale < std::numeric_limits<float>::min())
     return;
-  const double inv_scale = 1.0 / static_cast<double>(scale);
-  for (int64_t i = 0; i < elems; ++i) {
-    const double q = std::nearbyint(data[i] * inv_scale);
-    data[i] = static_cast<double>(scale) *
-              std::clamp(q, -127.0, 127.0);
-  }
+  kernels.round_trip(data, elems, static_cast<double>(scale),
+                     1.0 / static_cast<double>(scale));
 }
 
 int64_t QuantizingCodec::encode(double* data, int64_t elems) const {
@@ -247,8 +348,7 @@ TransportStats merge_transport_stats(const std::vector<TransportStats>& parts) {
 bool Message::intact() const {
   if (corrupted) return false;
   if (!has_payload()) return true;
-  return checksum ==
-         tensor::fnv1a(payload.data(), payload.size() * sizeof(double));
+  return checksum == payload_checksum(payload.data(), payload.size());
 }
 
 // ---- Transport --------------------------------------------------------------
@@ -398,12 +498,15 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
   COMDML_REQUIRE(link.usable(),
                  "send over unusable link " << src << " -> " << dst);
   // Payload-moving sends encode the copy once (measure + lossy round trip
-  // in one codec pass); timing-only sends just measure.
+  // in one codec pass) and checksum it, both before the lock is taken;
+  // timing-only sends just measure.
   std::vector<double> payload;
   int64_t wire = 0;
+  uint64_t checksum = 0;
   if (delivers_payload() && data != nullptr && elems > 0) {
     payload.assign(data, data + elems);
     wire = codec_->encode(payload.data(), elems);
+    checksum = payload_checksum(payload.data(), payload.size());
   } else {
     wire = codec_->wire_bytes(elems, data);
   }
@@ -474,9 +577,7 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
     msg.wire_bytes = wire;
     msg.seq = seq;
     msg.retransmit = opts.retransmit;
-    if (!payload.empty())
-      msg.checksum =
-          tensor::fnv1a(payload.data(), payload.size() * sizeof(double));
+    msg.checksum = checksum;
     msg.payload = std::move(payload);
 
     bool duplicate = false;

@@ -118,7 +118,9 @@ class Codec {
 /// executes. Signed values survive (unlike the sparse activation codec in
 /// comm/compress.hpp, which drops negatives); the round trip is lossy at
 /// int8 resolution of the payload's dynamic range, which the round
-/// pipeline's per-bucket error feedback re-injects next round.
+/// pipeline's per-bucket error feedback re-injects next round. On CPUs with
+/// AVX2 (and COMDML_SIMD on) the round trip runs vectorized; it matches the
+/// scalar loop bit for bit, so results never depend on the host CPU.
 class QuantizingCodec final : public Codec {
  public:
   /// Wire bytes of `elems` quantized values: a 4-byte scale header plus
@@ -215,8 +217,11 @@ struct Message {
   /// edge). Retransmits reuse the original's seq, which is how a
   /// ReliableChannel dedupes duplicated and re-sent copies.
   int64_t seq = 0;
-  /// FNV-1a over the delivered payload bytes at send time; 0 for
-  /// timing-only messages. A corrupted payload no longer matches.
+  /// Word-wise FNV-1a over the delivered payload's 64-bit words (four
+  /// independent lanes folded at the end; any single-word change alters
+  /// it), computed by send() on the encoded copy before the transport lock
+  /// is taken; 0 for timing-only messages. A corrupted payload no longer
+  /// matches. Not the byte-wise tensor::fnv1a, which covers checkpoints.
   uint64_t checksum = 0;
   /// Set by corruption faults. Timing-only transports carry no payload to
   /// flip, so the flag is what keeps Sim/InProc corruption parity.

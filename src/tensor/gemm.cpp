@@ -5,19 +5,8 @@
 
 #include "core/parallel.hpp"
 #include "core/workspace.hpp"
-
-// COMDML_SIMD (default ON) compiles the AVX2+FMA micro-kernel alongside the
-// scalar one; the faster kernel is selected once at startup via CPU
-// detection. Defining COMDML_SIMD=0 (CMake option) forces the scalar path.
-#ifndef COMDML_SIMD
-#define COMDML_SIMD 1
-#endif
-#if COMDML_SIMD && defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define COMDML_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define COMDML_SIMD_X86 0
-#endif
+// The AVX2+FMA micro-kernel is selected once at startup via CPU detection.
+#include "tensor/simd.hpp"
 
 namespace comdml::tensor {
 

@@ -30,9 +30,10 @@ namespace comdml::tensor {
 /// Total payload bytes a tensor list occupies on the wire.
 [[nodiscard]] int64_t wire_bytes(const std::vector<Tensor>& ts);
 
-/// FNV-1a over a byte range. Shared by the transport's per-message payload
-/// checksums and the checkpoint blob integrity check — fast, seedless, and
-/// stable across platforms for same-width input.
+/// FNV-1a over a byte range: the checkpoint blob and shard integrity check
+/// (CMDL / CMDS frames) — seedless and stable across platforms for
+/// same-width input. Transport messages use their own word-wise hash
+/// (comm::Message::checksum), which is cheaper per payload byte.
 [[nodiscard]] uint64_t fnv1a(const void* data, size_t n);
 
 // ---- durable-state byte streams ---------------------------------------------

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "comm/allreduce.hpp"
@@ -120,6 +122,36 @@ TEST(Transport, MatchedRecvIsFifoPerSource) {
   EXPECT_DOUBLE_EQ(t.recv(2, 1).payload[0], 2.0);
   EXPECT_DOUBLE_EQ(t.recv(2, 0).payload[0], 3.0);
   EXPECT_THROW((void)t.recv(2, 0), std::invalid_argument);
+}
+
+TEST(Transport, ChecksumCatchesAOneBitFlipInEveryWord) {
+  // Lengths 1..9 cover every lane of the word-wise hash with and without a
+  // partial final round; 1025 covers a long run ending in a one-word tail.
+  // Each word is flipped in its low mantissa bit, mid-word, exponent and
+  // sign bits, one flip at a time.
+  InProcTransport t(LinkGrid::uniform(2, 100.0));
+  for (const size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 1025}) {
+    std::vector<double> data(n);
+    for (size_t i = 0; i < n; ++i)
+      data[i] = static_cast<double>(i) * 0.25 - 3.0;
+    t.send(0, 1, static_cast<int64_t>(n), data.data());
+    Message msg = t.recv(1, 0);
+    ASSERT_EQ(msg.payload.size(), n);
+    EXPECT_TRUE(msg.intact()) << "n=" << n;
+    for (size_t w = 0; w < n; ++w) {
+      for (const int bit : {0, 31, 52, 63}) {
+        uint64_t bits;
+        std::memcpy(&bits, &msg.payload[w], sizeof(bits));
+        bits ^= uint64_t{1} << bit;
+        std::memcpy(&msg.payload[w], &bits, sizeof(bits));
+        EXPECT_FALSE(msg.intact()) << "n=" << n << " word " << w << " bit "
+                                   << bit;
+        bits ^= uint64_t{1} << bit;
+        std::memcpy(&msg.payload[w], &bits, sizeof(bits));
+      }
+    }
+    EXPECT_TRUE(msg.intact()) << "n=" << n << " after restoring every flip";
+  }
 }
 
 TEST(Transport, ResetClearsStatsAndMailboxes) {
@@ -360,6 +392,91 @@ TEST(Codecs, QuantizingCodecRoundTripIsBoundedLossy) {
   std::vector<double> tiny(4, 1e-60);  // below the fp32 normal range
   codec.transform(tiny.data(), 4);
   for (const double v : tiny) EXPECT_EQ(v, 1e-60);
+}
+
+/// The int8 round trip exactly as the scalar codec loop defines it; the
+/// shipped codec (vectorized where the CPU allows) must match it bit for
+/// bit.
+void reference_quantize(double* data, int64_t elems) {
+  if (elems == 0) return;
+  double max_abs = 0.0;
+  for (int64_t i = 0; i < elems; ++i)
+    max_abs = std::max(max_abs, std::fabs(data[i]));
+  if (max_abs == 0.0) return;
+  const float scale = static_cast<float>(max_abs / 127.0);
+  if (!std::isfinite(scale) || scale < std::numeric_limits<float>::min())
+    return;
+  const double inv_scale = 1.0 / static_cast<double>(scale);
+  for (int64_t i = 0; i < elems; ++i) {
+    const double q = std::nearbyint(data[i] * inv_scale);
+    data[i] = static_cast<double>(scale) * std::clamp(q, -127.0, 127.0);
+  }
+}
+
+void expect_codec_matches_reference(std::vector<double> data,
+                                    const std::string& what) {
+  auto expected = data;
+  const auto n = static_cast<int64_t>(data.size());
+  reference_quantize(expected.data(), n);
+  quantized_codec().transform(data.data(), n);
+  // memcmp, not ==: NaN payloads and the sign of zero must match too.
+  EXPECT_TRUE(data.empty() || std::memcmp(data.data(), expected.data(),
+                                          data.size() * sizeof(double)) == 0)
+      << what << " (n=" << n << ")";
+}
+
+TEST(Codecs, QuantizingCodecMatchesTheScalarLoopBitForBit) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(7);
+  std::vector<size_t> lengths(38);
+  std::iota(lengths.begin(), lengths.end(), size_t{0});
+  lengths.push_back(16387);
+  for (const size_t n : lengths) {
+    std::vector<double> data(n);
+    for (double& v : data) v = rng.normal(0.0f, 2.0f);
+    expect_codec_matches_reference(data, "random");
+    if (n == 0) continue;
+    // Specials at the front, the middle and the end land in the vector
+    // body and in the scalar tail alike.
+    for (const size_t at : {size_t{0}, n / 2, n - 1}) {
+      auto special = data;
+      special[at] = kNaN;
+      expect_codec_matches_reference(special, "NaN");
+      special[at] = -0.0;
+      special[n - 1 - at] = 0.0;
+      expect_codec_matches_reference(special, "signed zeros");
+      special[at] = kInf;
+      expect_codec_matches_reference(special, "+Inf");
+      special[at] = -kInf;
+      expect_codec_matches_reference(special, "-Inf");
+    }
+    // Negatives that round to -0: max|v| = 127 makes the scale exactly 1.
+    std::vector<double> small(n);
+    for (size_t i = 0; i < n; ++i)
+      small[i] = -0.49 * static_cast<double>(i % 3) / 2.0;
+    small[n - 1] = -127.0;
+    expect_codec_matches_reference(small, "negatives to -0");
+    expect_codec_matches_reference(std::vector<double>(n, 0.0), "all zero");
+    std::vector<double> tiny(n);
+    for (size_t i = 0; i < n; ++i)
+      tiny[i] = (i % 2 == 0 ? 1.0 : -1.0) * 1e-40 * static_cast<double>(i);
+    expect_codec_matches_reference(tiny, "sub-FLT_MIN range");
+  }
+  // Exact .5 ties: with max|v| = 127 the scale is exactly 1, so k + 0.5
+  // hits nearbyint's round-half-to-even on every element.
+  std::vector<double> ties{127.0};
+  for (int k = -127; k < 127; ++k) ties.push_back(k + 0.5);
+  for (size_t n = 1; n <= ties.size(); n += 13)
+    expect_codec_matches_reference(
+        std::vector<double>(ties.begin(), ties.begin() + n), "ties");
+  // Just above the fp32 normal range: the scale is normal, the elements
+  // are not.
+  std::vector<double> near_min(37);
+  for (size_t i = 0; i < near_min.size(); ++i)
+    near_min[i] = std::numeric_limits<float>::min() * 127.0 * 3.0 *
+                  (static_cast<double>(i) / 36.0 - 0.5);
+  expect_codec_matches_reference(near_min, "near FLT_MIN");
 }
 
 TEST(Codecs, TransportAppliesCodecToDeliveredPayload) {
