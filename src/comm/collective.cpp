@@ -5,6 +5,7 @@
 #include <string>
 
 #include "comm/reliable.hpp"
+#include "core/parallel.hpp"
 #include "core/workspace.hpp"
 
 namespace comdml::comm {
@@ -64,7 +65,10 @@ CollectiveReport report_of(const Transport& t) {
 void merge_segment(const Message& msg, double* dst, const Segment& seg,
                    bool accumulate) {
   if (dst == nullptr || !msg.has_payload()) return;
-  COMDML_DCHECK(msg.elems == seg.size());
+  COMDML_REQUIRE(static_cast<int64_t>(msg.payload.size()) == seg.size(),
+                 "message " << msg.src << " -> " << msg.dst << " carries "
+                            << msg.payload.size() << " values for a "
+                            << seg.size() << "-element segment");
   if (accumulate) {
     for (int64_t i = 0; i < seg.size(); ++i)
       dst[seg.begin + i] += msg.payload[static_cast<size_t>(i)];
@@ -205,31 +209,76 @@ SteppedSchedule halving_doubling_schedule(int64_t k, int64_t elems) {
   return sched;
 }
 
+// ---- step executors ---------------------------------------------------------
+
+/// Items one after another on the calling thread, in schedule order.
+class SerialExecutor final : public StepExecutor {
+ public:
+  void run(int64_t items, const std::function<void(int64_t)>& item) override {
+    for (int64_t i = 0; i < items; ++i) item(i);
+  }
+};
+
+/// Items fanned over the global pool (inline when nested in a pool task).
+class PoolExecutor final : public StepExecutor {
+ public:
+  void run(int64_t items, const std::function<void(int64_t)>& item) override {
+    core::parallel_for(0, items, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) item(i);
+    });
+  }
+};
+
+SerialExecutor g_serial_executor;
+PoolExecutor g_pool_executor;
+
+/// Below this many payload elements per step a fan-out costs more in
+/// wake-ups than the copies, encodes and folds it would spread.
+constexpr int64_t kMinFanOutElems = 4096;
+
 /// Execute one schedule step: post every owned send, close the transport
-/// step, fold every delivered payload into its owned destination. With a
+/// step, fold every delivered payload into its owned destination (and hand
+/// its buffer back to the transport). The two phases run on the request's
+/// executor unless the step must stay serial (see ScheduleStep). With a
 /// channel, sends park retransmit copies and receives retry through backoff
 /// — the schedule completes over lossy/corrupting links exactly as it would
 /// over clean ones.
 void execute_schedule_step(Transport& t, const CollectiveRequest& req,
                            const ScheduleStep& step, ReliableChannel* ch) {
-  for (const ScheduleStep::Send& s : step.sends) {
-    if (!owns(req, s.src)) continue;
+  int64_t moved = 0;
+  for (const ScheduleStep::Send& s : step.sends) moved += s.span.size();
+  const bool serial = ch != nullptr || req.buffers.empty() ||
+                      moved < kMinFanOutElems || t.has_endpoint_faults();
+  StepExecutor* exec = &g_pool_executor;
+  if (serial)
+    exec = &g_serial_executor;
+  else if (req.executor != nullptr)
+    exec = req.executor;
+  // One item per send: a step has at most one send per source endpoint.
+  const auto send_one = [&](int64_t i) {
+    const ScheduleStep::Send& s = step.sends[static_cast<size_t>(i)];
+    if (!owns(req, s.src)) return;
     const double* data = buffer_of(req, s.src);
     const double* payload = data != nullptr ? data + s.span.begin : nullptr;
     if (ch != nullptr)
       ch->send(s.src, s.dst, s.span.size(), payload);
     else
       t.send(s.src, s.dst, s.span.size(), payload);
-  }
+  };
+  // One item per receive: a step has at most one receive per destination.
+  const auto fold_one = [&](int64_t i) {
+    const ScheduleStep::Recv& r = step.recvs[static_cast<size_t>(i)];
+    if (!owns(req, r.dst)) return;
+    Message msg =
+        ch != nullptr ? ch->recv(r.dst, r.src) : t.recv(r.dst, r.src);
+    merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
+    t.recycle(std::move(msg.payload));
+  };
+  exec->run(static_cast<int64_t>(step.sends.size()), std::cref(send_one));
   // Close the step even when this process posted nothing: the positional
   // step history must line up across processes.
   t.end_step();
-  for (const ScheduleStep::Recv& r : step.recvs) {
-    if (!owns(req, r.dst)) continue;
-    const Message msg =
-        ch != nullptr ? ch->recv(r.dst, r.src) : t.recv(r.dst, r.src);
-    merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
-  }
+  exec->run(static_cast<int64_t>(step.recvs.size()), std::cref(fold_one));
 }
 
 /// Sum -> mean after the last step, over the schedule's owned participants

@@ -15,6 +15,7 @@
 // interchangeable strategies instead of hard-coding free functions.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -31,6 +32,17 @@ enum class Protocol {
   kHalvingDoublingAllReduce,
   kGossip,
   kParamServer,
+};
+
+/// Runs the items of one phase of a schedule step: calls item(i) once for
+/// every i in [0, items), possibly on several threads at once, returns
+/// when all have finished, and then rethrows the first exception an item
+/// raised (an item that threw may leave later ones unrun).
+class StepExecutor {
+ public:
+  virtual ~StepExecutor() = default;
+  virtual void run(int64_t items,
+                   const std::function<void(int64_t)>& item) = 0;
 };
 
 /// One collective invocation over a transport.
@@ -55,6 +67,9 @@ struct CollectiveRequest {
   /// touched. Every step still closes one transport step, so per-process
   /// step histories stay aligned for merge_transport_stats().
   std::vector<char> owned;
+  /// Runs the phases of each stepped-schedule step (borrowed; nullptr =
+  /// core::parallel_for over the global pool). See ScheduleStep.
+  StepExecutor* executor = nullptr;
 };
 
 struct CollectiveReport {
@@ -87,6 +102,22 @@ struct Span {
 /// step is posted, the transport step closes (modeled span = slowest
 /// message), then each receive folds its payload into the destination
 /// buffer (accumulate) or overwrites it (gather).
+///
+/// Step fan-out. A step runs in three phases: the sends, one work item per
+/// source endpoint; end_step(); the receive-and-folds, one work item per
+/// destination endpoint. The items of a phase run on the request's
+/// StepExecutor, so a big bucket's step uses the whole pool. Every schedule
+/// built here sends at most one message from each source and into each
+/// destination per step (survivor schedules included), so an endpoint's
+/// per-edge seq, its mailbox order, its fold order and every TransportStats
+/// sum are the same however the items interleave, and the results are bit
+/// identical at every thread count. A step runs its items serially, in
+/// schedule order, when it goes through a ReliableChannel (retransmit
+/// windows and backoff), when the transport has endpoint faults (the order
+/// of the global drop stream and what is accounted before an
+/// EndpointDownError must stay fixed), on timing-only runs, and when the
+/// step moves too few elements to pay for a fan-out. The serial case is
+/// the same loop body on a different executor.
 struct ScheduleStep {
   struct Send {
     int64_t src = 0;

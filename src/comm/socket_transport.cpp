@@ -196,15 +196,22 @@ void SocketTransport::reader_loop(int64_t process) {
       frame = std::nullopt;  // desynchronized peer == lost peer
     }
     if (!frame.has_value()) break;
-    switch (frame->type) {
-      case kPeerData:
-        handle_data(frame->body);
-        break;
-      case kPeerNack:
-        handle_nack_frame(frame->body);
-        break;
-      default:
-        break;  // forward-compatible: ignore unknown control frames
+    // A body that fails to decode or names impossible endpoints is a
+    // desynchronized or hostile peer too: drop it like a failed recv_frame
+    // rather than let the exception end the process from this thread.
+    try {
+      switch (frame->type) {
+        case kPeerData:
+          handle_data(process, frame->body);
+          break;
+        case kPeerNack:
+          handle_nack_frame(frame->body);
+          break;
+        default:
+          break;  // forward-compatible: ignore unknown control frames
+      }
+    } catch (const std::exception&) {
+      break;
     }
   }
   if (running_.load()) peer_lost(process);
@@ -222,7 +229,8 @@ void SocketTransport::peer_lost(int64_t process) {
   mail_cv_.notify_all();
 }
 
-void SocketTransport::handle_data(const std::vector<uint8_t>& body) {
+void SocketTransport::handle_data(int64_t process,
+                                  const std::vector<uint8_t>& body) {
   tensor::ByteReader reader(body);
   RemoteFrame frame;
   frame.msg.src = reader.i64();
@@ -239,6 +247,23 @@ void SocketTransport::handle_data(const std::vector<uint8_t>& body) {
   frame.msg.deliver_after_step = reader.i64();
   frame.span = reader.f64();
   frame.msg.payload = reader.f64s();
+  reader.expect_done();
+  const Message& m = frame.msg;
+  const int64_t n = endpoints();
+  COMDML_REQUIRE(m.src >= 0 && m.src < n && m.dst >= 0 && m.dst < n &&
+                     m.src != m.dst,
+                 "data frame names edge " << m.src << " -> " << m.dst
+                                          << " over " << n << " endpoints");
+  COMDML_REQUIRE(owner_of(m.src) == process && local_endpoint(m.dst),
+                 "process " << process << " sent a frame for edge " << m.src
+                            << " -> " << m.dst
+                            << " it does not own the source of, or that "
+                               "this process does not host");
+  COMDML_REQUIRE(m.elems >= 0 && (m.payload.empty() ||
+                                  static_cast<int64_t>(m.payload.size()) ==
+                                      m.elems),
+                 "data frame carries " << m.payload.size() << " values for "
+                                       << m.elems << " elements");
   inject_remote(std::move(frame));
   mail_cv_.notify_all();
 }
@@ -248,6 +273,12 @@ void SocketTransport::handle_nack_frame(const std::vector<uint8_t>& body) {
   const int64_t src = reader.i64();
   const int64_t dst = reader.i64();
   const int64_t last_delivered = reader.i64();
+  reader.expect_done();
+  COMDML_REQUIRE(src >= 0 && src < endpoints() && dst >= 0 &&
+                     dst < endpoints() && src != dst && local_endpoint(src),
+                 "NACK names edge " << src << " -> " << dst
+                                    << " whose source this process does "
+                                       "not host");
   if (!park_enabled_) return;
   Parked copy;
   {

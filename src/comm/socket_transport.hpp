@@ -128,7 +128,11 @@ class SocketTransport final : public Transport {
   void setup_mesh();
   void reader_loop(int64_t process);
   void peer_lost(int64_t process);
-  void handle_data(const std::vector<uint8_t>& body);
+  /// Decode and deliver a data frame from `process`. Throws on a malformed
+  /// body (truncated, trailing bytes, an edge outside the mesh or not owned
+  /// as claimed, a payload whose length is not `elems`); reader_loop then
+  /// treats the peer as lost.
+  void handle_data(int64_t process, const std::vector<uint8_t>& body);
   void handle_nack_frame(const std::vector<uint8_t>& body);
   [[nodiscard]] bool send_to_peer(int64_t process, uint16_t type,
                                   const std::vector<uint8_t>& body);

@@ -137,6 +137,8 @@ namespace {
 // exactly as std::max(acc, |x|) does; round_pd to nearest is nearbyint
 // under the default rounding mode; and min_pd(127, max_pd(-127, q)) puts
 // each constant first so a NaN q passes through as it does std::clamp.
+// The round trip reads `src` and writes `dst`, which may be the same
+// buffer (each element is read before it is written).
 
 double max_abs_scalar(const double* data, int64_t elems) {
   double max_abs = 0.0;
@@ -145,11 +147,11 @@ double max_abs_scalar(const double* data, int64_t elems) {
   return max_abs;
 }
 
-void round_trip_scalar(double* data, int64_t elems, double scale,
-                       double inv_scale) {
+void round_trip_scalar(const double* src, double* dst, int64_t elems,
+                       double scale, double inv_scale) {
   for (int64_t i = 0; i < elems; ++i) {
-    const double q = std::nearbyint(data[i] * inv_scale);
-    data[i] = scale * std::clamp(q, -127.0, 127.0);
+    const double q = std::nearbyint(src[i] * inv_scale);
+    dst[i] = scale * std::clamp(q, -127.0, 127.0);
   }
 }
 
@@ -174,7 +176,8 @@ __attribute__((target("avx2"))) double max_abs_avx2(const double* data,
   return std::max(max_abs, max_abs_scalar(data + i, elems - i));
 }
 
-__attribute__((target("avx2"))) void round_trip_avx2(double* data,
+__attribute__((target("avx2"))) void round_trip_avx2(const double* src,
+                                                     double* dst,
                                                      int64_t elems,
                                                      double scale,
                                                      double inv_scale) {
@@ -185,18 +188,18 @@ __attribute__((target("avx2"))) void round_trip_avx2(double* data,
   int64_t i = 0;
   for (; i + 4 <= elems; i += 4) {
     const __m256d q =
-        _mm256_round_pd(_mm256_mul_pd(_mm256_loadu_pd(data + i), vinv),
+        _mm256_round_pd(_mm256_mul_pd(_mm256_loadu_pd(src + i), vinv),
                         _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
     const __m256d c = _mm256_min_pd(hi, _mm256_max_pd(lo, q));
-    _mm256_storeu_pd(data + i, _mm256_mul_pd(vscale, c));
+    _mm256_storeu_pd(dst + i, _mm256_mul_pd(vscale, c));
   }
-  round_trip_scalar(data + i, elems - i, scale, inv_scale);
+  round_trip_scalar(src + i, dst + i, elems - i, scale, inv_scale);
 }
 #endif  // COMDML_SIMD_X86
 
 struct QuantizeKernels {
   double (*max_abs)(const double*, int64_t);
-  void (*round_trip)(double*, int64_t, double, double);
+  void (*round_trip)(const double*, double*, int64_t, double, double);
 };
 
 QuantizeKernels resolve_quantize_kernels() {
@@ -205,6 +208,31 @@ QuantizeKernels resolve_quantize_kernels() {
     return {max_abs_avx2, round_trip_avx2};
 #endif
   return {max_abs_scalar, round_trip_scalar};
+}
+
+/// Symmetric int8 round trip of `src` into `dst` (may alias): scale =
+/// max|v|/127, q = round(v/scale) clamped to [-127, 127], v' = scale * q.
+/// The scale travels as fp32 (the 4-byte header), so dequantization uses
+/// the wire-precision scale.
+void quantize_into(const double* src, double* dst, int64_t elems) {
+  if (elems == 0) return;
+  static const QuantizeKernels kernels = resolve_quantize_kernels();
+  const double max_abs = kernels.max_abs(src, elems);
+  const float scale = static_cast<float>(max_abs / 127.0);
+  // An all-zero payload is exact. Degenerate dynamic ranges cannot ride
+  // the fp32 scale header: an Inf/NaN element would turn every finite
+  // element into NaN (inv_scale = 0, inf * 0), and a sub-fp32-normal range
+  // would map zeros through 0 * inf. Ship such payloads unquantized (the
+  // wire charge is data-independent either way) instead of poisoning the
+  // bucket — and, under error feedback, the residual — with NaNs.
+  if (max_abs == 0.0 || !std::isfinite(scale) ||
+      scale < std::numeric_limits<float>::min()) {
+    if (dst != src)
+      std::memcpy(dst, src, static_cast<size_t>(elems) * sizeof(double));
+    return;
+  }
+  kernels.round_trip(src, dst, elems, static_cast<double>(scale),
+                     1.0 / static_cast<double>(scale));
 }
 
 class IdentityCodec final : public Codec {
@@ -217,6 +245,12 @@ class IdentityCodec final : public Codec {
 };
 
 }  // namespace
+
+int64_t Codec::encode_copy(const double* src, double* dst,
+                           int64_t elems) const {
+  std::copy(src, src + elems, dst);
+  return encode(dst, elems);
+}
 
 const Codec& identity_codec() {
   static const IdentityCodec codec;
@@ -238,28 +272,12 @@ int64_t QuantizingCodec::wire_bytes(int64_t elems,
 }
 
 void QuantizingCodec::transform(double* data, int64_t elems) const {
-  if (elems == 0) return;
-  // Symmetric int8 round trip: scale = max|v|/127, q = round(v/scale)
-  // clamped to [-127, 127], v' = scale * q. The scale travels as fp32 (the
-  // 4-byte header), so dequantization uses the wire-precision scale.
-  static const QuantizeKernels kernels = resolve_quantize_kernels();
-  const double max_abs = kernels.max_abs(data, elems);
-  if (max_abs == 0.0) return;  // all-zero payload is exact
-  const float scale = static_cast<float>(max_abs / 127.0);
-  // Degenerate dynamic ranges cannot ride the fp32 scale header: an
-  // Inf/NaN element would turn every finite element into NaN (inv_scale
-  // = 0, inf * 0), and a sub-fp32-normal range would map zeros through
-  // 0 * inf. Ship such payloads unquantized (the wire charge is
-  // data-independent either way) instead of poisoning the bucket — and,
-  // under error feedback, the residual — with NaNs.
-  if (!std::isfinite(scale) || scale < std::numeric_limits<float>::min())
-    return;
-  kernels.round_trip(data, elems, static_cast<double>(scale),
-                     1.0 / static_cast<double>(scale));
+  quantize_into(data, data, elems);
 }
 
-int64_t QuantizingCodec::encode(double* data, int64_t elems) const {
-  transform(data, elems);
+int64_t QuantizingCodec::encode_copy(const double* src, double* dst,
+                                     int64_t elems) const {
+  quantize_into(src, dst, elems);
   return quantized_wire_bytes(elems);
 }
 
@@ -379,6 +397,7 @@ Transport::Transport(LinkGrid grid, const Codec* codec, FaultPlan faults)
   }
   manual_dead_.assign(n, 0);
   next_seq_.assign(n * n, 0);
+  free_payloads_.reserve(payload_pool_bound());
   stats_.bytes_sent.assign(n, 0);
   stats_.bytes_received.assign(n, 0);
   stats_.send_seconds.assign(n, 0.0);
@@ -497,15 +516,15 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
   const LinkModel& link = grid_.link(src, dst);
   COMDML_REQUIRE(link.usable(),
                  "send over unusable link " << src << " -> " << dst);
-  // Payload-moving sends encode the copy once (measure + lossy round trip
-  // in one codec pass) and checksum it, both before the lock is taken;
-  // timing-only sends just measure.
+  // Payload-moving sends encode into a recycled buffer (copy, measure and
+  // lossy round trip in one codec pass) and checksum it, both before the
+  // lock is taken; timing-only sends just measure.
   std::vector<double> payload;
   int64_t wire = 0;
   uint64_t checksum = 0;
   if (delivers_payload() && data != nullptr && elems > 0) {
-    payload.assign(data, data + elems);
-    wire = codec_->encode(payload.data(), elems);
+    payload = draw_payload(elems);
+    wire = codec_->encode_copy(data, payload.data(), elems);
     checksum = payload_checksum(payload.data(), payload.size());
   } else {
     wire = codec_->wire_bytes(elems, data);
@@ -688,6 +707,45 @@ void Transport::inject_remote(RemoteFrame&& frame) {
 bool Transport::nack(int64_t /*src*/, int64_t /*dst*/,
                      int64_t /*last_delivered_seq*/) {
   return false;  // no remote senders in-process; the caller retransmits
+}
+
+std::vector<double> Transport::draw_payload(int64_t elems) {
+  const auto n = static_cast<size_t>(elems);
+  std::vector<double> buffer;
+  {
+    std::lock_guard<std::mutex> guard(free_mutex_);
+    if (!free_payloads_.empty()) {
+      auto pick = free_payloads_.end() - 1;
+      for (auto it = free_payloads_.begin(); it != free_payloads_.end(); ++it)
+        if (it->size() >= n) {
+          pick = it;
+          break;
+        }
+      buffer = std::move(*pick);
+      if (pick != free_payloads_.end() - 1)
+        *pick = std::move(free_payloads_.back());
+      free_payloads_.pop_back();
+    }
+  }
+  buffer.resize(n);
+  return buffer;
+}
+
+void Transport::recycle(std::vector<double>&& buffer) {
+  if (buffer.capacity() == 0) return;
+  std::vector<double> spill;  // freed after the lock is released
+  {
+    std::lock_guard<std::mutex> guard(free_mutex_);
+    if (free_payloads_.size() < payload_pool_bound())
+      free_payloads_.push_back(std::move(buffer));
+    else
+      spill = std::move(buffer);
+  }
+}
+
+size_t Transport::pooled_payloads() const {
+  std::lock_guard<std::mutex> guard(free_mutex_);
+  return free_payloads_.size();
 }
 
 Message Transport::recv(int64_t dst, int64_t src) {

@@ -95,15 +95,21 @@ class Codec {
   [[nodiscard]] virtual int64_t wire_bytes(int64_t elems,
                                            const double* data) const = 0;
   virtual void transform(double* /*data*/, int64_t /*elems*/) const {}
-  /// One-pass encode for delivered payloads: applies the lossy round trip
-  /// in place and returns the wire bytes. The default composes
-  /// wire_bytes + transform; compressing codecs override it so a send
-  /// compresses each payload once, not twice.
-  [[nodiscard]] virtual int64_t encode(double* data, int64_t elems) const {
+  /// Encode a delivered payload: applies the lossy round trip in place and
+  /// returns the wire bytes (wire_bytes + transform).
+  [[nodiscard]] int64_t encode(double* data, int64_t elems) const {
     const int64_t wire = wire_bytes(elems, data);
     transform(data, elems);
     return wire;
   }
+  /// encode() into a separate buffer: leaves `src` untouched, writes the
+  /// encoded copy of its `elems` values to `dst`, and returns the wire
+  /// bytes. The result is bit for bit that of copying and then calling
+  /// encode(), which is what the default does; QuantizingCodec reads `src`
+  /// directly and saves the copy pass. Transport::send encodes every
+  /// payload-moving message through this.
+  [[nodiscard]] virtual int64_t encode_copy(const double* src, double* dst,
+                                            int64_t elems) const;
 };
 
 /// fp32 on the wire, lossless in fp64 accumulators: elems * 4 bytes.
@@ -131,7 +137,11 @@ class QuantizingCodec final : public Codec {
   [[nodiscard]] int64_t wire_bytes(int64_t elems,
                                    const double* data) const override;
   void transform(double* data, int64_t elems) const override;
-  [[nodiscard]] int64_t encode(double* data, int64_t elems) const override;
+  /// Abs-max from `src`, then one round trip from `src` into `dst`.
+  /// Payloads shipped unquantized (all-zero, Inf/NaN range, sub-FLT_MIN
+  /// range) become plain copies.
+  [[nodiscard]] int64_t encode_copy(const double* src, double* dst,
+                                    int64_t elems) const override;
 };
 
 /// Shared immutable QuantizingCodec instance (codecs are borrowed by
@@ -299,8 +309,15 @@ struct TransportStats {
     const std::vector<TransportStats>& parts);
 
 /// Message-level transport. Thread-safe: send/recv/try_recv/end_step may be
-/// called concurrently (collectives run single-threaded today, but the
-/// fleet's concurrent per-agent rounds may drive point-to-point traffic).
+/// called concurrently. Stepped collectives post a step's sends from
+/// several threads at once and fold its receives the same way (see
+/// comm/collective.hpp for why the accounting stays interleaving-free).
+///
+/// Payload buffers are recycled: send() draws the buffer for its encoded
+/// copy from a bounded per-transport free list (2 x endpoints entries), and
+/// a receiver that is done with a delivered Message hands its payload back
+/// through recycle(). Steady-state rounds over one transport then stop
+/// allocating a vector per message.
 class Transport {
  public:
   /// `codec` is borrowed (nullptr = identity) and must outlive the
@@ -370,6 +387,16 @@ class Transport {
   /// nothing deliverable. Used by protocols with data-dependent fan-in
   /// (gossip).
   [[nodiscard]] std::optional<Message> try_recv(int64_t dst);
+
+  /// Hand a delivered payload's storage back for a later send() to reuse.
+  /// Kept while the free list holds fewer than payload_pool_bound()
+  /// buffers, freed otherwise. Thread-safe; the contents are ignored.
+  void recycle(std::vector<double>&& buffer);
+  /// Buffers on the free list right now (never above payload_pool_bound()).
+  [[nodiscard]] size_t pooled_payloads() const;
+  [[nodiscard]] size_t payload_pool_bound() const noexcept {
+    return 2 * static_cast<size_t>(endpoints());
+  }
 
   /// Charge modeled retry-backoff wait time into the transport clock (both
   /// `seconds` and the `backoff_seconds` breakdown).
@@ -500,6 +527,10 @@ class Transport {
   [[nodiscard]] bool mature_locked(const Message& m) const {
     return m.deliver_after_step < 0 || stats_.steps >= m.deliver_after_step;
   }
+  /// A free-list buffer resized to `elems` (a fresh one when the list is
+  /// empty). Prefers a buffer already holding at least `elems` values, so
+  /// the resize neither reallocates nor zero-fills.
+  [[nodiscard]] std::vector<double> draw_payload(int64_t elems);
 
   LinkGrid grid_;
   const Codec* codec_;  // never null after construction
@@ -512,6 +543,10 @@ class Transport {
   std::vector<int64_t> next_seq_;  // per directed edge [src][dst]
   std::vector<std::deque<Message>> mailboxes_;  // per dst, arrival order
   mutable std::mutex mutex_;
+  /// Recycled payload buffers; own lock so draws and returns never wait on
+  /// the accounting lock.
+  std::vector<std::vector<double>> free_payloads_;
+  mutable std::mutex free_mutex_;
 };
 
 /// Analytic clock only: accounts every byte/step/second of the schedule,

@@ -25,7 +25,11 @@ int env_thread_count() {
 
 /// Fixed-size worker pool executing one chunked job at a time. Workers
 /// idle on a condition variable between jobs; the submitting thread
-/// participates in the job, so `threads == 1` never blocks.
+/// participates in the job, so `threads == 1` never blocks. The submitter
+/// waits only for the workers that joined the job: once its own share is
+/// done it closes the job, and a worker that wakes after that (a slow
+/// wake-up, or a vCPU the host had descheduled) skips it instead of
+/// holding up the join.
 class Pool {
  public:
   explicit Pool(int threads) : threads_(std::max(1, threads)) {
@@ -58,7 +62,6 @@ class Pool {
       end_ = end;
       chunk_ = chunk;
       next_.store(begin, std::memory_order_relaxed);
-      pending_.store(threads_ - 1, std::memory_order_relaxed);
       error_ = nullptr;
       ++epoch_;
     }
@@ -72,10 +75,8 @@ class Pool {
     tls_in_worker = false;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_done_.wait(lk, [this] {
-        return pending_.load(std::memory_order_acquire) == 0;
-      });
-      fn_ = nullptr;
+      fn_ = nullptr;  // close the job to workers not yet inside it
+      cv_done_.wait(lk, [this] { return active_ == 0; });
       if (error_) {
         std::exception_ptr e = error_;
         error_ = nullptr;
@@ -113,12 +114,12 @@ class Pool {
         if (stop_) return;
         seen = epoch_;
         fn = fn_;
+        if (fn == nullptr) continue;  // the job closed before we woke
+        ++active_;
       }
-      if (fn) work(*fn);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(mu_);
-        cv_done_.notify_all();
-      }
+      work(*fn);
+      std::lock_guard<std::mutex> lk(mu_);
+      if (--active_ == 0) cv_done_.notify_all();
     }
   }
 
@@ -132,7 +133,7 @@ class Pool {
   int64_t end_ = 0;
   int64_t chunk_ = 1;
   std::atomic<int64_t> next_{0};
-  std::atomic<int> pending_{0};
+  int active_ = 0;  // workers inside the current job
   uint64_t epoch_ = 0;
   std::exception_ptr error_;
   bool stop_ = false;

@@ -13,6 +13,9 @@
 //    results are bit-identical for every thread count.
 //  - Exceptions thrown by fn are captured and rethrown on the calling
 //    thread (first one wins).
+//  - The calling thread takes chunks too and then waits only for the
+//    workers that joined; a worker that wakes after every chunk is gone
+//    never holds up the return.
 //
 // The thread count defaults to the COMDML_NUM_THREADS environment variable
 // when set, else std::thread::hardware_concurrency().

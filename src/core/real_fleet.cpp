@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "comm/compress.hpp"
+#include "core/parallel.hpp"
 #include "nn/arch_specs.hpp"
 #include "privacy/dcor.hpp"
 #include "privacy/dp.hpp"
@@ -504,13 +505,17 @@ RealFleet::RoundStats RealFleet::step() {
   if (!collective_victims.empty()) pipeline_->clear_endpoint_failures();
 
   // Every on-time live agent's slots now hold the bucket means; write
-  // them back. Deferred stragglers are re-synced below instead.
-  for (size_t i = 0; i < agents_.size(); ++i) {
-    if (!agents_[i].alive || late[i] != 0) continue;
-    std::vector<tensor::Tensor*> ptrs;
-    agents_[i].model->collect_state(ptrs);
-    pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
-  }
+  // them back, one agent per item (each touches only its own tensors).
+  // Deferred stragglers are re-synced below instead.
+  parallel_for(0, agents(), 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t a = lo; a < hi; ++a) {
+      const auto i = static_cast<size_t>(a);
+      if (!agents_[i].alive || late[i] != 0) continue;
+      std::vector<tensor::Tensor*> ptrs;
+      agents_[i].model->collect_state(ptrs);
+      pipeline_->restore_state(a, ptrs);
+    }
+  });
 
   // Deferred stragglers: stage the late update, fold (late - consensus)
   // into the agent's residual so the work re-enters the stream next

@@ -296,6 +296,9 @@ void RoundPipeline::run_bucket(int64_t bucket) {
   for (int64_t a = 0; a < agents_; ++a)
     req.buffers[static_cast<size_t>(a)] = slot(a, bucket);
   req.owned = owned_;
+  // On a pool worker a parallel_for would run inline: let the collectors
+  // waiting in drain() take the step items instead.
+  if (mesh_ == nullptr && in_parallel_region()) req.executor = &help_;
   comm::Transport& transport =
       mesh_ != nullptr ? *mesh_ : *transports_[static_cast<size_t>(bucket)];
   const bool full = static_cast<int64_t>(contributors.size()) == agents_;
@@ -325,6 +328,45 @@ void RoundPipeline::run_bucket(int64_t bucket) {
   for (const int64_t a : contributors)
     if (owned_[static_cast<size_t>(a)] == 0)
       std::copy(mean, mean + n, slot(a, bucket));
+}
+
+void RoundPipeline::post_job(int64_t items,
+                             const std::function<void(int64_t)>& item) {
+  HelpJob job;
+  job.item = &item;
+  job.items = items;
+  std::unique_lock<std::mutex> lk(mu_);
+  jobs_.push_back(&job);
+  cv_.notify_all();
+  work_job(job, lk);
+  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+  job_left_.wait(lk, [&] { return job.helpers == 0; });
+  lk.unlock();
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+void RoundPipeline::work_job(HelpJob& job, std::unique_lock<std::mutex>& lk) {
+  while (job.next < job.items) {
+    const int64_t i = job.next++;
+    lk.unlock();
+    std::exception_ptr error;
+    try {
+      (*job.item)(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lk.lock();
+    if (error && !job.error) {
+      job.error = error;
+      job.next = job.items;  // hand out no further items
+    }
+  }
+}
+
+RoundPipeline::HelpJob* RoundPipeline::open_job() const {
+  for (HelpJob* job : jobs_)
+    if (job->next < job->items) return job;
+  return nullptr;
 }
 
 void RoundPipeline::drain_mesh() {
@@ -366,10 +408,18 @@ void RoundPipeline::drain() {
     {
       std::unique_lock<std::mutex> lk(mu_);
       cv_.wait(lk, [&] {
-        return aborted_ || !ready_.empty() || reduced_ == total;
+        return aborted_ || !ready_.empty() || reduced_ == total ||
+               open_job() != nullptr;
       });
       if (aborted_) return;
       if (ready_.empty()) {
+        // No bucket to start: help a collective already in flight.
+        if (HelpJob* job = open_job()) {
+          ++job->helpers;
+          work_job(*job, lk);
+          if (--job->helpers == 0) job_left_.notify_all();
+          continue;
+        }
         if (reduced_ == total) return;
         continue;  // spurious wake while another collector finishes
       }

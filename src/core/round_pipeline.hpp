@@ -33,6 +33,17 @@
 //     each bucket's collective (comm::AsyncCollective over the bucket's
 //     own InProcTransport) while other workers are still training — the
 //     allreduce of bucket i runs while bucket i+1 is still being computed.
+//   - Waiting collectors help. A collector running a bucket on a pool
+//     worker (where a nested parallel_for would run inline) posts each
+//     phase of each collective step as a job of N items (one per sending
+//     or receiving endpoint, see comm::ScheduleStep). Collectors waiting
+//     in drain() with no ready bucket to take claim items of any open job
+//     until it runs out, then go back to waiting; several buckets may have
+//     open jobs at once. The poster runs items too, waits until every
+//     helper has left its job, and then rethrows the first exception an
+//     item raised. All waits block on condition variables; nothing spins.
+//     Outside the pool (sequential rounds drain on the fleet's thread) the
+//     steps fan out through core::parallel_for instead.
 //   - An optional per-bucket wire codec (comm::quantized_codec) shrinks
 //     every exchange-step payload on the wire, with cross-round
 //     error-feedback residuals keeping repeated lossy rounds convergent.
@@ -56,6 +67,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -245,6 +257,34 @@ class RoundPipeline {
   [[nodiscard]] PipelineStats stats() const;
 
  private:
+  /// One phase of a collective step posted for waiting collectors.
+  struct HelpJob {
+    const std::function<void(int64_t)>* item = nullptr;
+    int64_t items = 0;
+    int64_t next = 0;     ///< next unclaimed item
+    int64_t helpers = 0;  ///< collectors inside the job, poster excluded
+    std::exception_ptr error;  ///< first exception an item raised
+  };
+  /// The comm::StepExecutor collectors hand their collectives: posts each
+  /// phase through post_job().
+  class HelpExecutor final : public comm::StepExecutor {
+   public:
+    explicit HelpExecutor(RoundPipeline& pipeline) : pipeline_(&pipeline) {}
+    void run(int64_t items,
+             const std::function<void(int64_t)>& item) override {
+      pipeline_->post_job(items, item);
+    }
+
+   private:
+    RoundPipeline* pipeline_;
+  };
+
+  void post_job(int64_t items, const std::function<void(int64_t)>& item);
+  /// Claim and run items of `job` until none are left. `lk` holds mu_ on
+  /// entry and exit; it is released while an item runs.
+  static void work_job(HelpJob& job, std::unique_lock<std::mutex>& lk);
+  /// An open job with unclaimed items, or nullptr. Caller holds mu_.
+  [[nodiscard]] HelpJob* open_job() const;
   void run_bucket(int64_t bucket);
   void drain_mesh();
   /// Publish-time error feedback: fold the carried residual into the
@@ -284,6 +324,9 @@ class RoundPipeline {
   std::deque<int64_t> ready_;  ///< buckets with all contributions, FIFO
   int64_t reduced_ = 0;        ///< collectives completed this round
   bool aborted_ = false;
+  std::vector<HelpJob*> jobs_;  ///< posted jobs, guarded by mu_
+  std::condition_variable job_left_;  ///< a helper left its job
+  HelpExecutor help_{*this};
 };
 
 }  // namespace comdml::core

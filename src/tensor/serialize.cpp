@@ -22,6 +22,31 @@ T read_raw(const std::vector<uint8_t>& bytes, size_t& offset) {
   return value;
 }
 
+/// A length prefix read from untrusted input, checked against the bytes
+/// left before anything is sized from it: `count` elements of at least
+/// `min_elem_bytes` each must fit in what remains past `offset`.
+size_t checked_count(const std::vector<uint8_t>& bytes, size_t offset,
+                     uint32_t count, size_t min_elem_bytes) {
+  const size_t left = bytes.size() - offset;
+  COMDML_REQUIRE(count <= left / min_elem_bytes,
+                 "length prefix claims " << count << " elements of >= "
+                                         << min_elem_bytes
+                                         << " bytes, but only " << left
+                                         << " bytes remain");
+  return count;
+}
+
+/// u32 count + that many raw fixed-width values, copied in one memcpy.
+template <typename T>
+std::vector<T> read_array(const std::vector<uint8_t>& bytes, size_t& offset) {
+  const auto count = read_raw<uint32_t>(bytes, offset);
+  const size_t n = checked_count(bytes, offset, count, sizeof(T));
+  std::vector<T> out(n);
+  if (n > 0) std::memcpy(out.data(), bytes.data() + offset, n * sizeof(T));
+  offset += n * sizeof(T);
+  return out;
+}
+
 }  // namespace
 
 uint64_t fnv1a(const void* data, size_t n) {
@@ -50,10 +75,16 @@ Tensor from_bytes(const std::vector<uint8_t>& bytes, size_t& offset) {
   const auto rank = read_raw<uint32_t>(bytes, offset);
   COMDML_REQUIRE(rank <= 8, "implausible tensor rank " << rank);
   Shape shape(rank);
-  for (auto& d : shape) d = read_raw<int64_t>(bytes, offset);
-  const int64_t n = shape_size(shape);
-  COMDML_REQUIRE(offset + static_cast<size_t>(n) * sizeof(float) <=
-                     bytes.size(),
+  // The extents come from untrusted bytes: multiply them overflow-checked
+  // and bound the product by the bytes left before sizing anything.
+  uint64_t n = 1;
+  for (auto& d : shape) {
+    d = read_raw<int64_t>(bytes, offset);
+    const bool bad =
+        d < 0 || __builtin_mul_overflow(n, static_cast<uint64_t>(d), &n);
+    COMDML_REQUIRE(!bad, "implausible tensor extent " << d);
+  }
+  COMDML_REQUIRE(n <= (bytes.size() - offset) / sizeof(float),
                  "truncated tensor payload");
   std::vector<float> data(static_cast<size_t>(n));
   std::memcpy(data.data(), bytes.data() + offset,
@@ -76,7 +107,8 @@ std::vector<Tensor> unpack_tensors(const std::vector<uint8_t>& bytes) {
   size_t offset = 0;
   const auto count = read_raw<uint32_t>(bytes, offset);
   std::vector<Tensor> out;
-  out.reserve(count);
+  // Each tensor takes at least its 4-byte rank field.
+  out.reserve(checked_count(bytes, offset, count, sizeof(uint32_t)));
   for (uint32_t i = 0; i < count; ++i) out.push_back(from_bytes(bytes, offset));
   COMDML_REQUIRE(offset == bytes.size(),
                  "trailing bytes after tensor pack: " << bytes.size() - offset);
@@ -133,23 +165,17 @@ std::string ByteReader::str() {
 }
 
 std::vector<int64_t> ByteReader::i64s() {
-  const auto n = u32();
-  std::vector<int64_t> out(n);
-  for (auto& v : out) v = i64();
-  return out;
+  return read_array<int64_t>(*bytes_, offset_);
 }
 
 std::vector<double> ByteReader::f64s() {
-  const auto n = u32();
-  std::vector<double> out(n);
-  for (auto& v : out) v = f64();
-  return out;
+  return read_array<double>(*bytes_, offset_);
 }
 
 std::vector<Tensor> ByteReader::tensors() {
   const auto n = u32();
   std::vector<Tensor> out;
-  out.reserve(n);
+  out.reserve(checked_count(*bytes_, offset_, n, sizeof(uint32_t)));
   for (uint32_t i = 0; i < n; ++i) out.push_back(from_bytes(*bytes_, offset_));
   return out;
 }

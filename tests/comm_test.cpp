@@ -1,15 +1,20 @@
 // Communication substrate tests: transfer-time model, AllReduce cost model
 // vs real message-level execution (ring and halving/doubling, including
-// non-power-of-two fleets), gossip exchange, parameter-server sharing.
+// non-power-of-two fleets), step fan-out determinism across thread counts
+// and item orders, gossip exchange, parameter-server sharing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "comm/allreduce.hpp"
 #include "comm/gossip.hpp"
 #include "comm/param_server.hpp"
+#include "core/parallel.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::comm {
@@ -184,6 +189,137 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16),
                        ::testing::Values(AllReduceAlgo::kRing,
                                          AllReduceAlgo::kHalvingDoubling)));
+
+// ---- step fan-out ---------------------------------------------------------------
+
+// A step's phases may run on several threads. That is safe because every
+// stepped schedule posts at most one send per source and at most one
+// receive per destination in each step, survivors' schedules included.
+TEST(StepFanOut, EveryStepHasOneSendPerSourceAndOneRecvPerDestination) {
+  const auto check = [](const SteppedSchedule& sched, const std::string& what) {
+    for (size_t s = 0; s < sched.steps.size(); ++s) {
+      const ScheduleStep& step = sched.steps[s];
+      std::vector<int64_t> srcs, dsts;
+      for (const auto& x : step.sends) srcs.push_back(x.src);
+      for (const auto& x : step.recvs) dsts.push_back(x.dst);
+      std::sort(srcs.begin(), srcs.end());
+      std::sort(dsts.begin(), dsts.end());
+      EXPECT_EQ(std::adjacent_find(srcs.begin(), srcs.end()), srcs.end())
+          << what << " step " << s << ": a source sends twice";
+      EXPECT_EQ(std::adjacent_find(dsts.begin(), dsts.end()), dsts.end())
+          << what << " step " << s << ": a destination receives twice";
+    }
+  };
+  for (const Protocol p :
+       {Protocol::kRingAllReduce, Protocol::kHalvingDoublingAllReduce}) {
+    for (int64_t k = 1; k <= 17; ++k)
+      for (const int64_t elems : {0, 1, 7, 100}) {
+        const std::string what = std::string(collective(p).name()) + " k=" +
+                                 std::to_string(k) + " elems=" +
+                                 std::to_string(elems);
+        check(allreduce_schedule(p, k, elems), what);
+        // Survivors: every other endpoint of a 2k-wide transport.
+        std::vector<int64_t> survivors;
+        for (int64_t e = 0; e < k; ++e) survivors.push_back(2 * e + 1);
+        check(allreduce_schedule_over(p, survivors, elems), what + " over");
+      }
+  }
+}
+
+/// Runs the items of each phase back to front: a legal executor, and a
+/// deterministic stand-in for the worst interleaving a pool could produce.
+class ReverseExecutor final : public StepExecutor {
+ public:
+  void run(int64_t items, const std::function<void(int64_t)>& item) override {
+    for (int64_t i = items; i-- > 0;) item(i);
+  }
+};
+
+void expect_stats_equal(const TransportStats& a, const TransportStats& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.steps, b.steps) << what;
+  EXPECT_EQ(a.messages, b.messages) << what;
+  EXPECT_EQ(a.dropped_messages, b.dropped_messages) << what;
+  EXPECT_EQ(a.total_wire_bytes, b.total_wire_bytes) << what;
+  EXPECT_EQ(a.seconds, b.seconds) << what;
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent) << what;
+  EXPECT_EQ(a.bytes_received, b.bytes_received) << what;
+  EXPECT_EQ(a.send_seconds, b.send_seconds) << what;
+  EXPECT_EQ(a.recv_seconds, b.recv_seconds) << what;
+  EXPECT_EQ(a.dropped_per_edge, b.dropped_per_edge) << what;
+  EXPECT_EQ(a.retransmit_messages, b.retransmit_messages) << what;
+  EXPECT_EQ(a.retransmit_wire_bytes, b.retransmit_wire_bytes) << what;
+  EXPECT_EQ(a.duplicated_messages, b.duplicated_messages) << what;
+  EXPECT_EQ(a.duplicated_wire_bytes, b.duplicated_wire_bytes) << what;
+  EXPECT_EQ(a.corrupt_messages, b.corrupt_messages) << what;
+  EXPECT_EQ(a.delayed_messages, b.delayed_messages) << what;
+  EXPECT_EQ(a.reordered_messages, b.reordered_messages) << what;
+  EXPECT_EQ(a.backoff_seconds, b.backoff_seconds) << what;
+  EXPECT_EQ(a.step_spans, b.step_spans) << what;
+  EXPECT_EQ(a.step_message_counts, b.step_message_counts) << what;
+}
+
+struct FanOutRun {
+  std::vector<double> slab;  ///< every agent's reduced buffer, agent-major
+  TransportStats stats;
+};
+
+FanOutRun run_fan_out(Protocol protocol, int64_t k, int64_t elems,
+                      const std::vector<double>& input, const Codec* codec,
+                      StepExecutor* executor) {
+  FanOutRun run;
+  run.slab = input;
+  InProcTransport transport(LinkGrid::uniform(k, 100.0), codec);
+  CollectiveRequest req;
+  req.elems = elems;
+  req.executor = executor;
+  for (int64_t a = 0; a < k; ++a)
+    req.buffers.push_back(run.slab.data() + a * elems);
+  run.stats = collective(protocol).run(transport, req).transport;
+  return run;
+}
+
+// The reduced buffers (byte for byte) and every TransportStats field match
+// the 1-thread run at 2 and 4 pool threads and with phases run backwards.
+TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
+  struct Guard {
+    ~Guard() { core::set_num_threads(0); }
+  } guard;
+  ReverseExecutor reverse;
+  for (const Protocol p :
+       {Protocol::kRingAllReduce, Protocol::kHalvingDoublingAllReduce})
+    for (const Codec* codec : {&identity_codec(), &quantized_codec()})
+      for (const int64_t k : {2, 3, 5, 8, 16})
+        for (const int64_t elems : {0, 1, 7, 65792}) {
+          std::vector<double> input(static_cast<size_t>(k * elems));
+          Rng rng(static_cast<uint64_t>(31 * k + elems));
+          for (double& v : input)
+            v = static_cast<double>(rng.normal(0.0f, 1.0f));
+          const std::string what =
+              std::string(collective(p).name()) + " " +
+              std::string(codec->name()) + " k=" + std::to_string(k) +
+              " elems=" + std::to_string(elems);
+          core::set_num_threads(1);
+          const FanOutRun ref =
+              run_fan_out(p, k, elems, input, codec, nullptr);
+          // threads == 0 is the reversed executor; it runs on the calling
+          // thread, so one pass covers it.
+          for (const int threads : {1, 2, 4, 0}) {
+            core::set_num_threads(std::max(threads, 1));
+            StepExecutor* exec = threads == 0 ? &reverse : nullptr;
+            const std::string run_what =
+                what + (threads == 0 ? std::string(" reversed")
+                                     : " threads=" + std::to_string(threads));
+            const FanOutRun got = run_fan_out(p, k, elems, input, codec, exec);
+            ASSERT_EQ(got.slab.size(), ref.slab.size()) << run_what;
+            EXPECT_TRUE(got.slab.empty() ||
+                        std::memcmp(got.slab.data(), ref.slab.data(),
+                                    got.slab.size() * sizeof(double)) == 0)
+                << run_what;
+            expect_stats_equal(got.stats, ref.stats, run_what);
+          }
+        }
+}
 
 TEST(MeanState, WeightedMeanMatchesManual) {
   std::vector<std::vector<Tensor>> states{{Tensor::of({1.f})},

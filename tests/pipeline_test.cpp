@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -451,6 +452,100 @@ TEST(RoundPipeline, BeginRoundResetsForReuse) {
     for (int64_t a = 0; a < k; ++a)
       EXPECT_NEAR(pipeline.slot(a, 0)[0], 1.0, 1e-12);  // mean of 0,1,2
   }
+}
+
+/// fp32 wire codec whose encode_copy throws on its `fail_at`-th call (the
+/// transport encodes every payload-moving send through encode_copy).
+class ThrowingCodec final : public comm::Codec {
+ public:
+  explicit ThrowingCodec(int64_t fail_at) : fail_at_(fail_at) {}
+  [[nodiscard]] std::string_view name() const override { return "throwing"; }
+  [[nodiscard]] int64_t wire_bytes(int64_t elems,
+                                   const double* /*data*/) const override {
+    return comm::fp32_wire_bytes(elems);
+  }
+  [[nodiscard]] int64_t encode_copy(const double* src, double* dst,
+                                    int64_t elems) const override {
+    if (calls_.fetch_add(1) + 1 == fail_at_)
+      throw std::runtime_error("injected encode failure");
+    return Codec::encode_copy(src, dst, elems);
+  }
+
+ private:
+  int64_t fail_at_;
+  mutable std::atomic<int64_t> calls_{0};
+};
+
+// Collectors help each other through posted step jobs; an exception raised
+// by an item (on a helper or on the poster) must surface from run_round —
+// no hang, no terminate — and leave a pipeline the next round reduces on.
+TEST(RoundPipeline, StepItemExceptionRethrowsAndTheNextRoundReduces) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  Rng rng(21);
+  auto model = nn::mlp({64, 128, 10}, rng);
+  // One 9610-element bucket: every halving/doubling step moves enough to
+  // fan out, so the throwing send runs as an item of a posted job.
+  const auto plan = nn::BucketPlan::build(*model, 0);
+  const int64_t k = 8;
+  ThrowingCodec codec(/*fail_at=*/20);
+  core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
+                               comm::AllReduceAlgo::kHalvingDoubling, &codec);
+  const auto value_of = [](int64_t agent, int64_t i) {
+    return static_cast<double>(agent) + 0.125 * static_cast<double>(i % 9);
+  };
+  const auto task = [&](int64_t a) {
+    for (int64_t b = 0; b < plan.buckets(); ++b) {
+      const nn::Bucket& bk = plan.bucket(b);
+      double* slot = pipeline.slot(a, b);
+      for (int64_t i = 0; i < bk.elems; ++i)
+        slot[i] = value_of(a, bk.offset_elems + i);
+    }
+    pipeline.contribute_all(a);
+  };
+  EXPECT_THROW(pipeline.run_round(k, task, /*overlap=*/true),
+               std::runtime_error);
+
+  pipeline.begin_round();
+  pipeline.run_round(k, task, /*overlap=*/true);
+  EXPECT_EQ(pipeline.stats().buckets, plan.buckets());
+  for (int64_t a = 0; a < k; ++a)
+    for (int64_t b = 0; b < plan.buckets(); ++b) {
+      const nn::Bucket& bk = plan.bucket(b);
+      const double* slot = pipeline.slot(a, b);
+      for (int64_t i = 0; i < bk.elems; ++i) {
+        double mean = 0.0;
+        for (int64_t c = 0; c < k; ++c) mean += value_of(c, bk.offset_elems + i);
+        ASSERT_NEAR(slot[i], mean / static_cast<double>(k), 1e-12)
+            << "agent " << a << " bucket " << b << " elem " << i;
+      }
+    }
+}
+
+// Payload buffers cycle through the transport's free list: it refills every
+// round (delivered payloads come back) and never grows past its bound.
+TEST(AsyncCollective, PayloadFreeListStaysWithinItsBoundOverFiftyRounds) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  const int64_t k = 6, elems = 9000;
+  comm::InProcTransport t(comm::LinkGrid::uniform(k, 100.0),
+                          &comm::quantized_codec());
+  const comm::SteppedSchedule sched = comm::allreduce_schedule(
+      comm::Protocol::kHalvingDoublingAllReduce, k, elems);
+  std::vector<double> slab(static_cast<size_t>(k * elems));
+  for (int round = 0; round < 50; ++round) {
+    t.reset();
+    for (size_t i = 0; i < slab.size(); ++i)
+      slab[i] = static_cast<double>((i * 7 + static_cast<size_t>(round)) % 13);
+    comm::CollectiveRequest req;
+    req.elems = elems;
+    for (int64_t a = 0; a < k; ++a) req.buffers.push_back(slab.data() + a * elems);
+    comm::AsyncCollective op(sched, t, std::move(req));
+    op.wait();
+    EXPECT_GT(t.pooled_payloads(), 0u) << "round " << round;
+    EXPECT_LE(t.pooled_payloads(), t.payload_pool_bound()) << "round " << round;
+  }
+  EXPECT_EQ(t.payload_pool_bound(), static_cast<size_t>(2 * k));
 }
 
 // ---- predicted vs executed overlap parity -----------------------------------

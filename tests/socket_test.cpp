@@ -18,6 +18,7 @@
 #include <chrono>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -150,6 +151,108 @@ TEST(SocketTransport, PeerDisconnectRaisesEndpointDown) {
     EXPECT_EQ(e.endpoint(), 0);
   }
   EXPECT_THROW((void)t1.send(1, 0, 1), EndpointDownError);
+}
+
+/// A data-frame body laid out as SocketTransport ships it.
+struct ForgedData {
+  int64_t src = 2, dst = 0, elems = 2, wire_bytes = 8, seq = 0;
+  std::vector<double> payload{1.5, -2.5};
+
+  [[nodiscard]] std::vector<uint8_t> body() const {
+    tensor::ByteWriter w;
+    w.i64(src);
+    w.i64(dst);
+    w.i64(elems);
+    w.i64(wire_bytes);
+    w.i64(seq);
+    w.u64(0);   // checksum (the decoder does not verify it)
+    w.u8(0);    // flags
+    w.i64(-1);  // deliver_after_step
+    w.f64(0.0);  // span
+    w.f64s(payload);
+    return w.bytes();
+  }
+};
+
+// A peer that ships a malformed data frame is a lost peer: its endpoints go
+// dead and a matched receive from them raises EndpointDownError. The reader
+// thread must not let the decode error end the process, and a payload whose
+// length disagrees with `elems` must never reach a mailbox.
+TEST(SocketTransport, MalformedPeerDataFramesLoseThePeerNotTheProcess) {
+  constexpr uint16_t kHello = 1, kData = 2;  // data-plane frame types
+  const auto truncated = [] {
+    auto b = ForgedData{}.body();
+    b.resize(b.size() - 3);
+    return b;
+  };
+  const auto trailing = [] {
+    auto b = ForgedData{}.body();
+    b.push_back(0);
+    return b;
+  };
+  const auto forged = [](auto edit) {
+    ForgedData f;
+    edit(f);
+    return f.body();
+  };
+  const auto count_lie = [] {
+    // The payload's count claims 2^28 doubles; four bytes follow.
+    auto b = ForgedData{}.body();
+    const size_t count_at = b.size() - 2 * sizeof(double) - sizeof(uint32_t);
+    b.resize(count_at);
+    tensor::ByteWriter w;
+    w.u32(uint32_t{1} << 28);
+    w.u32(0);
+    b.insert(b.end(), w.bytes().begin(), w.bytes().end());
+    return b;
+  };
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> cases{
+      {"truncated body", truncated()},
+      {"trailing bytes", trailing()},
+      {"dst out of range", forged([](ForgedData& f) { f.dst = 3; })},
+      {"negative dst", forged([](ForgedData& f) { f.dst = -1; })},
+      {"src out of range", forged([](ForgedData& f) { f.src = 99; })},
+      {"src == dst", forged([](ForgedData& f) { f.dst = 2; })},
+      {"src the sender does not own",
+       forged([](ForgedData& f) { f.src = 1; })},
+      {"payload shorter than elems",
+       forged([](ForgedData& f) { f.elems = 3; })},
+      {"payload longer than elems",
+       forged([](ForgedData& f) { f.elems = 1; })},
+      {"negative elems", forged([](ForgedData& f) {
+         f.elems = -1;
+         f.payload.clear();
+       })},
+      {"count lie", count_lie()},
+  };
+  for (const auto& [what, body] : cases) {
+    // This process hosts endpoints 0 and 1; the test plays process 1,
+    // which owns endpoint 2.
+    const auto addrs = unix_addrs(2);
+    SocketTransport t(LinkGrid::uniform(3, 100.0),
+                      two_proc_config({0, 0, 1}, 0, addrs));
+    const int fd = dial(parse_address(addrs[0]), /*timeout_sec=*/5.0);
+    ASSERT_GE(fd, 0) << what;
+    tensor::ByteWriter hello;
+    hello.i64(1);
+    ASSERT_TRUE(send_frame(fd, kHello, hello.bytes(), nullptr)) << what;
+    t.wait_ready();
+    // A well-formed frame first: the forged one differs only in its flaw.
+    ASSERT_TRUE(send_frame(fd, kData, ForgedData{}.body(), nullptr)) << what;
+    const Message good = t.recv(0, 2);
+    EXPECT_EQ(good.payload, (std::vector<double>{1.5, -2.5})) << what;
+    ASSERT_TRUE(send_frame(fd, kData, body, nullptr)) << what;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (t.endpoint_alive(2) && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_FALSE(t.endpoint_alive(2)) << what;
+    EXPECT_TRUE(t.endpoint_alive(0)) << what;
+    EXPECT_THROW((void)t.recv(0, 2), EndpointDownError) << what;
+    EXPECT_FALSE(t.try_recv(0).has_value()) << what;
+    EXPECT_FALSE(t.try_recv(1).has_value()) << what;
+    close_fd(fd);
+  }
 }
 
 TEST(SocketTransport, TcpLoopbackMesh) {

@@ -334,6 +334,53 @@ TEST(Serialize, TrailingBytesThrow) {
   EXPECT_THROW((void)unpack_tensors(bytes), std::invalid_argument);
 }
 
+// Length prefixes come from untrusted bytes: each count is checked against
+// the bytes left before anything is sized from it, so a 4-byte body that
+// claims 2^28 (or 2^32 - 1) elements is a typed error, not a multi-GiB
+// allocation or std::bad_alloc.
+TEST(Serialize, LengthPrefixLiesThrowBeforeAllocating) {
+  for (const uint32_t claim : {uint32_t{1} << 28, uint32_t{0xFFFFFFFF}}) {
+    ByteWriter w;
+    w.u32(claim);
+    w.u32(0);  // four bytes of "payload"
+    const std::vector<uint8_t>& body = w.bytes();
+    {
+      ByteReader r(body);
+      EXPECT_THROW((void)r.f64s(), std::invalid_argument) << claim;
+    }
+    {
+      ByteReader r(body);
+      EXPECT_THROW((void)r.i64s(), std::invalid_argument) << claim;
+    }
+    {
+      ByteReader r(body);
+      EXPECT_THROW((void)r.tensors(), std::invalid_argument) << claim;
+    }
+    EXPECT_THROW((void)unpack_tensors(body), std::invalid_argument) << claim;
+  }
+  // A shape whose extents multiply past the input (and past 2^64).
+  ByteWriter w;
+  w.u32(1);  // one tensor
+  w.u32(2);  // rank 2
+  w.i64(int64_t{1} << 40);
+  w.i64(int64_t{1} << 40);
+  EXPECT_THROW((void)unpack_tensors(w.bytes()), std::invalid_argument);
+}
+
+TEST(Serialize, CheckedArraysRoundTrip) {
+  const std::vector<double> f{1.5, -0.0, 3.25e-300};
+  const std::vector<int64_t> i{-7, 0, int64_t{1} << 62};
+  ByteWriter w;
+  w.f64s(f);
+  w.i64s(i);
+  w.f64s({});
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.f64s(), f);
+  EXPECT_EQ(r.i64s(), i);
+  EXPECT_TRUE(r.f64s().empty());
+  r.expect_done();
+}
+
 TEST(Serialize, ImplausibleRankThrows) {
   std::vector<uint8_t> bytes(sizeof(uint32_t), 0xFF);
   size_t offset = 0;

@@ -479,6 +479,46 @@ TEST(Codecs, QuantizingCodecMatchesTheScalarLoopBitForBit) {
   expect_codec_matches_reference(near_min, "near FLT_MIN");
 }
 
+// encode_copy is copy + encode fused: same bits in `dst` (NaN payloads,
+// signed zeros and the unquantized degenerate ranges included), same wire
+// bytes, and `src` untouched.
+TEST(Codecs, EncodeCopyMatchesCopyThenEncodeBitForBit) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(11);
+  std::vector<std::vector<double>> inputs;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                         size_t{9}, size_t{4113}}) {
+    std::vector<double> data(n);
+    for (double& v : data) v = rng.normal(0.0f, 3.0f);
+    inputs.push_back(data);
+    if (n == 0) continue;
+    for (const double special : {kNaN, kInf, -0.0}) {
+      auto d = data;
+      d[n / 2] = special;
+      inputs.push_back(d);
+    }
+    inputs.emplace_back(n, 0.0);
+    inputs.emplace_back(n, -1e-40);  // sub-FLT_MIN range: shipped as is
+  }
+  for (const Codec* codec : {&identity_codec(), &quantized_codec()})
+    for (const auto& src : inputs) {
+      const auto n = static_cast<int64_t>(src.size());
+      auto expected = src;
+      const int64_t expected_wire = codec->encode(expected.data(), n);
+      const auto before = src;
+      std::vector<double> dst(src.size(), 7.0);
+      EXPECT_EQ(codec->encode_copy(src.data(), dst.data(), n), expected_wire);
+      const size_t bytes = src.size() * sizeof(double);
+      EXPECT_TRUE(bytes == 0 ||
+                  std::memcmp(dst.data(), expected.data(), bytes) == 0)
+          << codec->name() << " n=" << n;
+      EXPECT_TRUE(bytes == 0 ||
+                  std::memcmp(src.data(), before.data(), bytes) == 0)
+          << codec->name() << " n=" << n << ": src modified";
+    }
+}
+
 TEST(Codecs, TransportAppliesCodecToDeliveredPayload) {
   QuantizingCodec codec;
   InProcTransport t(LinkGrid::uniform(2, 100.0), &codec);
