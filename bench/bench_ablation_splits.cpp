@@ -27,9 +27,9 @@ int main() {
       auto topo = make_topology(s, rng);
       auto sizes = core::shard_sizes_for(dataset_spec("cifar10"), 10,
                                          PartitionKind::kIID, rng);
-      auto cfg = make_config(s);
-      cfg.max_split_points = m;
-      core::SimulatedFleet fleet(spec, cfg, std::move(topo),
+      auto opts = make_options(s);
+      opts.scale.max_split_points = m;
+      core::SimulatedFleet fleet(spec, opts, std::move(topo),
                                  std::move(sizes));
       const auto infos = fleet.agent_infos();
       std::vector<int64_t> parts(10);
@@ -40,7 +40,7 @@ int main() {
       const auto t1 = std::chrono::steady_clock::now();
       sched_us +=
           std::chrono::duration<double, std::micro>(t1 - t0).count();
-      total += fleet.step().round_time;
+      total += fleet.step().round_seconds;
     }
     std::printf("%6zu %16.1f %18.1f\n", m, total / kSeeds,
                 sched_us / kSeeds);

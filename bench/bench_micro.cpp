@@ -214,14 +214,13 @@ BENCHMARK(BM_DistanceCorrelation)->Arg(32)->Arg(128);
 
 void BM_SimulatedRound(benchmark::State& state) {
   const auto agents = state.range(0);
-  core::FleetConfig cfg;
-  cfg.agents = agents;
-  cfg.max_split_points = 16;
-  cfg.reshuffle_period = 0;
+  core::FleetOptions opts = core::FleetOptions::paper_defaults();
+  opts.scale.max_split_points = 16;
+  opts.scale.reshuffle_period = 0;
   Rng rng(7);
   auto topo = sim::Topology::full_mesh(sim::assign_profiles(agents, rng));
   std::vector<int64_t> sizes(static_cast<size_t>(agents), 5000);
-  core::SimulatedFleet fleet(nn::resnet56_spec(), cfg, std::move(topo),
+  core::SimulatedFleet fleet(nn::resnet56_spec(), opts, std::move(topo),
                              std::move(sizes));
   for (auto _ : state) benchmark::DoNotOptimize(fleet.step());
 }

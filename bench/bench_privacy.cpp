@@ -44,10 +44,10 @@ int main() {
   for (const auto& row : rows) {
     const double acc =
         baseline - learncurve::privacy_accuracy_penalty(row.technique);
-    auto cfg = make_config(s);
-    cfg.privacy = row.technique;
-    core::SimulatedFleet fleet(model_spec("resnet56", 10), cfg, topo, sizes);
-    const double round_time = fleet.step().round_time;
+    auto opts = make_options(s);
+    opts.privacy.technique = row.technique;
+    core::SimulatedFleet fleet(model_spec("resnet56", 10), opts, topo, sizes);
+    const double round_time = fleet.step().round_seconds;
     std::printf("%-42s %9.1f%% %9.1f%% %10.1fs\n",
                 learncurve::privacy_name(row.technique).c_str(), 100 * acc,
                 100 * row.paper_acc, round_time);

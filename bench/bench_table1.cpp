@@ -37,9 +37,8 @@ int main() {
   print_header("Table I: 2-agent layer-offloading sweep",
                "ICDCS'24 ComDML, Table I");
   const auto spec = nn::resnet56_spec();
-  core::FleetConfig ref_cfg;  // for the activation-compression default
   const auto profile = core::SplitProfile::from_spec(
-      spec, 0, ref_cfg.activation_compression);
+      spec, 0, core::FleetOptions().comms.activation_compression);
   const int64_t batch = 100;
   const int64_t samples_each = 25000;  // CIFAR-10 split across 2 agents
 

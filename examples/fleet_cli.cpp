@@ -152,6 +152,8 @@ bool parse(int argc, char** argv, Args& args) {
           "  [--dataset cifar10|cifar100|cinic10] [--partition iid|dirichlet]\n"
           "  [--agents N] [--rounds N] [--participation F] [--topology P]\n"
           "  [--target ACC] [--dropout P] [--seed N] [--real]\n"
+          "  (--participation and --dropout: simulation only; --dropout:\n"
+          "   comdml only)\n"
           "  [--bucket-bytes N] [--overlap]   (real mode: bucketed /\n"
           "   overlapped aggregation through the round pipeline; 0 = one\n"
           "   whole-state bucket)\n"
@@ -197,6 +199,12 @@ bool parse(int argc, char** argv, Args& args) {
       return false;
     }
     if (v == nullptr && flag != "--help") return false;
+  }
+  if (args.real && (args.participation != 1.0 || args.dropout != 0.0)) {
+    std::fprintf(stderr,
+                 "--participation and --dropout apply only to the simulated "
+                 "fleet; the --real fleets train every agent every round\n");
+    return false;
   }
   return true;
 }

@@ -1,7 +1,6 @@
 #include "baselines/baseline_fleet.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "comm/allreduce.hpp"
 #include "comm/link.hpp"
@@ -10,39 +9,33 @@
 namespace comdml::baselines {
 
 BaselineFleet::BaselineFleet(Method method, const nn::ArchitectureSpec& spec,
-                             FleetConfig config, sim::Topology topology,
+                             core::FleetOptions options,
+                             sim::Topology topology,
                              std::vector<int64_t> shard_sizes)
     : method_(method),
-      config_(config),
+      options_(std::move(options)),
       topology_(std::move(topology)),
       shard_sizes_(std::move(shard_sizes)),
       flops_per_sample_(spec.total_flops()),
       model_bytes_(spec.total_param_bytes()),
-      rng_(config.seed) {
+      rng_(options_.seed) {
+  options_.validate();
   COMDML_REQUIRE(method != Method::kComDML,
                  "use core::SimulatedFleet for ComDML itself");
-  COMDML_CHECK(config_.agents == topology_.agents());
-  COMDML_CHECK(static_cast<int64_t>(shard_sizes_.size()) == config_.agents);
-}
-
-std::vector<int64_t> BaselineFleet::sample_participants() {
-  std::vector<int64_t> all(static_cast<size_t>(config_.agents));
-  std::iota(all.begin(), all.end(), 0);
-  if (config_.participation >= 1.0) return all;
-  const auto want = std::max<int64_t>(
-      2, static_cast<int64_t>(config_.participation *
-                              static_cast<double>(config_.agents)));
-  rng_.shuffle(all);
-  all.resize(static_cast<size_t>(std::min(want, config_.agents)));
-  std::sort(all.begin(), all.end());
-  return all;
+  COMDML_REQUIRE(options_.scale.agent_dropout == 0.0,
+                 "agent_dropout " << options_.scale.agent_dropout
+                                  << " needs the ComDML simulation; the "
+                                  << learncurve::method_name(method)
+                                  << " simulation does not model churn");
+  COMDML_CHECK(static_cast<int64_t>(shard_sizes_.size()) ==
+               topology_.agents());
 }
 
 std::vector<double> BaselineFleet::solo_times(
     const std::vector<int64_t>& participants) const {
   const double overhead =
       (method_ == Method::kFedProx ? kFedProxComputeOverhead : 1.0) *
-      learncurve::privacy_compute_overhead(config_.privacy);
+      learncurve::privacy_compute_overhead(options_.privacy.technique);
   std::vector<double> times;
   times.reserve(participants.size());
   for (const int64_t id : participants) {
@@ -55,36 +48,32 @@ std::vector<double> BaselineFleet::solo_times(
   return times;
 }
 
-RoundRecord BaselineFleet::step() {
-  if (config_.reshuffle_period > 0 && round_ > 0 &&
-      round_ % config_.reshuffle_period == 0) {
-    auto profiles = topology_.profiles();
-    sim::reshuffle_profiles(profiles, config_.reshuffle_fraction, rng_);
-    topology_.set_profiles(std::move(profiles));
-  }
+core::RoundReport BaselineFleet::step() {
+  core::reshuffle_profiles_if_due(topology_, options_.scale, round_, rng_);
 
-  const auto participants = sample_participants();
+  const auto participants = core::sample_participants(
+      topology_.agents(), options_.scale.participation, rng_);
   const auto compute = solo_times(participants);
   const double slowest =
       *std::max_element(compute.begin(), compute.end());
 
-  RoundRecord rec;
+  core::RoundReport rec;
   rec.round = round_;
-  rec.compute_time = slowest;
+  rec.compute_seconds = slowest;
 
   switch (method_) {
     case Method::kFedAvg:
     case Method::kFedProx: {
       comm::ParamServerConfig ps_cfg;
-      ps_cfg.server_mbps = config_.server_mbps;
-      ps_cfg.latency_sec = config_.latency_sec;
+      ps_cfg.server_mbps = options_.comms.server_mbps;
+      ps_cfg.latency_sec = options_.comms.latency_sec;
       const auto comm_times = comm::server_round_times(
           topology_.profiles(), participants, model_bytes_, ps_cfg);
       double worst = 0.0;
       for (size_t i = 0; i < participants.size(); ++i)
         worst = std::max(worst, compute[i] + comm_times[i]);
-      rec.aggregation_time = worst - slowest;
-      rec.round_time = worst;
+      rec.aggregation_seconds = worst - slowest;
+      rec.round_seconds = worst;
       break;
     }
     case Method::kGossip: {
@@ -97,7 +86,8 @@ RoundRecord BaselineFleet::step() {
       // the same partners (the old two-draw version paired them
       // inconsistently).
       comm::SimTransport transport(
-          comm::LinkGrid::from_topology(topology_, config_.latency_sec));
+          comm::LinkGrid::from_topology(topology_,
+                                        options_.comms.latency_sec));
       comm::CollectiveRequest req;
       req.elems = comm::fp32_wire_elems(model_bytes_);
       req.rng = &rng_;
@@ -122,9 +112,9 @@ RoundRecord BaselineFleet::step() {
         }
         total += pair_compute + exch[id];
       }
-      rec.round_time = total / static_cast<double>(participants.size());
-      rec.aggregation_time =
-          std::max(0.0, rec.round_time - slowest);
+      rec.round_seconds = total / static_cast<double>(participants.size());
+      rec.aggregation_seconds =
+          std::max(0.0, rec.round_seconds - slowest);
       break;
     }
     case Method::kBrainTorrent: {
@@ -147,14 +137,14 @@ RoundRecord BaselineFleet::step() {
             slowest_peer,
             comm::transfer_seconds(model_bytes_,
                                    topology_.profile(id).mbps,
-                                   config_.latency_sec));
+                                   options_.comms.latency_sec));
       }
       const double coord_drain =
           peers * static_cast<double>(model_bytes_) /
           comm::bytes_per_sec(coord_bw);
       const double one_way = std::max(slowest_peer, coord_drain);
-      rec.aggregation_time = 2.0 * one_way;
-      rec.round_time = slowest + rec.aggregation_time;
+      rec.aggregation_seconds = 2.0 * one_way;
+      rec.round_seconds = slowest + rec.aggregation_seconds;
       break;
     }
     case Method::kAllReduceDML: {
@@ -162,9 +152,9 @@ RoundRecord BaselineFleet::step() {
       COMDML_REQUIRE(min_bw.has_value(), "topology has no usable link");
       const auto agg = comm::allreduce_cost(
           static_cast<int64_t>(participants.size()), model_bytes_, *min_bw,
-          config_.aggregation, config_.latency_sec);
-      rec.aggregation_time = agg.seconds;
-      rec.round_time = slowest + agg.seconds;
+          options_.comms.aggregation, options_.comms.latency_sec);
+      rec.aggregation_seconds = agg.seconds;
+      rec.round_seconds = slowest + agg.seconds;
       break;
     }
     case Method::kComDML:
@@ -173,17 +163,18 @@ RoundRecord BaselineFleet::step() {
 
   // All of these methods leave faster agents idle while the straggler
   // finishes its full-model update.
-  for (const double t : compute) rec.idle_time += slowest - t;
-  rec.unbalanced_time = rec.round_time;
+  for (const double t : compute) rec.idle_seconds += slowest - t;
+  rec.unbalanced_seconds = rec.round_seconds;
   ++round_;
   return rec;
 }
 
-RunSummary BaselineFleet::run(int64_t rounds) {
+core::RunReport BaselineFleet::run(int64_t rounds) {
   COMDML_CHECK(rounds > 0);
-  RunSummary summary;
-  for (int64_t r = 0; r < rounds; ++r) summary.add(step());
-  return summary;
+  core::RunReport report;
+  report.rounds.reserve(static_cast<size_t>(rounds));
+  for (int64_t r = 0; r < rounds; ++r) report.rounds.push_back(step());
+  return report;
 }
 
 }  // namespace comdml::baselines

@@ -9,26 +9,27 @@
 
 namespace comdml::baselines {
 
-using core::FleetConfig;
-using core::RoundRecord;
-using core::RunSummary;
 using learncurve::Method;
 
 class BaselineFleet {
  public:
+  /// `shard_sizes[i]` = samples held by agent i of `topology`. Reads
+  /// `scale`, `comms`, `privacy.technique` and `seed`; refuses
+  /// `scale.agent_dropout` > 0, since only the ComDML simulation models
+  /// device churn.
   BaselineFleet(Method method, const nn::ArchitectureSpec& spec,
-                FleetConfig config, sim::Topology topology,
+                core::FleetOptions options, sim::Topology topology,
                 std::vector<int64_t> shard_sizes);
 
-  RoundRecord step();
-  RunSummary run(int64_t rounds);
+  core::RoundReport step();
+  core::RunReport run(int64_t rounds);
 
   [[nodiscard]] Method method() const noexcept { return method_; }
   [[nodiscard]] int64_t model_bytes() const noexcept { return model_bytes_; }
 
  private:
   Method method_;
-  FleetConfig config_;
+  core::FleetOptions options_;
   sim::Topology topology_;
   std::vector<int64_t> shard_sizes_;
   double flops_per_sample_;
@@ -38,7 +39,6 @@ class BaselineFleet {
 
   [[nodiscard]] std::vector<double> solo_times(
       const std::vector<int64_t>& participants) const;
-  [[nodiscard]] std::vector<int64_t> sample_participants();
 };
 
 /// Proximal-term compute overhead used for FedProx (extra gradient term).

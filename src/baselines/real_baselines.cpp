@@ -50,39 +50,27 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
 }
 
 float RealBaselineFleet::train_locally(
-    size_t agent, const std::vector<tensor::Tensor>* global) {
+    size_t agent, const std::vector<tensor::Tensor>* anchors) {
   auto& model = *models_[agent];
-  nn::SGD opt(model.parameters(), options_.train.sgd);
+  const std::vector<nn::Parameter*> params = model.parameters();
+  nn::SGD opt(params, options_.train.sgd);
+  if (anchors != nullptr) COMDML_CHECK(anchors->size() == params.size());
   float loss_sum = 0.0f;
   for (int64_t b = 0; b < options_.train.batches_per_round; ++b) {
     const auto batch = batchers_[agent]->next();
-    if (method_ == learncurve::Method::kFedProx && global != nullptr) {
-      // Proximal step: gradient + mu * (w - w_global).
+    if (anchors != nullptr) {
+      // Proximal step: gradient + mu * (w - w_round_start), each parameter
+      // pulled toward its own round-start value.
       opt.zero_grad();
       const auto logits = model.forward(batch.x, true);
       auto res = nn::softmax_cross_entropy(logits, batch.y);
       (void)model.backward(res.grad_logits);
-      std::vector<nn::Parameter*> params = model.parameters();
-      size_t g = 0;
-      std::vector<tensor::Tensor*> state;
-      model.collect_state(state);
-      // Parameters appear in state in collection order; apply the proximal
-      // pull only to learnable parameters.
-      (void)state;
-      for (auto* p : params) {
-        COMDML_CHECK(g < global->size());
-        // Find matching global tensor by shape walk: parameter ordering is
-        // stable across replicas, and state_of() lists parameter values in
-        // the same order as collect_parameters for our layer set.
-        const tensor::Tensor& anchor = (*global)[g];
-        if (anchor.shape() == p->value.shape()) {
-          auto gr = p->grad.flat();
-          auto w = p->value.flat();
-          auto a = anchor.flat();
-          for (size_t k = 0; k < gr.size(); ++k)
-            gr[k] += options_.train.prox_mu * (w[k] - a[k]);
-        }
-        ++g;
+      for (size_t g = 0; g < params.size(); ++g) {
+        auto gr = params[g]->grad.flat();
+        auto w = params[g]->value.flat();
+        auto a = (*anchors)[g].flat();
+        for (size_t k = 0; k < gr.size(); ++k)
+          gr[k] += options_.train.prox_mu * (w[k] - a[k]);
       }
       opt.step();
       loss_sum += res.loss;
@@ -94,7 +82,7 @@ float RealBaselineFleet::train_locally(
   return loss_sum / static_cast<float>(options_.train.batches_per_round);
 }
 
-void RealBaselineFleet::aggregate(RoundStats& stats) {
+void RealBaselineFleet::aggregate(core::RoundReport& stats) {
   std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
   states.resize(models_.size());
   for (size_t i = 0; i < models_.size(); ++i)
@@ -175,21 +163,26 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
   }
 }
 
-RealBaselineFleet::RoundStats RealBaselineFleet::step() {
-  std::optional<std::vector<tensor::Tensor>> global;
-  if (method_ == learncurve::Method::kFedProx)
-    global = nn::state_of(*models_[0]);
+core::RoundReport RealBaselineFleet::step() {
+  // FedProx anchors: the round-start parameters. Replicas share one
+  // structure, so agent 0's parameter g anchors every agent's parameter g.
+  std::optional<std::vector<tensor::Tensor>> anchors;
+  if (method_ == learncurve::Method::kFedProx) {
+    anchors.emplace();
+    for (const nn::Parameter* p : models_[0]->parameters())
+      anchors->push_back(p->value);
+  }
 
-  RoundStats stats;
+  core::RoundReport stats;
   // Agents are independent until aggregation (own replica, optimizer state
-  // and batcher; `global` is read-only), so local training fans out to the
+  // and batcher; `anchors` is read-only), so local training fans out to the
   // pool. Per-agent losses land in fixed slots and are reduced in agent
   // order, keeping the round identical for every thread count.
   const int64_t n_agents = static_cast<int64_t>(models_.size());
   std::vector<float> losses(models_.size(), 0.0f);
   const auto train_task = [&](int64_t i) {
     losses[static_cast<size_t>(i)] =
-        train_locally(static_cast<size_t>(i), global ? &*global : nullptr);
+        train_locally(static_cast<size_t>(i), anchors ? &*anchors : nullptr);
   };
   if (method_ == learncurve::Method::kAllReduceDML) {
     // Each agent publishes its buckets as its local training ends;
@@ -225,6 +218,7 @@ RealBaselineFleet::RoundStats RealBaselineFleet::step() {
   float loss = 0.0f;
   for (const float l : losses) loss += l;
   stats.mean_loss = loss / static_cast<float>(models_.size());
+  stats.round_seconds = stats.aggregation_seconds;  // comm is all we model
   return stats;
 }
 

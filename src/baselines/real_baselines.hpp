@@ -6,6 +6,7 @@
 
 #include "core/real_fleet.hpp"
 #include "core/round_pipeline.hpp"
+#include "core/round_stats.hpp"
 
 namespace comdml::baselines {
 
@@ -22,16 +23,13 @@ class RealBaselineFleet {
                     std::vector<data::Dataset> shards,
                     sim::Topology topology, Options options);
 
-  struct RoundStats {
-    float mean_loss = 0.0f;
-    /// Executed traffic of the aggregation pattern when it runs through a
-    /// comm::Transport collective (gossip, AllReduce, param-server);
-    /// 0 for the local BrainTorrent mean.
-    double aggregation_seconds = 0.0;
-    int64_t aggregation_bytes = 0;  ///< max bytes any endpoint sent
-  };
-
-  RoundStats step();
+  /// One round. Fills mean_loss and the executed traffic of the
+  /// aggregation pattern when it runs through a comm::Transport collective
+  /// (gossip, AllReduce, param-server; 0 for the local BrainTorrent mean):
+  /// aggregation_seconds, aggregation_bytes (max bytes any endpoint sent)
+  /// and round_seconds, which equals aggregation_seconds because
+  /// communication is all the baselines' clock models.
+  core::RoundReport step();
 
   /// Accuracy of agent 0's model on a held-out set (post-aggregation all
   /// replicas agree for FedAvg/BrainTorrent/AllReduce; gossip replicas may
@@ -60,10 +58,12 @@ class RealBaselineFleet {
   nn::BucketPlan bucket_plan_;
   std::unique_ptr<core::RoundPipeline> pipeline_;
 
+  /// `anchors` (FedProx only, else nullptr): the round-start value of each
+  /// of the model's parameters(), in order.
   float train_locally(size_t agent,
-                      const std::vector<tensor::Tensor>* global);
+                      const std::vector<tensor::Tensor>* anchors);
   /// Aggregation of the methods that do not run an allreduce.
-  void aggregate(RoundStats& stats);
+  void aggregate(core::RoundReport& stats);
 };
 
 }  // namespace comdml::baselines

@@ -11,47 +11,11 @@
 
 namespace comdml::core {
 
-/// Flat paper-scale simulation config (historical). New code should build
-/// fleets through core::FleetBuilder with the layered FleetOptions below;
-/// this struct survives as the internal currency of SimulatedFleet /
-/// BaselineFleet and for the benches that predate the facade.
-struct FleetConfig {
-  int64_t agents = 10;
-  int64_t batch_size = 100;  ///< paper: local batch size 100
-  /// Fraction of agents sampled each round (Table III uses 0.2).
-  double participation = 1.0;
-  /// Dynamic environment: re-draw this fraction of profiles every
-  /// `reshuffle_period` rounds (paper: 20 % after round 100).
-  double reshuffle_fraction = 0.2;
-  int64_t reshuffle_period = 100;  ///< 0 disables profile dynamics
-  /// Cap on the number of profiled split points (0 = every boundary).
-  size_t max_split_points = 0;
-  /// Wire compression applied to intermediate activations. The profiled
-  /// cuts sit after ReLU units, whose outputs are ~50 % zeros; 8-bit
-  /// quantization (Hubara et al. [36], cited by the paper as integrable)
-  /// combined with sparse encoding gives ~8x over raw float32. Model
-  /// parameters always travel uncompressed.
-  double activation_compression = 8.0;
-  comm::AllReduceAlgo aggregation = comm::AllReduceAlgo::kHalvingDoubling;
-  /// Aggregate server bandwidth for parameter-server methods (shared
-  /// across concurrent transfers) and the per-message link latency.
-  double server_mbps = 1000.0;
-  double latency_sec = comm::kDefaultLatencySec;
-  learncurve::PrivacyTechnique privacy = learncurve::PrivacyTechnique::kNone;
-  /// Per-round probability that a sampled agent fails before training
-  /// (device churn). Failed agents skip the round; the fleet re-pairs among
-  /// survivors and aggregates without them — the paper's no-single-point-of
-  /// -failure claim as an executable property.
-  double agent_dropout = 0.0;
-  uint64_t seed = 42;
-};
-
 /// Layered options for every fleet the repo can run — the one structure
-/// behind core::FleetBuilder, core::RealFleet, and
-/// baselines::RealBaselineFleet (whose Options types alias this). It
-/// replaces the three drifted copies of the SGD/batch/seed fields that
-/// used to live in FleetConfig, RealFleet::Options and
-/// RealBaselineFleet::Options.
+/// behind core::FleetBuilder, the paper-scale simulators
+/// (core::SimulatedFleet, baselines::BaselineFleet) and the real-execution
+/// fleets (core::RealFleet, baselines::RealBaselineFleet, whose Options
+/// types alias this).
 ///
 /// Defaults suit the real-execution fleets (small models, short rounds);
 /// `paper_defaults()` switches the training geometry to the paper-scale
@@ -85,8 +49,11 @@ struct FleetOptions {
   /// Communication-substrate knobs (transport + collectives).
   struct CommOptions {
     comm::AllReduceAlgo aggregation = comm::AllReduceAlgo::kHalvingDoubling;
-    /// Wire compression applied to intermediate activations (see
-    /// FleetConfig::activation_compression).
+    /// Wire compression applied to intermediate activations. The profiled
+    /// cuts sit after ReLU units, whose outputs are ~50 % zeros; 8-bit
+    /// quantization (Hubara et al. [36], cited by the paper as integrable)
+    /// combined with sparse encoding gives ~8x over raw float32. Model
+    /// parameters always travel uncompressed.
     double activation_compression = 8.0;
     /// Aggregate server bandwidth for parameter-server methods, shared
     /// across concurrent transfers.
@@ -184,18 +151,26 @@ struct FleetOptions {
   /// Paper-scale simulation knobs (participation sampling, dynamic
   /// profiles, churn).
   struct ScaleOptions {
+    /// Fraction of agents sampled each round (Table III uses 0.2).
     double participation = 1.0;
+    /// Dynamic environment: re-draw this fraction of profiles every
+    /// `reshuffle_period` rounds (paper: 20 % after round 100).
     double reshuffle_fraction = 0.2;
     int64_t reshuffle_period = 100;  ///< 0 disables profile dynamics
+    /// Cap on the number of profiled split points (0 = every boundary).
     size_t max_split_points = 0;
+    /// Per-round probability that a sampled agent fails before training
+    /// (device churn; ComDML simulation only). Failed agents skip the
+    /// round; the fleet re-pairs among survivors and aggregates without
+    /// them — the paper's no-single-point-of-failure claim as an
+    /// executable property.
     double agent_dropout = 0.0;
   } scale;
 
   /// Reject out-of-range knobs with a descriptive error instead of letting
   /// a zero batch size or negative bandwidth surface as a hang, a
   /// divide-by-zero clock, or silent misbehavior deep inside a round.
-  /// Every fleet entry point (RealFleet, RealBaselineFleet,
-  /// FleetBuilder::build) calls this.
+  /// Every fleet engine's constructor calls this.
   void validate() const {
     COMDML_REQUIRE(train.batch_size > 0,
                    "batch_size must be positive, got " << train.batch_size);
@@ -283,25 +258,6 @@ struct FleetOptions {
     o.seed = 42;
     o.train.batch_size = 100;
     return o;
-  }
-
-  /// Flattened view for the simulation engines.
-  [[nodiscard]] FleetConfig to_fleet_config(int64_t agents) const {
-    FleetConfig cfg;
-    cfg.agents = agents;
-    cfg.batch_size = train.batch_size;
-    cfg.participation = scale.participation;
-    cfg.reshuffle_fraction = scale.reshuffle_fraction;
-    cfg.reshuffle_period = scale.reshuffle_period;
-    cfg.max_split_points = scale.max_split_points;
-    cfg.activation_compression = comms.activation_compression;
-    cfg.aggregation = comms.aggregation;
-    cfg.server_mbps = comms.server_mbps;
-    cfg.latency_sec = comms.latency_sec;
-    cfg.privacy = privacy.technique;
-    cfg.agent_dropout = scale.agent_dropout;
-    cfg.seed = seed;
-    return cfg;
   }
 };
 

@@ -1,54 +1,15 @@
 #include "core/fleet_runtime.hpp"
 
-#include <algorithm>
-
 namespace comdml::core {
 
-// ---- RunReport --------------------------------------------------------------
-
-double RunReport::total_seconds() const {
-  double t = 0.0;
-  for (const auto& r : rounds) t += r.round_seconds;
-  return t;
-}
-
-double RunReport::mean_round_seconds() const {
-  COMDML_REQUIRE(!rounds.empty(), "no rounds recorded");
-  return total_seconds() / static_cast<double>(rounds.size());
-}
-
-double RunReport::time_for_rounds(double target_rounds) const {
-  return time_for_fractional_rounds(
-      rounds, [](const RoundReport& r) { return r.round_seconds; },
-      target_rounds);
-}
-
 // ---- FleetRuntime -----------------------------------------------------------
-
-namespace {
-
-RoundReport from_record(const RoundRecord& rec) {
-  RoundReport rep;
-  rep.round = rec.round;
-  rep.round_seconds = rec.round_time;
-  rep.compute_seconds = rec.compute_time;
-  rep.comm_seconds = rec.comm_time;
-  rep.aggregation_seconds = rec.aggregation_time;
-  rep.idle_seconds = rec.idle_time;
-  rep.unbalanced_seconds = rec.unbalanced_time;
-  rep.num_pairs = rec.num_pairs;
-  rep.dropped_agents = rec.dropped_agents;
-  return rep;
-}
-
-}  // namespace
 
 RoundReport FleetRuntime::step() {
   RoundReport rep;
   if (sim_comdml_ != nullptr) {
-    rep = from_record(sim_comdml_->step());
+    rep = sim_comdml_->step();
   } else if (sim_baseline_ != nullptr) {
-    rep = from_record(sim_baseline_->step());
+    rep = sim_baseline_->step();
   } else if (real_comdml_ != nullptr) {
     const auto stats = real_comdml_->step();
     rep.round_seconds = stats.sim_time;
@@ -67,11 +28,7 @@ RoundReport FleetRuntime::step() {
     rep.retransmit_bytes = stats.retransmit_bytes;
   } else {
     COMDML_CHECK(real_baseline_ != nullptr);
-    const auto stats = real_baseline_->step();
-    rep.round_seconds = stats.aggregation_seconds;  // comm is all we model
-    rep.aggregation_seconds = stats.aggregation_seconds;
-    rep.aggregation_bytes = stats.aggregation_bytes;
-    rep.mean_loss = stats.mean_loss;
+    rep = real_baseline_->step();
   }
   rep.round = round_++;
   return rep;
@@ -193,7 +150,6 @@ FleetRuntime FleetBuilder::build() {
                  "FleetBuilder::build() already consumed this builder's "
                  "inputs; configure a fresh builder per fleet");
   consumed_ = true;
-  if (options_set_) options_.validate();
   COMDML_REQUIRE(topology_.has_value(), "FleetBuilder needs a topology()");
   COMDML_REQUIRE(topology_->agents() > 0,
                  "FleetBuilder needs a topology with at least one agent");
@@ -214,16 +170,15 @@ FleetRuntime FleetBuilder::build() {
     // Simulated fleets default to the paper-scale preset.
     const FleetOptions opts =
         options_set_ ? options_ : FleetOptions::paper_defaults();
-    const FleetConfig cfg = opts.to_fleet_config(topology_->agents());
     if (method_ == learncurve::Method::kComDML) {
       runtime.sim_comdml_ = std::make_unique<SimulatedFleet>(
-          *spec_, cfg, std::move(*topology_), std::move(*shard_sizes_),
+          *spec_, opts, std::move(*topology_), std::move(*shard_sizes_),
           scheduler_);
     } else {
       COMDML_REQUIRE(scheduler_ == Scheduler::kComDML,
                      "scheduler() ablations only apply to ComDML");
       runtime.sim_baseline_ = std::make_unique<baselines::BaselineFleet>(
-          method_, *spec_, cfg, std::move(*topology_),
+          method_, *spec_, opts, std::move(*topology_),
           std::move(*shard_sizes_));
     }
   } else {

@@ -18,10 +18,12 @@
 //                    .shards(std::move(datasets))
 //                    .build();               // real execution
 //
-// The builder picks the engine from (method, real-vs-simulated inputs);
-// RoundReport is the union of every engine's per-round stats, so callers
-// stop caring which engine is underneath. This is the entry point new
-// scenarios (async rounds, sharded fleets, alternative backends) extend.
+// The builder picks the engine from (method, real-vs-simulated inputs).
+// Every engine takes the one FleetOptions, and every engine but RealFleet
+// returns the one RoundReport (core/round_stats.hpp) itself; step() maps
+// RealFleet::RoundStats onto it, so callers stop caring which engine is
+// underneath. This is the entry point new scenarios (async rounds, sharded
+// fleets, alternative backends) extend.
 #pragma once
 
 #include <memory>
@@ -33,61 +35,6 @@
 #include "core/trainer.hpp"
 
 namespace comdml::core {
-
-/// Union of the per-round stats of every fleet engine. Which fields are
-/// filled depends on the engine underneath:
-///  - paper-scale simulators: the full timing breakdown (compute / comm /
-///    aggregation / idle / unbalanced) plus pairs and churn;
-///  - real ComDML (RealFleet): round_seconds (balanced span + collective),
-///    the aggregation clock and executed bytes, pairs, and the
-///    loss/privacy fields;
-///  - real baselines: only the aggregation clock/bytes (round_seconds
-///    equals aggregation_seconds — communication is all their clock
-///    models, so a local BrainTorrent mean reports 0) and mean_loss.
-/// Unfilled fields are zero.
-struct RoundReport {
-  int64_t round = 0;
-  double round_seconds = 0.0;        ///< modeled wall-clock of the round
-  double compute_seconds = 0.0;
-  double comm_seconds = 0.0;         ///< largest pair communication time
-  double aggregation_seconds = 0.0;  ///< collective / server exchange
-  double idle_seconds = 0.0;
-  double unbalanced_seconds = 0.0;   ///< counterfactual without offloading
-  int64_t aggregation_bytes = 0;     ///< executed collective traffic (real)
-  /// Real ComDML rounds: bucket count (1 when comms.bucket_bytes == 0) and
-  /// the aggregation time left on the round's critical path after overlapping
-  /// collectives with the compute tail (== aggregation_seconds when
-  /// nothing is hidden).
-  int64_t buckets = 0;
-  double exposed_comm_seconds = 0.0;
-  /// Buckets split-trained slow replicas published layer-by-layer while
-  /// their split backward still ran (real ComDML only; see
-  /// RealFleet::RoundStats::split_early_buckets).
-  int64_t split_early_buckets = 0;
-  int64_t num_pairs = 0;
-  int64_t dropped_agents = 0;
-  /// Solo agents deferred past the straggler deadline (real ComDML only;
-  /// see RealFleet::RoundStats::late_agents).
-  int64_t late_agents = 0;
-  /// Retransmission traffic under message faults (real ComDML only;
-  /// excluded from goodput).
-  int64_t retransmit_bytes = 0;
-  // Real-execution only:
-  float mean_loss = 0.0f;
-  float mean_slow_loss = 0.0f;
-  double mean_dcor = 0.0;
-  double mean_wire_compression = 0.0;
-};
-
-struct RunReport {
-  std::vector<RoundReport> rounds;
-
-  [[nodiscard]] double total_seconds() const;
-  [[nodiscard]] double mean_round_seconds() const;
-  /// Wall-clock until `rounds` (fractional) rounds have completed; rounds
-  /// beyond the recorded horizon extrapolate at the mean recorded rate.
-  [[nodiscard]] double time_for_rounds(double target_rounds) const;
-};
 
 class FleetRuntime {
  public:

@@ -1,4 +1,4 @@
-// Per-round and per-run timing records produced by the simulators.
+// Per-round and per-run records shared by every fleet engine.
 #pragma once
 
 #include <algorithm>
@@ -9,71 +9,84 @@
 
 namespace comdml::core {
 
-struct RoundRecord {
+/// Union of the per-round stats of every fleet engine. Which fields are
+/// filled depends on the engine underneath:
+///  - paper-scale simulators: the full timing breakdown (compute / comm /
+///    aggregation / idle / unbalanced) plus pairs and churn;
+///  - real ComDML (RealFleet): round_seconds (balanced span + collective),
+///    the aggregation clock and executed bytes, pairs, and the
+///    loss/privacy fields;
+///  - real baselines: only the aggregation clock/bytes (round_seconds
+///    equals aggregation_seconds — communication is all their clock
+///    models, so a local BrainTorrent mean reports 0) and mean_loss.
+/// Unfilled fields are zero.
+struct RoundReport {
   int64_t round = 0;
-  double compute_time = 0.0;      ///< slowest agent's busy (train) time
-  double comm_time = 0.0;         ///< largest pair communication time
-  double aggregation_time = 0.0;  ///< collective (AllReduce/server/gossip)
-  double round_time = 0.0;        ///< wall-clock span of the round
-  double idle_time = 0.0;         ///< summed idle across agents
-  double unbalanced_time = 0.0;   ///< hypothetical round time w/o offloading
+  double round_seconds = 0.0;        ///< modeled wall-clock of the round
+  double compute_seconds = 0.0;
+  double comm_seconds = 0.0;         ///< largest pair communication time
+  double aggregation_seconds = 0.0;  ///< collective / server exchange
+  double idle_seconds = 0.0;
+  double unbalanced_seconds = 0.0;   ///< counterfactual without offloading
+  int64_t aggregation_bytes = 0;     ///< executed collective traffic (real)
+  /// Real ComDML rounds: bucket count (1 when comms.bucket_bytes == 0) and
+  /// the aggregation time left on the round's critical path after overlapping
+  /// collectives with the compute tail (== aggregation_seconds when
+  /// nothing is hidden).
+  int64_t buckets = 0;
+  double exposed_comm_seconds = 0.0;
+  /// Buckets split-trained slow replicas published layer-by-layer while
+  /// their split backward still ran (real ComDML only; see
+  /// RealFleet::RoundStats::split_early_buckets).
+  int64_t split_early_buckets = 0;
   int64_t num_pairs = 0;
-  int64_t dropped_agents = 0;     ///< sampled agents that failed this round
+  int64_t dropped_agents = 0;
+  /// Solo agents deferred past the straggler deadline (real ComDML only;
+  /// see RealFleet::RoundStats::late_agents).
+  int64_t late_agents = 0;
+  /// Retransmission traffic under message faults (real ComDML only;
+  /// excluded from goodput).
+  int64_t retransmit_bytes = 0;
+  // Real-execution only:
+  float mean_loss = 0.0f;
+  float mean_slow_loss = 0.0f;
+  double mean_dcor = 0.0;
+  double mean_wire_compression = 0.0;
 };
 
-/// Wall-clock until `rounds` (fractional) rounds have completed, where
-/// `seconds_of(records[i])` is round i's duration; rounds beyond the
-/// recorded horizon extrapolate at the mean recorded rate. Shared by
-/// RunSummary and core::RunReport.
-template <typename Records, typename Seconds>
-[[nodiscard]] double time_for_fractional_rounds(const Records& records,
-                                                Seconds seconds_of,
-                                                double rounds) {
-  COMDML_CHECK(rounds >= 0.0);
-  COMDML_REQUIRE(!records.empty(), "no rounds recorded");
-  double total = 0.0;
-  for (const auto& r : records) total += seconds_of(r);
-  double t = 0.0;
-  double remaining = rounds;
-  for (const auto& r : records) {
-    if (remaining <= 0.0) return t;
-    const double take = std::min(remaining, 1.0);
-    t += take * seconds_of(r);
-    remaining -= take;
-  }
-  if (remaining > 0.0)
-    t += remaining * (total / static_cast<double>(records.size()));
-  return t;
-}
+struct RunReport {
+  std::vector<RoundReport> rounds;
 
-class RunSummary {
- public:
-  void add(RoundRecord record) { rounds_.push_back(record); }
-
-  [[nodiscard]] const std::vector<RoundRecord>& rounds() const noexcept {
-    return rounds_;
-  }
-
-  [[nodiscard]] double total_time() const {
+  [[nodiscard]] double total_seconds() const {
     double t = 0.0;
-    for (const auto& r : rounds_) t += r.round_time;
+    for (const auto& r : rounds) t += r.round_seconds;
     return t;
   }
 
-  /// Wall-clock until `rounds` (fractional) rounds have completed; rounds
-  /// beyond the recorded horizon extrapolate at the mean recorded rate.
-  [[nodiscard]] double time_for_rounds(double rounds) const {
-    return time_for_fractional_rounds(
-        rounds_, [](const RoundRecord& r) { return r.round_time; }, rounds);
+  [[nodiscard]] double mean_round_seconds() const {
+    COMDML_REQUIRE(!rounds.empty(), "no rounds recorded");
+    return total_seconds() / static_cast<double>(rounds.size());
   }
 
-  [[nodiscard]] double mean_round_time() const {
-    COMDML_REQUIRE(!rounds_.empty(), "no rounds recorded");
-    return total_time() / static_cast<double>(rounds_.size());
+  /// Wall-clock until `target_rounds` (fractional) rounds have completed;
+  /// rounds beyond the recorded horizon extrapolate at the mean recorded
+  /// rate.
+  [[nodiscard]] double time_for_rounds(double target_rounds) const {
+    COMDML_CHECK(target_rounds >= 0.0);
+    COMDML_REQUIRE(!rounds.empty(), "no rounds recorded");
+    const double total = total_seconds();
+    double t = 0.0;
+    double remaining = target_rounds;
+    for (const auto& r : rounds) {
+      if (remaining <= 0.0) return t;
+      const double take = std::min(remaining, 1.0);
+      t += take * r.round_seconds;
+      remaining -= take;
+    }
+    if (remaining > 0.0)
+      t += remaining * (total / static_cast<double>(rounds.size()));
+    return t;
   }
-
- private:
-  std::vector<RoundRecord> rounds_;
 };
 
 }  // namespace comdml::core

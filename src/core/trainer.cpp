@@ -9,66 +9,77 @@
 namespace comdml::core {
 
 SimulatedFleet::SimulatedFleet(const nn::ArchitectureSpec& spec,
-                               FleetConfig config, sim::Topology topology,
+                               FleetOptions options, sim::Topology topology,
                                std::vector<int64_t> shard_sizes,
                                Scheduler scheduler)
-    : config_(config),
-      profile_(SplitProfile::from_spec(spec, config.max_split_points,
-                                       config.activation_compression)),
+    : options_(std::move(options)),
       topology_(std::move(topology)),
       shard_sizes_(std::move(shard_sizes)),
       scheduler_(scheduler),
-      rng_(config.seed) {
-  COMDML_CHECK(config_.agents == topology_.agents());
-  COMDML_REQUIRE(static_cast<int64_t>(shard_sizes_.size()) == config_.agents,
-                 "shard_sizes has " << shard_sizes_.size() << " entries for "
-                                    << config_.agents << " agents");
-  COMDML_CHECK(config_.participation > 0.0 && config_.participation <= 1.0);
+      rng_(options_.seed) {
+  options_.validate();
+  profile_ = SplitProfile::from_spec(spec, options_.scale.max_split_points,
+                                     options_.comms.activation_compression);
+  COMDML_REQUIRE(
+      static_cast<int64_t>(shard_sizes_.size()) == topology_.agents(),
+      "shard_sizes has " << shard_sizes_.size() << " entries for "
+                         << topology_.agents() << " agents");
   for (const int64_t s : shard_sizes_) COMDML_CHECK(s > 0);
 }
 
 std::vector<AgentInfo> SimulatedFleet::agent_infos() const {
   const double flops_per_sample = profile_.full_flops_per_sample();
-  std::vector<AgentInfo> infos(static_cast<size_t>(config_.agents));
+  const int64_t batch = options_.train.batch_size;
+  std::vector<AgentInfo> infos(static_cast<size_t>(topology_.agents()));
   const double overhead =
-      learncurve::privacy_compute_overhead(config_.privacy);
-  for (int64_t i = 0; i < config_.agents; ++i) {
+      learncurve::privacy_compute_overhead(options_.privacy.technique);
+  for (int64_t i = 0; i < topology_.agents(); ++i) {
     AgentInfo& a = infos[static_cast<size_t>(i)];
     a.id = i;
     const double sps =
         sim::samples_per_sec(topology_.profile(i), flops_per_sample) /
         overhead;
-    a.proc_speed = sps / static_cast<double>(config_.batch_size);
-    a.num_batches = (shard_sizes_[static_cast<size_t>(i)] +
-                     config_.batch_size - 1) /
-                    config_.batch_size;
+    a.proc_speed = sps / static_cast<double>(batch);
+    a.num_batches =
+        (shard_sizes_[static_cast<size_t>(i)] + batch - 1) / batch;
     a.tau_solo = static_cast<double>(a.num_batches) / a.proc_speed;
   }
   return infos;
 }
 
-std::vector<int64_t> SimulatedFleet::sample_participants() {
-  std::vector<int64_t> all(static_cast<size_t>(config_.agents));
+std::vector<int64_t> sample_participants(int64_t agents, double participation,
+                                         tensor::Rng& rng) {
+  std::vector<int64_t> all(static_cast<size_t>(agents));
   std::iota(all.begin(), all.end(), 0);
-  if (config_.participation >= 1.0) return all;
+  if (participation >= 1.0) return all;
   const auto want = std::max<int64_t>(
-      2, static_cast<int64_t>(config_.participation *
-                              static_cast<double>(config_.agents)));
-  rng_.shuffle(all);
-  all.resize(static_cast<size_t>(std::min(want, config_.agents)));
+      2, static_cast<int64_t>(participation * static_cast<double>(agents)));
+  rng.shuffle(all);
+  all.resize(static_cast<size_t>(std::min(want, agents)));
   std::sort(all.begin(), all.end());
   return all;
 }
 
+void reshuffle_profiles_if_due(sim::Topology& topology,
+                               const FleetOptions::ScaleOptions& scale,
+                               int64_t round, tensor::Rng& rng) {
+  if (scale.reshuffle_period <= 0 || round == 0 ||
+      round % scale.reshuffle_period != 0)
+    return;
+  auto profiles = topology.profiles();
+  sim::reshuffle_profiles(profiles, scale.reshuffle_fraction, rng);
+  topology.set_profiles(std::move(profiles));
+}
+
 PairingResult SimulatedFleet::schedule(const std::vector<AgentInfo>& infos,
                                        const std::vector<int64_t>& parts) {
+  const int64_t batch = options_.train.batch_size;
   switch (scheduler_) {
     case Scheduler::kComDML: {
       // Under client sampling, idle agents may still accept offloads.
-      std::vector<int64_t> helpers(static_cast<size_t>(config_.agents));
+      std::vector<int64_t> helpers(static_cast<size_t>(topology_.agents()));
       std::iota(helpers.begin(), helpers.end(), 0);
-      return pair_agents(profile_, infos, topology_, config_.batch_size,
-                         parts, &helpers);
+      return pair_agents(profile_, infos, topology_, batch, parts, &helpers);
     }
     case Scheduler::kNoOffloading: {
       PairingResult r;
@@ -80,40 +91,33 @@ PairingResult SimulatedFleet::schedule(const std::vector<AgentInfo>& infos,
       return r;
     }
     case Scheduler::kRandom:
-      return random_pairing(profile_, infos, topology_, config_.batch_size,
-                            parts, rng_);
+      return random_pairing(profile_, infos, topology_, batch, parts, rng_);
     case Scheduler::kStatic:
-      return static_pairing_.apply(profile_, infos, topology_,
-                                   config_.batch_size, parts);
+      return static_pairing_.apply(profile_, infos, topology_, batch, parts);
     case Scheduler::kExact:
-      return optimal_pairing(profile_, infos, topology_, config_.batch_size,
-                             parts);
+      return optimal_pairing(profile_, infos, topology_, batch, parts);
   }
   COMDML_CHECK(false);
   return {};
 }
 
-RoundRecord SimulatedFleet::step() {
-  // Dynamic environment: re-draw 20 % of profiles every reshuffle period
-  // (the paper re-randomizes after round 100).
-  if (config_.reshuffle_period > 0 && round_ > 0 &&
-      round_ % config_.reshuffle_period == 0) {
-    auto profiles = topology_.profiles();
-    sim::reshuffle_profiles(profiles, config_.reshuffle_fraction, rng_);
-    topology_.set_profiles(std::move(profiles));
-  }
+RoundReport SimulatedFleet::step() {
+  // Dynamic environment (the paper re-randomizes after round 100).
+  reshuffle_profiles_if_due(topology_, options_.scale, round_, rng_);
 
   const auto infos = agent_infos();
-  auto participants = sample_participants();
+  auto participants = sample_participants(
+      topology_.agents(), options_.scale.participation, rng_);
 
   // Device churn: each sampled agent may fail before the round starts; the
   // fleet proceeds with the survivors (at least two must remain).
   int64_t dropped = 0;
-  if (config_.agent_dropout > 0.0) {
+  const double dropout = options_.scale.agent_dropout;
+  if (dropout > 0.0) {
     std::vector<int64_t> survivors;
     for (const int64_t id : participants) {
       if (static_cast<int64_t>(participants.size()) - dropped > 2 &&
-          rng_.uniform() < config_.agent_dropout) {
+          rng_.uniform() < dropout) {
         ++dropped;
       } else {
         survivors.push_back(id);
@@ -130,7 +134,7 @@ RoundRecord SimulatedFleet::step() {
   // Execute the round on the discrete-event simulator: one completion event
   // per solo agent / pair, then the AllReduce once all have finished.
   sim::Simulator des;
-  RoundRecord rec;
+  RoundReport rec;
   rec.round = round_;
   rec.num_pairs = static_cast<int64_t>(plan.pairs.size());
   rec.dropped_agents = dropped;
@@ -139,7 +143,7 @@ RoundRecord SimulatedFleet::step() {
   for (const int64_t id : plan.solo) {
     const double t = infos[static_cast<size_t>(id)].tau_solo;
     des.schedule_in(t, [&rec, t] {
-      rec.compute_time = std::max(rec.compute_time, t);
+      rec.compute_seconds = std::max(rec.compute_seconds, t);
     });
     last_finish = std::max(last_finish, t);
   }
@@ -151,11 +155,12 @@ RoundRecord SimulatedFleet::step() {
         profile_, infos[static_cast<size_t>(pair.slow_agent)], fast_info,
         pair.cut,
         topology_.bandwidth_mbps(pair.slow_agent, pair.fast_agent),
-        config_.batch_size);
+        options_.train.batch_size);
     des.schedule_in(exec.pair_time, [&rec, exec] {
-      rec.compute_time = std::max(rec.compute_time, exec.fast_train_time);
-      rec.comm_time = std::max(rec.comm_time, exec.link_busy);
-      rec.idle_time += exec.slow_idle + exec.fast_idle;
+      rec.compute_seconds =
+          std::max(rec.compute_seconds, exec.fast_train_time);
+      rec.comm_seconds = std::max(rec.comm_seconds, exec.link_busy);
+      rec.idle_seconds += exec.slow_idle + exec.fast_idle;
     });
     last_finish = std::max(last_finish, exec.pair_time);
   }
@@ -166,41 +171,42 @@ RoundRecord SimulatedFleet::step() {
   COMDML_REQUIRE(min_bw.has_value(), "fleet topology has no usable link");
   const auto agg =
       comm::allreduce_cost(static_cast<int64_t>(participants.size()),
-                           model_bytes, *min_bw, config_.aggregation,
-                           config_.latency_sec);
+                           model_bytes, *min_bw, options_.comms.aggregation,
+                           options_.comms.latency_sec);
   des.schedule_at(last_finish, [&des, &rec, &agg] {
     des.schedule_in(agg.seconds, [&rec, &agg] {
-      rec.aggregation_time = agg.seconds;
+      rec.aggregation_seconds = agg.seconds;
     });
   });
   des.run();
-  rec.round_time = des.now();
+  rec.round_seconds = des.now();
 
   // Idle of solo agents relative to the round span (aggregation excluded —
   // all agents participate in the collective).
   for (const int64_t id : plan.solo)
-    rec.idle_time +=
+    rec.idle_seconds +=
         last_finish - infos[static_cast<size_t>(id)].tau_solo;
   // Paired agents may also wait for the global straggler.
   for (const auto& pair : plan.pairs)
-    rec.idle_time += 2.0 * (last_finish - std::min(last_finish,
-                                                   pair.estimated_time));
+    rec.idle_seconds += 2.0 * (last_finish - std::min(last_finish,
+                                                      pair.estimated_time));
 
   // Counterfactual round time with no offloading (for savings accounting).
   for (const int64_t id : participants)
-    rec.unbalanced_time = std::max(
-        rec.unbalanced_time, infos[static_cast<size_t>(id)].tau_solo);
-  rec.unbalanced_time += agg.seconds;
+    rec.unbalanced_seconds = std::max(
+        rec.unbalanced_seconds, infos[static_cast<size_t>(id)].tau_solo);
+  rec.unbalanced_seconds += agg.seconds;
 
   ++round_;
   return rec;
 }
 
-RunSummary SimulatedFleet::run(int64_t rounds) {
+RunReport SimulatedFleet::run(int64_t rounds) {
   COMDML_CHECK(rounds > 0);
-  RunSummary summary;
-  for (int64_t r = 0; r < rounds; ++r) summary.add(step());
-  return summary;
+  RunReport report;
+  report.rounds.reserve(static_cast<size_t>(rounds));
+  for (int64_t r = 0; r < rounds; ++r) report.rounds.push_back(step());
+  return report;
 }
 
 std::vector<int64_t> shard_sizes_for(const data::DatasetSpec& dataset,

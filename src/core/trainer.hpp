@@ -3,7 +3,7 @@
 // Drives the full per-round workflow of Algorithm 1 on the discrete-event
 // simulator: broadcast -> decentralized pairing -> batch-level pair/solo
 // execution -> AllReduce aggregation, with participation sampling and
-// dynamic resource-profile reshuffling. Produces RoundRecords that the
+// dynamic resource-profile reshuffling. Produces RoundReports that the
 // benches combine with the learning-curve model into time-to-accuracy
 // tables (Tables II, III; Fig. 3).
 #pragma once
@@ -29,16 +29,17 @@ enum class Scheduler {
 
 class SimulatedFleet {
  public:
-  /// `shard_sizes[i]` = samples held by agent i.
-  SimulatedFleet(const nn::ArchitectureSpec& spec, FleetConfig config,
+  /// `shard_sizes[i]` = samples held by agent i of `topology`. Reads
+  /// `train.batch_size`, `scale`, `comms`, `privacy.technique` and `seed`.
+  SimulatedFleet(const nn::ArchitectureSpec& spec, FleetOptions options,
                  sim::Topology topology, std::vector<int64_t> shard_sizes,
                  Scheduler scheduler = Scheduler::kComDML);
 
   /// Execute one round; advances the fleet's simulated clock.
-  RoundRecord step();
+  RoundReport step();
 
   /// Execute `rounds` rounds.
-  RunSummary run(int64_t rounds);
+  RunReport run(int64_t rounds);
 
   [[nodiscard]] const SplitProfile& profile() const noexcept {
     return profile_;
@@ -46,14 +47,13 @@ class SimulatedFleet {
   [[nodiscard]] const sim::Topology& topology() const noexcept {
     return topology_;
   }
-  [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
   [[nodiscard]] int64_t rounds_executed() const noexcept { return round_; }
 
   /// Broadcast infos for the current profiles (visible for tests/benches).
   [[nodiscard]] std::vector<AgentInfo> agent_infos() const;
 
  private:
-  FleetConfig config_;
+  FleetOptions options_;
   SplitProfile profile_;
   sim::Topology topology_;
   std::vector<int64_t> shard_sizes_;
@@ -62,10 +62,22 @@ class SimulatedFleet {
   StaticPairing static_pairing_;
   int64_t round_ = 0;
 
-  [[nodiscard]] std::vector<int64_t> sample_participants();
   [[nodiscard]] PairingResult schedule(const std::vector<AgentInfo>& infos,
                                        const std::vector<int64_t>& parts);
 };
+
+/// The agents of a paper-scale round: all `agents` at participation 1,
+/// otherwise max(2, floor(participation * agents)) distinct agents (at
+/// most `agents`) drawn from `rng`, in ascending order.
+[[nodiscard]] std::vector<int64_t> sample_participants(int64_t agents,
+                                                       double participation,
+                                                       tensor::Rng& rng);
+
+/// Dynamic environment: every `scale.reshuffle_period` rounds after round
+/// 0, re-draw `scale.reshuffle_fraction` of the topology's profiles.
+void reshuffle_profiles_if_due(sim::Topology& topology,
+                               const FleetOptions::ScaleOptions& scale,
+                               int64_t round, tensor::Rng& rng);
 
 /// Samples-per-agent for a paper dataset under a partition scheme
 /// (IID: equal shards; Dirichlet: proportions ~ Dirichlet(alpha) with a

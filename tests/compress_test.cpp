@@ -1,6 +1,6 @@
 // Activation wire-compression codec tests: lossless structure, bounded
 // quantization error, and the achieved ratio on real post-ReLU activations
-// (the basis of FleetConfig::activation_compression).
+// (the basis of FleetOptions::CommOptions::activation_compression).
 #include <gtest/gtest.h>
 
 #include "comm/compress.hpp"

@@ -3,6 +3,8 @@
 // relative timing behaviour the paper's tables rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "baselines/baseline_fleet.hpp"
@@ -18,11 +20,9 @@ using learncurve::PartitionKind;
 using sim::Topology;
 using tensor::Rng;
 
-FleetConfig small_config(int64_t agents, uint64_t seed = 42) {
-  FleetConfig cfg;
-  cfg.agents = agents;
-  cfg.seed = seed;
-  cfg.reshuffle_period = 0;
+FleetOptions small_config() {
+  FleetOptions cfg = FleetOptions::paper_defaults();  // seed 42
+  cfg.scale.reshuffle_period = 0;
   return cfg;
 }
 
@@ -37,35 +37,35 @@ std::vector<int64_t> iid_sizes(int64_t agents) {
                          rng);
 }
 
-TEST(SimulatedFleet, RoundRecordsAreConsistent) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+TEST(SimulatedFleet, RoundReportsAreConsistent) {
+  SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(10),
                        iid_sizes(10));
   const auto rec = fleet.step();
-  EXPECT_GT(rec.round_time, 0.0);
-  EXPECT_GE(rec.round_time, rec.aggregation_time);
-  EXPECT_GE(rec.idle_time, 0.0);
-  EXPECT_GE(rec.unbalanced_time, rec.round_time * 0.99);
+  EXPECT_GT(rec.round_seconds, 0.0);
+  EXPECT_GE(rec.round_seconds, rec.aggregation_seconds);
+  EXPECT_GE(rec.idle_seconds, 0.0);
+  EXPECT_GE(rec.unbalanced_seconds, rec.round_seconds * 0.99);
 }
 
 TEST(SimulatedFleet, BalancesHeterogeneousFleet) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(10),
                        iid_sizes(10));
   const auto rec = fleet.step();
   EXPECT_GT(rec.num_pairs, 0);
-  EXPECT_LT(rec.round_time, 0.85 * rec.unbalanced_time);
+  EXPECT_LT(rec.round_seconds, 0.85 * rec.unbalanced_seconds);
 }
 
 TEST(SimulatedFleet, RunAccumulatesRounds) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(10),
                        iid_sizes(10));
   const auto summary = fleet.run(5);
-  EXPECT_EQ(summary.rounds().size(), 5u);
+  EXPECT_EQ(summary.rounds.size(), 5u);
   EXPECT_EQ(fleet.rounds_executed(), 5);
-  EXPECT_GT(summary.total_time(), 0.0);
+  EXPECT_GT(summary.total_seconds(), 0.0);
 }
 
 TEST(SimulatedFleet, TimeForRoundsInterpolates) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(10),
                        iid_sizes(10));
   const auto summary = fleet.run(4);
   const double t2 = summary.time_for_rounds(2.0);
@@ -74,13 +74,13 @@ TEST(SimulatedFleet, TimeForRoundsInterpolates) {
   EXPECT_LT(t2, t25);
   EXPECT_LT(t25, t3);
   // Extrapolation beyond the horizon keeps growing.
-  EXPECT_GT(summary.time_for_rounds(10.0), summary.total_time());
+  EXPECT_GT(summary.time_for_rounds(10.0), summary.total_seconds());
 }
 
 TEST(SimulatedFleet, ReshufflePeriodChangesProfiles) {
-  auto cfg = small_config(10);
-  cfg.reshuffle_period = 3;
-  cfg.reshuffle_fraction = 1.0;  // redraw everyone for a visible effect
+  auto cfg = small_config();
+  cfg.scale.reshuffle_period = 3;
+  cfg.scale.reshuffle_fraction = 1.0;  // redraw everyone for a visible effect
   SimulatedFleet fleet(nn::resnet56_spec(), cfg, mesh(10), iid_sizes(10));
   const auto before = fleet.agent_infos();
   (void)fleet.run(4);  // crosses the reshuffle boundary at round 3
@@ -92,13 +92,13 @@ TEST(SimulatedFleet, ReshufflePeriodChangesProfiles) {
 }
 
 TEST(SimulatedFleet, ParticipationSamplingShrinksRound) {
-  auto cfg = small_config(50);
-  cfg.participation = 0.2;
+  auto cfg = small_config();
+  cfg.scale.participation = 0.2;
   SimulatedFleet fleet(nn::resnet56_spec(), cfg, mesh(50), iid_sizes(50));
   // With 20% sampling the expected straggler is no slower than the full
   // fleet's; mostly this exercises the sampling path end-to-end.
   const auto rec = fleet.step();
-  EXPECT_GT(rec.round_time, 0.0);
+  EXPECT_GT(rec.round_seconds, 0.0);
 }
 
 TEST(SimulatedFleet, SchedulerVariantsOrdering) {
@@ -108,27 +108,27 @@ TEST(SimulatedFleet, SchedulerVariantsOrdering) {
   const auto sizes = iid_sizes(10);
   double greedy_t = 0, none_t = 0, exact_t = 0;
   {
-    SimulatedFleet f(spec, small_config(10), mesh(10), sizes,
+    SimulatedFleet f(spec, small_config(), mesh(10), sizes,
                      Scheduler::kComDML);
-    greedy_t = f.step().round_time;
+    greedy_t = f.step().round_seconds;
   }
   {
-    SimulatedFleet f(spec, small_config(10), mesh(10), sizes,
+    SimulatedFleet f(spec, small_config(), mesh(10), sizes,
                      Scheduler::kNoOffloading);
-    none_t = f.step().round_time;
+    none_t = f.step().round_seconds;
   }
   {
-    auto cfg = small_config(10);
-    cfg.max_split_points = 10;  // keep the exact solver fast
+    auto cfg = small_config();
+    cfg.scale.max_split_points = 10;  // keep the exact solver fast
     SimulatedFleet f(spec, cfg, mesh(10), sizes, Scheduler::kExact);
-    exact_t = f.step().round_time;
+    exact_t = f.step().round_seconds;
   }
   EXPECT_LT(greedy_t, none_t);
   EXPECT_LT(exact_t, none_t);
 }
 
 TEST(SimulatedFleet, RejectsShardSizeMismatch) {
-  EXPECT_THROW(SimulatedFleet(nn::resnet56_spec(), small_config(10),
+  EXPECT_THROW(SimulatedFleet(nn::resnet56_spec(), small_config(),
                               mesh(10), iid_sizes(9)),
                std::invalid_argument);
 }
@@ -136,14 +136,14 @@ TEST(SimulatedFleet, RejectsShardSizeMismatch) {
 TEST(SimulatedFleet, PrivacyOverheadSlowsCompute) {
   // Compare under kNoOffloading so the compute overhead is not partially
   // absorbed by re-balanced pairing decisions.
-  auto cfg = small_config(10);
+  auto cfg = small_config();
   auto cfg_dp = cfg;
-  cfg_dp.privacy = learncurve::PrivacyTechnique::kDistanceCorrelation;
+  cfg_dp.privacy.technique = learncurve::PrivacyTechnique::kDistanceCorrelation;
   SimulatedFleet plain(nn::resnet56_spec(), cfg, mesh(10), iid_sizes(10),
                        Scheduler::kNoOffloading);
   SimulatedFleet dp(nn::resnet56_spec(), cfg_dp, mesh(10), iid_sizes(10),
                     Scheduler::kNoOffloading);
-  EXPECT_GT(dp.step().round_time, plain.step().round_time);
+  EXPECT_GT(dp.step().round_seconds, plain.step().round_seconds);
 }
 
 // ---- baselines --------------------------------------------------------------------
@@ -151,35 +151,35 @@ TEST(SimulatedFleet, PrivacyOverheadSlowsCompute) {
 class BaselineP : public ::testing::TestWithParam<Method> {};
 
 TEST_P(BaselineP, ProducesPositiveRoundTimes) {
-  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(10),
+  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(),
                       mesh(10), iid_sizes(10));
   const auto rec = fleet.step();
-  EXPECT_GT(rec.round_time, 0.0);
+  EXPECT_GT(rec.round_seconds, 0.0);
   if (GetParam() == Method::kGossip) {
     // Gossip is asynchronous: its effective round (mean over agents) sits
     // below the synchronous straggler bound but above the fastest agent.
-    EXPECT_LE(rec.round_time, rec.compute_time);
+    EXPECT_LE(rec.round_seconds, rec.compute_seconds);
   } else {
-    EXPECT_GE(rec.round_time, rec.compute_time);
+    EXPECT_GE(rec.round_seconds, rec.compute_seconds);
   }
-  EXPECT_GE(rec.idle_time, 0.0);
+  EXPECT_GE(rec.idle_seconds, 0.0);
 }
 
 TEST_P(BaselineP, StragglerDominatesRound) {
-  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(10),
+  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(),
                       mesh(10), iid_sizes(10));
   const auto rec = fleet.step();
   // All baselines train the full model: the straggler's full-model time
   // exceeds ComDML's balanced round. Synchronous baselines expose the
-  // straggler in round_time; asynchronous gossip (whose "round" is a mean
-  // over agents) only in compute_time.
-  SimulatedFleet comdml(nn::resnet56_spec(), small_config(10), mesh(10),
+  // straggler in round_seconds; asynchronous gossip (whose "round" is a
+  // mean over agents) only in compute_seconds.
+  SimulatedFleet comdml(nn::resnet56_spec(), small_config(), mesh(10),
                         iid_sizes(10));
-  const double comdml_round = comdml.step().round_time;
+  const double comdml_round = comdml.step().round_seconds;
   if (GetParam() == Method::kGossip)
-    EXPECT_GT(rec.compute_time, comdml_round);
+    EXPECT_GT(rec.compute_seconds, comdml_round);
   else
-    EXPECT_GT(rec.round_time, comdml_round);
+    EXPECT_GT(rec.round_seconds, comdml_round);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, BaselineP,
@@ -190,33 +190,47 @@ INSTANTIATE_TEST_SUITE_P(Methods, BaselineP,
 
 TEST(Baselines, RejectsComDML) {
   EXPECT_THROW(BaselineFleet(Method::kComDML, nn::resnet56_spec(),
-                             small_config(10), mesh(10), iid_sizes(10)),
+                             small_config(), mesh(10), iid_sizes(10)),
                std::invalid_argument);
+}
+
+TEST(Baselines, RejectAgentDropout) {
+  // Only the ComDML simulation models device churn; a baseline must refuse
+  // the option rather than run as if it were unset.
+  auto cfg = small_config();
+  cfg.scale.agent_dropout = 0.5;
+  for (const Method m : {Method::kFedAvg, Method::kFedProx, Method::kGossip,
+                         Method::kBrainTorrent, Method::kAllReduceDML}) {
+    EXPECT_THROW(BaselineFleet(m, nn::resnet56_spec(), cfg, mesh(10),
+                               iid_sizes(10)),
+                 std::invalid_argument)
+        << learncurve::method_name(m);
+  }
 }
 
 TEST(Baselines, BrainTorrentAggregationScalesWithFleet) {
   auto t = [&](int64_t k) {
     BaselineFleet fleet(Method::kBrainTorrent, nn::resnet56_spec(),
-                        small_config(k), mesh(k, 7), iid_sizes(k));
-    return fleet.step().aggregation_time;
+                        small_config(), mesh(k, 7), iid_sizes(k));
+    return fleet.step().aggregation_seconds;
   };
   EXPECT_GT(t(20), t(10));
 }
 
 TEST(Baselines, GossipCommCheaperThanBrainTorrent) {
   BaselineFleet gossip(Method::kGossip, nn::resnet56_spec(),
-                       small_config(20), mesh(20, 9), iid_sizes(20));
+                       small_config(), mesh(20, 9), iid_sizes(20));
   BaselineFleet bt(Method::kBrainTorrent, nn::resnet56_spec(),
-                   small_config(20), mesh(20, 9), iid_sizes(20));
-  EXPECT_LT(gossip.step().aggregation_time, bt.step().aggregation_time);
+                   small_config(), mesh(20, 9), iid_sizes(20));
+  EXPECT_LT(gossip.step().aggregation_seconds, bt.step().aggregation_seconds);
 }
 
 TEST(Baselines, FedProxSlowerComputeThanFedAvg) {
   BaselineFleet prox(Method::kFedProx, nn::resnet56_spec(),
-                     small_config(10), mesh(10, 11), iid_sizes(10));
-  BaselineFleet avg(Method::kFedAvg, nn::resnet56_spec(), small_config(10),
+                     small_config(), mesh(10, 11), iid_sizes(10));
+  BaselineFleet avg(Method::kFedAvg, nn::resnet56_spec(), small_config(),
                     mesh(10, 11), iid_sizes(10));
-  EXPECT_GT(prox.step().compute_time, avg.step().compute_time);
+  EXPECT_GT(prox.step().compute_seconds, avg.step().compute_seconds);
 }
 
 // ---- FleetRuntime facade (simulation engines) -------------------------------
@@ -266,20 +280,91 @@ TEST(FleetRuntimeSim, RunAccumulatesAndInterpolates) {
   EXPECT_GT(report.time_for_rounds(10.0), report.total_seconds());
 }
 
-TEST(FleetRuntimeSim, LayeredOptionsFlattenToFleetConfig) {
+void expect_reports_equal(const RoundReport& a, const RoundReport& b) {
+  EXPECT_EQ(a.round, b.round);
+  EXPECT_EQ(a.round_seconds, b.round_seconds);
+  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
+  EXPECT_EQ(a.comm_seconds, b.comm_seconds);
+  EXPECT_EQ(a.aggregation_seconds, b.aggregation_seconds);
+  EXPECT_EQ(a.idle_seconds, b.idle_seconds);
+  EXPECT_EQ(a.unbalanced_seconds, b.unbalanced_seconds);
+  EXPECT_EQ(a.aggregation_bytes, b.aggregation_bytes);
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_EQ(a.exposed_comm_seconds, b.exposed_comm_seconds);
+  EXPECT_EQ(a.split_early_buckets, b.split_early_buckets);
+  EXPECT_EQ(a.num_pairs, b.num_pairs);
+  EXPECT_EQ(a.dropped_agents, b.dropped_agents);
+  EXPECT_EQ(a.late_agents, b.late_agents);
+  EXPECT_EQ(a.retransmit_bytes, b.retransmit_bytes);
+  EXPECT_EQ(a.mean_loss, b.mean_loss);
+  EXPECT_EQ(a.mean_slow_loss, b.mean_slow_loss);
+  EXPECT_EQ(a.mean_dcor, b.mean_dcor);
+  EXPECT_EQ(a.mean_wire_compression, b.mean_wire_compression);
+}
+
+TEST(FleetRuntimeSim, OptionsReachTheSimulators) {
+  // The builder hands FleetOptions to the simulators unchanged: a built
+  // fleet and a directly constructed engine agree field by field, and the
+  // non-default options change the round against the paper preset.
   FleetOptions o = FleetOptions::paper_defaults();
   o.scale.participation = 0.2;
   o.scale.max_split_points = 16;
   o.comms.aggregation = comm::AllReduceAlgo::kRing;
   o.privacy.technique = learncurve::PrivacyTechnique::kPatchShuffle;
-  const FleetConfig cfg = o.to_fleet_config(50);
-  EXPECT_EQ(cfg.agents, 50);
-  EXPECT_EQ(cfg.batch_size, 100);  // paper preset
-  EXPECT_EQ(cfg.seed, 42u);
-  EXPECT_DOUBLE_EQ(cfg.participation, 0.2);
-  EXPECT_EQ(cfg.max_split_points, 16u);
-  EXPECT_EQ(cfg.aggregation, comm::AllReduceAlgo::kRing);
-  EXPECT_EQ(cfg.privacy, learncurve::PrivacyTechnique::kPatchShuffle);
+  const auto spec = nn::resnet56_spec();
+  for (const Method m : {Method::kComDML, Method::kFedAvg, Method::kFedProx,
+                         Method::kGossip, Method::kBrainTorrent,
+                         Method::kAllReduceDML}) {
+    SCOPED_TRACE(learncurve::method_name(m));
+    const auto build = [&](const FleetOptions& opts) {
+      return FleetBuilder()
+          .method(m)
+          .options(opts)
+          .topology(mesh(50))
+          .architecture(spec)
+          .shard_sizes(iid_sizes(50))
+          .build();
+    };
+    auto built = build(o);
+    auto preset = build(FleetOptions::paper_defaults());
+    std::unique_ptr<SimulatedFleet> sim;
+    std::unique_ptr<BaselineFleet> baseline;
+    if (m == Method::kComDML)
+      sim = std::make_unique<SimulatedFleet>(spec, o, mesh(50), iid_sizes(50));
+    else
+      baseline = std::make_unique<BaselineFleet>(m, spec, o, mesh(50),
+                                                 iid_sizes(50));
+    for (int r = 0; r < 3; ++r) {
+      SCOPED_TRACE(r);
+      const RoundReport direct = sim ? sim->step() : baseline->step();
+      const RoundReport via_builder = built.step();
+      expect_reports_equal(via_builder, direct);
+      EXPECT_NE(via_builder.round_seconds, preset.step().round_seconds);
+    }
+  }
+}
+
+TEST(SampleParticipants, FullParticipationReturnsEveryAgent) {
+  Rng rng(3);
+  const auto all = sample_participants(7, 1.0, rng);
+  EXPECT_EQ(all, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6}));
+}
+
+TEST(SampleParticipants, DrawsDistinctSortedAgents) {
+  Rng rng(4);
+  const auto parts = sample_participants(50, 0.2, rng);
+  ASSERT_EQ(parts.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(parts.begin(), parts.end()));
+  EXPECT_EQ(std::adjacent_find(parts.begin(), parts.end()), parts.end());
+  for (const int64_t id : parts) {
+    EXPECT_GE(id, 0);
+    EXPECT_LT(id, 50);
+  }
+}
+
+TEST(SampleParticipants, KeepsAtLeastTwoAgents) {
+  Rng rng(5);
+  EXPECT_EQ(sample_participants(10, 0.01, rng).size(), 2u);
 }
 
 TEST(FleetRuntimeSim, SchedulerAblationRunsThroughFacade) {
@@ -300,7 +385,7 @@ TEST(FleetRuntimeSim, SchedulerAblationRunsThroughFacade) {
 }
 
 TEST(FleetRuntimeSim, ServerBandwidthOptionReachesSimulatedFedAvg) {
-  // comms.server_mbps must flow through FleetConfig into the simulated
+  // comms.server_mbps must flow through FleetOptions into the simulated
   // param-server round, not just the real-execution path.
   auto slow_opt = FleetOptions::paper_defaults();
   slow_opt.comms.server_mbps = 10.0;  // congested server: 1 Mbps/agent

@@ -18,7 +18,7 @@ namespace comdml {
 namespace {
 
 using baselines::BaselineFleet;
-using core::FleetConfig;
+using core::FleetOptions;
 using core::Scheduler;
 using core::SimulatedFleet;
 using learncurve::Method;
@@ -26,11 +26,10 @@ using learncurve::PartitionKind;
 using sim::Topology;
 using tensor::Rng;
 
-FleetConfig config10() {
-  FleetConfig cfg;
-  cfg.agents = 10;
-  cfg.reshuffle_period = 0;
-  cfg.max_split_points = 16;
+FleetOptions config10() {
+  FleetOptions cfg = FleetOptions::paper_defaults();
+  cfg.scale.reshuffle_period = 0;
+  cfg.scale.max_split_points = 16;
   return cfg;
 }
 
@@ -83,7 +82,7 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
   for (int r = 0; r < 5; ++r) {
     const auto ra = a.step();
     const auto rb = b.step();
-    EXPECT_DOUBLE_EQ(ra.round_time, rb.round_time) << r;
+    EXPECT_DOUBLE_EQ(ra.round_seconds, rb.round_seconds) << r;
     EXPECT_EQ(ra.num_pairs, rb.num_pairs) << r;
   }
 }
@@ -91,13 +90,13 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
 TEST(EndToEnd, CompressionShortensRounds) {
   const auto spec = nn::resnet56_spec();
   auto raw_cfg = config10();
-  raw_cfg.activation_compression = 1.0;
+  raw_cfg.comms.activation_compression = 1.0;
   SimulatedFleet raw(spec, raw_cfg, mesh10(5), sizes10());
   SimulatedFleet compressed(spec, config10(), mesh10(5), sizes10());
   double raw_total = 0, comp_total = 0;
   for (int r = 0; r < 5; ++r) {
-    raw_total += raw.step().round_time;
-    comp_total += compressed.step().round_time;
+    raw_total += raw.step().round_seconds;
+    comp_total += compressed.step().round_seconds;
   }
   EXPECT_LT(comp_total, raw_total);
 }
@@ -140,8 +139,7 @@ TEST(Helpers, IdleAgentsAcceptOffloads) {
 TEST(Helpers, SamplingFleetStillBalances) {
   const auto spec = nn::resnet56_spec();
   auto cfg = config10();
-  cfg.agents = 20;
-  cfg.participation = 0.2;
+  cfg.scale.participation = 0.2;
   Rng rng(6);
   SimulatedFleet fleet(spec, cfg,
                        Topology::full_mesh(sim::assign_profiles(20, rng)),
@@ -240,20 +238,16 @@ TEST(FailureInjection, IsolatedSlowAgentTrainsSolo) {
   const auto spec = nn::resnet56_spec();
   std::vector<sim::ResourceProfile> profiles{
       {0.2, 0.0}, {4.0, 100.0}, {2.0, 100.0}, {1.0, 100.0}};
-  auto cfg = config10();
-  cfg.agents = 4;
-  SimulatedFleet fleet(spec, cfg, Topology::full_mesh(profiles),
+  SimulatedFleet fleet(spec, config10(), Topology::full_mesh(profiles),
                        std::vector<int64_t>(4, 5000));
   const auto rec = fleet.step();
-  EXPECT_DOUBLE_EQ(rec.round_time, rec.unbalanced_time);
+  EXPECT_DOUBLE_EQ(rec.round_seconds, rec.unbalanced_seconds);
 }
 
 TEST(FailureInjection, FullyDisconnectedFleetThrows) {
   const auto spec = nn::resnet56_spec();
   std::vector<sim::ResourceProfile> profiles(4, {1.0, 0.0});
-  auto cfg = config10();
-  cfg.agents = 4;
-  SimulatedFleet fleet(spec, cfg, Topology::full_mesh(profiles),
+  SimulatedFleet fleet(spec, config10(), Topology::full_mesh(profiles),
                        std::vector<int64_t>(4, 5000));
   EXPECT_THROW((void)fleet.step(), std::invalid_argument);
 }
@@ -263,11 +257,11 @@ TEST(FailureInjection, ProfileDriftTriggersRepairing) {
   // differ for at least one round in a drifting fleet.
   const auto spec = nn::resnet56_spec();
   auto cfg = config10();
-  cfg.reshuffle_period = 2;
-  cfg.reshuffle_fraction = 1.0;
+  cfg.scale.reshuffle_period = 2;
+  cfg.scale.reshuffle_fraction = 1.0;
   SimulatedFleet fleet(spec, cfg, mesh10(9), sizes10());
   std::vector<double> times;
-  for (int r = 0; r < 6; ++r) times.push_back(fleet.step().round_time);
+  for (int r = 0; r < 6; ++r) times.push_back(fleet.step().round_seconds);
   // Not all rounds identical once profiles drift.
   bool varied = false;
   for (size_t i = 1; i < times.size(); ++i)
@@ -300,12 +294,12 @@ TEST(RealWire, PairRoundsReportMeasuredCompression) {
 TEST(FailureInjection, DropoutSkipsAgentsButRoundsProceed) {
   const auto spec = nn::resnet56_spec();
   auto cfg = config10();
-  cfg.agent_dropout = 0.3;
+  cfg.scale.agent_dropout = 0.3;
   SimulatedFleet fleet(spec, cfg, mesh10(20), sizes10());
   int64_t dropped = 0;
   for (int r = 0; r < 10; ++r) {
     const auto rec = fleet.step();
-    EXPECT_GT(rec.round_time, 0.0);
+    EXPECT_GT(rec.round_seconds, 0.0);
     dropped += rec.dropped_agents;
   }
   // ~30% of 10 agents over 10 rounds: expect a healthy number of failures.
@@ -315,8 +309,7 @@ TEST(FailureInjection, DropoutSkipsAgentsButRoundsProceed) {
 TEST(FailureInjection, DropoutNeverBelowTwoAgents) {
   const auto spec = nn::resnet56_spec();
   auto cfg = config10();
-  cfg.agents = 3;
-  cfg.agent_dropout = 0.95;
+  cfg.scale.agent_dropout = 0.95;
   SimulatedFleet fleet(spec, cfg,
                        Topology::full_mesh([&] {
                          Rng rng(21);
@@ -326,18 +319,18 @@ TEST(FailureInjection, DropoutNeverBelowTwoAgents) {
   for (int r = 0; r < 10; ++r) {
     const auto rec = fleet.step();
     EXPECT_LE(rec.dropped_agents, 1);  // at least 2 of 3 survive
-    EXPECT_GT(rec.round_time, 0.0);
+    EXPECT_GT(rec.round_seconds, 0.0);
   }
 }
 
 TEST(FailureInjection, ZeroDropoutMatchesBaselineRun) {
   const auto spec = nn::resnet56_spec();
   auto with = config10();
-  with.agent_dropout = 0.0;
+  with.scale.agent_dropout = 0.0;
   SimulatedFleet a(spec, config10(), mesh10(22), sizes10());
   SimulatedFleet b(spec, with, mesh10(22), sizes10());
   for (int r = 0; r < 3; ++r)
-    EXPECT_DOUBLE_EQ(a.step().round_time, b.step().round_time);
+    EXPECT_DOUBLE_EQ(a.step().round_seconds, b.step().round_seconds);
 }
 
 // ---- real fleet vs real baselines: shared-task comparison -------------------------

@@ -260,6 +260,55 @@ TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {
         tensor::allclose(fleet.model(a).forward(x, false), y0, 1e-4f));
 }
 
+TEST(RealBaselines, FedProxAnchorsEveryParameterOnBatchNormModels) {
+  // small_cnn's state list interleaves BatchNorm running statistics with
+  // its parameters; the proximal term must still pull every parameter
+  // toward its own round-start value. One agent whose shard is exactly one
+  // batch (one sample, so every batch is the same tensor in the same
+  // order), momentum 0, and two batches so that the second one sees
+  // w != w_round_start.
+  Rng rng(40);
+  const data::Dataset shard =
+      data::make_synthetic_images(1, 3, {3, 8, 8}, 0.4f, rng);
+  const ModelFactory factory = [](Rng& r) { return nn::small_cnn(3, 3, r); };
+  RealBaselineFleet::Options opt;
+  opt.train.batch_size = 1;
+  opt.train.batches_per_round = 2;
+  opt.train.sgd = {0.05f, 0.0f, 0.0f};
+  opt.train.prox_mu = 5.0f;
+  RealBaselineFleet fleet(Method::kFedProx, factory, 3, {shard},
+                          Topology::full_mesh({{1.0, 100.0}}), opt);
+
+  Rng ref_rng(0);
+  auto ref = factory(ref_rng);
+  nn::load_state(*ref, nn::state_of(fleet.model(0)));
+  const std::vector<nn::Parameter*> params = ref->parameters();
+  std::vector<tensor::Tensor> start;
+  for (const nn::Parameter* p : params) start.push_back(p->value);
+  nn::SGD sgd(params, opt.train.sgd);
+  for (int64_t b = 0; b < opt.train.batches_per_round; ++b) {
+    sgd.zero_grad();
+    const auto logits = ref->forward(shard.images, true);
+    const auto res = nn::softmax_cross_entropy(logits, shard.labels);
+    (void)ref->backward(res.grad_logits);
+    for (size_t g = 0; g < params.size(); ++g) {
+      auto gr = params[g]->grad.flat();
+      const auto w = params[g]->value.flat();
+      const auto w0 = start[g].flat();
+      for (size_t k = 0; k < gr.size(); ++k)
+        gr[k] += opt.train.prox_mu * (w[k] - w0[k]);
+    }
+    sgd.step();
+  }
+
+  (void)fleet.step();
+  const std::vector<nn::Parameter*> got = fleet.model(0).parameters();
+  ASSERT_EQ(got.size(), params.size());
+  for (size_t g = 0; g < params.size(); ++g)
+    EXPECT_TRUE(tensor::allclose(got[g]->value, params[g]->value, 1e-6f))
+        << "parameter " << g;
+}
+
 TEST(RealBaselines, RejectsComDML) {
   RealBaselineFleet::Options opt;
   EXPECT_THROW(RealBaselineFleet(Method::kComDML, mlp_factory(6, 3), 3,
