@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
 #include "comm/compress.hpp"
 #include "core/execution.hpp"

@@ -2,11 +2,46 @@
 
 #include <algorithm>
 
-#include "comm/allreduce.hpp"
 #include "comm/link.hpp"
-#include "sim/resources.hpp"
 
 namespace comdml::baselines {
+
+comm::LinkGrid param_server_grid(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected,
+    const core::FleetOptions::CommOptions& comms) {
+  COMDML_CHECK(!selected.empty());
+  COMDML_CHECK(comms.server_mbps > 0.0);
+  const double share =
+      comms.server_mbps / static_cast<double>(selected.size());
+  std::vector<double> rates(profiles.size(), 0.0);
+  for (const int64_t idx : selected) {
+    COMDML_CHECK(idx >= 0 && idx < static_cast<int64_t>(profiles.size()));
+    const auto& p = profiles[static_cast<size_t>(idx)];
+    COMDML_REQUIRE(p.connected(), "selected agent " << idx
+                                                    << " has no uplink");
+    rates[static_cast<size_t>(idx)] = std::min(p.mbps, share);
+  }
+  return comm::LinkGrid::star(rates, comms.latency_sec);
+}
+
+std::vector<double> server_round_times(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected, int64_t model_bytes,
+    const core::FleetOptions::CommOptions& comms) {
+  comm::SimTransport transport(param_server_grid(profiles, selected, comms));
+  comm::CollectiveRequest req;
+  req.elems = comm::fp32_wire_elems(model_bytes);
+  req.participants = selected;
+  (void)comm::collective(comm::Protocol::kParamServer).run(transport, req);
+  const comm::TransportStats& stats = transport.stats();
+  std::vector<double> times;
+  times.reserve(selected.size());
+  for (const int64_t idx : selected)
+    times.push_back(stats.send_seconds[static_cast<size_t>(idx)] +
+                    stats.recv_seconds[static_cast<size_t>(idx)]);
+  return times;
+}
 
 BaselineFleet::BaselineFleet(Method method, const nn::ArchitectureSpec& spec,
                              core::FleetOptions options,
@@ -64,11 +99,8 @@ core::RoundReport BaselineFleet::step() {
   switch (method_) {
     case Method::kFedAvg:
     case Method::kFedProx: {
-      comm::ParamServerConfig ps_cfg;
-      ps_cfg.server_mbps = options_.comms.server_mbps;
-      ps_cfg.latency_sec = options_.comms.latency_sec;
-      const auto comm_times = comm::server_round_times(
-          topology_.profiles(), participants, model_bytes_, ps_cfg);
+      const auto comm_times = server_round_times(
+          topology_.profiles(), participants, model_bytes_, options_.comms);
       double worst = 0.0;
       for (size_t i = 0; i < participants.size(); ++i)
         worst = std::max(worst, compute[i] + comm_times[i]);

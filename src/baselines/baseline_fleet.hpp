@@ -4,8 +4,8 @@
 // (none of them balances workload); they differ in how updates move.
 #pragma once
 
-#include "comm/param_server.hpp"
 #include "core/trainer.hpp"
+#include "sim/resources.hpp"
 
 namespace comdml::baselines {
 
@@ -43,5 +43,28 @@ class BaselineFleet {
 
 /// Proximal-term compute overhead used for FedProx (extra gradient term).
 inline constexpr double kFedProxComputeOverhead = 1.05;
+
+// Central parameter-server communication (FedAvg / FedProx). Each selected
+// agent downloads the global model and uploads its update through its own
+// access link; the server's aggregate bandwidth `comms.server_mbps` is
+// shared across concurrent transfers, which is exactly the
+// central-bottleneck effect the paper attributes to server-based FL
+// (§V-B-2). The round is the registry's param_server collective.
+
+/// Star grid for one server round: endpoints 0..K-1 are the agents,
+/// endpoint K the server; agent i's edge runs at
+/// min(link_i, comms.server_mbps / #selected) with `comms.latency_sec`.
+/// Throws if a selected agent has no uplink.
+[[nodiscard]] comm::LinkGrid param_server_grid(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected,
+    const core::FleetOptions::CommOptions& comms);
+
+/// Per-agent down+up time for the selected agents (SimTransport run of the
+/// real round schedule).
+[[nodiscard]] std::vector<double> server_round_times(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected, int64_t model_bytes,
+    const core::FleetOptions::CommOptions& comms);
 
 }  // namespace comdml::baselines

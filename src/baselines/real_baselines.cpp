@@ -1,14 +1,49 @@
 #include "baselines/real_baselines.hpp"
 
 #include <algorithm>
+#include <numeric>
 
-#include "comm/allreduce.hpp"
-#include "comm/gossip.hpp"
-#include "comm/param_server.hpp"
+#include "baselines/baseline_fleet.hpp"
 #include "core/parallel.hpp"
 #include "core/workspace.hpp"
+#include "tensor/ops.hpp"
 
 namespace comdml::baselines {
+
+std::vector<tensor::Tensor> mean_state(
+    const std::vector<std::vector<tensor::Tensor>>& agent_states) {
+  COMDML_CHECK(!agent_states.empty());
+  std::vector<double> w(agent_states.size(),
+                        1.0 / static_cast<double>(agent_states.size()));
+  return weighted_mean_state(agent_states, w);
+}
+
+std::vector<tensor::Tensor> weighted_mean_state(
+    const std::vector<std::vector<tensor::Tensor>>& agent_states,
+    const std::vector<double>& weights) {
+  COMDML_CHECK(!agent_states.empty());
+  COMDML_CHECK(agent_states.size() == weights.size());
+  double wsum = 0.0;
+  for (const double w : weights) {
+    COMDML_CHECK(w >= 0.0);
+    wsum += w;
+  }
+  COMDML_REQUIRE(wsum > 0.0, "all aggregation weights are zero");
+
+  // Seed the accumulator from agent 0 in place (scale instead of
+  // zero-fill + axpy: one fewer pass, identical rounding).
+  std::vector<tensor::Tensor> out = agent_states[0];
+  for (auto& t : out)
+    tensor::scale_inplace(t, static_cast<float>(weights[0] / wsum));
+  for (size_t a = 1; a < agent_states.size(); ++a) {
+    const float w = static_cast<float>(weights[a] / wsum);
+    COMDML_REQUIRE(agent_states[a].size() == out.size(),
+                   "agent " << a << " state arity differs");
+    for (size_t t = 0; t < out.size(); ++t)
+      tensor::axpy(w, agent_states[a][t], out[t]);
+  }
+  return out;
+}
 
 RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
                                      const core::ModelFactory& factory,
@@ -38,9 +73,10 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
   for (size_t i = 1; i < models_.size(); ++i)
     nn::load_state(*models_[i], init);
 
-  if (method_ == learncurve::Method::kAllReduceDML) {
-    bucket_plan_ =
-        nn::BucketPlan::build(*models_[0], options_.comms.bucket_bytes);
+  const bool allreduce = method_ == learncurve::Method::kAllReduceDML;
+  bucket_plan_ = nn::BucketPlan::build(
+      *models_[0], allreduce ? options_.comms.bucket_bytes : 0);
+  if (allreduce) {
     pipeline_ = std::make_unique<core::RoundPipeline>(
         static_cast<int64_t>(models_.size()), bucket_plan_,
         core::bottleneck_grid(topology_, options_.comms.latency_sec),
@@ -82,13 +118,38 @@ float RealBaselineFleet::train_locally(
   return loss_sum / static_cast<float>(options_.train.batches_per_round);
 }
 
-void RealBaselineFleet::aggregate(core::RoundReport& stats) {
-  std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
-  states.resize(models_.size());
+std::vector<std::vector<tensor::Tensor>>& RealBaselineFleet::gather_states() {
+  state_scratch_.resize(models_.size());
   for (size_t i = 0; i < models_.size(); ++i)
-    nn::copy_state_into(*models_[i], states[i]);
-  const size_t k = models_.size();
+    nn::copy_state_into(*models_[i], state_scratch_[i]);
+  return state_scratch_;
+}
 
+void RealBaselineFleet::run_collective(comm::Protocol protocol,
+                                       comm::Transport& transport,
+                                       comm::CollectiveRequest req) {
+  const size_t k = models_.size();
+  const int64_t n = bucket_plan_.total_elems();
+  core::Scratch<double> slab(static_cast<int64_t>(k) * n);
+  req.elems = n;
+  req.buffers.resize(k);
+  std::vector<tensor::Tensor*> ptrs;
+  for (size_t i = 0; i < k; ++i) {
+    req.buffers[i] = slab.data() + static_cast<int64_t>(i) * n;
+    ptrs.clear();
+    models_[i]->collect_state(ptrs);
+    bucket_plan_.flatten_bucket(ptrs, 0, req.buffers[i]);
+  }
+  (void)comm::collective(protocol).run(transport, req);
+  for (size_t i = 0; i < k; ++i) {
+    ptrs.clear();
+    models_[i]->collect_state(ptrs);
+    bucket_plan_.unflatten_bucket(req.buffers[i], 0, ptrs);
+  }
+}
+
+void RealBaselineFleet::aggregate(core::RoundReport& stats) {
+  const size_t k = models_.size();
   switch (method_) {
     case learncurve::Method::kFedAvg:
     case learncurve::Method::kFedProx: {
@@ -107,54 +168,40 @@ void RealBaselineFleet::aggregate(core::RoundReport& stats) {
       if (!all_connected) {
         // An offline agent cannot reach the star; keep the historical
         // local-average semantics (no accounted traffic) for that case.
-        const auto avg = comm::weighted_mean_state(states, weights);
+        const auto avg = weighted_mean_state(gather_states(), weights);
         for (auto& m : models_) nn::load_state(*m, avg);
         break;
       }
-      std::vector<int64_t> selected(k);
       comm::CollectiveRequest req;
-      req.weights = weights;
-      for (size_t i = 0; i < k; ++i)
-        selected[i] = static_cast<int64_t>(i);
-      comm::ParamServerConfig cfg;
-      cfg.server_mbps = options_.comms.server_mbps;
-      cfg.latency_sec = options_.comms.latency_sec;
-      comm::InProcTransport transport(
-          comm::param_server_grid(topology_.profiles(), selected, cfg));
-
-      const int64_t n = comm::state_elems(states[0]);
-      core::Scratch<double> slab(static_cast<int64_t>(k) * n);
-      req.elems = n;
-      req.participants = selected;
-      req.buffers.resize(k);
-      for (size_t i = 0; i < k; ++i) {
-        req.buffers[i] = slab.data() + static_cast<int64_t>(i) * n;
-        comm::flatten_state(states[i], req.buffers[i]);
-      }
-      (void)comm::collective(comm::Protocol::kParamServer)
-          .run(transport, req);
-      for (size_t i = 0; i < k; ++i)
-        comm::unflatten_state(req.buffers[i], states[i]);
-      for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
+      req.weights = std::move(weights);
+      req.participants.resize(k);
+      std::iota(req.participants.begin(), req.participants.end(),
+                int64_t{0});
+      comm::InProcTransport transport(param_server_grid(
+          topology_.profiles(), req.participants, options_.comms));
+      run_collective(comm::Protocol::kParamServer, transport, std::move(req));
       stats.aggregation_seconds = transport.stats().seconds;
       stats.aggregation_bytes = transport.stats().max_bytes_sent();
       break;
     }
     case learncurve::Method::kBrainTorrent: {
       // Random coordinator averages and redistributes.
-      const auto avg = comm::mean_state(states);
+      const auto avg = mean_state(gather_states());
       for (auto& m : models_) nn::load_state(*m, avg);
       break;
     }
     case learncurve::Method::kGossip: {
-      const int64_t bytes =
-          static_cast<int64_t>(nn::state_bytes(*models_[0]));
-      const auto times =
-          comm::gossip_exchange(states, topology_, bytes, rng_);
-      for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
-      for (const double t : times)
-        stats.aggregation_seconds = std::max(stats.aggregation_seconds, t);
-      stats.aggregation_bytes = bytes;
+      // Each agent pushes its model to one random neighbor over that
+      // edge's link; the round lasts as long as the slowest push.
+      comm::InProcTransport transport(comm::LinkGrid::from_topology(
+          topology_, options_.comms.latency_sec));
+      comm::CollectiveRequest req;
+      req.rng = &rng_;
+      run_collective(comm::Protocol::kGossip, transport, std::move(req));
+      const std::vector<double>& pushes = transport.stats().send_seconds;
+      stats.aggregation_seconds =
+          *std::max_element(pushes.begin(), pushes.end());
+      stats.aggregation_bytes = transport.stats().max_bytes_sent();
       break;
     }
     case learncurve::Method::kAllReduceDML:  // runs through pipeline_

@@ -49,13 +49,15 @@ class RealBaselineFleet {
   tensor::Rng rng_;
   std::vector<std::unique_ptr<nn::Sequential>> models_;
   std::vector<std::unique_ptr<data::Batcher>> batchers_;
-  /// Per-round aggregation merge buffers, reused across rounds.
+  /// Per-round merge buffers of the local means, reused across rounds.
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
-  /// AllReduce-DML aggregation (one whole-state bucket when
-  /// comms.bucket_bytes == 0): agents publish their buckets as their local
-  /// training finishes, and idle pool workers reduce ready buckets
-  /// concurrently (comms.overlap). Unused by the other methods.
+  /// AllReduce-DML buckets (one whole-state bucket when
+  /// comms.bucket_bytes == 0); the other methods' collectives run on one
+  /// whole-state bucket.
   nn::BucketPlan bucket_plan_;
+  /// AllReduce-DML aggregation: agents publish their buckets as their
+  /// local training finishes, and idle pool workers reduce ready buckets
+  /// concurrently (comms.overlap). Unused by the other methods.
   std::unique_ptr<core::RoundPipeline> pipeline_;
 
   /// `anchors` (FedProx only, else nullptr): the round-start value of each
@@ -64,6 +66,22 @@ class RealBaselineFleet {
                       const std::vector<tensor::Tensor>* anchors);
   /// Aggregation of the methods that do not run an allreduce.
   void aggregate(core::RoundReport& stats);
+  /// Every agent's state, copied into state_scratch_.
+  std::vector<std::vector<tensor::Tensor>>& gather_states();
+  /// Runs `protocol` over `transport` on every agent's flattened state
+  /// (`req.elems` and `req.buffers` are filled here) and writes the
+  /// results back into the models.
+  void run_collective(comm::Protocol protocol, comm::Transport& transport,
+                      comm::CollectiveRequest req);
 };
+
+/// Plain arithmetic mean across agents' states (no traffic).
+[[nodiscard]] std::vector<tensor::Tensor> mean_state(
+    const std::vector<std::vector<tensor::Tensor>>& agent_states);
+
+/// Weighted mean with per-agent weights (FedAvg-style N_i/N weighting).
+[[nodiscard]] std::vector<tensor::Tensor> weighted_mean_state(
+    const std::vector<std::vector<tensor::Tensor>>& agent_states,
+    const std::vector<double>& weights);
 
 }  // namespace comdml::baselines

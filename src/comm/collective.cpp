@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 
 #include "comm/reliable.hpp"
@@ -349,6 +350,86 @@ class HalvingDoublingAllReduce final : public Collective {
   }
 };
 
+}  // namespace
+
+// ---- recovery ---------------------------------------------------------------
+
+/// The one mid-run recovery path of every protocol. Built before the first
+/// message moves, it copies the participants' inputs; after an attempt
+/// dies on a dead or silent endpoint, survive() puts the live participants
+/// back to those inputs on a clean transport, so the protocol's rerun over
+/// them is bit-identical to a from-scratch run without the dead. Dead
+/// endpoints' buffers are left as the aborted attempt left them.
+class Recovery {
+ public:
+  /// `t` and `req` must outlive the recovery. Empty `participants` means
+  /// every endpoint of `t`.
+  Recovery(Transport& t, const CollectiveRequest& req,
+           std::vector<int64_t> participants)
+      : transport_(&t),
+        request_(&req),
+        participants_(std::move(participants)) {
+    if (participants_.empty()) {
+      participants_.resize(static_cast<size_t>(t.endpoints()));
+      std::iota(participants_.begin(), participants_.end(), int64_t{0});
+    }
+    if (req.buffers.empty()) return;
+    snapshot_.resize(static_cast<size_t>(t.endpoints()));
+    for (const int64_t a : participants_) {
+      const double* buf = buffer_of(req, a);
+      snapshot_[static_cast<size_t>(a)].assign(buf, buf + req.elems);
+    }
+  }
+
+  /// Call from the handler of a failed attempt. Rethrows the error unless
+  /// it is an EndpointDownError, or a DeliveryTimeoutError (whose silent
+  /// sender is then failed), naming an endpoint other than `fatal`. Then
+  /// drops the dead from the participants, restores the survivors'
+  /// inputs, drops undelivered mail and `channel`'s unacked copies, and
+  /// returns the survivors in participant order. Throws if none is left.
+  const std::vector<int64_t>& survive(ReliableChannel* channel,
+                                      int64_t fatal = -1) {
+    try {
+      throw;
+    } catch (const EndpointDownError& e) {
+      if (e.endpoint() == fatal) throw;
+    } catch (const DeliveryTimeoutError& e) {
+      if (e.src() == fatal) throw;
+      transport_->fail_endpoint(e.src());
+    }
+    std::vector<int64_t> survivors;
+    for (const int64_t a : participants_)
+      if (transport_->endpoint_alive(a)) survivors.push_back(a);
+    COMDML_REQUIRE(!survivors.empty(),
+                   "collective cannot recover: every participant is dead");
+    participants_ = std::move(survivors);
+    if (!snapshot_.empty()) {
+      for (const int64_t a : participants_) {
+        const std::vector<double>& snap = snapshot_[static_cast<size_t>(a)];
+        std::copy(snap.begin(), snap.end(), buffer_of(*request_, a));
+      }
+    }
+    transport_->clear_pending();
+    if (channel != nullptr) channel->clear_unacked();
+    ++count_;
+    return participants_;
+  }
+
+  /// Completed recoveries.
+  [[nodiscard]] int64_t count() const noexcept { return count_; }
+
+ private:
+  Transport* transport_;
+  const CollectiveRequest* request_;
+  std::vector<int64_t> participants_;
+  /// Input copies by endpoint id; empty rows for non-participants, and
+  /// no rows on a timing-only run.
+  std::vector<std::vector<double>> snapshot_;
+  int64_t count_ = 0;
+};
+
+namespace {
+
 // ---- gossip -----------------------------------------------------------------
 
 class GossipExchange final : public Collective {
@@ -360,61 +441,36 @@ class GossipExchange final : public Collective {
     const int64_t k = t.endpoints();
     validate_buffers(req, k);
     COMDML_REQUIRE(req.rng != nullptr, "gossip needs a partner-draw Rng");
-
-    // Recovery snapshot: round-start buffers plus the partner-draw RNG
-    // state. A survivor rerun restores both, so it is bit-identical to a
-    // from-scratch run where the dead endpoints never existed.
-    const bool recovery = t.has_endpoint_faults();
-    std::vector<std::vector<double>> snapshot;
+    std::unique_ptr<ReliableChannel> ch;
+    if (t.has_message_faults()) ch = std::make_unique<ReliableChannel>(t);
+    // A survivor rerun also rewinds the partner-draw RNG, so it is
+    // bit-identical to a from-scratch run where the dead never existed.
+    std::optional<Recovery> recovery;
     std::string rng_state;
-    if (recovery) {
+    if (t.has_endpoint_faults()) {
+      recovery.emplace(t, req, std::vector<int64_t>{});
       rng_state = req.rng->state();
-      if (!req.buffers.empty()) {
-        snapshot.resize(static_cast<size_t>(k));
-        for (int64_t i = 0; i < k; ++i) {
-          const double* buf = buffer_of(req, i);
-          if (buf != nullptr)
-            snapshot[static_cast<size_t>(i)].assign(buf, buf + req.elems);
-        }
-      }
     }
-    int64_t recoveries = 0;
     for (;;) {
       try {
-        CollectiveReport rep = run_once(t, req);
-        rep.recoveries = recoveries;
+        CollectiveReport rep = run_once(t, req, ch.get());
+        rep.recoveries = recovery ? recovery->count() : 0;
         return rep;
-      } catch (const EndpointDownError&) {
+      } catch (...) {
         if (!recovery) throw;
-      } catch (const DeliveryTimeoutError& e) {
-        // An unresponsive peer under message faults: declare it dead and
-        // re-form around the survivors, like the stepped protocols do.
-        if (!recovery) throw;
-        t.fail_endpoint(e.src());
+        (void)recovery->survive(ch.get());
+        req.rng->set_state(rng_state);
       }
-      ++recoveries;
-      COMDML_REQUIRE(!t.live_endpoints().empty(),
-                     "gossip cannot recover: every endpoint is dead");
-      req.rng->set_state(rng_state);
-      for (size_t i = 0; i < snapshot.size(); ++i) {
-        const auto& snap = snapshot[i];
-        if (!snap.empty())
-          std::copy(snap.begin(), snap.end(),
-                    buffer_of(req, static_cast<int64_t>(i)));
-      }
-      t.clear_pending();
     }
   }
 
  private:
-  static CollectiveReport run_once(Transport& t,
-                                   const CollectiveRequest& req) {
+  static CollectiveReport run_once(Transport& t, const CollectiveRequest& req,
+                                   ReliableChannel* ch) {
     const int64_t k = t.endpoints();
     const std::vector<int64_t> live = t.live_endpoints();
     std::vector<char> is_live(static_cast<size_t>(k), 0);
     for (const int64_t e : live) is_live[static_cast<size_t>(e)] = 1;
-    std::unique_ptr<ReliableChannel> ch;
-    if (t.has_message_faults()) ch = std::make_unique<ReliableChannel>(t);
 
     CollectiveReport rep;
     rep.partners.assign(static_cast<size_t>(k), std::nullopt);
@@ -522,54 +578,31 @@ class ParamServerRound final : public Collective {
     COMDML_CHECK(weights.size() == selected.size());
     for (const double w : weights) COMDML_CHECK(w >= 0.0);
 
-    // Recovery snapshot of the selected agents' round-start states. A dead
-    // *agent* is survivable: the round re-forms over the remaining clients
-    // and the weight normalization re-derives from the survivor weights, so
-    // the rerun is exactly a from-scratch round over the survivors. A dead
-    // *server* is fatal by design — the star has no one left to aggregate.
-    const bool recovery = t.has_endpoint_faults();
-    std::vector<std::vector<double>> snapshot;
-    if (recovery && !req.buffers.empty()) {
-      snapshot.resize(static_cast<size_t>(server));
-      for (const int64_t id : selected) {
-        const double* buf = buffer_of(req, id);
-        snapshot[static_cast<size_t>(id)].assign(buf, buf + req.elems);
-      }
-    }
-    int64_t recoveries = 0;
+    std::unique_ptr<ReliableChannel> ch;
+    if (t.has_message_faults()) ch = std::make_unique<ReliableChannel>(t);
+    // A dead *agent* is survivable: the round re-forms over the remaining
+    // clients and the weight normalization re-derives from the survivor
+    // weights, so the rerun is exactly a from-scratch round over the
+    // survivors. A dead *server* is fatal by design — the star has no one
+    // left to aggregate.
+    std::optional<Recovery> recovery;
+    if (t.has_endpoint_faults()) recovery.emplace(t, req, selected);
     for (;;) {
       try {
-        CollectiveReport rep = run_round(t, req, selected, weights, server);
-        rep.recoveries = recoveries;
+        CollectiveReport rep =
+            run_round(t, req, selected, weights, server, ch.get());
+        rep.recoveries = recovery ? recovery->count() : 0;
         return rep;
-      } catch (const EndpointDownError& e) {
-        if (!recovery || e.endpoint() == server) throw;
-      } catch (const DeliveryTimeoutError& e) {
-        if (!recovery || e.src() == server) throw;
-        t.fail_endpoint(e.src());
+      } catch (...) {
+        if (!recovery) throw;
+        const std::vector<int64_t>& survivors =
+            recovery->survive(ch.get(), server);
+        std::vector<double> kept;
+        for (size_t s = 0; s < selected.size(); ++s)
+          if (t.endpoint_alive(selected[s])) kept.push_back(weights[s]);
+        weights = std::move(kept);
+        selected = survivors;
       }
-      ++recoveries;
-      const std::vector<int64_t> live = t.live_endpoints();
-      std::vector<int64_t> next_selected;
-      std::vector<double> next_weights;
-      for (size_t s = 0; s < selected.size(); ++s) {
-        if (std::find(live.begin(), live.end(), selected[s]) == live.end())
-          continue;
-        next_selected.push_back(selected[s]);
-        next_weights.push_back(weights[s]);
-      }
-      COMDML_REQUIRE(!next_selected.empty(),
-                     "param-server round cannot recover: every selected "
-                     "agent is dead");
-      selected = std::move(next_selected);
-      weights = std::move(next_weights);
-      if (!snapshot.empty()) {
-        for (const int64_t id : selected) {
-          const auto& snap = snapshot[static_cast<size_t>(id)];
-          std::copy(snap.begin(), snap.end(), buffer_of(req, id));
-        }
-      }
-      t.clear_pending();
     }
   }
 
@@ -577,12 +610,10 @@ class ParamServerRound final : public Collective {
   static CollectiveReport run_round(Transport& t, const CollectiveRequest& req,
                                     const std::vector<int64_t>& selected,
                                     const std::vector<double>& weights,
-                                    int64_t server) {
+                                    int64_t server, ReliableChannel* ch) {
     double wsum = 0.0;
     for (const double w : weights) wsum += w;
     COMDML_REQUIRE(wsum > 0.0, "all aggregation weights are zero");
-    std::unique_ptr<ReliableChannel> ch;
-    if (t.has_message_faults()) ch = std::make_unique<ReliableChannel>(t);
     const auto send = [&](int64_t src, int64_t dst, const double* data) {
       if (ch != nullptr)
         ch->send(src, dst, req.elems, data);
@@ -635,6 +666,17 @@ const Collective* const kRegistry[kProtocols] = {&kRing, &kHalvingDoubling,
 
 }  // namespace
 
+Protocol allreduce_protocol(AllReduceAlgo algo) {
+  switch (algo) {
+    case AllReduceAlgo::kRing:
+      return Protocol::kRingAllReduce;
+    case AllReduceAlgo::kHalvingDoubling:
+      return Protocol::kHalvingDoublingAllReduce;
+  }
+  COMDML_CHECK(false);
+  return Protocol::kRingAllReduce;
+}
+
 SteppedSchedule allreduce_schedule(Protocol protocol, int64_t agents,
                                    int64_t elems) {
   COMDML_CHECK(agents > 0 && elems >= 0);
@@ -685,16 +727,6 @@ AsyncCollective::AsyncCollective(Protocol protocol, Transport& transport,
     : transport_(&transport),
       request_(std::move(request)),
       schedule_(&owned_) {
-  if (protocol == Protocol::kGossip || protocol == Protocol::kParamServer) {
-    // No stepped schedule: the whole (recoverable, reliable) blocking
-    // protocol runs inside one poll(). Validation happens there — the
-    // param-server star has one fewer agent buffer than endpoints.
-    COMDML_REQUIRE(request_.owned.empty(),
-                   "an owned mask needs a stepped schedule; '"
-                       << collective(protocol).name() << "' has none");
-    one_shot_ = protocol;
-    return;
-  }
   owned_ = allreduce_schedule(protocol, transport.endpoints(), request_.elems);
   validate_buffers(request_, transport.endpoints());
   if (schedule_->steps.empty()) finalized_ = true;  // k == 1: nothing to do
@@ -716,85 +748,39 @@ AsyncCollective::AsyncCollective(const SteppedSchedule& schedule,
 
 AsyncCollective::~AsyncCollective() = default;
 
+int64_t AsyncCollective::recoveries() const noexcept {
+  return recovery_ != nullptr ? recovery_->count() : 0;
+}
+
 void AsyncCollective::enable_recovery(Protocol protocol) {
-  if (one_shot_.has_value()) return;  // recovery lives inside the protocol
   COMDML_REQUIRE(request_.owned.empty(),
                  "recovery needs every endpoint owned: processes of a "
                  "multi-process run agree on survivors through a barrier");
   COMDML_REQUIRE(next_step_ == 0,
                  "enable_recovery() must precede the first poll()");
-  recovery_ = true;
   recovery_protocol_ = protocol;
-  snapshot_.assign(static_cast<size_t>(transport_->endpoints()), {});
-  if (request_.buffers.empty()) return;
-  for (const int64_t a : current_participants()) {
-    const double* buf = buffer_of(request_, a);
-    snapshot_[static_cast<size_t>(a)].assign(buf, buf + request_.elems);
-  }
-}
-
-std::vector<int64_t> AsyncCollective::current_participants() const {
-  if (!schedule_->participants.empty()) return schedule_->participants;
-  std::vector<int64_t> all(static_cast<size_t>(transport_->endpoints()));
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int64_t>(i);
-  return all;
-}
-
-void AsyncCollective::recover() {
-  const std::vector<int64_t> live = transport_->live_endpoints();
-  std::vector<int64_t> survivors;
-  for (const int64_t a : current_participants())
-    if (std::find(live.begin(), live.end(), a) != live.end())
-      survivors.push_back(a);
-  COMDML_REQUIRE(!survivors.empty(),
-                 "collective cannot recover: every participant is dead");
-  // Partially-reduced buffers are poisoned by the aborted step; restart the
-  // survivors from their pristine inputs and drop undelivered mail so the
-  // re-formed schedule sees a clean transport.
-  if (!request_.buffers.empty()) {
-    for (const int64_t a : survivors) {
-      const std::vector<double>& snap = snapshot_[static_cast<size_t>(a)];
-      std::copy(snap.begin(), snap.end(), buffer_of(request_, a));
-    }
-  }
-  transport_->clear_pending();
-  if (channel_ != nullptr) channel_->clear_unacked();
-  const bool scale = schedule_->scale_to_mean;
-  owned_ = allreduce_schedule_over(recovery_protocol_, survivors,
-                                   request_.elems);
-  owned_.scale_to_mean = scale;
-  schedule_ = &owned_;
-  next_step_ = 0;
-  finalized_ = false;
-  ++recoveries_;
+  recovery_ = std::make_unique<Recovery>(*transport_, request_,
+                                         schedule_->participants);
 }
 
 bool AsyncCollective::poll() {
-  if (one_shot_.has_value()) {
-    if (!one_shot_done_) {
-      const CollectiveReport rep =
-          collective(*one_shot_).run(*transport_, request_);
-      recoveries_ = rep.recoveries;
-      one_shot_done_ = true;
-      finalized_ = true;
-    }
-    return true;
-  }
   if (next_step_ < schedule_->steps.size()) {
     try {
       execute_schedule_step(*transport_, request_,
                             schedule_->steps[next_step_], channel_.get());
       ++next_step_;
-    } catch (const EndpointDownError&) {
-      if (!recovery_) throw;
-      recover();
-      return done();
-    } catch (const DeliveryTimeoutError& e) {
-      // The retry budget ran dry on an edge: treat the silent sender as
-      // dead and re-form the survivor schedule, same as a proven death.
-      if (!recovery_) throw;
-      transport_->fail_endpoint(e.src());
-      recover();
+    } catch (...) {
+      if (recovery_ == nullptr) throw;
+      // Partially-reduced buffers are poisoned by the aborted step: restart
+      // the survivors from their inputs on a schedule re-formed over them.
+      const bool scale = schedule_->scale_to_mean;
+      owned_ = allreduce_schedule_over(
+          recovery_protocol_, recovery_->survive(channel_.get()),
+          request_.elems);
+      owned_.scale_to_mean = scale;
+      schedule_ = &owned_;
+      next_step_ = 0;
+      finalized_ = false;
       return done();
     }
   }
@@ -817,17 +803,18 @@ const Collective& collective(Protocol protocol) {
   return *kRegistry[idx];
 }
 
-const Collective* find_collective(std::string_view name) {
-  for (const Collective* c : kRegistry)
-    if (c->name() == name) return c;
-  return nullptr;
-}
-
-std::vector<std::string_view> collective_names() {
-  std::vector<std::string_view> names;
-  names.reserve(kProtocols);
-  for (const Collective* c : kRegistry) names.push_back(c->name());
-  return names;
+CollectiveCost allreduce_cost(int64_t agents, int64_t model_bytes,
+                              double bottleneck_mbps, AllReduceAlgo algo,
+                              double latency_sec) {
+  COMDML_CHECK(agents > 0 && model_bytes >= 0);
+  if (agents == 1) return {};
+  SimTransport transport(
+      LinkGrid::uniform(agents, bottleneck_mbps, latency_sec));
+  CollectiveRequest req;
+  req.elems = fp32_wire_elems(model_bytes);
+  (void)collective(allreduce_protocol(algo)).run(transport, req);
+  const TransportStats& stats = transport.stats();
+  return {stats.seconds, stats.steps, stats.max_bytes_sent()};
 }
 
 }  // namespace comdml::comm

@@ -10,9 +10,17 @@
 // path, so the old per-protocol cost-vs-trace checks collapse into one
 // parity test per protocol (tests/transport_test.cpp).
 //
-// Protocols are looked up through a small registry (by Protocol enum or by
-// name) so fleets, benches, and future backends select collectives as
-// interchangeable strategies instead of hard-coding free functions.
+// Fleets, benches and backends select a protocol through the registry,
+// `collective(Protocol)`, instead of hard-coding free functions. Every
+// protocol survives an endpoint death mid-run the same way: armed when the
+// transport has endpoint faults, it restores the survivors' inputs and
+// reruns over them, bit-identical to a from-scratch survivor-only run.
+//
+// AllReduce algorithms (paper §IV-B), both bandwidth-optimal:
+//  - ring (Goyal et al. [34]):          2(K-1) steps, 2(K-1)/K * b bytes/agent
+//  - recursive halving/doubling [35]:   2 log2 K steps, 2(K-1)/K * b bytes/agent
+// The paper picks halving/doubling for large K because of its O(log K) step
+// count.
 #pragma once
 
 #include <functional>
@@ -25,6 +33,7 @@
 
 namespace comdml::comm {
 
+class Recovery;
 class ReliableChannel;
 
 enum class Protocol {
@@ -33,6 +42,11 @@ enum class Protocol {
   kGossip,
   kParamServer,
 };
+
+enum class AllReduceAlgo { kRing, kHalvingDoubling };
+
+/// Registry protocol implementing an AllReduce algorithm.
+[[nodiscard]] Protocol allreduce_protocol(AllReduceAlgo algo);
 
 /// Runs the items of one phase of a schedule step: calls item(i) once for
 /// every i in [0, items), possibly on several threads at once, returns
@@ -180,10 +194,9 @@ struct SteppedSchedule {
 class AsyncCollective {
  public:
   /// `transport` and the request's buffers must outlive the operation.
-  /// kGossip and kParamServer have no stepped schedule (data-dependent
-  /// fan-in / star geometry); they run as one-shot operations whose single
-  /// poll() executes the whole (recoverable, reliable) protocol, so every
-  /// registered protocol drives through this one interface.
+  /// Throws for kGossip and kParamServer, which have no stepped schedule
+  /// (data-dependent fan-in / star geometry): run them through
+  /// collective(protocol).run().
   AsyncCollective(Protocol protocol, Transport& transport,
                   CollectiveRequest request);
   /// Borrow a prebuilt schedule (must outlive the operation and match the
@@ -200,7 +213,6 @@ class AsyncCollective {
   AsyncCollective& operator=(const AsyncCollective&) = delete;
 
   [[nodiscard]] bool done() const noexcept {
-    if (one_shot_.has_value()) return one_shot_done_;
     return next_step_ >= schedule_->steps.size();
   }
   /// Executes the next schedule step (and the final mean scaling after the
@@ -216,11 +228,11 @@ class AsyncCollective {
 
   /// Arm mid-collective endpoint-failure recovery (throws for a request
   /// with an owned mask: processes must agree on survivors externally).
-  /// Must be called before
-  /// the first poll(): it snapshots every participant's input buffer, and
-  /// on EndpointDown the operation (1) drops the dead endpoints from the
-  /// participant set, (2) restores the survivors' buffers from the
-  /// snapshot, (3) clears undelivered transport mail, and (4) restarts on
+  /// Must be called before the first poll(): it snapshots every
+  /// participant's input buffer, and on EndpointDown the operation (1)
+  /// drops the dead endpoints from the participant set, (2) restores the
+  /// survivors' buffers from the snapshot, (3) clears undelivered
+  /// transport mail and the channel's unacked copies, and (4) restarts on
   /// a schedule re-formed over the survivors via
   /// allreduce_schedule_over(protocol, ...) — whose final scaling averages
   /// over the live set. The result is bit-identical to a from-scratch
@@ -228,13 +240,12 @@ class AsyncCollective {
   /// stats (those bytes really crossed the wire). Repeated failures
   /// recover repeatedly; only the last survivor standing completes with
   /// its own contribution as the "mean". Throws only if every participant
-  /// is dead. For one-shot protocols (gossip, param_server) recovery is
-  /// implemented inside the protocol run itself and arms automatically
-  /// when the transport has endpoint faults; this call is then a no-op.
+  /// is dead. Gossip and param-server runs recover through the same steps
+  /// whenever the transport has endpoint faults.
   void enable_recovery(Protocol protocol);
 
   /// Completed recovery cycles (0 = the collective never saw a failure).
-  [[nodiscard]] int64_t recoveries() const noexcept { return recoveries_; }
+  [[nodiscard]] int64_t recoveries() const noexcept;
 
   [[nodiscard]] int64_t steps_executed() const noexcept {
     return static_cast<int64_t>(next_step_);
@@ -244,39 +255,35 @@ class AsyncCollective {
   }
 
  private:
-  /// Current participant set (schedule's, or every transport endpoint).
-  [[nodiscard]] std::vector<int64_t> current_participants() const;
-  void recover();
-
   Transport* transport_;
   CollectiveRequest request_;
   SteppedSchedule owned_;  ///< empty when the schedule is borrowed
   const SteppedSchedule* schedule_;
   /// Reliable delivery for stepped traffic; created when the transport
-  /// injects message faults (one-shot protocols build their own).
+  /// injects message faults.
   std::unique_ptr<ReliableChannel> channel_;
-  /// Set for protocols without a stepped schedule (gossip, param_server):
-  /// one poll() runs the whole blocking protocol.
-  std::optional<Protocol> one_shot_;
-  bool one_shot_done_ = false;
   size_t next_step_ = 0;
   bool finalized_ = false;
-  bool recovery_ = false;
   Protocol recovery_protocol_ = Protocol::kRingAllReduce;
-  int64_t recoveries_ = 0;
-  /// Pristine per-participant input copies, indexed by endpoint id;
-  /// empty rows for non-participants and timing-only runs.
-  std::vector<std::vector<double>> snapshot_;
+  /// Armed by enable_recovery(); see Recovery in collective.cpp.
+  std::unique_ptr<Recovery> recovery_;
 };
 
 /// Registry lookup by enum (always succeeds).
 [[nodiscard]] const Collective& collective(Protocol protocol);
 
-/// Registry lookup by name ("ring_allreduce", "halving_doubling_allreduce",
-/// "gossip", "param_server"); nullptr when unknown.
-[[nodiscard]] const Collective* find_collective(std::string_view name);
+/// Analytic cost of one AllReduce over K agents moving a `model_bytes`
+/// model with the slowest participating link at `bottleneck_mbps`
+/// (a SimTransport run of the real message schedule over a uniform grid).
+struct CollectiveCost {
+  double seconds = 0.0;
+  int64_t steps = 0;
+  int64_t bytes_per_agent = 0;  ///< max bytes any one agent sends
+};
 
-/// Registered protocol names, registry order.
-[[nodiscard]] std::vector<std::string_view> collective_names();
+[[nodiscard]] CollectiveCost allreduce_cost(
+    int64_t agents, int64_t model_bytes, double bottleneck_mbps,
+    AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling,
+    double latency_sec = kDefaultLatencySec);
 
 }  // namespace comdml::comm

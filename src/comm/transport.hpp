@@ -550,7 +550,8 @@ class Transport {
 };
 
 /// Analytic clock only: accounts every byte/step/second of the schedule,
-/// never moves data. `allreduce_cost` and `server_round_times` run on it.
+/// never moves data. comm::allreduce_cost and the paper-scale simulators'
+/// parameter-server and gossip rounds run on it.
 class SimTransport final : public Transport {
  public:
   using Transport::Transport;

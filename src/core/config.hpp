@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "comm/allreduce.hpp"
+#include "comm/collective.hpp"
 #include "learncurve/curves.hpp"
 #include "nn/optimizer.hpp"
 

@@ -73,7 +73,7 @@
 #include <mutex>
 #include <vector>
 
-#include "comm/allreduce.hpp"
+#include "comm/collective.hpp"
 #include "nn/bucket.hpp"
 
 namespace comdml::core {

@@ -1,7 +1,8 @@
 // Communication substrate tests: transfer-time model, AllReduce cost model
 // vs real message-level execution (ring and halving/doubling, including
 // non-power-of-two fleets), step fan-out determinism across thread counts
-// and item orders, gossip exchange, parameter-server sharing.
+// and item orders, the baselines' state means, gossip exchange through the
+// registry, parameter-server sharing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +12,9 @@
 #include <numeric>
 #include <string>
 
-#include "comm/allreduce.hpp"
-#include "comm/gossip.hpp"
-#include "comm/param_server.hpp"
+#include "baselines/baseline_fleet.hpp"
+#include "baselines/real_baselines.hpp"
+#include "comm/collective.hpp"
 #include "core/parallel.hpp"
 #include "tensor/ops.hpp"
 
@@ -119,26 +120,41 @@ std::vector<std::vector<Tensor>> random_states(size_t k, Rng& rng) {
   return states;
 }
 
+/// Runs `protocol` over `transport` on the agents' states flattened to
+/// fp64, writes the results back into `states` and returns the report.
+CollectiveReport run_on_states(std::vector<std::vector<Tensor>>& states,
+                               Protocol protocol, Transport& transport,
+                               CollectiveRequest req = {}) {
+  const size_t k = states.size();
+  int64_t n = 0;
+  for (const Tensor& t : states[0]) n += t.size();
+  std::vector<double> slab(k * static_cast<size_t>(n));
+  req.elems = n;
+  req.buffers.clear();
+  for (size_t a = 0; a < k; ++a) {
+    double* out = slab.data() + a * static_cast<size_t>(n);
+    req.buffers.push_back(out);
+    for (const Tensor& t : states[a])
+      for (const float v : t.flat()) *out++ = v;
+  }
+  const CollectiveReport rep = collective(protocol).run(transport, req);
+  for (size_t a = 0; a < k; ++a) {
+    const double* in = req.buffers[a];
+    for (Tensor& t : states[a])
+      for (float& v : t.flat()) v = static_cast<float>(*in++);
+  }
+  return rep;
+}
+
 /// Averages `states` in place with the algorithm's registered collective
 /// over an InProcTransport on a uniform 100 Mbps grid; returns the
 /// executed traffic.
 TransportStats run_allreduce(std::vector<std::vector<Tensor>>& states,
                              AllReduceAlgo algo) {
-  const size_t k = states.size();
-  const int64_t n = state_elems(states[0]);
-  std::vector<double> slab(k * static_cast<size_t>(n));
   InProcTransport transport(
-      LinkGrid::uniform(static_cast<int64_t>(k), 100.0));
-  CollectiveRequest req;
-  req.elems = n;
-  for (size_t a = 0; a < k; ++a) {
-    req.buffers.push_back(slab.data() + a * static_cast<size_t>(n));
-    flatten_state(states[a], req.buffers[a]);
-  }
-  const CollectiveReport rep =
-      collective(allreduce_protocol(algo)).run(transport, req);
-  for (size_t a = 0; a < k; ++a) unflatten_state(req.buffers[a], states[a]);
-  return rep.transport;
+      LinkGrid::uniform(static_cast<int64_t>(states.size()), 100.0));
+  return run_on_states(states, allreduce_protocol(algo), transport)
+      .transport;
 }
 
 class AllReduceExecP
@@ -148,7 +164,7 @@ TEST_P(AllReduceExecP, ComputesExactMean) {
   const auto [k, algo] = GetParam();
   Rng rng(1000 + k);
   auto states = random_states(static_cast<size_t>(k), rng);
-  const auto expected = mean_state(states);
+  const auto expected = baselines::mean_state(states);
   (void)run_allreduce(states, algo);
   for (int a = 0; a < k; ++a)
     for (size_t t = 0; t < expected.size(); ++t)
@@ -324,17 +340,36 @@ TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
 TEST(MeanState, WeightedMeanMatchesManual) {
   std::vector<std::vector<Tensor>> states{{Tensor::of({1.f})},
                                           {Tensor::of({5.f})}};
-  const auto avg = weighted_mean_state(states, {3.0, 1.0});
+  const auto avg = baselines::weighted_mean_state(states, {3.0, 1.0});
   EXPECT_NEAR(avg[0][0], 2.0f, 1e-6);
 }
 
 TEST(MeanState, ZeroWeightsThrow) {
   std::vector<std::vector<Tensor>> states{{Tensor::of({1.f})}};
-  EXPECT_THROW((void)weighted_mean_state(states, {0.0}),
+  EXPECT_THROW((void)baselines::weighted_mean_state(states, {0.0}),
                std::invalid_argument);
 }
 
 // ---- gossip --------------------------------------------------------------------------
+
+/// Partner draw of one timing-only gossip round over `topo`'s links.
+std::vector<std::optional<int64_t>> gossip_partners(const Topology& topo,
+                                                    Rng& rng) {
+  SimTransport transport(LinkGrid::from_topology(topo));
+  CollectiveRequest req;
+  req.elems = 1;
+  req.rng = &rng;
+  return collective(Protocol::kGossip).run(transport, req).partners;
+}
+
+/// One executed gossip round on `states` over `topo`'s links.
+CollectiveReport gossip_round(std::vector<std::vector<Tensor>>& states,
+                              const Topology& topo, Rng& rng) {
+  InProcTransport transport(LinkGrid::from_topology(topo));
+  CollectiveRequest req;
+  req.rng = &rng;
+  return run_on_states(states, Protocol::kGossip, transport, req);
+}
 
 TEST(Gossip, PartnersAreNeighbors) {
   Rng rng(2);
@@ -361,7 +396,7 @@ TEST(Gossip, ExchangeMovesStatesToward) {
   const auto topo = Topology::full_mesh(profiles);
   std::vector<std::vector<Tensor>> states{{Tensor::of({0.f})},
                                           {Tensor::of({10.f})}};
-  (void)gossip_exchange(states, topo, 1000, rng);
+  (void)gossip_round(states, topo, rng);
   // Both agents push to each other (2-agent full mesh), so both average.
   EXPECT_NEAR(states[0][0][0], 5.0f, 1e-5);
   EXPECT_NEAR(states[1][0][0], 5.0f, 1e-5);
@@ -375,7 +410,7 @@ TEST(Gossip, RepeatedExchangeConverges) {
   for (int a = 0; a < 8; ++a)
     states.push_back({Tensor::of({static_cast<float>(a)})});
   for (int round = 0; round < 60; ++round)
-    (void)gossip_exchange(states, topo, 1000, rng);
+    (void)gossip_round(states, topo, rng);
   for (int a = 0; a < 8; ++a)
     EXPECT_NEAR(states[static_cast<size_t>(a)][0][0], 3.5f, 0.8f);
 }
@@ -384,11 +419,13 @@ TEST(Gossip, CostUsesChosenLink) {
   Rng rng(6);
   std::vector<ResourceProfile> profiles(2, {1.0, 10.0});
   const auto topo = Topology::full_mesh(profiles);
-  std::vector<std::vector<Tensor>> states{{Tensor::of({0.f})},
-                                          {Tensor::of({1.f})}};
-  const auto times = gossip_exchange(states, topo, 1'250'000, rng);
+  SimTransport transport(LinkGrid::from_topology(topo));
+  CollectiveRequest req;
+  req.elems = fp32_wire_elems(1'250'000);
+  req.rng = &rng;
+  (void)collective(Protocol::kGossip).run(transport, req);
   // 1.25 MB over 10 Mbps = 1 s (+5 ms latency).
-  EXPECT_NEAR(times[0], 1.005, 1e-6);
+  EXPECT_NEAR(transport.stats().send_seconds[0], 1.005, 1e-6);
 }
 
 // ---- parameter server -----------------------------------------------------------------
@@ -397,22 +434,23 @@ TEST(ParamServer, SharesServerBandwidth) {
   std::vector<ResourceProfile> profiles(10, {1.0, 100.0});
   std::vector<int64_t> selected(10);
   std::iota(selected.begin(), selected.end(), 0);
-  ParamServerConfig config;
-  config.server_mbps = 100.0;  // 10 agents share 100 Mbps -> 10 Mbps each
-  const auto times = server_round_times(profiles, selected, 1'250'000,
-                                        config);
+  core::FleetOptions::CommOptions comms;
+  comms.server_mbps = 100.0;  // 10 agents share 100 Mbps -> 10 Mbps each
+  const auto times = baselines::server_round_times(profiles, selected,
+                                                   1'250'000, comms);
   for (const double t : times) EXPECT_NEAR(t, 2.0 * 1.005, 1e-6);
 }
 
 TEST(ParamServer, AgentLinkCanBeBottleneck) {
   std::vector<ResourceProfile> profiles{{1.0, 10.0}};
-  const auto times = server_round_times(profiles, {0}, 1'250'000, {});
+  const auto times =
+      baselines::server_round_times(profiles, {0}, 1'250'000, {});
   EXPECT_NEAR(times[0], 2.0 * 1.005, 1e-6);  // limited by the 10 Mbps uplink
 }
 
 TEST(ParamServer, DisconnectedAgentThrows) {
   std::vector<ResourceProfile> profiles{{1.0, 0.0}};
-  EXPECT_THROW((void)server_round_times(profiles, {0}, 100, {}),
+  EXPECT_THROW((void)baselines::server_round_times(profiles, {0}, 100, {}),
                std::invalid_argument);
 }
 

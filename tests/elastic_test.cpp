@@ -14,7 +14,6 @@
 #include <iostream>
 #include <vector>
 
-#include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
 #include "comm/transport.hpp"
 #include "core/fleet_runtime.hpp"

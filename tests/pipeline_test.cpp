@@ -23,7 +23,7 @@
 #include <thread>
 
 #include "baselines/real_baselines.hpp"
-#include "comm/allreduce.hpp"
+#include "comm/collective.hpp"
 #include "comm/socket_transport.hpp"
 #include "core/fleet_runtime.hpp"
 #include "core/parallel.hpp"
@@ -296,6 +296,10 @@ TEST(AsyncCollective, RejectsProtocolsWithoutSteppedSchedule) {
   EXPECT_THROW(
       (void)comm::allreduce_schedule(comm::Protocol::kParamServer, 4, 8),
       std::invalid_argument);
+  comm::SimTransport t(comm::LinkGrid::uniform(4, 100.0));
+  for (const auto p : {comm::Protocol::kGossip, comm::Protocol::kParamServer})
+    EXPECT_THROW(comm::AsyncCollective(p, t, comm::CollectiveRequest{}),
+                 std::invalid_argument);
 }
 
 // ---- bucketed determinism at the collective layer ---------------------------

@@ -241,6 +241,26 @@ TEST(RealBaselines, GossipReplicasMayDiverge) {
   EXPECT_GT(diverged, 0);
 }
 
+TEST(RealBaselines, GossipHonorsLinkLatency) {
+  // Every gossip push is one message over the pusher's chosen link, so
+  // the round's slowest push pays comms.latency_sec once, like each leg
+  // of a FedAvg round does.
+  const auto round_seconds = [](Method method, double latency_sec) {
+    RealBaselineFleet::Options opt;
+    opt.comms.latency_sec = latency_sec;
+    RealBaselineFleet fleet(method, mlp_factory(6, 3), 3,
+                            blob_shards(5, 20, 3, 6, 27), hetero_mesh(5),
+                            opt);
+    return fleet.step().aggregation_seconds;
+  };
+  EXPECT_NEAR(round_seconds(Method::kGossip, 0.5) -
+                  round_seconds(Method::kGossip, 0.0),
+              0.5, 1e-9);
+  EXPECT_NEAR(round_seconds(Method::kFedAvg, 0.5) -
+                  round_seconds(Method::kFedAvg, 0.0),
+              1.0, 1e-9);
+}
+
 TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {
   // An offline agent cannot reach the param-server star; aggregation must
   // fall back to the historical local weighted mean instead of throwing.

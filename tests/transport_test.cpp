@@ -12,7 +12,6 @@
 #include <string>
 #include <thread>
 
-#include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
 #include "comm/reliable.hpp"
 #include "comm/transport.hpp"
@@ -661,15 +660,7 @@ TEST(Threading, ConcurrentSendsAndRecvsStayConsistent) {
 
 // ---- registry --------------------------------------------------------------
 
-TEST(Registry, EveryProtocolResolvesByEnumAndName) {
-  const auto names = collective_names();
-  ASSERT_EQ(names.size(), 4u);
-  for (const auto name : names) {
-    const Collective* c = find_collective(name);
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(c->name(), name);
-  }
-  EXPECT_EQ(find_collective("carrier-pigeon"), nullptr);
+TEST(Registry, EveryProtocolResolvesByEnum) {
   EXPECT_EQ(collective(Protocol::kRingAllReduce).name(), "ring_allreduce");
   EXPECT_EQ(collective(Protocol::kHalvingDoublingAllReduce).name(),
             "halving_doubling_allreduce");

@@ -688,6 +688,78 @@ TEST(FaultyCollectives, ParamServerServerDeathIsFatal) {
   }
 }
 
+TEST(FaultyCollectives, SilentPeerIsDeclaredDeadAndSurvivorsMatchScratch) {
+  // The victim's uplink drops every message, so a matched receive from it
+  // runs out of retries. Armed recovery must declare it dead and rerun the
+  // survivors from their inputs: bit-identical to a from-scratch run over
+  // the survivors alone (for the param server, with the survivors'
+  // weights renormalized).
+  const struct {
+    Protocol protocol;
+    int64_t agents;
+  } cases[] = {
+      {Protocol::kRingAllReduce, 3},
+      {Protocol::kRingAllReduce, 4},
+      {Protocol::kRingAllReduce, 5},
+      {Protocol::kHalvingDoublingAllReduce, 3},
+      {Protocol::kHalvingDoublingAllReduce, 4},
+      {Protocol::kHalvingDoublingAllReduce, 5},
+      {Protocol::kParamServer, 4},
+  };
+  const int64_t elems = 13, victim = 1;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(comm::collective(c.protocol).name()) +
+                 " agents=" + std::to_string(c.agents));
+    const bool star = c.protocol == Protocol::kParamServer;
+    const auto grid_of = [star](int64_t agents) {
+      return star ? LinkGrid::star(
+                        std::vector<double>(static_cast<size_t>(agents),
+                                            100.0),
+                        0.0)
+                  : LinkGrid::uniform(agents, 100.0);
+    };
+    FaultPlan faults;
+    faults.seed = 53;
+    FaultPlan::MessageFault mute;
+    mute.src = victim;
+    mute.dst = -1;
+    mute.drop_prob = 1.0;
+    faults.message_faults.push_back(mute);
+
+    auto bufs = random_buffers(c.agents, elems,
+                               static_cast<uint64_t>(90 + c.agents));
+    const auto inputs = bufs;
+    const std::vector<double> weights{1.0, 5.0, 2.0, 3.0};
+    CollectiveRequest req;
+    req.elems = elems;
+    req.buffers = pointers(bufs);
+    if (star) req.weights = weights;
+    InProcTransport dying(grid_of(c.agents), nullptr, faults);
+    dying.schedule_endpoint_failure(victim, 1 << 20);  // arms recovery only
+    const auto rep = comm::collective(c.protocol).run(dying, req);
+    EXPECT_GE(rep.recoveries, 1);
+    EXPECT_FALSE(dying.endpoint_alive(victim));
+
+    std::vector<std::vector<double>> scratch;
+    CollectiveRequest ref;
+    ref.elems = elems;
+    for (int64_t a = 0; a < c.agents; ++a) {
+      if (a == victim) continue;
+      scratch.push_back(inputs[static_cast<size_t>(a)]);
+      if (star) ref.weights.push_back(weights[static_cast<size_t>(a)]);
+    }
+    ref.buffers = pointers(scratch);
+    InProcTransport clean(grid_of(c.agents - 1));
+    (void)comm::collective(c.protocol).run(clean, ref);
+    size_t next = 0;
+    for (int64_t a = 0; a < c.agents; ++a) {
+      if (a == victim) continue;
+      EXPECT_EQ(bufs[static_cast<size_t>(a)], scratch[next++])
+          << "survivor " << a;
+    }
+  }
+}
+
 TEST(FaultyCollectives, RandomizedSeedSoakStaysExact) {
   // Churn-soak entry point: CI randomizes COMDML_FAULT_SEED across its
   // seed matrix; locally a fixed trio keeps the test deterministic.
