@@ -4,12 +4,13 @@
 //
 // Before the google-benchmark suite runs, a hand-rolled kernel suite times
 // the optimized matmul/conv kernels against the kept naive references at
-// 1/2/4/8 threads plus the activation wire codec, and writes the results
-// to BENCH_kernels.json (op, shape, threads, GFLOP/s — GB/s for the codec
-// entries, speedup vs the serial reference) so the perf trajectory is
-// tracked across PRs. An allocation probe then measures heap and
-// workspace-arena traffic per conv2d forward/backward step after warmup,
-// so the zero-steady-state-allocation property is a number, not a claim.
+// 1/2/4/8 threads, the conv kernels on each ResNet-20 conv geometry and
+// the activation wire codec, and writes the results to BENCH_kernels.json
+// (op, shape, threads, GFLOP/s — GB/s for the codec entries, speedup vs
+// the serial reference) so the perf trajectory is tracked across PRs. An
+// allocation probe then measures heap and workspace-arena traffic per
+// conv2d forward/backward step after warmup, so the
+// zero-steady-state-allocation property is a number, not a claim.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -346,6 +347,53 @@ void run_kernel_suite() {
               nn::conv2d_reference_backward(x, w, g, 1, 1, dw));
         },
         [&] { benchmark::DoNotOptimize(conv.backward(g)); });
+  }
+
+  {
+    // Per-shape conv table: the eight conv geometries of a base-8 ResNet-20
+    // on 16x16 inputs (perfbench's cnn-hetero model), batch 16, 1 thread.
+    // Shape: batch x cin x h x w _ kernel stride pad _ cout.
+    struct Geometry {
+      int64_t cin, cout, hw, k, stride, pad;
+    };
+    const Geometry geometries[] = {
+        {3, 8, 16, 3, 1, 1},  {8, 8, 16, 3, 1, 1},  {8, 16, 16, 3, 2, 1},
+        {8, 16, 16, 1, 2, 0}, {16, 16, 8, 3, 1, 1}, {16, 32, 8, 3, 2, 1},
+        {16, 32, 8, 1, 2, 0}, {32, 32, 4, 3, 1, 1}};
+    const int64_t bn = 16;
+    core::set_num_threads(1);
+    for (const Geometry& c : geometries) {
+      Rng rng(45);
+      nn::Conv2d conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
+      const int64_t o = conv.out_extent(c.hw);
+      const Tensor x = rng.normal_tensor({bn, c.cin, c.hw, c.hw}, 0, 1);
+      const Tensor g = rng.normal_tensor({bn, c.cout, o, o}, 0, 1);
+      const double fwd_flops = 2.0 * static_cast<double>(c.k * c.k * c.cin) *
+                               static_cast<double>(c.cout * o * o * bn);
+      char shape[64];
+      std::snprintf(shape, sizeof shape,
+                    "%lldx%lldx%lldx%lld_k%llds%lldp%lld_c%lld",
+                    static_cast<long long>(bn), static_cast<long long>(c.cin),
+                    static_cast<long long>(c.hw), static_cast<long long>(c.hw),
+                    static_cast<long long>(c.k),
+                    static_cast<long long>(c.stride),
+                    static_cast<long long>(c.pad),
+                    static_cast<long long>(c.cout));
+      const double t_fwd = time_seconds(
+          [&] { benchmark::DoNotOptimize(conv.forward(x, true)); });
+      (void)conv.forward(x, true);
+      const double t_bwd =
+          time_seconds([&] { benchmark::DoNotOptimize(conv.backward(g)); });
+      records.push_back(
+          {"conv2d_forward", shape, 1, fwd_flops / t_fwd / 1e9, 1.0});
+      records.push_back(
+          {"conv2d_backward", shape, 1, 2.0 * fwd_flops / t_bwd / 1e9, 1.0});
+      std::printf("  conv2d %-28s threads=1: fwd %7.3f GFLOP/s (%.1f us), "
+                  "bwd %7.3f GFLOP/s (%.1f us)\n",
+                  shape, fwd_flops / t_fwd / 1e9, t_fwd * 1e6,
+                  2.0 * fwd_flops / t_bwd / 1e9, t_bwd * 1e6);
+    }
+    core::set_num_threads(0);
   }
 
   {

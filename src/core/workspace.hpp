@@ -1,7 +1,7 @@
 // Thread-local workspace arena: bump-pointer scratch checkout/return with
-// high-water-mark reuse, so steady-state hot paths (im2col buffers, GEMM
-// pack panels, gradient scratch, per-round merge buffers) stop touching the
-// heap after the first warmup iteration.
+// high-water-mark reuse, so steady-state hot paths (padded conv planes,
+// GEMM pack panels, gradient scratch, per-round merge buffers) stop
+// touching the heap after the first warmup iteration.
 //
 // Design rules every caller relies on:
 //  - Workspace::tls() returns the calling thread's arena; buffers handed

@@ -1,95 +1,581 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "core/parallel.hpp"
 #include "core/workspace.hpp"
-#include "tensor/gemm.hpp"
+// The AVX2+FMA kernels are selected once at startup via CPU detection.
+#include "tensor/simd.hpp"
 
 namespace comdml::nn {
 
 namespace {
 
-/// Unrolls one sample x_c [cin,h,w] into col [ho*wo, cin*k*k] (row-major):
-/// row r = oy*wo + ox holds the receptive field of output position (oy,ox),
-/// column c = (ci*k + ky)*k + kx — the flattened-weight column order.
-void im2col(const float* xc, int64_t cin, int64_t h, int64_t w, int64_t k,
-            int64_t stride, int64_t pad, int64_t ho, int64_t wo, float* col) {
-  const int64_t ckk = cin * k * k;
-  for (int64_t oy = 0; oy < ho; ++oy) {
-    const int64_t iy0 = oy * stride - pad;
-    for (int64_t ox = 0; ox < wo; ++ox) {
-      const int64_t ix0 = ox * stride - pad;
-      float* row = col + (oy * wo + ox) * ckk;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* xch = xc + ci * h * w;
-        for (int64_t ky = 0; ky < k; ++ky) {
-          const int64_t iy = iy0 + ky;
-          float* dst = row + (ci * k + ky) * k;
-          if (iy < 0 || iy >= h) {
-            for (int64_t kx = 0; kx < k; ++kx) dst[kx] = 0.0f;
+/// One conv call's shape and the layout of its zero-padded planes.
+///
+/// A padded (sample, channel) plane is `hp` rows of `rp` floats. Each row
+/// is split into `s` phase planes of `wq` floats: phase r holds padded
+/// columns r, r+s, r+2s, ..., so tap (ky, kx) of output (oy, ox) sits at
+/// row oy*s + ky, phase kx % s, column ox + kx / s, and consecutive
+/// outputs of a row read consecutive floats at every stride. `wq` keeps
+/// zero slack past the last real column, so a run of outputs never reads
+/// outside its row.
+struct Geom {
+  int64_t n, cin, cout, h, w, k, s, pad, ho, wo;
+  int64_t how, kk, ckk;
+  int64_t hp, wq, rp, plane;
+  int64_t runs;   ///< 4-wide output runs per row
+  int64_t slots;  ///< 8-lane vectors (pairs of runs) per output plane
+};
+
+Geom make_geom(const Shape& in, int64_t cout, int64_t k, int64_t s,
+               int64_t pad) {
+  Geom g{};
+  g.n = in[0];
+  g.cin = in[1];
+  g.h = in[2];
+  g.w = in[3];
+  g.cout = cout;
+  g.k = k;
+  g.s = s;
+  g.pad = pad;
+  g.ho = (g.h + 2 * pad - k) / s + 1;
+  g.wo = (g.w + 2 * pad - k) / s + 1;
+  g.how = g.ho * g.wo;
+  g.kk = k * k;
+  g.ckk = g.cin * g.kk;
+  g.runs = (g.wo + 3) / 4;
+  g.hp = g.h + 2 * pad;
+  // Vector reads of a row's last run reach (k-1)/s floats past it.
+  g.wq = std::max((g.w + 2 * pad + s - 1) / s, 4 * g.runs + (k - 1) / s);
+  g.rp = s * g.wq;
+  g.plane = g.hp * g.rp;
+  g.slots = (g.ho * g.runs + 1) / 2;
+  return g;
+}
+
+/// A run of up to 4 consecutive outputs of one row. A vector holds a slot
+/// of two runs: rows of 8 or more outputs fill it from one row, narrower
+/// rows (stage 3 of a CIFAR ResNet is 4x4) pair two rows so no lane idles.
+struct Run {
+  int64_t in;   ///< first output's offset in a padded plane
+  int64_t out;  ///< first output's offset in an output plane
+  int lanes;    ///< valid outputs, 0..4
+};
+
+/// Offset tables of one call, built on the calling thread and read by
+/// every work item.
+class Offsets {
+ public:
+  explicit Offsets(const Geom& g)
+      : ints_(g.ckk + g.how), runs_(2 * g.slots) {
+    // The element output (oy, ox) reads through the flattened weight
+    // column c = (ci*k + ky)*k + kx is at tap[c] + pos[oy*wo + ox] of the
+    // sample's padded planes. tap[t < kk] is tap (ky, kx) within a plane.
+    int64_t* t = ints_.data();
+    for (int64_t ci = 0; ci < g.cin; ++ci)
+      for (int64_t ky = 0; ky < g.k; ++ky)
+        for (int64_t kx = 0; kx < g.k; ++kx)
+          *t++ = ci * g.plane + ky * g.rp + kx % g.s * g.wq + kx / g.s;
+    for (int64_t oy = 0; oy < g.ho; ++oy)
+      for (int64_t ox = 0; ox < g.wo; ++ox) *t++ = oy * g.s * g.rp + ox;
+    // Runs in row-major order; the odd one out at the end repeats the
+    // last run with no valid lane, so its addresses stay in bounds.
+    Run* r = runs_.data();
+    for (int64_t oy = 0; oy < g.ho; ++oy)
+      for (int64_t ox = 0; ox < g.wo; ox += 4)
+        *r++ = {oy * g.s * g.rp + ox, oy * g.wo + ox,
+                static_cast<int>(std::min<int64_t>(4, g.wo - ox))};
+    if (g.ho * g.runs % 2 != 0) *r = {r[-1].in, r[-1].out, 0};
+    tap = ints_.data();
+    pos = tap + g.ckk;
+    run = runs_.data();
+  }
+
+  const int64_t* tap;
+  const int64_t* pos;
+  const Run* run;
+
+ private:
+  core::Scratch<int64_t> ints_;
+  core::Scratch<Run> runs_;
+};
+
+/// Calls f(at, ix, cols) for every (row, phase) run of a padded plane's
+/// interior that some tap reaches: padded floats [at, at + cols) hold
+/// plain-plane floats ix, ix + s, ..., ix + (cols-1)*s. Padded column
+/// c = ix + pad sits in phase c % s at column c / s. When k < s, phases
+/// >= k and rows r with r % s >= k are never read (nor receive dx).
+template <typename F>
+void for_each_interior_run(const Geom& g, const F& f) {
+  for (int64_t phase = 0; phase < std::min(g.k, g.s); ++phase) {
+    const int64_t ix0 = ((phase - g.pad) % g.s + g.s) % g.s;
+    const int64_t cols = ix0 < g.w ? (g.w - ix0 + g.s - 1) / g.s : 0;
+    const int64_t at0 = g.pad * g.rp + phase * g.wq + (ix0 + g.pad) / g.s;
+    for (int64_t iy = 0; iy < g.h; ++iy)
+      if (g.k >= g.s || (iy + g.pad) % g.s < g.k)
+        f(at0 + iy * g.rp, iy * g.w + ix0, cols);
+  }
+}
+
+/// Zero-padded, phase-split copy of one h x w plane.
+void pad_plane(const Geom& g, const float* src, float* dst) {
+  std::memset(dst, 0, static_cast<size_t>(g.plane) * sizeof(float));
+  for_each_interior_run(g, [&](int64_t at, int64_t ix, int64_t cols) {
+    if (g.s == 1)
+      std::copy_n(src + ix, cols, dst + at);
+    else
+      for (int64_t j = 0; j < cols; ++j) dst[at + j] = src[ix + j * g.s];
+  });
+}
+
+/// The interior of a padded plane back to h x w.
+void unpad_plane(const Geom& g, const float* src, float* dst) {
+  for_each_interior_run(g, [&](int64_t at, int64_t ix, int64_t cols) {
+    if (g.s == 1)
+      std::copy_n(src + at, cols, dst + ix);
+    else
+      for (int64_t j = 0; j < cols; ++j) dst[ix + j * g.s] = src[at + j];
+  });
+}
+
+constexpr int64_t kSpill = 8;    ///< dx: floats of slack after a plane
+constexpr int64_t kCoBlock = 4;  ///< forward: output channels per item
+
+/// A dW work item: `cos` output channels (whole vectors of 8) by `taps`
+/// consecutive weight columns, with its whole (n, oy, ox) chain.
+struct DwTile {
+  int64_t cos, taps;
+};
+constexpr int64_t kMaxDwCos = 16, kMaxDwTaps = 9;
+
+/// dW[co0 + l, c0 + i] <-> tile[i * t.cos + l], zeros outside the weight.
+void load_dw_tile(const Geom& g, DwTile t, const float* dw, int64_t co0,
+                  int64_t c0, float* tile) {
+  for (int64_t i = 0; i < t.taps; ++i)
+    for (int64_t l = 0; l < t.cos; ++l)
+      tile[i * t.cos + l] = c0 + i < g.ckk && co0 + l < g.cout
+                                ? dw[(co0 + l) * g.ckk + c0 + i]
+                                : 0.0f;
+}
+
+void store_dw_tile(const Geom& g, DwTile t, const float* tile, int64_t co0,
+                   int64_t c0, float* dw) {
+  for (int64_t i = 0; i < std::min(t.taps, g.ckk - c0); ++i)
+    for (int64_t l = 0; l < std::min(t.cos, g.cout - co0); ++l)
+      dw[(co0 + l) * g.ckk + c0 + i] = tile[i * t.cos + l];
+}
+
+// ---- scalar kernels (unfused mul-then-add, like kernel_6x16_scalar) --------
+
+/// y[co] of one sample for co in [co0, co0 + kCoBlock): per output a chain
+/// over c ascending from +0.
+void forward_scalar(const Geom& g, const Offsets& o, const float* xs,
+                    const float* w, float* ys, int64_t co0) {
+  for (int64_t co = co0; co < std::min(co0 + kCoBlock, g.cout); ++co) {
+    float* yc = ys + co * g.how;
+    std::fill(yc, yc + g.how, 0.0f);
+    for (int64_t c = 0; c < g.ckk; ++c) {
+      const float wv = w[co * g.ckk + c];
+      for (int64_t oy = 0; oy < g.ho; ++oy) {
+        const float* xr = xs + o.tap[c] + o.pos[oy * g.wo];
+        float* yr = yc + oy * g.wo;
+        for (int64_t ox = 0; ox < g.wo; ++ox) yr[ox] += wv * xr[ox];
+      }
+    }
+  }
+}
+
+/// dW[co0 + l, c0 + i] += chain over (n, oy, ox) ascending of
+/// g[n, co, oy, ox] * x_tap. gt is grad_out channel-last, [n][how][cp].
+void dw_scalar(const Geom& g, const Offsets& o, DwTile t, const float* xpad,
+               const float* gt, int64_t cp, float* dw, int64_t co0,
+               int64_t c0) {
+  const int64_t nc = std::min(t.taps, g.ckk - c0);
+  float acc[kMaxDwTaps * kMaxDwCos];
+  load_dw_tile(g, t, dw, co0, c0, acc);
+  for (int64_t in = 0; in < g.n; ++in) {
+    const float* xn = xpad + in * g.cin * g.plane;
+    for (int64_t p = 0; p < g.how; ++p) {
+      const float* gv = gt + (in * g.how + p) * cp + co0;
+      for (int64_t i = 0; i < nc; ++i) {
+        const float xv = xn[o.tap[c0 + i] + o.pos[p]];
+        float* a = acc + i * t.cos;
+        for (int64_t l = 0; l < t.cos; ++l) a[l] += gv[l] * xv;
+      }
+    }
+  }
+  store_dw_tile(g, t, acc, co0, c0, dw);
+}
+
+/// Input channel ci of one sample's dx into the zeroed padded plane dxp:
+/// each dcol value (a chain over co ascending from +0) adds in output
+/// order (oy, ox) ascending. wt is this channel's weights as [cout][kk];
+/// dcol is kk*wo floats of scratch. kFused chains with a fused
+/// multiply-add, the arithmetic of the AVX2 GEMM.
+template <bool kFused>
+inline void dx_rows(const Geom& g, const Offsets& o, const float* gs,
+                    const float* wt, float* dxp, float* dcol) {
+  for (int64_t oy = 0; oy < g.ho; ++oy) {
+    std::fill(dcol, dcol + g.kk * g.wo, 0.0f);
+    for (int64_t co = 0; co < g.cout; ++co) {
+      const float* gr = gs + co * g.how + oy * g.wo;
+      for (int64_t t = 0; t < g.kk; ++t) {
+        const float wv = wt[co * g.kk + t];
+        float* d = dcol + t * g.wo;
+        for (int64_t ox = 0; ox < g.wo; ++ox)
+          d[ox] = kFused ? std::fma(gr[ox], wv, d[ox]) : d[ox] + gr[ox] * wv;
+      }
+    }
+    // Taps descending = (ky, kx) descending: an input element receives
+    // its contributions in (oy, ox) ascending order.
+    for (int64_t t = g.kk - 1; t >= 0; --t) {
+      float* dst = dxp + o.tap[t] + o.pos[oy * g.wo];
+      const float* d = dcol + t * g.wo;
+      for (int64_t ox = 0; ox < g.wo; ++ox) dst[ox] += d[ox];
+    }
+  }
+}
+
+// ---- AVX2+FMA kernels: the same chains, 8 outputs per vector --------------
+
+#if COMDML_SIMD_X86
+alignas(16) constexpr int32_t kRunMask[5][4] = {
+    {0, 0, 0, 0}, {-1, 0, 0, 0}, {-1, -1, 0, 0}, {-1, -1, -1, 0},
+    {-1, -1, -1, -1}};
+
+__attribute__((target("avx2,fma"))) inline __m128i run_mask(int lanes) {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(kRunMask[lanes]));
+}
+
+__attribute__((target("avx2,fma"))) inline __m256 load_pair(const float* lo,
+                                                            const float* hi) {
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_loadu_ps(lo)),
+                              _mm_loadu_ps(hi), 1);
+}
+
+__attribute__((target("avx2,fma"))) inline void store_run(float* p, __m128 v,
+                                                          int lanes) {
+  if (lanes == 4)
+    _mm_storeu_ps(p, v);
+  else if (lanes > 0)
+    _mm_maskstore_ps(p, run_mask(lanes), v);
+}
+
+/// kPaired: rows narrower than 8 outputs, so a slot's two runs may sit in
+/// different rows; otherwise every slot is 8 consecutive outputs.
+template <bool kPaired>
+__attribute__((target("avx2,fma"))) void forward_avx2(
+    const Geom& g, const Offsets& o, const float* xs, const float* w,
+    float* ys, int64_t co0) {
+  constexpr int64_t kSlots = 2;  // register block: kCoBlock x kSlots
+  const float* wr[kCoBlock];
+#pragma GCC unroll 16
+  for (int64_t b = 0; b < kCoBlock; ++b)
+    wr[b] = w + std::min(co0 + b, g.cout - 1) * g.ckk;
+  for (int64_t s0 = 0; s0 < g.slots; s0 += kSlots) {
+    const Run* r[kSlots];
+    __m256 acc[kCoBlock][kSlots];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kSlots; ++v) {
+      r[v] = o.run + 2 * std::min(s0 + v, g.slots - 1);
+#pragma GCC unroll 16
+      for (int64_t b = 0; b < kCoBlock; ++b) acc[b][v] = _mm256_setzero_ps();
+    }
+    for (int64_t c = 0; c < g.ckk; ++c) {
+      const float* xc = xs + o.tap[c];
+      __m256 xv[kSlots];
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kSlots; ++v)
+        xv[v] = kPaired ? load_pair(xc + r[v][0].in, xc + r[v][1].in)
+                        : _mm256_loadu_ps(xc + r[v][0].in);
+#pragma GCC unroll 16
+      for (int64_t b = 0; b < kCoBlock; ++b) {
+        const __m256 wb = _mm256_broadcast_ss(wr[b] + c);
+#pragma GCC unroll 16
+        for (int64_t v = 0; v < kSlots; ++v)
+          acc[b][v] = _mm256_fmadd_ps(wb, xv[v], acc[b][v]);
+      }
+    }
+#pragma GCC unroll 16
+    for (int64_t b = 0; b < kCoBlock; ++b) {
+      if (co0 + b >= g.cout) continue;
+      float* yc = ys + (co0 + b) * g.how;
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kSlots; ++v) {
+        if (s0 + v >= g.slots) continue;
+        if (!kPaired) {
+          _mm256_storeu_ps(yc + r[v][0].out, acc[b][v]);
+          continue;
+        }
+        store_run(yc + r[v][0].out, _mm256_castps256_ps128(acc[b][v]),
+                  r[v][0].lanes);
+        store_run(yc + r[v][1].out, _mm256_extractf128_ps(acc[b][v], 1),
+                  r[v][1].lanes);
+      }
+    }
+  }
+}
+
+/// kVecs vectors of 8 output channels by kTaps weight columns.
+template <int64_t kVecs, int64_t kTaps>
+__attribute__((target("avx2,fma"))) void dw_avx2(
+    const Geom& g, const Offsets& o, const float* xpad, const float* gt,
+    int64_t cp, float* dw, int64_t co0, int64_t c0) {
+  constexpr DwTile t{8 * kVecs, kTaps};
+  const int64_t nc = std::min(kTaps, g.ckk - c0);
+  alignas(32) float tile[kTaps * 8 * kVecs];
+  load_dw_tile(g, t, dw, co0, c0, tile);
+  int64_t off[kTaps];
+  __m256 acc[kTaps][kVecs];
+#pragma GCC unroll 16
+  for (int64_t i = 0; i < kTaps; ++i) {
+    off[i] = o.tap[c0 + std::min(i, nc - 1)];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v)
+      acc[i][v] = _mm256_load_ps(tile + (i * kVecs + v) * 8);
+  }
+  for (int64_t in = 0; in < g.n; ++in)
+    for (int64_t oy = 0; oy < g.ho; ++oy) {
+      const float* gr = gt + (in * g.how + oy * g.wo) * cp + co0;
+      const float* xr = xpad + in * g.cin * g.plane + o.pos[oy * g.wo];
+      const float* xt[kTaps];
+#pragma GCC unroll 16
+      for (int64_t i = 0; i < kTaps; ++i) xt[i] = xr + off[i];
+      for (int64_t ox = 0; ox < g.wo; ++ox) {
+        __m256 gv[kVecs];
+#pragma GCC unroll 16
+        for (int64_t v = 0; v < kVecs; ++v)
+          gv[v] = _mm256_loadu_ps(gr + ox * cp + 8 * v);
+#pragma GCC unroll 16
+        for (int64_t i = 0; i < kTaps; ++i) {
+          const __m256 xv = _mm256_broadcast_ss(xt[i] + ox);
+#pragma GCC unroll 16
+          for (int64_t v = 0; v < kVecs; ++v)
+            acc[i][v] = _mm256_fmadd_ps(gv[v], xv, acc[i][v]);
+        }
+      }
+    }
+#pragma GCC unroll 16
+  for (int64_t i = 0; i < kTaps; ++i)
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kVecs; ++v)
+      _mm256_store_ps(tile + (i * kVecs + v) * 8, acc[i][v]);
+  store_dw_tile(g, t, tile, co0, c0, dw);
+}
+
+// Shifted adds. dx row chunks receive a tap's dcol vector d shifted m
+// lanes right: lanes l >= m of [p, p+L) get d[l-m], lanes l < m of
+// [p+L, p+2L) get d[l-m+L]. Both chunks are loaded once per (row, phase)
+// and stored once after every tap has been added in order, so no load
+// ever partially overlaps an earlier store. Lanes a tap does not reach
+// add +0, which leaves a dx sum (never -0) unchanged; past a row's end
+// the second chunk adds only such zeros, to the next row or to the
+// kSpill floats after the plane.
+alignas(32) constexpr int32_t kRot8[16] = {0, 1, 2, 3, 4, 5, 6, 7,
+                                           0, 1, 2, 3, 4, 5, 6, 7};
+alignas(32) constexpr int32_t kHigh8[16] = {0,  0,  0,  0,  0,  0,  0,  0,
+                                            -1, -1, -1, -1, -1, -1, -1, -1};
+alignas(16) constexpr int32_t kRot4[8] = {0, 1, 2, 3, 0, 1, 2, 3};
+alignas(16) constexpr int32_t kHigh4[8] = {0, 0, 0, 0, -1, -1, -1, -1};
+
+/// Adds taps kx = K-1..0 of one ky row with kx % s == phase (8 lanes).
+template <int64_t K>
+__attribute__((target("avx2,fma"), always_inline)) inline void add_taps8(
+    float* p, const __m256* d, int64_t s, int64_t phase) {
+  const bool spill = phase + s < K;  // some tap here has m >= 1
+  __m256 a = _mm256_loadu_ps(p);
+  __m256 b = spill ? _mm256_loadu_ps(p + 8) : _mm256_setzero_ps();
+#pragma GCC unroll 16
+  for (int64_t kx = K - 1; kx >= 0; --kx) {
+    if (kx % s != phase) continue;
+    const int64_t m = kx / s;
+    if (m == 0) {
+      a = _mm256_add_ps(a, d[kx]);
+      continue;
+    }
+    const __m256 rot = _mm256_permutevar8x32_ps(
+        d[kx], _mm256_loadu_si256(
+                   reinterpret_cast<const __m256i*>(kRot8 + 8 - m)));
+    const __m256 high = _mm256_castsi256_ps(_mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kHigh8 + 8 - m)));
+    a = _mm256_add_ps(a, _mm256_and_ps(rot, high));
+    b = _mm256_add_ps(b, _mm256_andnot_ps(high, rot));
+  }
+  _mm256_storeu_ps(p, a);
+  if (spill) _mm256_storeu_ps(p + 8, b);
+}
+
+/// add_taps8 for one 4-lane run (the low or high half of each d).
+template <int64_t K, bool kHigh>
+__attribute__((target("avx2,fma"), always_inline)) inline void add_taps4(
+    float* p, const __m256* d, int64_t s, int64_t phase) {
+  const bool spill = phase + s < K;
+  __m128 a = _mm_loadu_ps(p);
+  __m128 b = spill ? _mm_loadu_ps(p + 4) : _mm_setzero_ps();
+#pragma GCC unroll 16
+  for (int64_t kx = K - 1; kx >= 0; --kx) {
+    if (kx % s != phase) continue;
+    const int64_t m = kx / s;
+    const __m128 v = kHigh ? _mm256_extractf128_ps(d[kx], 1)
+                           : _mm256_castps256_ps128(d[kx]);
+    if (m == 0) {
+      a = _mm_add_ps(a, v);
+      continue;
+    }
+    const __m128 rot = _mm_permutevar_ps(
+        v, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRot4 + 4 - m)));
+    const __m128 high = _mm_castsi128_ps(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(kHigh4 + 4 - m)));
+    a = _mm_add_ps(a, _mm_and_ps(rot, high));
+    b = _mm_add_ps(b, _mm_andnot_ps(high, rot));
+  }
+  _mm_storeu_ps(p, a);
+  if (spill) _mm_storeu_ps(p + 4, b);
+}
+
+/// k x k convolution's dx for k = K <= 3, kSlots slots at a time: all
+/// K*K dcol vectors of a slot stay in registers, then add tap by tap in
+/// (ky, kx) descending order, which is (oy, ox) ascending for every input
+/// element; slots add in order. wt is this channel's weights as
+/// [cout][kk].
+template <bool kPaired, int64_t K, int64_t kSlots>
+__attribute__((target("avx2,fma"))) void dx_avx2(const Geom& g,
+                                                 const Offsets& o,
+                                                 const float* gs,
+                                                 const float* wt, float* dxp) {
+  constexpr int64_t kKK = K * K;
+  for (int64_t s0 = 0; s0 < g.slots; s0 += kSlots) {
+    Run r[kSlots][2];
+    __m128i m[kSlots][2];
+    __m256 acc[kSlots][kKK];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kSlots; ++v) {
+      const int64_t si = std::min(s0 + v, g.slots - 1);
+      r[v][0] = o.run[2 * si];
+      r[v][1] = o.run[2 * si + 1];
+      m[v][0] = run_mask(r[v][0].lanes);
+      m[v][1] = run_mask(r[v][1].lanes);
+#pragma GCC unroll 16
+      for (int64_t t = 0; t < kKK; ++t) acc[v][t] = _mm256_setzero_ps();
+    }
+    const float* gc = gs;
+    const float* wc = wt;
+    for (int64_t co = 0; co < g.cout; ++co, gc += g.how, wc += kKK) {
+      __m256 gv[kSlots];
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kSlots; ++v)
+        gv[v] = kPaired ? _mm256_set_m128(
+                              _mm_maskload_ps(gc + r[v][1].out, m[v][1]),
+                              _mm_maskload_ps(gc + r[v][0].out, m[v][0]))
+                        : _mm256_loadu_ps(gc + r[v][0].out);
+#pragma GCC unroll 16
+      for (int64_t t = 0; t < kKK; ++t) {
+        const __m256 wv = _mm256_broadcast_ss(wc + t);
+#pragma GCC unroll 16
+        for (int64_t v = 0; v < kSlots; ++v)
+          acc[v][t] = _mm256_fmadd_ps(gv[v], wv, acc[v][t]);
+      }
+    }
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kSlots; ++v) {
+      if (s0 + v >= g.slots) continue;
+      if (kPaired) {
+        // Idle lanes carry +0, whatever the weights hold.
+        const __m256 keep =
+            _mm256_castsi256_ps(_mm256_set_m128i(m[v][1], m[v][0]));
+#pragma GCC unroll 16
+        for (int64_t t = 0; t < kKK; ++t)
+          acc[v][t] = _mm256_and_ps(acc[v][t], keep);
+      }
+#pragma GCC unroll 16
+      for (int64_t ky = K - 1; ky >= 0; --ky)
+        for (int64_t phase = 0; phase < g.s; ++phase) {
+          float* row = dxp + ky * g.rp + phase * g.wq;
+          if (!kPaired) {
+            add_taps8<K>(row + r[v][0].in, acc[v] + ky * K, g.s, phase);
             continue;
           }
-          const float* src = xch + iy * w;
-          for (int64_t kx = 0; kx < k; ++kx) {
-            const int64_t ix = ix0 + kx;
-            dst[kx] = (ix < 0 || ix >= w) ? 0.0f : src[ix];
-          }
+          add_taps4<K, false>(row + r[v][0].in, acc[v] + ky * K, g.s, phase);
+          add_taps4<K, true>(row + r[v][1].in, acc[v] + ky * K, g.s, phase);
         }
-      }
     }
   }
 }
 
-/// Scatter-adds dcol [ho*wo, cin*k*k] back into one sample gradient
-/// dx_c [cin,h,w]. Fixed (row, column)-ascending order keeps the
-/// overlapping-window accumulation deterministic.
-void col2im(const float* dcol, int64_t cin, int64_t h, int64_t w, int64_t k,
-            int64_t stride, int64_t pad, int64_t ho, int64_t wo, float* dxc) {
-  const int64_t ckk = cin * k * k;
-  for (int64_t oy = 0; oy < ho; ++oy) {
-    const int64_t iy0 = oy * stride - pad;
-    for (int64_t ox = 0; ox < wo; ++ox) {
-      const int64_t ix0 = ox * stride - pad;
-      const float* row = dcol + (oy * wo + ox) * ckk;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        float* dxch = dxc + ci * h * w;
-        for (int64_t ky = 0; ky < k; ++ky) {
-          const int64_t iy = iy0 + ky;
-          if (iy < 0 || iy >= h) continue;
-          const float* src = row + (ci * k + ky) * k;
-          float* dst = dxch + iy * w;
-          for (int64_t kx = 0; kx < k; ++kx) {
-            const int64_t ix = ix0 + kx;
-            if (ix < 0 || ix >= w) continue;
-            dst[ix] += src[kx];
-          }
-        }
-      }
-    }
+__attribute__((target("avx2,fma"))) void dx_rows_fma(
+    const Geom& g, const Offsets& o, const float* gs, const float* wt,
+    float* dxp, float* dcol) {
+  dx_rows<true>(g, o, gs, wt, dxp, dcol);
+}
+
+const bool g_avx2 =
+    __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif  // COMDML_SIMD_X86
+
+// ---- dispatch: the kernel depends on the host CPU only ---------------------
+
+void forward_block(const Geom& g, const Offsets& o, const float* xs,
+                   const float* w, float* ys, int64_t co0) {
+#if COMDML_SIMD_X86
+  if (g_avx2) {
+    if (g.wo % 8 == 0)
+      forward_avx2<false>(g, o, xs, w, ys, co0);
+    else
+      forward_avx2<true>(g, o, xs, w, ys, co0);
+    return;
   }
+#endif
+  forward_scalar(g, o, xs, w, ys, co0);
 }
 
-/// Scatter one sample's GEMM output block [how, cout] into the layer
-/// output layout [cout, how].
-void transpose_to_chw(const float* src, int64_t how, int64_t cout,
-                      float* dst) {
-  for (int64_t co = 0; co < cout; ++co)
-    for (int64_t p = 0; p < how; ++p) dst[co * how + p] = src[p * cout + co];
+/// dW item shape: two vectors of output channels by 6 columns when there
+/// are more than 8 channels (2 loads + 6 broadcasts feed 12 FMAs), else
+/// one vector by 9 columns.
+DwTile dw_tile(const Geom& g) {
+  return g.cout > 8 ? DwTile{16, 6} : DwTile{8, 9};
 }
 
-/// Gather one sample's grad block [cout, how] into GEMM layout [how, cout].
-void transpose_to_hwc(const float* src, int64_t cout, int64_t how,
-                      float* dst) {
-  for (int64_t p = 0; p < how; ++p)
-    for (int64_t co = 0; co < cout; ++co) dst[p * cout + co] = src[co * how + p];
+void dw_block(const Geom& g, const Offsets& o, DwTile t, const float* xpad,
+              const float* gt, int64_t cp, float* dw, int64_t co0,
+              int64_t c0) {
+#if COMDML_SIMD_X86
+  if (g_avx2) {
+    if (t.cos == 16)
+      dw_avx2<2, 6>(g, o, xpad, gt, cp, dw, co0, c0);
+    else
+      dw_avx2<1, 9>(g, o, xpad, gt, cp, dw, co0, c0);
+    return;
+  }
+#endif
+  dw_scalar(g, o, t, xpad, gt, cp, dw, co0, c0);
 }
 
-/// Cap on the batched path's total live arena scratch (all slabs of one
-/// pass combined): beyond this the layer falls back to the per-sample GEMM
-/// loop instead of growing the workspace arena unboundedly.
-constexpr int64_t kMaxBatchedScratchBytes = int64_t{256} << 20;
+void dx_plane(const Geom& g, const Offsets& o, const float* gs,
+              const float* wt, float* dxp, float* dcol) {
+#if COMDML_SIMD_X86
+  if (g_avx2) {
+    const bool paired = g.wo % 8 != 0;
+    // 1x1: several slots at a time keep several dcol chains in flight.
+    if (g.k == 1 && g.slots >= 6)
+      paired ? dx_avx2<true, 1, 6>(g, o, gs, wt, dxp)
+             : dx_avx2<false, 1, 6>(g, o, gs, wt, dxp);
+    else if (g.k == 1)
+      paired ? dx_avx2<true, 1, 2>(g, o, gs, wt, dxp)
+             : dx_avx2<false, 1, 2>(g, o, gs, wt, dxp);
+    else if (g.k == 3)
+      paired ? dx_avx2<true, 3, 1>(g, o, gs, wt, dxp)
+             : dx_avx2<false, 3, 1>(g, o, gs, wt, dxp);
+    else
+      dx_rows_fma(g, o, gs, wt, dxp, dcol);
+    return;
+  }
+#endif
+  dx_rows<false>(g, o, gs, wt, dxp, dcol);
+}
 
 }  // namespace
 
@@ -113,163 +599,108 @@ std::string Conv2d::kind() const {
   return os.str();
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
+Tensor Conv2d::forward(const Tensor& x, bool train) {
   COMDML_REQUIRE(x.rank() == 4 && x.dim(1) == cin_,
                  "conv: expected [N," << cin_ << ",H,W], got "
                                       << tensor::shape_str(x.shape()));
-  cached_input_ = x;
-  const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int64_t ho = out_extent(h), wo = out_extent(w);
-  COMDML_REQUIRE(ho > 0 && wo > 0, "conv: input " << h << "x" << w
-                                                  << " too small for kernel");
-  Tensor y({n, cout_, ho, wo});
-  const int64_t how = ho * wo;
-  const int64_t ckk = cin_ * k_ * k_;
-  // weight is [cout, cin, k, k] row-major == [cout, ckk] flattened.
-  const float* wp = weight_.value.flat().data();
-  const float* xp = x.flat().data();
-  float* yp = y.flat().data();
-
-  // One multi-sample GEMM per layer: every sample's receptive fields are
-  // unrolled into a single [N*ho*wo, cin*k*k] slab and multiplied against
-  // W^T in one call, so the packed W panel is amortized over the whole
-  // batch and the GEMM parallelizes over N*ho*wo rows instead of running
-  // inline per sample. Element dot products accumulate over the same
-  // ascending-k order as the per-sample GEMM, so results are bit-identical
-  // to it (and across thread counts — the dispatch below may pick either
-  // path without changing a bit). The batched orientation pays a
-  // [ho*wo, cout] -> [cout, ho*wo] scatter per sample, so it is used when
-  // the per-sample loop cannot feed the pool (fewer samples than
-  // threads); with enough samples the sample-parallel loop keeps the old
-  // transpose-free layout. Oversized batches always take the per-sample
-  // loop instead of growing the arena past the slab cap.
-  const int64_t col_elems = n * how * ckk;
-  // Live scratch of this path: col_all + yt.
-  if (n < core::num_threads() &&
-      (col_elems + n * how * cout_) *
-              static_cast<int64_t>(sizeof(float)) <=
-          kMaxBatchedScratchBytes) {
-    core::Scratch<float> col_all(col_elems);
-    float* colp = col_all.data();
-    core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t in = lo; in < hi; ++in)
-        im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho, wo,
-               colp + in * how * ckk);
-    });
-    // yt [N*ho*wo, cout] = col_all @ W^T, then scatter each sample's
-    // [ho*wo, cout] block into the [cout, ho*wo] output layout.
-    core::Scratch<float> yt(n * how * cout_);
-    tensor::gemm_nt(colp, wp, yt.data(), n * how, ckk, cout_);
-    const float* ytp = yt.data();
-    core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t in = lo; in < hi; ++in)
-        transpose_to_chw(ytp + in * how * cout_, how, cout_,
-                         yp + in * cout_ * how);
-    });
-    return y;
+  const int64_t h = x.dim(2), w = x.dim(3);
+  COMDML_REQUIRE(out_extent(h) > 0 && out_extent(w) > 0,
+                 "conv: input " << h << "x" << w << " too small for kernel");
+  const Geom g = make_geom(x.shape(), cout_, k_, stride_, pad_);
+  // Training keeps the padded copy for backward's dW in a member reused
+  // across steps, like BatchNorm2d's caches; inference pads into scratch
+  // and leaves nothing for backward.
+  core::Scratch<float> scratch(train ? 0 : g.n * g.cin * g.plane);
+  float* pp = scratch.data();
+  if (train) {
+    in_shape_ = x.shape();
+    padded_input_.resize(static_cast<size_t>(g.n * g.cin * g.plane));
+    pp = padded_input_.data();
+  } else {
+    in_shape_.clear();
   }
+  const float* xp = x.flat().data();
+  core::parallel_for(0, g.n * g.cin, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i)
+      pad_plane(g, xp + i * g.h * g.w, pp + i * g.plane);
+  });
 
-  // Fallback: im2col + GEMM per sample; samples fan out to the pool, the
-  // GEMM inside a worker runs inline (nested parallel regions are serial).
-  core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-    core::Scratch<float> col(how * ckk);
-    for (int64_t in = lo; in < hi; ++in) {
-      im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho, wo,
-             col.data());
-      // y_n [cout, ho*wo] = W [cout, ckk] @ col^T (col stored [ho*wo, ckk])
-      tensor::gemm_nt(wp, col.data(), yp + in * cout_ * how, cout_, ckk, how);
+  const Offsets o(g);
+  Tensor y({g.n, cout_, g.ho, g.wo});
+  const float* wp = weight_.value.flat().data();
+  float* yp = y.flat().data();
+  const int64_t blocks = (cout_ + kCoBlock - 1) / kCoBlock;
+  core::parallel_for(0, g.n * blocks, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const int64_t in = i / blocks;
+      forward_block(g, o, pp + in * g.cin * g.plane, wp,
+                    yp + in * cout_ * g.how, i % blocks * kCoBlock);
     }
   });
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  COMDML_CHECK(!cached_input_.empty());
-  const Tensor& x = cached_input_;
-  const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int64_t ho = out_extent(h), wo = out_extent(w);
-  COMDML_REQUIRE(grad_out.rank() == 4 && grad_out.dim(0) == n &&
-                     grad_out.dim(1) == cout_ && grad_out.dim(2) == ho &&
-                     grad_out.dim(3) == wo,
+  COMDML_REQUIRE(!in_shape_.empty(),
+                 "conv backward: no training-mode forward to differentiate");
+  const Geom g = make_geom(in_shape_, cout_, k_, stride_, pad_);
+  COMDML_REQUIRE(grad_out.rank() == 4 && grad_out.dim(0) == g.n &&
+                     grad_out.dim(1) == cout_ && grad_out.dim(2) == g.ho &&
+                     grad_out.dim(3) == g.wo,
                  "conv backward: bad grad shape "
                      << tensor::shape_str(grad_out.shape()));
-
-  Tensor dx(x.shape());
-  const int64_t how = ho * wo;
-  const int64_t ckk = cin_ * k_ * k_;
-  // weight is [cout, cin, k, k] row-major == [cout, ckk] flattened.
   const float* wp = weight_.value.flat().data();
-  const float* xp = x.flat().data();
+  const float* pp = padded_input_.data();
   const float* gp = grad_out.flat().data();
-  float* dxp = dx.flat().data();
+  const Offsets o(g);
 
-  // Batched: with G gathered into GEMM layout gt [N*ho*wo, cout] and all
-  // receptive fields in col_all [N*ho*wo, cin*k*k],
-  //   dW  = gt^T @ col_all   (one gemm_tn folds the cross-sample reduction
-  //                           into the ascending-k accumulation — no
-  //                           per-sample partial slabs or serial merge)
-  //   dcol = gt @ W          (one gemm_nn over every sample)
-  // then dx_n = col2im(dcol_n) per sample. Both GEMMs accumulate each
-  // output element over ascending k independent of the row partition, so
-  // the result is bit-identical at every thread count.
-  const int64_t col_elems = n * how * ckk;
-  float* dwp = weight_.grad.flat().data();
-  // Peak live scratch of this path: col_all + gt + dcol_all together.
-  if ((2 * col_elems + n * how * cout_) *
-          static_cast<int64_t>(sizeof(float)) <=
-      kMaxBatchedScratchBytes) {
-    core::Scratch<float> col_all(col_elems);
-    core::Scratch<float> gt(n * how * cout_);
-    float* colp = col_all.data();
-    float* gtp = gt.data();
-    core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t in = lo; in < hi; ++in) {
-        im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho, wo,
-               colp + in * how * ckk);
-        transpose_to_hwc(gp + in * cout_ * how, cout_, how,
-                         gtp + in * how * cout_);
-      }
-    });
-    tensor::gemm_tn(gtp, colp, dwp, cout_, n * how, ckk,
-                    /*accumulate=*/true);  // dW [cout, cin*k*k]
-    core::Scratch<float> dcol_all(col_elems);
-    float* dcolp = dcol_all.data();
-    tensor::gemm_nn(gtp, wp, dcolp, n * how, cout_,
-                    ckk);  // dcol [N*ho*wo, cin*k*k]
-    core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t in = lo; in < hi; ++in)
-        col2im(dcolp + in * how * ckk, cin_, h, w, k_, stride_, pad_, ho, wo,
-               dxp + in * cin_ * h * w);
-    });
-    return dx;
-  }
-
-  // Fallback (oversized batch): per-sample dW_n = G_n @ col_n,
-  // dcol_n = G_n^T @ W, dx_n = col2im(dcol). dx rows are disjoint across
-  // samples; per-sample dW partials land in disjoint slices of one arena
-  // slab and are reduced serially in sample order afterwards, so the
-  // accumulation is independent of the thread count.
-  core::Scratch<float> dw_all(n * cout_ * ckk);
-  float* dw_all_p = dw_all.data();
-  core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-    core::Scratch<float> col(how * ckk);
-    core::Scratch<float> dcol(how * ckk);
+  // dW over (co-block, c-tile) items, each running its whole (n, oy, ox)
+  // chain; grad_out is gathered channel-last (zero-padded to cp channels)
+  // so a vector holds 8 output channels.
+  const DwTile tile = dw_tile(g);
+  const int64_t cp = (cout_ + tile.cos - 1) / tile.cos * tile.cos;
+  core::Scratch<float> gt(g.n * g.how * cp);
+  float* gtp = gt.data();
+  core::parallel_for(0, g.n, 1, [&](int64_t lo, int64_t hi) {
     for (int64_t in = lo; in < hi; ++in) {
-      im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho, wo,
-             col.data());
-      const float* gm = gp + in * cout_ * how;  // [cout, ho*wo]
-      tensor::gemm_nn(gm, col.data(), dw_all_p + in * cout_ * ckk, cout_,
-                      how, ckk);  // dW_n [cout, cin*k*k]
-      tensor::gemm_tn(gm, wp, dcol.data(), how, cout_,
-                      ckk);  // dcol [ho*wo, cin*k*k]
-      col2im(dcol.data(), cin_, h, w, k_, stride_, pad_, ho, wo,
-             dxp + in * cin_ * h * w);
+      float* dst = gtp + in * g.how * cp;
+      for (int64_t co = 0; co < cout_; ++co) {
+        const float* src = gp + (in * cout_ + co) * g.how;
+        for (int64_t p = 0; p < g.how; ++p) dst[p * cp + co] = src[p];
+      }
+      for (int64_t co = cout_; co < cp; ++co)
+        for (int64_t p = 0; p < g.how; ++p) dst[p * cp + co] = 0.0f;
     }
   });
-  for (int64_t in = 0; in < n; ++in) {
-    const float* src = dw_all_p + in * cout_ * ckk;
-    for (int64_t i = 0; i < cout_ * ckk; ++i) dwp[i] += src[i];
-  }
+  const int64_t tiles = (g.ckk + tile.taps - 1) / tile.taps;
+  float* dwp = weight_.grad.flat().data();
+  core::parallel_for(0, cp / tile.cos * tiles, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i)
+      dw_block(g, o, tile, pp, gtp, cp, dwp, i / tiles * tile.cos,
+               i % tiles * tile.taps);
+  });
+
+  // dx over (n, ci) items, each accumulated in a padded plane, with the
+  // weights regrouped as [cin][cout][kk] so an item reads them in order.
+  core::Scratch<float> wt(g.cin * cout_ * g.kk);
+  for (int64_t co = 0; co < cout_; ++co)
+    for (int64_t c = 0; c < g.ckk; ++c)
+      wt[(c / g.kk * cout_ + co) * g.kk + c % g.kk] = wp[co * g.ckk + c];
+  Tensor dx(in_shape_);
+  float* dxp = dx.flat().data();
+  core::parallel_for(0, g.n * g.cin, 1, [&](int64_t lo, int64_t hi) {
+    // The padded plane, its spill slack, then dx_rows' dcol rows.
+    const int64_t plane_floats = g.plane + kSpill;
+    core::Scratch<float> plane(plane_floats + g.kk * g.wo);
+    for (int64_t i = lo; i < hi; ++i) {
+      std::memset(plane.data(), 0,
+                  static_cast<size_t>(plane_floats) * sizeof(float));
+      dx_plane(g, o, gp + i / g.cin * cout_ * g.how,
+               wt.data() + i % g.cin * cout_ * g.kk, plane.data(),
+               plane.data() + plane_floats);
+      unpad_plane(g, plane.data(), dxp + i * g.h * g.w);
+    }
+  });
   return dx;
 }
 

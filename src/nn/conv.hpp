@@ -1,21 +1,43 @@
 // 2-D convolution (NCHW, square kernel, zero padding, no bias — ResNet style).
 //
-// Forward and backward run as im2col + GEMM so convolution rides the
-// cache-blocked, thread-parallel matmul kernels; samples are additionally
-// processed in parallel. The direct naive kernels are kept as
-// conv2d_reference_* for parity tests and benchmark baselines.
+// Forward and backward run as direct convolution over a zero-padded copy
+// of the input, which a training-mode forward keeps for backward's dW
+// (backward needs a training-mode forward). Rows of the padded copy are
+// split into `stride` phase planes so every stride reads consecutive
+// floats. The AVX2+FMA kernels (picked at run time from the host CPU) put
+// 8 outputs in a vector: 8 consecutive x of a row, or two 4-wide half rows
+// when rows are narrower than 8; forward register-blocks output channels,
+// dW vectorizes over output channels. The scalar kernels do the same
+// arithmetic with an unfused multiply, then add.
+//
+// Operation-order contract. Every output element is computed by exactly
+// the operation sequence of an im2col + tensor::gemm formulation with
+// col [N*ho*wo, cin*k*k], so results match that formulation bit for bit:
+//  - y[n,co,oy,ox]: one multiply-add chain over c = (ci, ky, kx)
+//    ascending, starting from +0, with padded taps read as zeros.
+//  - dW[co,c]: one multiply-add chain over (n, oy, ox) ascending, starting
+//    from the existing gradient.
+//  - dx: each dcol[(n,oy,ox), c] is a multiply-add chain over co ascending
+//    from +0; dx starts at +0 and adds the dcol values of an input element
+//    in (oy, ox)-ascending order (kx descending within a row).
+// Work fans out over disjoint outputs only — forward over (n, co-block),
+// dW over (co-block, c-tile), dx over (n, ci) — so the bits do not depend
+// on the thread count. conv2d_reference_* are the double-precision
+// oracle for parity tests and benchmark baselines.
 #pragma once
+
+#include <vector>
 
 #include "nn/module.hpp"
 
 namespace comdml::nn {
 
-/// Direct (non-im2col) convolution: x [N,cin,H,W] * w [cout,cin,k,k].
+/// Naive convolution accumulated in double: x [N,cin,H,W] * w [cout,cin,k,k].
 [[nodiscard]] Tensor conv2d_reference_forward(const Tensor& x,
                                               const Tensor& w, int64_t stride,
                                               int64_t padding);
 
-/// Direct backward pass. Returns dx; accumulates into `dw` (shape of w).
+/// Naive backward pass. Returns dx; accumulates into `dw` (shape of w).
 [[nodiscard]] Tensor conv2d_reference_backward(const Tensor& x,
                                                const Tensor& w,
                                                const Tensor& grad_out,
@@ -45,7 +67,8 @@ class Conv2d : public Module {
  private:
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter weight_;  ///< [cout, cin, k, k]
-  Tensor cached_input_;
+  Shape in_shape_;                   ///< last training forward's input shape
+  std::vector<float> padded_input_;  ///< and its zero-padded input planes
 };
 
 }  // namespace comdml::nn

@@ -1,5 +1,8 @@
 #include "nn/layers.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "tensor/gemm.hpp"
 
 namespace comdml::nn {
@@ -124,16 +127,21 @@ LayerCost Linear::cost(const Shape& in_shape) const {
 
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   Tensor y(x.shape());
-  Tensor mask(x.shape());
-  auto xi = x.flat();
-  auto yo = y.flat();
-  auto mo = mask.flat();
-  for (size_t i = 0; i < xi.size(); ++i) {
-    const bool pos = xi[i] > 0.0f;
-    yo[i] = pos ? xi[i] : 0.0f;
-    mo[i] = pos ? 1.0f : 0.0f;
+  // Reused across steps (fully rewritten below).
+  if (cached_mask_.shape() != x.shape()) cached_mask_.resize(x.shape());
+  const float* __restrict xi = x.flat().data();
+  float* __restrict yo = y.flat().data();
+  float* __restrict mo = cached_mask_.flat().data();
+  // Compare to an all-ones/all-zeros word and mask both outputs with it,
+  // so there is no data-dependent branch to mispredict. -0 and NaN fail
+  // `v > 0`: both map to +0 with mask 0.
+  constexpr auto kOne = std::bit_cast<uint32_t>(1.0f);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    const float v = xi[i];
+    const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
+    yo[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(v) & keep);
+    mo[i] = std::bit_cast<float>(kOne & keep);
   }
-  cached_mask_ = std::move(mask);
   return y;
 }
 

@@ -2,6 +2,11 @@
 // descriptors, and state collection.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
 #include "nn/norm.hpp"
@@ -101,6 +106,31 @@ TEST(ReLU, InputGradientMatchesNumeric) {
   const Tensor x = away_from_zero(rng, {2, 6});
   const Tensor g = rng.normal_tensor({2, 6}, 0, 1);
   EXPECT_LT(input_grad_error(relu, x, g), kGradTol);
+}
+
+TEST(ReLU, ForwardKeepsZeroSignAndNaNSemantics) {
+  // Pinned bit for bit: -0 -> +0, NaN -> +0 with mask 0, denormals and
+  // infinities by sign. The mask is read back through backward(ones).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const Tensor x =
+      Tensor::of({-0.0f, 0.0f, nan, -nan, 1.5f, -2.0f, inf, -inf, tiny, -tiny});
+  const std::vector<float> y_want = {0.0f, 0.0f, 0.0f, 0.0f, 1.5f,
+                                     0.0f, inf,  0.0f, tiny, 0.0f};
+  const std::vector<float> mask_want = {0.0f, 0.0f, 0.0f, 0.0f, 1.0f,
+                                        0.0f, 1.0f, 0.0f, 1.0f, 0.0f};
+  ReLU relu;
+  const Tensor y = relu.forward(x, true);
+  const Tensor mask = relu.backward(Tensor(x.shape(), 1.0f));
+  for (int64_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(y[i]),
+              std::bit_cast<uint32_t>(y_want[static_cast<size_t>(i)]))
+        << "y[" << i << "]";
+    EXPECT_EQ(std::bit_cast<uint32_t>(mask[i]),
+              std::bit_cast<uint32_t>(mask_want[static_cast<size_t>(i)]))
+        << "mask[" << i << "]";
+  }
 }
 
 TEST(ReLU, HasNoParameters) {

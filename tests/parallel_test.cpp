@@ -1,12 +1,14 @@
 // Parallel-compute subsystem tests: thread-pool semantics, parity of the
-// blocked/parallel matmul and im2col conv kernels against the kept naive
-// references, and bit-exact determinism of fleet rounds across thread
-// counts.
+// blocked/parallel matmul and direct conv kernels against the kept naive
+// references (and of the conv against its im2col + GEMM formulation, bit
+// for bit), and bit-exact determinism of fleet rounds across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -14,6 +16,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml {
@@ -270,13 +273,9 @@ TEST(KernelParity, ConvBackwardMatchesReferenceAcrossThreads) {
 }
 
 TEST(KernelParity, ConvBatchedGemmBitIdenticalAcrossThreadCounts) {
-  // The multi-sample conv GEMMs accumulate every output element over
-  // ascending k independent of the row partition, so forward, dx and the
+  // The conv kernels fan out over disjoint outputs only and keep every
+  // output element's accumulation order, so forward, dx and the
   // cross-sample dW reduction are bit-identical at every thread count.
-  // n=4 samples: at 1 thread the forward dispatch (n < pool threads)
-  // takes the per-sample loop, at 8 threads the batched GEMM — so this
-  // also pins the two forward orientations to the same bits, which the
-  // thread-count determinism guarantee depends on.
   ThreadCountGuard guard;
   Rng rng(23);
   nn::Conv2d conv(4, 6, 3, 1, 1, rng);
@@ -301,6 +300,165 @@ TEST(KernelParity, ConvBatchedGemmBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(dx1, dx8);
   EXPECT_EQ(dw1, params[0]->grad);
 }
+
+// ---- conv parity sweep: direct kernels vs im2col + GEMM, bit for bit ------
+
+/// Unrolls one sample x_c [cin,h,w] into col [ho*wo, cin*k*k]: row
+/// oy*wo + ox holds the receptive field of output (oy, ox), column
+/// (ci*k + ky)*k + kx, padded taps as zeros.
+void im2col(const float* xc, int64_t cin, int64_t h, int64_t w, int64_t k,
+            int64_t stride, int64_t pad, int64_t ho, int64_t wo, float* col) {
+  for (int64_t oy = 0; oy < ho; ++oy)
+    for (int64_t ox = 0; ox < wo; ++ox)
+      for (int64_t ci = 0; ci < cin; ++ci)
+        for (int64_t ky = 0; ky < k; ++ky)
+          for (int64_t kx = 0; kx < k; ++kx) {
+            const int64_t iy = oy * stride - pad + ky;
+            const int64_t ix = ox * stride - pad + kx;
+            *col++ = iy < 0 || iy >= h || ix < 0 || ix >= w
+                         ? 0.0f
+                         : xc[(ci * h + iy) * w + ix];
+          }
+}
+
+/// Scatter-adds dcol [ho*wo, cin*k*k] into one sample's dx_c [cin,h,w] in
+/// (row, column)-ascending order, skipping padded taps.
+void col2im(const float* dcol, int64_t cin, int64_t h, int64_t w, int64_t k,
+            int64_t stride, int64_t pad, int64_t ho, int64_t wo, float* dxc) {
+  for (int64_t oy = 0; oy < ho; ++oy)
+    for (int64_t ox = 0; ox < wo; ++ox)
+      for (int64_t ci = 0; ci < cin; ++ci)
+        for (int64_t ky = 0; ky < k; ++ky)
+          for (int64_t kx = 0; kx < k; ++kx, ++dcol) {
+            const int64_t iy = oy * stride - pad + ky;
+            const int64_t ix = ox * stride - pad + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              dxc[(ci * h + iy) * w + ix] += *dcol;
+          }
+}
+
+struct ConvResult {
+  Tensor y, dx, dw;
+};
+
+/// The im2col + GEMM convolution: y_n = W col_n^T, dW = dw0 + gt^T col,
+/// dcol = gt W with gt = grad_out gathered to [N*ho*wo, cout], then
+/// dx_n = col2im(dcol_n).
+ConvResult gemm_conv(const Tensor& x, const Tensor& w, const Tensor& g,
+                     const Tensor& dw0, int64_t stride, int64_t pad) {
+  const int64_t n = x.dim(0), cin = x.dim(1), h = x.dim(2), ww = x.dim(3);
+  const int64_t cout = w.dim(0), k = w.dim(2);
+  const int64_t ho = g.dim(2), wo = g.dim(3), how = ho * wo;
+  const int64_t ckk = cin * k * k;
+  std::vector<float> col(static_cast<size_t>(n * how * ckk));
+  for (int64_t in = 0; in < n; ++in)
+    im2col(x.flat().data() + in * cin * h * ww, cin, h, ww, k, stride, pad,
+           ho, wo, col.data() + in * how * ckk);
+  ConvResult r{Tensor({n, cout, ho, wo}), Tensor(x.shape()), dw0};
+  for (int64_t in = 0; in < n; ++in)
+    tensor::gemm_nt(w.flat().data(), col.data() + in * how * ckk,
+                    r.y.flat().data() + in * cout * how, cout, ckk, how);
+  std::vector<float> gt(static_cast<size_t>(n * how * cout));
+  for (int64_t in = 0; in < n; ++in)
+    for (int64_t p = 0; p < how; ++p)
+      for (int64_t co = 0; co < cout; ++co)
+        gt[(in * how + p) * cout + co] = g.flat()[(in * cout + co) * how + p];
+  tensor::gemm_tn(gt.data(), col.data(), r.dw.flat().data(), cout, n * how,
+                  ckk, /*accumulate=*/true);
+  std::vector<float> dcol(col.size());
+  tensor::gemm_nn(gt.data(), w.flat().data(), dcol.data(), n * how, cout,
+                  ckk);
+  for (int64_t in = 0; in < n; ++in)
+    col2im(dcol.data() + in * how * ckk, cin, h, ww, k, stride, pad, ho, wo,
+           r.dx.flat().data() + in * cin * h * ww);
+  return r;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+/// (n, cin, cout, h, w, k, stride, pad)
+using ConvShape = std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t,
+                             int64_t, int64_t, int64_t>;
+
+class ConvParity : public ::testing::TestWithParam<ConvShape> {};
+
+TEST_P(ConvParity, DirectKernelsMatchGemmBitwiseAtEveryThreadCount) {
+  ThreadCountGuard guard;
+  const auto [n, cin, cout, h, w, k, stride, pad] = GetParam();
+  Rng rng(24);
+  nn::Conv2d conv(cin, cout, k, stride, pad, rng);
+  std::vector<nn::Parameter*> params;
+  conv.collect_parameters(params);
+  ASSERT_EQ(params.size(), 1u);
+  const Tensor& wt = params[0]->value;
+  const int64_t ho = conv.out_extent(h), wo = conv.out_extent(w);
+  const Tensor x = rng.normal_tensor({n, cin, h, w}, 0, 1);
+  const Tensor g = rng.normal_tensor({n, cout, ho, wo}, 0, 1);
+  const Tensor dw0 = rng.normal_tensor(wt.shape(), 0, 1);
+
+  const ConvResult gemm = gemm_conv(x, wt, g, dw0, stride, pad);
+  const Tensor y_ref = nn::conv2d_reference_forward(x, wt, stride, pad);
+  Tensor dw_ref = dw0;
+  const Tensor dx_ref =
+      nn::conv2d_reference_backward(x, wt, g, stride, pad, dw_ref);
+
+  for (const int t : {1, 2, 4, 8}) {
+    set_num_threads(t);
+    params[0]->grad = dw0;
+    const Tensor y = conv.forward(x, true);
+    const Tensor dx = conv.backward(g);
+    const Tensor& dw = params[0]->grad;
+    EXPECT_TRUE(bitwise_equal(y, gemm.y)) << "y at " << t << " threads";
+    EXPECT_TRUE(bitwise_equal(dx, gemm.dx)) << "dx at " << t << " threads";
+    EXPECT_TRUE(bitwise_equal(dw, gemm.dw)) << "dW at " << t << " threads";
+    EXPECT_TRUE(tensor::allclose(y, y_ref, 1e-4f)) << t << " threads";
+    EXPECT_TRUE(tensor::allclose(dx, dx_ref, 1e-4f)) << t << " threads";
+    EXPECT_TRUE(tensor::allclose(dw, dw_ref, 1e-4f)) << t << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvParity,
+    ::testing::Values(
+        // ResNet-20 / ResNet-56 (base 16, 32x32): stem, stage convs,
+        // stride-2 entries and 1x1 projection shortcuts.
+        ConvShape{2, 3, 16, 32, 32, 3, 1, 1},
+        ConvShape{2, 16, 16, 32, 32, 3, 1, 1},
+        ConvShape{2, 16, 32, 32, 32, 3, 2, 1},
+        ConvShape{2, 16, 32, 32, 32, 1, 2, 0},
+        ConvShape{2, 32, 32, 16, 16, 3, 1, 1},
+        ConvShape{2, 32, 64, 16, 16, 3, 2, 1},
+        ConvShape{2, 32, 64, 16, 16, 1, 2, 0},
+        ConvShape{2, 64, 64, 8, 8, 3, 1, 1},
+        // The same network at base 8 on 16x16 images (stage 3 is 4x4).
+        ConvShape{4, 3, 8, 16, 16, 3, 1, 1},
+        ConvShape{4, 8, 8, 16, 16, 3, 1, 1},
+        ConvShape{4, 8, 16, 16, 16, 3, 2, 1},
+        ConvShape{4, 8, 16, 16, 16, 1, 2, 0},
+        ConvShape{4, 16, 16, 8, 8, 3, 1, 1},
+        ConvShape{4, 16, 32, 8, 8, 3, 2, 1},
+        ConvShape{4, 16, 32, 8, 8, 1, 2, 0},
+        ConvShape{4, 32, 32, 4, 4, 3, 1, 1},
+        // Widths that are not multiples of 8, down to 1 output.
+        ConvShape{2, 4, 8, 5, 4, 3, 1, 1},
+        ConvShape{2, 3, 8, 7, 7, 3, 1, 1},
+        ConvShape{3, 5, 6, 9, 9, 3, 1, 1},
+        ConvShape{2, 5, 6, 9, 9, 3, 2, 1},
+        ConvShape{2, 2, 3, 5, 2, 3, 1, 1},
+        ConvShape{2, 3, 4, 3, 3, 3, 1, 0},
+        // cout of 3, 5 and 12.
+        ConvShape{2, 4, 3, 8, 8, 3, 1, 1},
+        ConvShape{2, 4, 5, 6, 9, 3, 1, 1},
+        ConvShape{3, 6, 12, 10, 10, 3, 2, 1},
+        // k = 5, and stride 2 without padding.
+        ConvShape{2, 3, 8, 11, 11, 5, 1, 2},
+        ConvShape{2, 2, 5, 12, 9, 5, 2, 2},
+        ConvShape{3, 2, 5, 7, 5, 3, 2, 0},
+        ConvShape{2, 8, 8, 10, 10, 3, 2, 0}));
 
 // ---- fused elementwise -----------------------------------------------------
 
