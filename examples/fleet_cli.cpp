@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault_spec.hpp"
@@ -56,9 +57,9 @@ struct Args {
   std::string codec = "fp32";  // fp32 | quantized
   bool error_feedback = true;
   uint64_t seed = 42;
-  /// Injected agent failures, "A@R[:bN|:kN|:cS]" specs (real ComDML mode).
+  /// Injected agent failures, "A@R[:bN|:kN|:cS]" specs (RealFleet methods).
   std::vector<std::string> fail_agents;
-  /// Unreliable-network / straggler / autonomy knobs (real ComDML mode).
+  /// Unreliable-network / straggler / autonomy knobs (RealFleet methods).
   double drop_prob = 0.0;
   double deadline_ms = 0.0;
   int64_t checkpoint_every = 0;
@@ -154,31 +155,31 @@ bool parse(int argc, char** argv, Args& args) {
           "  [--target ACC] [--dropout P] [--seed N] [--real]\n"
           "  (--participation and --dropout: simulation only; --dropout:\n"
           "   comdml only)\n"
-          "  [--bucket-bytes N] [--overlap]   (real mode: bucketed /\n"
-          "   overlapped aggregation through the round pipeline; 0 = one\n"
-          "   whole-state bucket)\n"
+          "  With --real, only comdml|allreduce take these (the other\n"
+          "  methods refuse them):\n"
+          "  [--bucket-bytes N] [--overlap]   (bucketed / overlapped\n"
+          "   aggregation through the round pipeline; 0 = one whole-state\n"
+          "   bucket)\n"
           "  [--codec fp32|quantized] [--no-error-feedback]   (bucket wire\n"
           "   codec: quantized ships dense int8 payloads ~4x smaller;\n"
           "   error feedback carries the quantization error across rounds)\n"
-          "  [--fail-agent A@R[:bN|:kN|:cS]]   (real comdml: agent A leaves\n"
-          "   before round R, or dies after N batches (:bN), after\n"
-          "   publishing N buckets (:kN), or at collective step S (:cS);\n"
-          "   repeatable)\n"
-          "  [--drop-prob P]   (real comdml: drop each\n"
-          "   aggregation message with probability P; the collectives\n"
-          "   retransmit with backoff — tune via COMDML_RETRY_MAX and\n"
-          "   COMDML_BACKOFF_BASE_MS)\n"
-          "  [--deadline-ms MS]   (real comdml: defer solo\n"
-          "   stragglers whose round would outlast MS; their late update\n"
-          "   rides the error-feedback residual into the next round)\n"
-          "  [--checkpoint-every N] [--checkpoint-dir DIR]   (real comdml:\n"
-          "   write a checksummed checkpoint to DIR every N rounds, keeping\n"
-          "   the newest two)\n"
-          "  [--checkpoint PATH] [--restore PATH]   (real comdml: save the\n"
-          "   fleet state after the run / resume from a saved state)\n"
-          "  [--restore-shard PATH]   (real comdml, repeatable: assemble the\n"
-          "   fleet from per-worker quorum shards before the run; agents\n"
-          "   missing from the shards come up as left)\n"
+          "  [--fail-agent A@R[:bN|:kN|:cS]]   (agent A leaves before round\n"
+          "   R, or dies after N batches (:bN), after publishing N buckets\n"
+          "   (:kN), or at collective step S (:cS); repeatable)\n"
+          "  [--drop-prob P]   (drop each aggregation message with\n"
+          "   probability P; the collectives retransmit with backoff — tune\n"
+          "   via COMDML_RETRY_MAX and COMDML_BACKOFF_BASE_MS)\n"
+          "  [--deadline-ms MS]   (defer solo stragglers whose round would\n"
+          "   outlast MS; their late update rides the error-feedback\n"
+          "   residual into the next round)\n"
+          "  [--checkpoint-every N] [--checkpoint-dir DIR]   (write a\n"
+          "   checksummed checkpoint to DIR every N rounds, keeping the\n"
+          "   newest two)\n"
+          "  [--checkpoint PATH] [--restore PATH]   (save the fleet state\n"
+          "   after the run / resume from a saved state)\n"
+          "  [--restore-shard PATH]   (repeatable: assemble the fleet from\n"
+          "   per-worker quorum shards before the run; agents missing from\n"
+          "   the shards come up as left)\n"
           "  [--connect ADDR]   (client mode: drive a running fleetd at\n"
           "   unix:/path.sock or tcp:host:port instead of a local fleet;\n"
           "   combine with --rounds, --weights-out, --stats, --shutdown)\n"
@@ -205,6 +206,37 @@ bool parse(int argc, char** argv, Args& args) {
                  "--participation and --dropout apply only to the simulated "
                  "fleet; the --real fleets train every agent every round\n");
     return false;
+  }
+  // comdml and allreduce run on the RealFleet engine; the other real
+  // baselines have no pipeline, fault injection or durable state, so
+  // settings for those are refused rather than silently dropped.
+  const bool real_fleet =
+      args.method == "comdml" || args.method == "allreduce";
+  const bool durable = !args.checkpoint_path.empty() ||
+                       !args.restore_path.empty() ||
+                       !args.restore_shards.empty();
+  if (durable && (!(args.real || args.uniform) || !real_fleet)) {
+    std::fprintf(stderr, "error: --checkpoint/--restore/--restore-shard "
+                         "need --real --method comdml|allreduce\n");
+    return false;
+  }
+  const std::pair<const char*, bool> real_fleet_only[] = {
+      {"--fail-agent", !args.fail_agents.empty()},
+      {"--drop-prob", args.drop_prob != 0.0},
+      {"--deadline-ms", args.deadline_ms != 0.0},
+      {"--checkpoint-every", args.checkpoint_every != 0},
+      {"--bucket-bytes", args.bucket_bytes != 0},
+      {"--overlap", args.overlap},
+      {"--codec", args.codec != "fp32"},
+  };
+  for (const auto& [name, set] : real_fleet_only) {
+    if (set && args.real && !real_fleet) {
+      std::fprintf(stderr,
+                   "error: %s needs --method comdml|allreduce; the real %s "
+                   "fleet would run without it\n",
+                   name, args.method.c_str());
+      return false;
+    }
   }
   return true;
 }
@@ -274,36 +306,10 @@ core::FleetRuntime build_real(const Args& args, Method method,
     core::FleetOptions::FaultOptions::AgentFailure f;
     if (core::parse_fault_spec(spec, f)) opt.faults.failures.push_back(f);
   }
-  if (!opt.faults.failures.empty() && method != Method::kComDML) {
-    std::fprintf(stderr,
-                 "note: --fail-agent only affects the real comdml fleet; "
-                 "%s runs without fault injection\n", args.method.c_str());
-    opt.faults.failures.clear();
-  }
   opt.faults.message_drop_prob = args.drop_prob;
   opt.faults.deadline_sec = args.deadline_ms * 1e-3;
   opt.faults.checkpoint_every = args.checkpoint_every;
   opt.faults.checkpoint_dir = args.checkpoint_dir;
-  if ((args.drop_prob > 0.0 || args.deadline_ms > 0.0 ||
-       args.checkpoint_every > 0) &&
-      method != Method::kComDML) {
-    std::fprintf(stderr,
-                 "note: --drop-prob/--deadline-ms/--checkpoint-every only "
-                 "affect the real comdml fleet; %s runs without them\n",
-                 args.method.c_str());
-    opt.faults.message_drop_prob = 0.0;
-    opt.faults.deadline_sec = 0.0;
-    opt.faults.checkpoint_every = 0;
-    opt.faults.checkpoint_dir.clear();
-  }
-  if ((args.bucket_bytes > 0 || args.overlap || args.codec != "fp32") &&
-      method != Method::kComDML && method != Method::kAllReduceDML) {
-    std::fprintf(stderr,
-                 "note: --bucket-bytes/--overlap/--codec only affect "
-                 "methods that aggregate through an allreduce (comdml, "
-                 "allreduce); %s runs its normal aggregation\n",
-                 args.method.c_str());
-  }
   core::ModelFactory factory = [](tensor::Rng& r) {
     return nn::mlp({kFeatures, 24, 24, kClasses}, r);
   };
@@ -452,15 +458,6 @@ int main(int argc, char** argv) {
                                    std::move(sizes));
     }();
 
-    const bool durable =
-        (args.real || args.uniform) && method == Method::kComDML;
-    if ((!args.checkpoint_path.empty() || !args.restore_path.empty() ||
-         !args.restore_shards.empty()) &&
-        !durable) {
-      std::fprintf(stderr, "error: --checkpoint/--restore/--restore-shard "
-                           "need --real --method comdml\n");
-      return 1;
-    }
     if (!args.restore_shards.empty()) {
       std::vector<std::vector<uint8_t>> blobs;
       for (const std::string& path : args.restore_shards) {
@@ -550,7 +547,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       const int64_t agent =
-          method == Method::kComDML ? fleet.live_agents().front() : 0;
+          fleet.real_comdml() != nullptr ? fleet.live_agents().front() : 0;
       const auto blob = tensor::pack_tensors(nn::state_of(fleet.model(agent)));
       if (!write_blob(args.weights_out, blob)) return 1;
       std::printf("weights (%zu bytes) written to %s\n", blob.size(),

@@ -57,12 +57,14 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
       rng_(options.seed) {
   (void)classes;
   options_.validate();
-  COMDML_REQUIRE(method != learncurve::Method::kComDML,
-                 "use core::RealFleet for ComDML");
+  COMDML_REQUIRE(method != learncurve::Method::kComDML &&
+                     method != learncurve::Method::kAllReduceDML,
+                 "use core::RealFleet for ComDML and AllReduce-DML");
   COMDML_CHECK(static_cast<int64_t>(shards_.size()) == topology_.agents());
   for (auto& s : shards_) s.validate();
   models_.reserve(shards_.size());
   batchers_.reserve(shards_.size());
+  velocities_.resize(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     tensor::Rng model_rng = rng_.fork();
     models_.push_back(factory(model_rng));
@@ -73,16 +75,7 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
   for (size_t i = 1; i < models_.size(); ++i)
     nn::load_state(*models_[i], init);
 
-  const bool allreduce = method_ == learncurve::Method::kAllReduceDML;
-  bucket_plan_ = nn::BucketPlan::build(
-      *models_[0], allreduce ? options_.comms.bucket_bytes : 0);
-  if (allreduce) {
-    pipeline_ = std::make_unique<core::RoundPipeline>(
-        static_cast<int64_t>(models_.size()), bucket_plan_,
-        core::bottleneck_grid(topology_, options_.comms.latency_sec),
-        options_.comms.aggregation, options_.comms.bucket_codec(),
-        options_.comms.error_feedback);
-  }
+  bucket_plan_ = nn::BucketPlan::build(*models_[0], 0);
 }
 
 float RealBaselineFleet::train_locally(
@@ -90,6 +83,9 @@ float RealBaselineFleet::train_locally(
   auto& model = *models_[agent];
   const std::vector<nn::Parameter*> params = model.parameters();
   nn::SGD opt(params, options_.train.sgd);
+  // Momentum is fleet state, not round state (as in RealFleet::step).
+  std::vector<tensor::Tensor>& velocity = velocities_[agent];
+  if (!velocity.empty()) opt.load_velocity(velocity);
   if (anchors != nullptr) COMDML_CHECK(anchors->size() == params.size());
   float loss_sum = 0.0f;
   for (int64_t b = 0; b < options_.train.batches_per_round; ++b) {
@@ -115,6 +111,7 @@ float RealBaselineFleet::train_locally(
           nn::train_batch_full(model, opt, batch.x, batch.y).loss;
     }
   }
+  velocity = opt.velocity();
   return loss_sum / static_cast<float>(options_.train.batches_per_round);
 }
 
@@ -204,7 +201,7 @@ void RealBaselineFleet::aggregate(core::RoundReport& stats) {
       stats.aggregation_bytes = transport.stats().max_bytes_sent();
       break;
     }
-    case learncurve::Method::kAllReduceDML:  // runs through pipeline_
+    case learncurve::Method::kAllReduceDML:  // core::RealFleet
     case learncurve::Method::kComDML:
       COMDML_CHECK(false);
   }
@@ -227,41 +224,12 @@ core::RoundReport RealBaselineFleet::step() {
   // order, keeping the round identical for every thread count.
   const int64_t n_agents = static_cast<int64_t>(models_.size());
   std::vector<float> losses(models_.size(), 0.0f);
-  const auto train_task = [&](int64_t i) {
-    losses[static_cast<size_t>(i)] =
-        train_locally(static_cast<size_t>(i), anchors ? &*anchors : nullptr);
-  };
-  if (method_ == learncurve::Method::kAllReduceDML) {
-    // Each agent publishes its buckets as its local training ends;
-    // RoundPipeline::run_round adds (overlap) one collector slot per pool
-    // thread so idle workers reduce ready buckets while slower agents still
-    // train, and aborts the pipeline on task exceptions.
-    const bool overlap = options_.comms.overlap;
-    pipeline_->begin_round();
-    pipeline_->run_round(
-        n_agents,
-        [&](int64_t i) {
-          train_task(i);
-          std::vector<tensor::Tensor*> ptrs;
-          models_[static_cast<size_t>(i)]->collect_state(ptrs);
-          pipeline_->publish_state(i, ptrs);
-        },
-        overlap);
-    if (!overlap) pipeline_->drain();
-    for (size_t i = 0; i < models_.size(); ++i) {
-      std::vector<tensor::Tensor*> ptrs;
-      models_[i]->collect_state(ptrs);
-      pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
-    }
-    const core::PipelineStats ps = pipeline_->stats();
-    stats.aggregation_seconds = ps.comm_seconds;
-    stats.aggregation_bytes = ps.max_bytes_sent;
-  } else {
-    core::parallel_for(0, n_agents, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) train_task(i);
-    });
-    aggregate(stats);
-  }
+  core::parallel_for(0, n_agents, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i)
+      losses[static_cast<size_t>(i)] = train_locally(
+          static_cast<size_t>(i), anchors ? &*anchors : nullptr);
+  });
+  aggregate(stats);
   float loss = 0.0f;
   for (const float l : losses) loss += l;
   stats.mean_loss = loss / static_cast<float>(models_.size());

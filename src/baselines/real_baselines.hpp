@@ -1,11 +1,12 @@
-// Real-training implementations of the baselines on small models: every
-// agent holds a replica + shard; one round = local full-model training
-// followed by the method's aggregation pattern. Used by integration tests
-// and examples to compare learning behaviour against ComDML's RealFleet.
+// Real-training implementations of the FedAvg, FedProx, gossip and
+// BrainTorrent baselines on small models: every agent holds a replica +
+// shard; one round = local full-model training followed by the method's
+// aggregation pattern. AllReduce-DML is not here: it is core::RealFleet with
+// pairing off. Used by integration tests and examples to compare learning
+// behaviour against ComDML's RealFleet.
 #pragma once
 
 #include "core/real_fleet.hpp"
-#include "core/round_pipeline.hpp"
 #include "core/round_stats.hpp"
 
 namespace comdml::baselines {
@@ -25,14 +26,14 @@ class RealBaselineFleet {
 
   /// One round. Fills mean_loss and the executed traffic of the
   /// aggregation pattern when it runs through a comm::Transport collective
-  /// (gossip, AllReduce, param-server; 0 for the local BrainTorrent mean):
+  /// (gossip, param-server; 0 for the local BrainTorrent mean):
   /// aggregation_seconds, aggregation_bytes (max bytes any endpoint sent)
   /// and round_seconds, which equals aggregation_seconds because
   /// communication is all the baselines' clock models.
   core::RoundReport step();
 
   /// Accuracy of agent 0's model on a held-out set (post-aggregation all
-  /// replicas agree for FedAvg/BrainTorrent/AllReduce; gossip replicas may
+  /// replicas agree for FedAvg/FedProx/BrainTorrent; gossip replicas may
   /// differ, agent 0 is the reporting convention).
   [[nodiscard]] float evaluate(const data::Dataset& test);
 
@@ -49,22 +50,19 @@ class RealBaselineFleet {
   tensor::Rng rng_;
   std::vector<std::unique_ptr<nn::Sequential>> models_;
   std::vector<std::unique_ptr<data::Batcher>> batchers_;
+  /// Per-agent SGD momentum, carried across the per-round optimizers as
+  /// RealFleet carries AgentState::velocity (empty before round 0).
+  std::vector<std::vector<tensor::Tensor>> velocities_;
   /// Per-round merge buffers of the local means, reused across rounds.
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
-  /// AllReduce-DML buckets (one whole-state bucket when
-  /// comms.bucket_bytes == 0); the other methods' collectives run on one
-  /// whole-state bucket.
+  /// One whole-state bucket: the flatten layout of the collectives.
   nn::BucketPlan bucket_plan_;
-  /// AllReduce-DML aggregation: agents publish their buckets as their
-  /// local training finishes, and idle pool workers reduce ready buckets
-  /// concurrently (comms.overlap). Unused by the other methods.
-  std::unique_ptr<core::RoundPipeline> pipeline_;
 
   /// `anchors` (FedProx only, else nullptr): the round-start value of each
   /// of the model's parameters(), in order.
   float train_locally(size_t agent,
                       const std::vector<tensor::Tensor>* anchors);
-  /// Aggregation of the methods that do not run an allreduce.
+  /// The method's aggregation pattern over the trained replicas.
   void aggregate(core::RoundReport& stats);
   /// Every agent's state, copied into state_scratch_.
   std::vector<std::vector<tensor::Tensor>>& gather_states();

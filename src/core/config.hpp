@@ -71,9 +71,7 @@ struct FleetOptions {
     /// schedule. With differential privacy the overlap window closes:
     /// noise draws are serialized on the fleet RNG after training, so
     /// buckets publish post-noising and rounds report the full
-    /// aggregation time as exposed. Real baseline fleets honor these
-    /// knobs only for the AllReduce-DML method (the other baselines do
-    /// not aggregate through an allreduce).
+    /// aggregation time as exposed.
     bool overlap = false;
     /// Wire codec of the bucket collectives. kFp32 ships raw fp32
     /// payloads and stays bit-identical to the uncompressed rounds;

@@ -10,8 +10,8 @@ RoundReport FleetRuntime::step() {
     rep = sim_comdml_->step();
   } else if (sim_baseline_ != nullptr) {
     rep = sim_baseline_->step();
-  } else if (real_comdml_ != nullptr) {
-    const auto stats = real_comdml_->step();
+  } else if (real_fleet_ != nullptr) {
+    const auto stats = real_fleet_->step();
     rep.round_seconds = stats.sim_time;
     rep.aggregation_seconds = stats.aggregation_seconds;
     rep.aggregation_bytes = stats.aggregation_bytes;
@@ -45,60 +45,53 @@ RunReport FleetRuntime::run(int64_t rounds) {
 float FleetRuntime::evaluate(const data::Dataset& test) {
   COMDML_REQUIRE(real(), "evaluate() needs a real-execution fleet "
                          "(builder with model()/shards())");
-  return real_comdml_ != nullptr ? real_comdml_->evaluate(test)
+  return real_fleet_ != nullptr ? real_fleet_->evaluate(test)
                                  : real_baseline_->evaluate(test);
 }
 
 nn::Sequential& FleetRuntime::model(int64_t agent) {
   COMDML_REQUIRE(real(), "model() needs a real-execution fleet");
-  return real_comdml_ != nullptr ? real_comdml_->model(agent)
+  return real_fleet_ != nullptr ? real_fleet_->model(agent)
                                  : real_baseline_->model(agent);
 }
 
+RealFleet& FleetRuntime::real_fleet(const char* what) const {
+  COMDML_REQUIRE(real_fleet_ != nullptr,
+                 what << " needs a RealFleet engine (ComDML, AllReduce-DML)");
+  return *real_fleet_;
+}
+
 void FleetRuntime::leave(int64_t agent) {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "elastic membership needs the real ComDML fleet");
-  real_comdml_->leave(agent);
+  real_fleet("elastic membership").leave(agent);
 }
 
 void FleetRuntime::rejoin(int64_t agent) {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "elastic membership needs the real ComDML fleet");
-  real_comdml_->rejoin(agent);
+  real_fleet("elastic membership").rejoin(agent);
 }
 
 std::vector<int64_t> FleetRuntime::live_agents() const {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "elastic membership needs the real ComDML fleet");
-  return real_comdml_->live_agents();
+  return real_fleet("elastic membership").live_agents();
 }
 
 std::vector<uint8_t> FleetRuntime::checkpoint() {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "checkpoint/restore needs the real ComDML fleet");
-  return real_comdml_->checkpoint();
+  return real_fleet("checkpoint/restore").checkpoint();
 }
 
 void FleetRuntime::restore(const std::vector<uint8_t>& bytes) {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "checkpoint/restore needs the real ComDML fleet");
-  real_comdml_->restore(bytes);
-  round_ = real_comdml_->round();
+  real_fleet("checkpoint/restore").restore(bytes);
+  round_ = real_fleet_->round();
 }
 
 std::vector<uint8_t> FleetRuntime::checkpoint_shard(
     int64_t shard, int64_t shards, const std::vector<int64_t>& owned) {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "checkpoint/restore needs the real ComDML fleet");
-  return real_comdml_->checkpoint_shard(shard, shards, owned);
+  return real_fleet("checkpoint/restore")
+      .checkpoint_shard(shard, shards, owned);
 }
 
 void FleetRuntime::restore_shards(
     const std::vector<std::vector<uint8_t>>& shards) {
-  COMDML_REQUIRE(real_comdml_ != nullptr,
-                 "checkpoint/restore needs the real ComDML fleet");
-  real_comdml_->restore_shards(shards);
-  round_ = real_comdml_->round();
+  real_fleet("checkpoint/restore").restore_shards(shards);
+  round_ = real_fleet_->round();
 }
 
 // ---- FleetBuilder -----------------------------------------------------------
@@ -187,10 +180,11 @@ FleetRuntime FleetBuilder::build() {
     COMDML_REQUIRE(scheduler_ == Scheduler::kComDML,
                    "scheduler() ablations only apply to the ComDML "
                    "simulation");
-    if (method_ == learncurve::Method::kComDML) {
-      runtime.real_comdml_ = std::make_unique<RealFleet>(
+    if (method_ == learncurve::Method::kComDML ||
+        method_ == learncurve::Method::kAllReduceDML) {
+      runtime.real_fleet_ = std::make_unique<RealFleet>(
           factory_, classes_, std::move(*shards_), std::move(*topology_),
-          options_);
+          options_, method_);
     } else {
       runtime.real_baseline_ =
           std::make_unique<baselines::RealBaselineFleet>(

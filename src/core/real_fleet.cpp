@@ -18,8 +18,10 @@ namespace comdml::core {
 
 RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
                      std::vector<data::Dataset> shards,
-                     sim::Topology topology, Options options)
+                     sim::Topology topology, Options options,
+                     learncurve::Method method)
     : options_(options),
+      method_(method),
       shards_(std::move(shards)),
       topology_(std::move(topology)),
       rng_(options.seed),
@@ -27,6 +29,12 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
       in_shape_(),
       profile_() {
   options_.validate();
+  COMDML_REQUIRE(method_ == learncurve::Method::kComDML ||
+                     method_ == learncurve::Method::kAllReduceDML,
+                 "RealFleet runs ComDML or AllReduce-DML, not "
+                     << learncurve::method_name(method_)
+                     << "; build the other baselines as "
+                        "baselines::RealBaselineFleet");
   COMDML_REQUIRE(!shards_.empty(), "fleet needs at least one shard");
   COMDML_CHECK(static_cast<int64_t>(shards_.size()) == topology_.agents());
   for (auto& s : shards_) s.validate();
@@ -146,8 +154,12 @@ RealFleet::RoundStats RealFleet::step() {
   const auto infos = build_infos();
   const std::vector<int64_t> participants = live_agents();
   COMDML_REQUIRE(!participants.empty(), "no live agents left to run a round");
-  const PairingResult plan = pair_agents(profile_, infos, topology_,
-                                         options_.train.batch_size, participants);
+  // AllReduce-DML is ComDML without offloading: Algorithm 1 with no helper
+  // leaves every agent solo.
+  const std::vector<int64_t> no_helpers;
+  const PairingResult plan = pair_agents(
+      profile_, infos, topology_, options_.train.batch_size, participants,
+      method_ == learncurve::Method::kAllReduceDML ? &no_helpers : nullptr);
 
   RoundStats stats;
   stats.num_pairs = static_cast<int64_t>(plan.pairs.size());

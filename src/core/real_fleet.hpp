@@ -2,7 +2,9 @@
 // local-loss split training on actual tensors, and a real message-level
 // AllReduce — on small models and synthetic data. The scheduling code is
 // the same pair_agents()/SplitProfile used at paper scale, so nothing about
-// the algorithm is mocked; only the model/dataset sizes shrink.
+// the algorithm is mocked; only the model/dataset sizes shrink. The
+// AllReduce-DML baseline is this engine with pairing off: every agent
+// trains solo and the round is the same decentralized allreduce.
 #pragma once
 
 #include <functional>
@@ -41,9 +43,12 @@ class RealFleet {
   using Options = FleetOptions;
 
   /// One shard per agent; all shards must share classes and sample shape.
+  /// `method` is kComDML or kAllReduceDML (pairing off: Algorithm 1 runs
+  /// with no helper, so every agent trains solo); any other method throws.
   RealFleet(const ModelFactory& factory, int64_t classes,
             std::vector<data::Dataset> shards, sim::Topology topology,
-            Options options);
+            Options options,
+            learncurve::Method method = learncurve::Method::kComDML);
 
   struct RoundStats {
     double sim_time = 0.0;       ///< simulated wall-clock of the round
@@ -168,7 +173,7 @@ class RealFleet {
   /// Inverse of export_agent (geometry must match).
   void import_agent(int64_t agent, const std::vector<uint8_t>& bytes);
 
-  /// One complete ComDML round (pair -> train -> aggregate) over the live
+  /// One complete round (pair -> train -> aggregate) over the live
   /// agents. Injected faults (options.faults) kill their agent at the
   /// configured point; the round still completes over the survivors.
   RoundStats step();
@@ -259,6 +264,7 @@ class RealFleet {
   };
 
   Options options_;
+  learncurve::Method method_;
   std::vector<data::Dataset> shards_;
   sim::Topology topology_;
   tensor::Rng rng_;

@@ -268,14 +268,6 @@ void RoundPipeline::contribute_all(int64_t agent) {
   for (int64_t b = 0; b < plan_->buckets(); ++b) contribute(agent, b);
 }
 
-void RoundPipeline::publish_state(int64_t agent,
-                                  const std::vector<tensor::Tensor*>& state) {
-  for (int64_t b = 0; b < plan_->buckets(); ++b) {
-    plan_->flatten_bucket(state, b, slot(agent, b));
-    contribute(agent, b);
-  }
-}
-
 void RoundPipeline::restore_state(
     int64_t agent, const std::vector<tensor::Tensor*>& state) {
   for (int64_t b = 0; b < plan_->buckets(); ++b)

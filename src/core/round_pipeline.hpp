@@ -1,15 +1,14 @@
 // Round aggregation engine: concurrent bucketed collectives that hide
 // aggregation behind the tail of local training.
 //
-// This is the only aggregation path, in-process and across processes. Both
-// real fleets (core::RealFleet and baselines::RealBaselineFleet's
-// AllReduce-DML) build one pipeline for their lifetime; a flat round
-// (bucket_bytes == 0) is a single whole-state bucket, so codecs, error
-// feedback, straggler deferral and bucket-level faults work the same at
-// every bucket size. A multi-process fleet (fleetd) runs it in mesh mode
-// (set_mesh): each bucket collective runs over the one shared socket mesh
-// with this process's owned rows only (comm::CollectiveRequest::owned),
-// under two rules:
+// This is the only aggregation path, in-process and across processes.
+// core::RealFleet (ComDML, and AllReduce-DML with pairing off) builds one
+// pipeline for its lifetime; a flat round (bucket_bytes == 0) is a single
+// whole-state bucket, so codecs, error feedback, straggler deferral and
+// bucket-level faults work the same at every bucket size. A multi-process
+// fleet (fleetd) runs it in mesh mode (set_mesh): each bucket collective
+// runs over the one shared socket mesh with this process's owned rows only
+// (comm::CollectiveRequest::owned), under two rules:
 //
 //   - Ordering: drain() reduces the buckets in plan order on the calling
 //     thread, so every process walks the same steps in the same order and
@@ -189,8 +188,8 @@ class RoundPipeline {
   /// reduced agent. Call after the round completes, with the late state
   /// staged via stage_state().
   void absorb_late(int64_t agent, int64_t src_agent);
-  /// Flatten `state` into the agent's slots without contributing (the
-  /// staging half of publish_state, for deferred agents).
+  /// Flatten `state` into the agent's slots without contributing (for
+  /// deferred agents).
   void stage_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
 
   /// Arm/clear a scheduled endpoint failure on every bucket transport
@@ -216,14 +215,9 @@ class RoundPipeline {
   /// written). Thread-safe; the k-th contribution enqueues the bucket's
   /// collective for the collectors.
   void contribute(int64_t agent, int64_t bucket);
-  /// Publish every bucket for `agent` (coarse producers: split-trained
-  /// replicas, DP-noised snapshots).
+  /// Publish every bucket for `agent` whose slots are already written
+  /// (a coarse producer that publishes its whole state at once).
   void contribute_all(int64_t agent);
-
-  /// Flatten every bucket of `state` (the agent's replica, plan order)
-  /// into the agent's slots and contribute them — the whole-replica
-  /// producer used by both fleets.
-  void publish_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
   /// After the round completes: write the agent's reduced bucket means
   /// back into `state`.
   void restore_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
@@ -241,8 +235,7 @@ class RoundPipeline {
   /// workers with no training work left; those workers drain ready bucket
   /// collectives concurrently with the remaining compute. A task exception
   /// aborts the pipeline (waking any waiting collectors) before it
-  /// propagates. This is the round orchestration shared by RealFleet and
-  /// RealBaselineFleet; each fleet supplies only its task body.
+  /// propagates. RealFleet::step() supplies the task body.
   void run_round(int64_t n_tasks,
                  const std::function<void(int64_t task)>& task_fn,
                  bool overlap);

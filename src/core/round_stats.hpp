@@ -13,12 +13,13 @@ namespace comdml::core {
 /// filled depends on the engine underneath:
 ///  - paper-scale simulators: the full timing breakdown (compute / comm /
 ///    aggregation / idle / unbalanced) plus pairs and churn;
-///  - real ComDML (RealFleet): round_seconds (balanced span + collective),
-///    the aggregation clock and executed bytes, pairs, and the
-///    loss/privacy fields;
-///  - real baselines: only the aggregation clock/bytes (round_seconds
-///    equals aggregation_seconds — communication is all their clock
-///    models, so a local BrainTorrent mean reports 0) and mean_loss.
+///  - RealFleet (ComDML, and AllReduce-DML with num_pairs == 0):
+///    round_seconds (balanced span + collective), the aggregation clock
+///    and executed bytes, pairs, and the loss/privacy fields;
+///  - RealBaselineFleet (FedAvg, FedProx, gossip, BrainTorrent): only the
+///    aggregation clock/bytes (round_seconds equals aggregation_seconds —
+///    communication is all their clock models, so a local BrainTorrent
+///    mean reports 0) and mean_loss.
 /// Unfilled fields are zero.
 struct RoundReport {
   int64_t round = 0;
@@ -29,7 +30,7 @@ struct RoundReport {
   double idle_seconds = 0.0;
   double unbalanced_seconds = 0.0;   ///< counterfactual without offloading
   int64_t aggregation_bytes = 0;     ///< executed collective traffic (real)
-  /// Real ComDML rounds: bucket count (1 when comms.bucket_bytes == 0) and
+  /// RealFleet rounds: bucket count (1 when comms.bucket_bytes == 0) and
   /// the aggregation time left on the round's critical path after overlapping
   /// collectives with the compute tail (== aggregation_seconds when
   /// nothing is hidden).
@@ -41,10 +42,10 @@ struct RoundReport {
   int64_t split_early_buckets = 0;
   int64_t num_pairs = 0;
   int64_t dropped_agents = 0;
-  /// Solo agents deferred past the straggler deadline (real ComDML only;
+  /// Solo agents deferred past the straggler deadline (RealFleet only;
   /// see RealFleet::RoundStats::late_agents).
   int64_t late_agents = 0;
-  /// Retransmission traffic under message faults (real ComDML only;
+  /// Retransmission traffic under message faults (RealFleet only;
   /// excluded from goodput).
   int64_t retransmit_bytes = 0;
   // Real-execution only:

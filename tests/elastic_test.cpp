@@ -635,14 +635,17 @@ TEST(ElasticFleet, RejoinAfterCheckpointMatchesLiveFleet) {
                       "rejoin-after-restore vs rejoin-without-restart");
 }
 
-TEST(ElasticFleet, RuntimeForwardsElasticOps) {
+// Both methods of the RealFleet engine take elastic ops through the facade.
+class ElasticFleetP : public ::testing::TestWithParam<learncurve::Method> {};
+
+TEST_P(ElasticFleetP, RuntimeForwardsElasticOps) {
   FleetOptions opt = bucketed_options();
   FleetOptions::FaultOptions::AgentFailure f;
   f.agent = 1;
   f.round = 0;
   opt.faults.failures.push_back(f);
   auto runtime = core::FleetBuilder()
-                     .method(learncurve::Method::kComDML)
+                     .method(GetParam())
                      .options(opt)
                      .topology(hetero_mesh(4))
                      .model(mlp_factory(6, 3), 3)
@@ -660,6 +663,10 @@ TEST(ElasticFleet, RuntimeForwardsElasticOps) {
   EXPECT_EQ(runtime.live_agents(), (std::vector<int64_t>{0, 1, 2, 3}));
   (void)runtime.step();
 }
+
+INSTANTIATE_TEST_SUITE_P(Methods, ElasticFleetP,
+                         ::testing::Values(learncurve::Method::kComDML,
+                                           learncurve::Method::kAllReduceDML));
 
 TEST(ElasticFleet, RandomizedFaultSeedCompletes) {
   // CI randomizes (but logs) the fault point; locally the seed is fixed.

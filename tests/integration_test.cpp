@@ -7,8 +7,8 @@
 #include <numeric>
 
 #include "baselines/baseline_fleet.hpp"
-#include "baselines/real_baselines.hpp"
 #include "core/execution.hpp"
+#include "core/fleet_runtime.hpp"
 #include "core/real_fleet.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
@@ -364,10 +364,15 @@ TEST(RealComparison, AllMethodsReachSimilarAccuracy) {
   }
   for (const Method m : {Method::kFedAvg, Method::kAllReduceDML,
                          Method::kBrainTorrent}) {
-    baselines::RealBaselineFleet::Options opt;
+    core::FleetOptions opt;
     opt.train.batches_per_round = 5;
-    baselines::RealBaselineFleet fleet(m, factory, 3, shards(),
-                                       Topology::full_mesh(profiles), opt);
+    auto fleet = core::FleetBuilder()
+                     .method(m)
+                     .options(opt)
+                     .topology(Topology::full_mesh(profiles))
+                     .model(factory, 3)
+                     .shards(shards())
+                     .build();
     for (int r = 0; r < 12; ++r) (void)fleet.step();
     accs.push_back(fleet.evaluate(dataset));
   }

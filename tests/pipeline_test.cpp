@@ -952,16 +952,18 @@ TEST(FleetBucketDeterminism, OverlappedRoundReportsPipelineShape) {
 }
 
 TEST(FleetBucketDeterminism, BaselineAllReduceBucketedMatchesFlat) {
-  using baselines::RealBaselineFleet;
   const auto run = [&](int64_t bucket_bytes, bool overlap) {
     FleetOptions opt;
     opt.seed = 31;
     opt.comms.bucket_bytes = bucket_bytes;
     opt.comms.overlap = overlap;
-    RealBaselineFleet fleet(learncurve::Method::kAllReduceDML,
-                            mlp_factory(6, 3), 3,
-                            blob_shards(4, 30, 3, 6, 41), hetero_mesh(4),
-                            opt);
+    auto fleet = core::FleetBuilder()
+                     .method(learncurve::Method::kAllReduceDML)
+                     .options(opt)
+                     .topology(hetero_mesh(4))
+                     .model(mlp_factory(6, 3), 3)
+                     .shards(blob_shards(4, 30, 3, 6, 41))
+                     .build();
     for (int r = 0; r < 2; ++r) (void)fleet.step();
     std::vector<Tensor> all;
     for (int64_t a = 0; a < fleet.agents(); ++a) {

@@ -209,8 +209,7 @@ TEST_P(RealBaselineP, LearnsBlobs) {
 INSTANTIATE_TEST_SUITE_P(Methods, RealBaselineP,
                          ::testing::Values(Method::kFedAvg, Method::kFedProx,
                                            Method::kGossip,
-                                           Method::kBrainTorrent,
-                                           Method::kAllReduceDML));
+                                           Method::kBrainTorrent));
 
 TEST(RealBaselines, FedAvgReachesConsensus) {
   RealBaselineFleet::Options opt;
@@ -329,11 +328,52 @@ TEST(RealBaselines, FedProxAnchorsEveryParameterOnBatchNormModels) {
         << "parameter " << g;
 }
 
+TEST(RealBaselines, MomentumCarriesAcrossRounds) {
+  // One agent, so every aggregation pattern is the identity, and a shard
+  // of one sample, so every batch is the same tensor. Two rounds of two
+  // batches must equal one SGD stepped four times: the second round starts
+  // from the first round's velocity, not from zero. prox_mu 0 makes
+  // FedProx's local step plain SGD.
+  Rng rng(42);
+  const data::Dataset shard = data::make_blobs(1, 3, 6, 0.3f, rng);
+  RealBaselineFleet::Options opt;
+  opt.train.batch_size = 1;
+  opt.train.batches_per_round = 2;
+  opt.train.sgd = {0.05f, 0.9f, 0.0f};
+  opt.train.prox_mu = 0.0f;
+  constexpr int kRounds = 2;
+  for (const Method m : {Method::kFedAvg, Method::kFedProx, Method::kGossip,
+                         Method::kBrainTorrent}) {
+    SCOPED_TRACE(learncurve::method_name(m));
+    RealBaselineFleet fleet(m, mlp_factory(6, 3), 3, {shard},
+                            Topology::full_mesh({{1.0, 100.0}}), opt);
+    Rng ref_rng(0);
+    auto ref = mlp_factory(6, 3)(ref_rng);
+    nn::load_state(*ref, nn::state_of(fleet.model(0)));
+    nn::SGD sgd(ref->parameters(), opt.train.sgd);
+    for (int64_t b = 0; b < kRounds * opt.train.batches_per_round; ++b)
+      (void)nn::train_batch_full(*ref, sgd, shard.images, shard.labels);
+
+    for (int r = 0; r < kRounds; ++r) (void)fleet.step();
+    const auto got = nn::state_of(fleet.model(0));
+    const auto want = nn::state_of(*ref);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t t = 0; t < want.size(); ++t)
+      EXPECT_TRUE(tensor::allclose(got[t], want[t], 1e-6f)) << "tensor " << t;
+  }
+}
+
 TEST(RealBaselines, RejectsComDML) {
   RealBaselineFleet::Options opt;
-  EXPECT_THROW(RealBaselineFleet(Method::kComDML, mlp_factory(6, 3), 3,
-                                 blob_shards(2, 20, 3, 6, 17),
-                                 hetero_mesh(2), opt),
+  for (const Method m : {Method::kComDML, Method::kAllReduceDML})
+    EXPECT_THROW(RealBaselineFleet(m, mlp_factory(6, 3), 3,
+                                   blob_shards(2, 20, 3, 6, 17),
+                                   hetero_mesh(2), opt),
+                 std::invalid_argument)
+        << learncurve::method_name(m);
+  // ...and RealFleet takes only those two.
+  EXPECT_THROW(RealFleet(mlp_factory(6, 3), 3, blob_shards(2, 20, 3, 6, 17),
+                         hetero_mesh(2), opt, Method::kFedAvg),
                std::invalid_argument);
 }
 
@@ -362,6 +402,50 @@ TEST(FleetRuntimeReal, ComDMLTrainsAndEvaluatesThroughFacade) {
     EXPECT_GT(rep.aggregation_seconds, 0.0);
   }
   EXPECT_GT(fleet.evaluate(pooled), 0.8f);
+}
+
+TEST(FleetRuntimeReal, AllReduceNeverPairs) {
+  // On hetero_mesh ComDML pairs its slow agents; AllReduce-DML is the same
+  // engine with pairing off, so every agent trains solo and every round
+  // ends in consensus.
+  const auto build = [](Method m, Topology topology) {
+    FleetOptions opt;
+    opt.seed = 31;
+    return FleetBuilder()
+        .method(m)
+        .options(opt)
+        .topology(std::move(topology))
+        .model(mlp_factory(6, 3), 3)
+        .shards(blob_shards(4, 30, 3, 6, 41))
+        .build();
+  };
+  auto comdml = build(Method::kComDML, hetero_mesh(4));
+  EXPECT_GT(comdml.step().num_pairs, 0);
+  auto allreduce = build(Method::kAllReduceDML, hetero_mesh(4));
+  for (int r = 0; r < 3; ++r) {
+    const auto rep = allreduce.step();
+    EXPECT_EQ(rep.num_pairs, 0) << "round " << r;
+    EXPECT_GT(rep.aggregation_bytes, 0);
+    for (int64_t a = 1; a < allreduce.agents(); ++a)
+      EXPECT_EQ(nn::state_of(allreduce.model(a)),
+                nn::state_of(allreduce.model(0)))
+          << "round " << r << ", agent " << a;
+  }
+
+  // Where ComDML forms no pair either, the two runs are one computation.
+  const auto uniform = [] {
+    return Topology::full_mesh(std::vector<ResourceProfile>(4, {1.0, 100.0}));
+  };
+  auto solo_comdml = build(Method::kComDML, uniform());
+  auto solo_allreduce = build(Method::kAllReduceDML, uniform());
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(solo_comdml.step().num_pairs, 0);
+    (void)solo_allreduce.step();
+  }
+  for (int64_t a = 0; a < 4; ++a)
+    EXPECT_EQ(nn::state_of(solo_allreduce.model(a)),
+              nn::state_of(solo_comdml.model(a)))
+        << "agent " << a;
 }
 
 TEST(FleetRuntimeReal, BaselineReportsExecutedCollectiveTraffic) {
