@@ -4,7 +4,8 @@
 //
 // Before the google-benchmark suite runs, a hand-rolled kernel suite times
 // the optimized matmul/conv kernels against the kept naive references at
-// 1/2/4/8 threads, the conv kernels on each ResNet-20 conv geometry and
+// 1/2/4/8 threads, the conv kernels on each ResNet-20 conv geometry, the
+// BatchNorm, ReLU and BasicBlock layers at its three stage shapes and
 // the activation wire codec, and writes the results to BENCH_kernels.json
 // (op, shape, threads, GFLOP/s — GB/s for the codec entries, speedup vs
 // the serial reference) so the perf trajectory is tracked across PRs. An
@@ -33,6 +34,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv.hpp"
+#include "nn/resnet.hpp"
 #include "privacy/dcor.hpp"
 #include "tensor/gemm.hpp"
 
@@ -392,6 +394,40 @@ void run_kernel_suite() {
                   "bwd %7.3f GFLOP/s (%.1f us)\n",
                   shape, fwd_flops / t_fwd / 1e9, t_fwd * 1e6,
                   2.0 * fwd_flops / t_bwd / 1e9, t_bwd * 1e6);
+    }
+    core::set_num_threads(0);
+  }
+
+  {
+    // The layers around the convolutions, per call at 1 thread: BN, ReLU
+    // and a whole identity BasicBlock at the three stage shapes of the
+    // cnn-hetero model (batch 16). Value: best-of-N microseconds per call.
+    const tensor::Shape shapes[] = {
+        {16, 8, 16, 16}, {16, 16, 8, 8}, {16, 32, 4, 4}};
+    core::set_num_threads(1);
+    for (const tensor::Shape& s : shapes) {
+      Rng rng(46);
+      const Tensor x = rng.normal_tensor(s, 0, 1);
+      const Tensor g = rng.normal_tensor(s, 0, 1);
+      const std::string shape = tensor::shape_str(s);
+      nn::BatchNorm2d bn(s[1]);
+      nn::ReLU relu;
+      nn::BasicBlock block(s[1], s[1], 1, rng);
+      const std::pair<const char*, nn::Module*> layers[] = {
+          {"batchnorm2d", &bn}, {"relu", &relu}, {"basicblock", &block}};
+      for (const auto& [name, m] : layers) {
+        const double t_fwd = time_seconds(
+            [&] { benchmark::DoNotOptimize(m->forward(x, true)); });
+        (void)m->forward(x, true);
+        const double t_bwd =
+            time_seconds([&] { benchmark::DoNotOptimize(m->backward(g)); });
+        records.push_back({std::string(name) + "_forward", shape, 1,
+                           t_fwd * 1e6, 1.0, "wall_us"});
+        records.push_back({std::string(name) + "_backward", shape, 1,
+                           t_bwd * 1e6, 1.0, "wall_us"});
+        std::printf("  %-18s %-22s threads=1: fwd %8.1f us, bwd %8.1f us\n",
+                    name, shape.c_str(), t_fwd * 1e6, t_bwd * 1e6);
+      }
     }
     core::set_num_threads(0);
   }

@@ -155,8 +155,8 @@ bool parse(int argc, char** argv, Args& args) {
           "  [--target ACC] [--dropout P] [--seed N] [--real]\n"
           "  (--participation and --dropout: simulation only; --dropout:\n"
           "   comdml only)\n"
-          "  With --real, only comdml|allreduce take these (the other\n"
-          "  methods refuse them):\n"
+          "  Only --real comdml|allreduce take these (without --uniform or\n"
+          "  --connect; everything else refuses them):\n"
           "  [--bucket-bytes N] [--overlap]   (bucketed / overlapped\n"
           "   aggregation through the round pipeline; 0 = one whole-state\n"
           "   bucket)\n"
@@ -207,9 +207,10 @@ bool parse(int argc, char** argv, Args& args) {
                  "fleet; the --real fleets train every agent every round\n");
     return false;
   }
-  // comdml and allreduce run on the RealFleet engine; the other real
-  // baselines have no pipeline, fault injection or durable state, so
-  // settings for those are refused rather than silently dropped.
+  // comdml and allreduce run on the RealFleet engine. The simulated fleet,
+  // the other real baselines, the --uniform fleetd spec fleet and a fleetd
+  // client have no pipeline, fault injection or autonomy settings of their
+  // own, so those flags are refused rather than silently dropped.
   const bool real_fleet =
       args.method == "comdml" || args.method == "allreduce";
   const bool durable = !args.checkpoint_path.empty() ||
@@ -230,11 +231,21 @@ bool parse(int argc, char** argv, Args& args) {
       {"--codec", args.codec != "fp32"},
   };
   for (const auto& [name, set] : real_fleet_only) {
-    if (set && args.real && !real_fleet) {
+    if (!set) continue;
+    const char* why = nullptr;
+    if (!args.connect.empty())
+      why = "the fleetd daemon's spec does not carry it";
+    else if (!args.real)
+      why = "the simulated fleet would run without it";
+    else if (!real_fleet)
+      why = "this real baseline would run without it";
+    else if (args.uniform)
+      why = "the --uniform fleetd spec fleet would run without it";
+    if (why != nullptr) {
       std::fprintf(stderr,
-                   "error: %s needs --method comdml|allreduce; the real %s "
-                   "fleet would run without it\n",
-                   name, args.method.c_str());
+                   "error: %s needs --real --method comdml|allreduce "
+                   "(without --uniform or --connect); %s\n",
+                   name, why);
       return false;
     }
   }

@@ -4,8 +4,10 @@
 #include <numeric>
 
 #include "baselines/baseline_fleet.hpp"
+#include "core/pairing.hpp"
 #include "core/parallel.hpp"
 #include "core/workspace.hpp"
+#include "nn/arch_specs.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::baselines {
@@ -55,7 +57,6 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
       shards_(std::move(shards)),
       topology_(std::move(topology)),
       rng_(options.seed) {
-  (void)classes;
   options_.validate();
   COMDML_REQUIRE(method != learncurve::Method::kComDML &&
                      method != learncurve::Method::kAllReduceDML,
@@ -76,6 +77,10 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
     nn::load_state(*models_[i], init);
 
   bucket_plan_ = nn::BucketPlan::build(*models_[0], 0);
+  flops_per_sample_ = nn::spec_from_model(*models_[0],
+                                          shards_.front().sample_shape(),
+                                          "real-model", classes)
+                          .total_flops();
 }
 
 float RealBaselineFleet::train_locally(
@@ -233,7 +238,17 @@ core::RoundReport RealBaselineFleet::step() {
   float loss = 0.0f;
   for (const float l : losses) loss += l;
   stats.mean_loss = loss / static_cast<float>(models_.size());
-  stats.round_seconds = stats.aggregation_seconds;  // comm is all we model
+  // Every agent trains its own replica, so the compute span is the slowest
+  // agent's modeled solo time, on RealFleet's clock.
+  for (int64_t i = 0; i < n_agents; ++i)
+    stats.compute_seconds = std::max(
+        stats.compute_seconds,
+        core::modeled_agent(i, topology_.profile(i).cpu,
+                            options_.train.reference_flops, flops_per_sample_,
+                            options_.train.batch_size,
+                            options_.train.batches_per_round)
+            .tau_solo);
+  stats.round_seconds = stats.compute_seconds + stats.aggregation_seconds;
   return stats;
 }
 

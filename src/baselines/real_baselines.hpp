@@ -24,12 +24,13 @@ class RealBaselineFleet {
                     std::vector<data::Dataset> shards,
                     sim::Topology topology, Options options);
 
-  /// One round. Fills mean_loss and the executed traffic of the
-  /// aggregation pattern when it runs through a comm::Transport collective
-  /// (gossip, param-server; 0 for the local BrainTorrent mean):
-  /// aggregation_seconds, aggregation_bytes (max bytes any endpoint sent)
-  /// and round_seconds, which equals aggregation_seconds because
-  /// communication is all the baselines' clock models.
+  /// One round. Fills mean_loss, the executed traffic of the aggregation
+  /// pattern when it runs through a comm::Transport collective (gossip,
+  /// param-server; 0 for the local BrainTorrent mean): aggregation_seconds
+  /// and aggregation_bytes (max bytes any endpoint sent), compute_seconds
+  /// (the slowest agent's modeled solo time, core::modeled_agent — what
+  /// RealFleet's pairing sees) and round_seconds = compute_seconds +
+  /// aggregation_seconds.
   core::RoundReport step();
 
   /// Accuracy of agent 0's model on a held-out set (post-aggregation all
@@ -57,6 +58,8 @@ class RealBaselineFleet {
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
   /// One whole-state bucket: the flatten layout of the collectives.
   nn::BucketPlan bucket_plan_;
+  /// Forward+backward FLOPs per sample of the model (the modeled clock).
+  double flops_per_sample_ = 0.0;
 
   /// `anchors` (FedProx only, else nullptr): the round-start value of each
   /// of the model's parameters(), in order.

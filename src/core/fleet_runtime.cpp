@@ -13,6 +13,7 @@ RoundReport FleetRuntime::step() {
   } else if (real_fleet_ != nullptr) {
     const auto stats = real_fleet_->step();
     rep.round_seconds = stats.sim_time;
+    rep.compute_seconds = stats.compute_seconds;
     rep.aggregation_seconds = stats.aggregation_seconds;
     rep.aggregation_bytes = stats.aggregation_bytes;
     rep.buckets = stats.buckets;

@@ -6,6 +6,18 @@
 
 namespace comdml::core {
 
+AgentInfo modeled_agent(int64_t id, double cpu, double reference_flops,
+                        double flops_per_sample, int64_t batch_size,
+                        int64_t num_batches) {
+  AgentInfo a;
+  a.id = id;
+  const double sps = cpu * reference_flops / flops_per_sample;
+  a.proc_speed = sps / static_cast<double>(batch_size);
+  a.num_batches = num_batches;
+  a.tau_solo = static_cast<double>(a.num_batches) / a.proc_speed;
+  return a;
+}
+
 std::optional<SplitChoice> best_split(const SplitProfile& profile,
                                       const AgentInfo& slow,
                                       const AgentInfo& fast, double link_mbps,

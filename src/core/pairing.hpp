@@ -29,6 +29,16 @@ struct AgentInfo {
   int64_t num_batches = 0;   ///< N_i (mini-batches per local epoch)
 };
 
+/// Agent `id`'s modeled local training from its CPU multiplier: a model of
+/// `flops_per_sample` forward+backward FLOPs runs at cpu * reference_flops
+/// FLOP/s, so p_i = that / flops_per_sample / batch_size and
+/// tau_i = num_batches / p_i. The real fleets' shared compute clock.
+[[nodiscard]] AgentInfo modeled_agent(int64_t id, double cpu,
+                                      double reference_flops,
+                                      double flops_per_sample,
+                                      int64_t batch_size,
+                                      int64_t num_batches);
+
 /// AgentTrainingTime(p_j, tau_j) result (Algorithm 1 lines 15-22).
 struct SplitChoice {
   size_t cut = 0;        ///< m*: chosen split

@@ -99,16 +99,13 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
 
 std::vector<AgentInfo> RealFleet::build_infos() const {
   std::vector<AgentInfo> infos(agents_.size());
-  const double flops = profile_.full_flops_per_sample();
   for (size_t i = 0; i < agents_.size(); ++i) {
-    AgentInfo& a = infos[i];
-    a.id = static_cast<int64_t>(i);
-    const double sps =
-        topology_.profile(static_cast<int64_t>(i)).cpu *
-        options_.train.reference_flops / flops;
-    a.proc_speed = sps / static_cast<double>(options_.train.batch_size);
-    a.num_batches = options_.train.batches_per_round;
-    a.tau_solo = static_cast<double>(a.num_batches) / a.proc_speed;
+    const auto id = static_cast<int64_t>(i);
+    infos[i] = modeled_agent(id, topology_.profile(id).cpu,
+                             options_.train.reference_flops,
+                             profile_.full_flops_per_sample(),
+                             options_.train.batch_size,
+                             options_.train.batches_per_round);
   }
   return infos;
 }
@@ -583,6 +580,7 @@ RealFleet::RoundStats RealFleet::step() {
   }
   const OverlapTimeline timeline =
       compose_overlap_timeline(ready, ps.bucket_seconds);
+  stats.compute_seconds = t_comp;
   stats.sim_time = std::max(t_comp, timeline.span);
   stats.exposed_comm_seconds = stats.sim_time - t_comp;
   // Slow batches actually run: a paired slow agent armed to die after N

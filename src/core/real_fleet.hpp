@@ -52,6 +52,9 @@ class RealFleet {
 
   struct RoundStats {
     double sim_time = 0.0;       ///< simulated wall-clock of the round
+    /// Modeled compute span: the balanced plan's completion time (the
+    /// slowest on-time participant when stragglers are deferred).
+    double compute_seconds = 0.0;
     float mean_slow_loss = 0.0;  ///< mean aux-head loss across pairs
     float mean_loss = 0.0;       ///< mean full/fast loss across agents
     int64_t num_pairs = 0;

@@ -14,12 +14,13 @@ namespace comdml::core {
 ///  - paper-scale simulators: the full timing breakdown (compute / comm /
 ///    aggregation / idle / unbalanced) plus pairs and churn;
 ///  - RealFleet (ComDML, and AllReduce-DML with num_pairs == 0):
-///    round_seconds (balanced span + collective), the aggregation clock
-///    and executed bytes, pairs, and the loss/privacy fields;
-///  - RealBaselineFleet (FedAvg, FedProx, gossip, BrainTorrent): only the
-///    aggregation clock/bytes (round_seconds equals aggregation_seconds —
-///    communication is all their clock models, so a local BrainTorrent
-///    mean reports 0) and mean_loss.
+///    round_seconds (balanced span + collective), compute_seconds, the
+///    aggregation clock and executed bytes, pairs, and the loss/privacy
+///    fields;
+///  - RealBaselineFleet (FedAvg, FedProx, gossip, BrainTorrent):
+///    compute_seconds (slowest agent's modeled solo time, on RealFleet's
+///    clock), the aggregation clock/bytes, round_seconds = compute +
+///    aggregation, and mean_loss.
 /// Unfilled fields are zero.
 struct RoundReport {
   int64_t round = 0;

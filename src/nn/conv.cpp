@@ -211,6 +211,15 @@ void dw_scalar(const Geom& g, const Offsets& o, DwTile t, const float* xpad,
   store_dw_tile(g, t, acc, co0, c0, dw);
 }
 
+/// One sample's grad_out [cout][how] channel-last into dst [how][cp],
+/// channels cout..cp-1 zero, for positions [p0, how).
+void gather_scalar(const Geom& g, const float* src, int64_t cp, float* dst,
+                   int64_t p0) {
+  for (int64_t p = p0; p < g.how; ++p)
+    for (int64_t co = 0; co < cp; ++co)
+      dst[p * cp + co] = co < g.cout ? src[co * g.how + p] : 0.0f;
+}
+
 /// Input channel ci of one sample's dx into the zeroed padded plane dxp:
 /// each dcol value (a chain over co ascending from +0) adds in output
 /// order (oy, ox) ascending. wt is this channel's weights as [cout][kk];
@@ -367,6 +376,44 @@ __attribute__((target("avx2,fma"))) void dw_avx2(
   store_dw_tile(g, t, tile, co0, c0, dw);
 }
 
+/// gather_scalar by 8x8 transposes: 8 channels by 8 positions per block
+/// (cp is a multiple of 8), the position tail left to the scalar loop.
+__attribute__((target("avx2"))) void gather_avx2(const Geom& g,
+                                                 const float* src, int64_t cp,
+                                                 float* dst) {
+  const int64_t p8 = g.how / 8 * 8;
+  for (int64_t co0 = 0; co0 < cp; co0 += 8)
+    for (int64_t p = 0; p < p8; p += 8) {
+      __m256 r[8];
+#pragma GCC unroll 8
+      for (int64_t l = 0; l < 8; ++l)
+        r[l] = co0 + l < g.cout ? _mm256_loadu_ps(src + (co0 + l) * g.how + p)
+                                : _mm256_setzero_ps();
+      // 8x8 transpose: pairs, then quads, then 128-bit halves.
+      __m256 t[8], u[8];
+#pragma GCC unroll 4
+      for (int64_t l = 0; l < 8; l += 2) {
+        t[l] = _mm256_unpacklo_ps(r[l], r[l + 1]);
+        t[l + 1] = _mm256_unpackhi_ps(r[l], r[l + 1]);
+      }
+#pragma GCC unroll 2
+      for (int64_t l = 0; l < 8; l += 4) {
+        u[l] = _mm256_shuffle_ps(t[l], t[l + 2], 0x44);
+        u[l + 1] = _mm256_shuffle_ps(t[l], t[l + 2], 0xEE);
+        u[l + 2] = _mm256_shuffle_ps(t[l + 1], t[l + 3], 0x44);
+        u[l + 3] = _mm256_shuffle_ps(t[l + 1], t[l + 3], 0xEE);
+      }
+#pragma GCC unroll 4
+      for (int64_t q = 0; q < 4; ++q) {
+        _mm256_storeu_ps(dst + (p + q) * cp + co0,
+                         _mm256_permute2f128_ps(u[q], u[q + 4], 0x20));
+        _mm256_storeu_ps(dst + (p + q + 4) * cp + co0,
+                         _mm256_permute2f128_ps(u[q], u[q + 4], 0x31));
+      }
+    }
+  gather_scalar(g, src, cp, dst, p8);
+}
+
 // Shifted adds. dx row chunks receive a tap's dcol vector d shifted m
 // lanes right: lanes l >= m of [p, p+L) get d[l-m], lanes l < m of
 // [p+L, p+2L) get d[l-m+L]. Both chunks are loaded once per (row, phase)
@@ -506,6 +553,119 @@ __attribute__((target("avx2,fma"))) void dx_avx2(const Geom& g,
   }
 }
 
+/// 3x3 stride-1 convolutions that keep the plane size (pad 1): input
+/// element q = iy*w + ix takes tap (ky, kx) from output q + (1-ky)*w +
+/// (1-kx) of the same plane, so 8 consecutive input elements (across
+/// rows) read each tap's dcol chain at one constant offset and sum the 9
+/// chains in registers, tap descending = (oy, ox) ascending, straight into
+/// dx: no padded plane and no shifted adds. A lane whose tap has no output
+/// is masked to +0 after its chain, whatever the weights hold.
+constexpr int64_t kSameTaps = 10;  ///< 9 tap masks + the in-plane mask
+
+bool same3(const Geom& g) {
+  return g.k == 3 && g.s == 1 && g.pad == 1;
+}
+
+/// Lane masks per 8-element chunk of a plane: mask[(b*10 + t)*8 + l] is -1
+/// when element 8b + l is in the plane and has an output at tap t < 9;
+/// t = 9 marks the elements in the plane.
+void same3_masks(const Geom& g, int32_t* mask) {
+  const int64_t chunks = (g.how + 7) / 8;
+  for (int64_t b = 0, iy = 0, ix = 0; b < chunks; ++b)
+    for (int64_t l = 0; l < 8; ++l) {
+      const bool in = 8 * b + l < g.how;
+      int32_t* m = mask + b * kSameTaps * 8 + l;
+      for (int64_t t = 0; t < 9; ++t) {
+        const int64_t oy = iy + 1 - t / 3, ox = ix + 1 - t % 3;
+        m[t * 8] = in && oy >= 0 && oy < g.ho && ox >= 0 && ox < g.wo ? -1 : 0;
+      }
+      m[9 * 8] = in ? -1 : 0;
+      if (++ix == g.w) ix = 0, ++iy;
+    }
+}
+
+/// dx of kCi consecutive channels of one sample for same3 geometries,
+/// kChunks chunks at a time, in passes over ky descending: each grad load
+/// feeds kCi FMAs and each weight broadcast kChunks. gs is the sample's
+/// grad_out with readable slack around it, wt the first channel's weights
+/// as [cout][9] (the next channel's follow), dxs the first channel's dx
+/// plane (the next channel's follow).
+template <int64_t kChunks, int64_t kCi>
+__attribute__((target("avx2,fma"))) void dx_same3_avx2(
+    const Geom& g, const int32_t* mask, const float* gs, const float* wt,
+    float* dxs) {
+  const int64_t chunks = (g.how + 7) / 8;
+  const int64_t wstride = g.cout * 9;
+  for (int64_t b0 = 0; b0 < chunks; b0 += kChunks) {
+    int64_t at[kChunks];
+    __m256 x[kChunks][kCi];
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kChunks; ++v) {
+      at[v] = 8 * std::min(b0 + v, chunks - 1);
+#pragma GCC unroll 16
+      for (int64_t c = 0; c < kCi; ++c) x[v][c] = _mm256_setzero_ps();
+    }
+    for (int64_t ky = 2; ky >= 0; --ky) {
+      __m256 acc[kChunks][kCi][3];
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kChunks; ++v)
+#pragma GCC unroll 16
+        for (int64_t c = 0; c < kCi; ++c)
+#pragma GCC unroll 16
+          for (int64_t kx = 0; kx < 3; ++kx)
+            acc[v][c][kx] = _mm256_setzero_ps();
+      const float* gc = gs + (1 - ky) * g.w + 1;
+      const float* wc = wt + ky * 3;
+      for (int64_t co = 0; co < g.cout; ++co, gc += g.how, wc += 9) {
+#pragma GCC unroll 16
+        for (int64_t kx = 0; kx < 3; ++kx) {
+          __m256 wv[kCi];
+#pragma GCC unroll 16
+          for (int64_t c = 0; c < kCi; ++c)
+            wv[c] = _mm256_broadcast_ss(wc + c * wstride + kx);
+#pragma GCC unroll 16
+          for (int64_t v = 0; v < kChunks; ++v) {
+            __m256 gv = _mm256_loadu_ps(gc + at[v] - kx);
+            // Load once into a register for all kCi FMAs: GCC would
+            // otherwise fold the load into each FMA and double the loads.
+            asm("" : "+x"(gv));
+#pragma GCC unroll 16
+            for (int64_t c = 0; c < kCi; ++c)
+              acc[v][c][kx] = _mm256_fmadd_ps(gv, wv[c], acc[v][c][kx]);
+          }
+        }
+      }
+#pragma GCC unroll 16
+      for (int64_t v = 0; v < kChunks; ++v) {
+        const int32_t* m = mask + (at[v] / 8 * kSameTaps + ky * 3) * 8;
+#pragma GCC unroll 16
+        for (int64_t c = 0; c < kCi; ++c)
+#pragma GCC unroll 16
+          for (int64_t kx = 2; kx >= 0; --kx)
+            x[v][c] = _mm256_add_ps(
+                x[v][c],
+                _mm256_and_ps(acc[v][c][kx],
+                              _mm256_loadu_ps(reinterpret_cast<const float*>(
+                                  m + kx * 8))));
+      }
+    }
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < kChunks; ++v) {
+      if (b0 + v >= chunks) continue;
+      const __m256i in = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          mask + (at[v] / 8 * kSameTaps + 9) * 8));
+#pragma GCC unroll 16
+      for (int64_t c = 0; c < kCi; ++c) {
+        float* d = dxs + c * g.how + at[v];
+        if (at[v] + 8 <= g.how)
+          _mm256_storeu_ps(d, x[v][c]);
+        else
+          _mm256_maskstore_ps(d, in, x[v][c]);
+      }
+    }
+  }
+}
+
 __attribute__((target("avx2,fma"))) void dx_rows_fma(
     const Geom& g, const Offsets& o, const float* gs, const float* wt,
     float* dxp, float* dcol) {
@@ -552,6 +712,14 @@ void dw_block(const Geom& g, const Offsets& o, DwTile t, const float* xpad,
   }
 #endif
   dw_scalar(g, o, t, xpad, gt, cp, dw, co0, c0);
+}
+
+void gather_channel_last(const Geom& g, const float* src, int64_t cp,
+                         float* dst) {
+#if COMDML_SIMD_X86
+  if (g_avx2) return gather_avx2(g, src, cp, dst);
+#endif
+  gather_scalar(g, src, cp, dst, 0);
 }
 
 void dx_plane(const Geom& g, const Offsets& o, const float* gs,
@@ -662,15 +830,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   core::Scratch<float> gt(g.n * g.how * cp);
   float* gtp = gt.data();
   core::parallel_for(0, g.n, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t in = lo; in < hi; ++in) {
-      float* dst = gtp + in * g.how * cp;
-      for (int64_t co = 0; co < cout_; ++co) {
-        const float* src = gp + (in * cout_ + co) * g.how;
-        for (int64_t p = 0; p < g.how; ++p) dst[p * cp + co] = src[p];
-      }
-      for (int64_t co = cout_; co < cp; ++co)
-        for (int64_t p = 0; p < g.how; ++p) dst[p * cp + co] = 0.0f;
-    }
+    for (int64_t in = lo; in < hi; ++in)
+      gather_channel_last(g, gp + in * cout_ * g.how, cp,
+                          gtp + in * g.how * cp);
   });
   const int64_t tiles = (g.ckk + tile.taps - 1) / tile.taps;
   float* dwp = weight_.grad.flat().data();
@@ -680,14 +842,55 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                i % tiles * tile.taps);
   });
 
-  // dx over (n, ci) items, each accumulated in a padded plane, with the
-  // weights regrouped as [cin][cout][kk] so an item reads them in order.
+  // dx over (n, ci) items with the weights regrouped as [cin][cout][kk]
+  // so an item reads them in order: 3x3 stride-1 convolutions straight
+  // into dx, two channels per item, the others through a padded plane.
   core::Scratch<float> wt(g.cin * cout_ * g.kk);
   for (int64_t co = 0; co < cout_; ++co)
-    for (int64_t c = 0; c < g.ckk; ++c)
-      wt[(c / g.kk * cout_ + co) * g.kk + c % g.kk] = wp[co * g.ckk + c];
+    for (int64_t ci = 0; ci < g.cin; ++ci)
+      std::copy_n(wp + (co * g.cin + ci) * g.kk, g.kk,
+                  wt.data() + (ci * cout_ + co) * g.kk);
   Tensor dx(in_shape_);
   float* dxp = dx.flat().data();
+#if COMDML_SIMD_X86
+  if (g_avx2 && same3(g)) {
+    // Chunk reads reach w + 1 floats before a sample's grad and w + 8 past
+    // it, which stays inside grad_out except for the first and the last
+    // sample: those read from copies with slack on both ends.
+    const int64_t sample = cout_ * g.how, slack = g.w + 16;
+    core::Scratch<float> edge(2 * (sample + 2 * slack));
+    const float* edge_grad[2];
+    for (int64_t e = 0; e < 2; ++e) {
+      float* b = edge.data() + e * (sample + 2 * slack);
+      std::fill_n(b, sample + 2 * slack, 0.0f);
+      std::copy_n(gp + (e == 0 ? 0 : g.n - 1) * sample, sample, b + slack);
+      edge_grad[e] = b + slack;
+    }
+    if (dx_masks_h_ != g.h || dx_masks_w_ != g.w) {
+      dx_masks_.resize(static_cast<size_t>((g.how + 7) / 8 * kSameTaps * 8));
+      same3_masks(g, dx_masks_.data());
+      dx_masks_h_ = g.h;
+      dx_masks_w_ = g.w;
+    }
+    // Items of two input channels (one for an odd last channel).
+    const int64_t pairs = (g.cin + 1) / 2;
+    core::parallel_for(0, g.n * pairs, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        const int64_t in = i / pairs, ci = i % pairs * 2;
+        const float* gs = in == 0       ? edge_grad[0]
+                          : in == g.n - 1 ? edge_grad[1]
+                                          : gp + in * sample;
+        const float* wc = wt.data() + ci * cout_ * g.kk;
+        float* d = dxp + (in * g.cin + ci) * g.how;
+        if (ci + 1 < g.cin)
+          dx_same3_avx2<2, 2>(g, dx_masks_.data(), gs, wc, d);
+        else
+          dx_same3_avx2<2, 1>(g, dx_masks_.data(), gs, wc, d);
+      }
+    });
+    return dx;
+  }
+#endif
   core::parallel_for(0, g.n * g.cin, 1, [&](int64_t lo, int64_t hi) {
     // The padded plane, its spill slack, then dx_rows' dcol rows.
     const int64_t plane_floats = g.plane + kSpill;

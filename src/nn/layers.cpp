@@ -1,9 +1,7 @@
 #include "nn/layers.hpp"
 
-#include <bit>
-#include <cstdint>
-
 #include "tensor/gemm.hpp"
+#include "tensor/simd.hpp"
 
 namespace comdml::nn {
 
@@ -125,23 +123,42 @@ LayerCost Linear::cost(const Shape& in_shape) const {
 
 // ---- ReLU -------------------------------------------------------------------
 
+namespace {
+
+void relu_scalar(const float* x, float* y, float* mask, int64_t lo,
+                 int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) y[i] = simd::relu(x[i], mask[i]);
+}
+
+#if COMDML_SIMD_X86
+__attribute__((target("avx2"))) void relu_avx2(const float* x, float* y,
+                                               float* mask, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 m;
+    _mm256_storeu_ps(y + i, simd::relu8(_mm256_loadu_ps(x + i), m));
+    _mm256_storeu_ps(mask + i, m);
+  }
+  relu_scalar(x, y, mask, i, n);
+}
+#endif
+
+}  // namespace
+
 Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   Tensor y(x.shape());
   // Reused across steps (fully rewritten below).
   if (cached_mask_.shape() != x.shape()) cached_mask_.resize(x.shape());
-  const float* __restrict xi = x.flat().data();
-  float* __restrict yo = y.flat().data();
-  float* __restrict mo = cached_mask_.flat().data();
-  // Compare to an all-ones/all-zeros word and mask both outputs with it,
-  // so there is no data-dependent branch to mispredict. -0 and NaN fail
-  // `v > 0`: both map to +0 with mask 0.
-  constexpr auto kOne = std::bit_cast<uint32_t>(1.0f);
-  for (int64_t i = 0; i < x.size(); ++i) {
-    const float v = xi[i];
-    const uint32_t keep = 0u - static_cast<uint32_t>(v > 0.0f);
-    yo[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(v) & keep);
-    mo[i] = std::bit_cast<float>(kOne & keep);
+  const float* xi = x.flat().data();
+  float* yo = y.flat().data();
+  float* mo = cached_mask_.flat().data();
+#if COMDML_SIMD_X86
+  if (simd::kAvx2) {
+    relu_avx2(xi, yo, mo, x.size());
+    return y;
   }
+#endif
+  relu_scalar(xi, yo, mo, 0, x.size());
   return y;
 }
 

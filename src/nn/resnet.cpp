@@ -16,29 +16,26 @@ BasicBlock::BasicBlock(int64_t in_channels, int64_t out_channels,
   }
 }
 
+// The ReLUs run inside the BatchNorm passes (forward_relu/backward_masked)
+// with the unfused layers' operations, so the block's bits are those of
+// conv -> bn -> relu -> conv -> bn -> (+ shortcut) -> relu.
 Tensor BasicBlock::forward(const Tensor& x, bool train) {
-  Tensor main = conv1_.forward(x, train);
-  main = bn1_.forward(main, train);
-  main = relu1_.forward(main, train);
+  Tensor main =
+      bn1_.forward_relu(conv1_.forward(x, train), train, nullptr, relu1_mask_);
   main = conv2_.forward(main, train);
-  main = bn2_.forward(main, train);
-  if (identity_shortcut_) {
-    tensor::add_inplace(main, x);  // no shortcut copy on the identity path
-  } else {
-    const Tensor shortcut =
-        short_bn_->forward(short_conv_->forward(x, train), train);
-    tensor::add_inplace(main, shortcut);
-  }
-  return relu_out_.forward(main, train);
+  if (identity_shortcut_)  // no shortcut copy on the identity path
+    return bn2_.forward_relu(main, train, &x, relu_out_mask_);
+  const Tensor shortcut =
+      short_bn_->forward(short_conv_->forward(x, train), train);
+  return bn2_.forward_relu(main, train, &shortcut, relu_out_mask_);
 }
 
 Tensor BasicBlock::backward(const Tensor& grad_out) {
-  const Tensor d_sum = relu_out_.backward(grad_out);
-  // Main path.
-  Tensor d = bn2_.backward(d_sum);
+  // Main path; d_sum receives the output ReLU's gradient for the shortcut.
+  Tensor d_sum;
+  Tensor d = bn2_.backward_masked(grad_out, relu_out_mask_, &d_sum);
   d = conv2_.backward(d);
-  d = relu1_.backward(d);
-  d = bn1_.backward(d);
+  d = bn1_.backward_masked(d, relu1_mask_, nullptr);
   Tensor dx = conv1_.backward(d);
   // Shortcut path.
   if (identity_shortcut_) {
@@ -76,8 +73,9 @@ void BasicBlock::collect_state(std::vector<Tensor*>& out) {
 LayerCost BasicBlock::cost(const Shape& in_shape) const {
   LayerCost total;
   Shape cur = in_shape;
+  const ReLU relu1;
   for (const Module* m :
-       std::initializer_list<const Module*>{&conv1_, &bn1_, &relu1_, &conv2_,
+       std::initializer_list<const Module*>{&conv1_, &bn1_, &relu1, &conv2_,
                                             &bn2_}) {
     const LayerCost c = m->cost(cur);
     total.flops_forward += c.flops_forward;

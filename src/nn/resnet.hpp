@@ -11,7 +11,9 @@
 
 namespace comdml::nn {
 
-/// Standard two-conv residual block with optional 1x1 downsampling shortcut.
+/// Standard two-conv residual block with optional 1x1 downsampling shortcut:
+/// relu(bn2(conv2(relu(bn1(conv1(x))))) + shortcut(x)), each ReLU fused
+/// into the BatchNorm pass before it (bit-identical to the unfused layers).
 class BasicBlock : public Module {
  public:
   BasicBlock(int64_t in_channels, int64_t out_channels, int64_t stride,
@@ -27,10 +29,11 @@ class BasicBlock : public Module {
  private:
   Conv2d conv1_;
   BatchNorm2d bn1_;
-  ReLU relu1_;
   Conv2d conv2_;
   BatchNorm2d bn2_;
-  ReLU relu_out_;
+  // The two ReLUs' 1/0 masks (ReLU::forward's), reused across steps.
+  Tensor relu1_mask_;
+  Tensor relu_out_mask_;
   // Downsampling shortcut (1x1 conv + BN); null for identity shortcuts.
   std::unique_ptr<Conv2d> short_conv_;
   std::unique_ptr<BatchNorm2d> short_bn_;

@@ -5,6 +5,7 @@
 
 #include "core/parallel.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/simd.hpp"
 
 namespace comdml::tensor {
 
@@ -21,6 +22,82 @@ void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
                  op << ": shape mismatch " << shape_str(a.shape()) << " vs "
                     << shape_str(b.shape()));
 }
+
+// Scalar loops over [lo, hi); the AVX2 kernels below run 8 lanes of the
+// same operations in the same order and hand their tail to these.
+
+void mul_scalar(const float* a, const float* b, float* o, int64_t lo,
+                int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) o[i] = a[i] * b[i];
+}
+
+void axpy_scalar(float alpha, const float* x, float* y, int64_t lo,
+                 int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) y[i] += alpha * x[i];
+}
+
+void add_scalar(const float* x, float* y, int64_t lo, int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) y[i] += x[i];
+}
+
+void sgd_scalar(float* w, float* v, const float* g, float lr, float momentum,
+                float weight_decay, int64_t lo, int64_t hi) {
+  for (int64_t i = lo; i < hi; ++i) {
+    const float grad = g[i] + weight_decay * w[i];
+    v[i] = momentum * v[i] - lr * grad;
+    w[i] += v[i];
+  }
+}
+
+#if COMDML_SIMD_X86
+__attribute__((target("avx2"))) void mul_avx2(const float* a, const float* b,
+                                              float* o, int64_t lo,
+                                              int64_t hi) {
+  for (; lo + 8 <= hi; lo += 8)
+    _mm256_storeu_ps(o + lo, _mm256_mul_ps(_mm256_loadu_ps(a + lo),
+                                           _mm256_loadu_ps(b + lo)));
+  mul_scalar(a, b, o, lo, hi);
+}
+
+__attribute__((target("avx2"))) void axpy_avx2(float alpha, const float* x,
+                                               float* y, int64_t lo,
+                                               int64_t hi) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  for (; lo + 8 <= hi; lo += 8)
+    _mm256_storeu_ps(
+        y + lo, _mm256_add_ps(_mm256_loadu_ps(y + lo),
+                              _mm256_mul_ps(va, _mm256_loadu_ps(x + lo))));
+  axpy_scalar(alpha, x, y, lo, hi);
+}
+
+__attribute__((target("avx2"))) void add_avx2(const float* x, float* y,
+                                              int64_t lo, int64_t hi) {
+  for (; lo + 8 <= hi; lo += 8)
+    _mm256_storeu_ps(y + lo, _mm256_add_ps(_mm256_loadu_ps(y + lo),
+                                           _mm256_loadu_ps(x + lo)));
+  add_scalar(x, y, lo, hi);
+}
+
+__attribute__((target("avx2"))) void sgd_avx2(float* w, float* v,
+                                              const float* g, float lr,
+                                              float momentum,
+                                              float weight_decay, int64_t lo,
+                                              int64_t hi) {
+  const __m256 vlr = _mm256_set1_ps(lr);
+  const __m256 vmom = _mm256_set1_ps(momentum);
+  const __m256 vwd = _mm256_set1_ps(weight_decay);
+  for (; lo + 8 <= hi; lo += 8) {
+    const __m256 wv = _mm256_loadu_ps(w + lo);
+    const __m256 grad =
+        _mm256_add_ps(_mm256_loadu_ps(g + lo), _mm256_mul_ps(vwd, wv));
+    const __m256 vel = _mm256_sub_ps(
+        _mm256_mul_ps(vmom, _mm256_loadu_ps(v + lo)), _mm256_mul_ps(vlr, grad));
+    _mm256_storeu_ps(v + lo, vel);
+    _mm256_storeu_ps(w + lo, _mm256_add_ps(wv, vel));
+  }
+  sgd_scalar(w, v, g, lr, momentum, weight_decay, lo, hi);
+}
+#endif  // COMDML_SIMD_X86
 
 }  // namespace
 
@@ -55,7 +132,10 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   const float* bo = b.flat().data();
   float* oo = out.flat().data();
   parallel_for(0, out.size(), kElementwiseGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) oo[i] = ao[i] * bo[i];
+#if COMDML_SIMD_X86
+    if (simd::kAvx2) return mul_avx2(ao, bo, oo, lo, hi);
+#endif
+    mul_scalar(ao, bo, oo, lo, hi);
   });
   return out;
 }
@@ -75,7 +155,10 @@ void axpy(float alpha, const Tensor& x, Tensor& y) {
   const float* xo = x.flat().data();
   float* yo = y.flat().data();
   parallel_for(0, y.size(), kElementwiseGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) yo[i] += alpha * xo[i];
+#if COMDML_SIMD_X86
+    if (simd::kAvx2) return axpy_avx2(alpha, xo, yo, lo, hi);
+#endif
+    axpy_scalar(alpha, xo, yo, lo, hi);
   });
 }
 
@@ -84,7 +167,10 @@ void add_inplace(Tensor& y, const Tensor& x) {
   const float* xo = x.flat().data();
   float* yo = y.flat().data();
   parallel_for(0, y.size(), kElementwiseGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) yo[i] += xo[i];
+#if COMDML_SIMD_X86
+    if (simd::kAvx2) return add_avx2(xo, yo, lo, hi);
+#endif
+    add_scalar(xo, yo, lo, hi);
   });
 }
 
@@ -112,11 +198,11 @@ void sgd_momentum_update(Tensor& w, Tensor& v, const Tensor& g, float lr,
   float* vo = v.flat().data();
   const float* go = g.flat().data();
   parallel_for(0, w.size(), kElementwiseGrain, [=](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float grad = go[i] + weight_decay * wo[i];
-      vo[i] = momentum * vo[i] - lr * grad;
-      wo[i] += vo[i];
-    }
+#if COMDML_SIMD_X86
+    if (simd::kAvx2)
+      return sgd_avx2(wo, vo, go, lr, momentum, weight_decay, lo, hi);
+#endif
+    sgd_scalar(wo, vo, go, lr, momentum, weight_decay, lo, hi);
   });
 }
 

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
 #include "nn/norm.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/ops.hpp"
 #include "test_util.hpp"
 
 namespace comdml::nn {
@@ -425,6 +429,304 @@ TEST(StateHelpers, ParameterCountMlp) {
   auto net = mlp({4, 6, 3}, rng);
   EXPECT_EQ(nn::parameter_count(*net), 4 * 6 + 6 + 6 * 3 + 3);
 }
+
+
+// ---- bitwise parity sweep: vectorized kernels vs today's scalar loops ------
+//
+// The loops below are copies of the scalar BatchNorm, ReLU and elementwise
+// kernels the vectorized ones replaced; every output must match them bit
+// for bit, -0, NaN and infinities included.
+
+/// Scalar BatchNorm2d: training forward (updates rm/rv, returns xhat and
+/// inv_std through the out-params), eval forward, and backward.
+struct ScalarBn {
+  std::vector<float> gamma, beta, rm, rv;
+  float momentum = 0.1f, eps = 1e-5f;
+  Tensor xhat;
+  std::vector<float> inv_std;
+
+  Tensor forward(const Tensor& x, bool train) {
+    const int64_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
+    const int64_t per_channel = n * hw;
+    Tensor y(x.shape());
+    const float* xp = x.flat().data();
+    float* yp = y.flat().data();
+    if (!train) {
+      for (int64_t j = 0; j < c; ++j) {
+        const float is = 1.0f / std::sqrt(rv[j] + eps);
+        for (int64_t i = 0; i < n; ++i)
+          for (int64_t k = 0; k < hw; ++k)
+            yp[(i * c + j) * hw + k] =
+                gamma[j] * (xp[(i * c + j) * hw + k] - rm[j]) * is + beta[j];
+      }
+      return y;
+    }
+    xhat = Tensor(x.shape());
+    inv_std.assign(static_cast<size_t>(c), 0.0f);
+    for (int64_t j = 0; j < c; ++j) {
+      double mean = 0.0, var = 0.0;
+      for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = 0; k < hw; ++k) mean += xp[(i * c + j) * hw + k];
+      mean /= static_cast<double>(per_channel);
+      for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = 0; k < hw; ++k) {
+          const double d = xp[(i * c + j) * hw + k] - mean;
+          var += d * d;
+        }
+      var /= static_cast<double>(per_channel);
+      const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+      inv_std[j] = is;
+      rm[j] = (1.0f - momentum) * rm[j] + momentum * static_cast<float>(mean);
+      rv[j] = (1.0f - momentum) * rv[j] + momentum * static_cast<float>(var);
+      for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = 0; k < hw; ++k) {
+          const int64_t at = (i * c + j) * hw + k;
+          const float v = (xp[at] - static_cast<float>(mean)) * is;
+          xhat[at] = v;
+          yp[at] = gamma[j] * v + beta[j];
+        }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& g, std::vector<float>& dgam,
+                  std::vector<float>& dbet) const {
+    const int64_t n = g.dim(0), c = g.dim(1), hw = g.dim(2) * g.dim(3);
+    const auto m = static_cast<float>(n * hw);
+    Tensor dx(g.shape());
+    for (int64_t j = 0; j < c; ++j) {
+      double sum_dy = 0.0, sum_dy_xh = 0.0;
+      for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = 0; k < hw; ++k) {
+          const int64_t at = (i * c + j) * hw + k;
+          sum_dy += g[at];
+          sum_dy_xh += double(g[at]) * xhat[at];
+        }
+      dgam[j] += static_cast<float>(sum_dy_xh);
+      dbet[j] += static_cast<float>(sum_dy);
+      const float a = gamma[j] * inv_std[j];
+      const float mean_dy = static_cast<float>(sum_dy) / m;
+      const float mean_dy_xh = static_cast<float>(sum_dy_xh) / m;
+      for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = 0; k < hw; ++k) {
+          const int64_t at = (i * c + j) * hw + k;
+          dx[at] = a * (g[at] - mean_dy - xhat[at] * mean_dy_xh);
+        }
+    }
+    return dx;
+  }
+};
+
+/// Bit-for-bit equality, except that any NaN equals any NaN: when both
+/// operands of + or * are NaN, x86 returns the first one's payload, and a
+/// compiler may commute the operands of either, so the sign and payload of
+/// such a NaN are not a property of the source loop.
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<uint32_t>(a[i]) != std::bit_cast<uint32_t>(b[i]) &&
+        !(std::isnan(a[i]) && std::isnan(b[i])))
+      return false;
+  return true;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && same_bits(a.flat(), b.flat());
+}
+
+bool same_bits(const Tensor& a, const std::vector<float>& b) {
+  return same_bits(a.flat(), b);
+}
+
+/// Normal values; with `special`, every 7th element is one of -0, NaN,
+/// +inf, -inf, +0 in turn.
+Tensor sweep_tensor(Rng& rng, const Shape& shape, bool special) {
+  Tensor t = rng.normal_tensor(shape, 0.5f, 1.5f);
+  if (!special) return t;
+  const float values[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(), 0.0f};
+  for (int64_t i = 3, v = 0; i < t.size(); i += 7, v = (v + 1) % 5)
+    t[i] = values[v];
+  return t;
+}
+
+/// (n, c, h, w)
+using SweepShape = std::tuple<int64_t, int64_t, std::pair<int64_t, int64_t>>;
+
+class KernelSweep : public ::testing::TestWithParam<SweepShape> {
+ protected:
+  Shape shape() const {
+    const auto [n, c, hw] = GetParam();
+    return {n, c, hw.first, hw.second};
+  }
+};
+
+TEST_P(KernelSweep, BatchNormMatchesScalarLoopsBitwise) {
+  const Shape s = shape();
+  const int64_t c = s[1];
+  for (const bool special : {false, true}) {
+    Rng rng(71);
+    BatchNorm2d bn(c);
+    ScalarBn ref;
+    std::vector<Tensor*> state;
+    bn.collect_state(state);  // gamma, beta, running mean, running var
+    for (Tensor* t : state) *t = rng.normal_tensor(t->shape(), 1.0f, 0.3f);
+    ref.gamma.assign(state[0]->flat().begin(), state[0]->flat().end());
+    ref.beta.assign(state[1]->flat().begin(), state[1]->flat().end());
+    ref.rm.assign(state[2]->flat().begin(), state[2]->flat().end());
+    ref.rv.assign(state[3]->flat().begin(), state[3]->flat().end());
+
+    const Tensor x = sweep_tensor(rng, s, special);
+    const Tensor g = sweep_tensor(rng, s, special);
+    EXPECT_TRUE(same_bits(bn.forward(x, false), ref.forward(x, false)))
+        << "eval y, special " << special;
+    EXPECT_TRUE(same_bits(bn.forward(x, true), ref.forward(x, true)))
+        << "train y, special " << special;
+    EXPECT_TRUE(same_bits(*state[2], ref.rm)) << "running mean";
+    EXPECT_TRUE(same_bits(*state[3], ref.rv)) << "running var";
+
+    std::vector<float> dgam(static_cast<size_t>(c), 0.5f), dbet = dgam;
+    for (Parameter* p : bn.parameters()) p->grad.fill(0.5f);
+    EXPECT_TRUE(same_bits(bn.backward(g), ref.backward(g, dgam, dbet)))
+        << "dx, special " << special;
+    EXPECT_TRUE(same_bits(bn.parameters()[0]->grad, dgam)) << "dgamma";
+    EXPECT_TRUE(same_bits(bn.parameters()[1]->grad, dbet)) << "dbeta";
+  }
+}
+
+TEST_P(KernelSweep, ReluAndElementwiseOpsMatchScalarLoopsBitwise) {
+  const Shape s = shape();
+  for (const bool special : {false, true}) {
+    Rng rng(72);
+    const Tensor a = sweep_tensor(rng, s, special);
+    const Tensor b = sweep_tensor(rng, s, special);
+    const Tensor v0 = sweep_tensor(rng, s, special);
+    const int64_t n = a.size();
+
+    ReLU relu;
+    Tensor y_ref(s), mask_ref(s);
+    for (int64_t i = 0; i < n; ++i) {
+      const uint32_t keep = 0u - static_cast<uint32_t>(a[i] > 0.0f);
+      y_ref[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(a[i]) & keep);
+      mask_ref[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(1.0f) & keep);
+    }
+    EXPECT_TRUE(same_bits(relu.forward(a, true), y_ref)) << "relu y";
+    Tensor dx_ref(s);
+    for (int64_t i = 0; i < n; ++i) dx_ref[i] = b[i] * mask_ref[i];
+    EXPECT_TRUE(same_bits(relu.backward(b), dx_ref)) << "relu dx";
+
+    Tensor mul_ref(s), add_ref = b, axpy_ref = b;
+    for (int64_t i = 0; i < n; ++i) {
+      mul_ref[i] = a[i] * b[i];
+      add_ref[i] += a[i];
+      axpy_ref[i] += -0.75f * a[i];
+    }
+    EXPECT_TRUE(same_bits(tensor::mul(a, b), mul_ref)) << "mul";
+    Tensor y = b;
+    tensor::add_inplace(y, a);
+    EXPECT_TRUE(same_bits(y, add_ref)) << "add_inplace";
+    y = b;
+    tensor::axpy(-0.75f, a, y);
+    EXPECT_TRUE(same_bits(y, axpy_ref)) << "axpy";
+
+    Tensor w = a, v = v0, w_ref = a, v_ref = v0;
+    for (int64_t i = 0; i < n; ++i) {
+      const float grad = b[i] + 5e-4f * w_ref[i];
+      v_ref[i] = 0.9f * v_ref[i] - 0.05f * grad;
+      w_ref[i] += v_ref[i];
+    }
+    tensor::sgd_momentum_update(w, v, b, 0.05f, 0.9f, 5e-4f);
+    EXPECT_TRUE(same_bits(w, w_ref)) << "sgd w";
+    EXPECT_TRUE(same_bits(v, v_ref)) << "sgd v";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, KernelSweep,
+    ::testing::Combine(
+        ::testing::Values(int64_t{1}, int64_t{2}, int64_t{16}),
+        ::testing::Values(int64_t{1}, int64_t{3}, int64_t{4}, int64_t{5},
+                          int64_t{8}, int64_t{12}, int64_t{32}),
+        ::testing::Values(std::pair<int64_t, int64_t>{1, 1},
+                          std::pair<int64_t, int64_t>{3, 3},
+                          std::pair<int64_t, int64_t>{4, 4},
+                          std::pair<int64_t, int64_t>{5, 7},
+                          std::pair<int64_t, int64_t>{16, 16})));
+
+/// (in, out, stride, h = w, n, special inputs)
+using BlockCase =
+    std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t, bool>;
+
+class FusedBlock : public ::testing::TestWithParam<BlockCase> {};
+
+TEST_P(FusedBlock, MatchesUnfusedLayersBitwise) {
+  const auto [cin, cout, stride, hw, n, special] = GetParam();
+  Rng rng(73);
+  BasicBlock block(cin, cout, stride, rng);
+  // The unfused composition, with the block's parameters copied in.
+  Conv2d conv1(cin, cout, 3, stride, 1, rng), conv2(cout, cout, 3, 1, 1, rng);
+  Conv2d short_conv(cin, cout, 1, stride, 0, rng);
+  BatchNorm2d bn1(cout), bn2(cout), short_bn(cout);
+  ReLU relu1, relu_out;
+  const bool identity = stride == 1 && cin == cout;
+  std::vector<Module*> layers = {&conv1, &bn1, &conv2, &bn2};
+  if (!identity) layers.insert(layers.end(), {&short_conv, &short_bn});
+  std::vector<Parameter*> mine;
+  for (Module* m : layers) m->collect_parameters(mine);
+  const std::vector<Parameter*> theirs = block.parameters();
+  ASSERT_EQ(mine.size(), theirs.size());
+  for (size_t i = 0; i < mine.size(); ++i) {
+    theirs[i]->value = rng.normal_tensor(theirs[i]->value.shape(), 0.2f, 0.5f);
+    mine[i]->value = theirs[i]->value;
+  }
+
+  const int64_t ho = (hw - 1) / stride + 1;
+  const Tensor x = sweep_tensor(rng, {n, cin, hw, hw}, special);
+  const Tensor g = sweep_tensor(rng, {n, cout, ho, ho}, special);
+  const auto unfused_forward = [&](bool train) {
+    Tensor main = relu1.forward(
+        bn1.forward(conv1.forward(x, train), train), train);
+    main = bn2.forward(conv2.forward(main, train), train);
+    tensor::add_inplace(main, identity ? x
+                                       : short_bn.forward(
+                                             short_conv.forward(x, train),
+                                             train));
+    return relu_out.forward(main, train);
+  };
+  EXPECT_TRUE(same_bits(block.forward(x, false), unfused_forward(false)))
+      << "eval forward";
+  EXPECT_TRUE(same_bits(block.forward(x, true), unfused_forward(true)))
+      << "train forward";
+
+  const Tensor d_sum = relu_out.backward(g);
+  Tensor dx = conv1.backward(
+      bn1.backward(relu1.backward(conv2.backward(bn2.backward(d_sum)))));
+  tensor::axpy(1.0f, identity ? d_sum
+                              : short_conv.backward(short_bn.backward(d_sum)),
+               dx);
+  EXPECT_TRUE(same_bits(block.backward(g), dx)) << "dx";
+  for (size_t i = 0; i < mine.size(); ++i)
+    EXPECT_TRUE(same_bits(theirs[i]->grad, mine[i]->grad))
+        << "grad of parameter " << i;
+  std::vector<Tensor*> state_mine, state_theirs;
+  for (Module* m : layers) m->collect_state(state_mine);
+  block.collect_state(state_theirs);
+  ASSERT_EQ(state_mine.size(), state_theirs.size());
+  for (size_t i = 0; i < state_mine.size(); ++i)
+    EXPECT_TRUE(same_bits(*state_theirs[i], *state_mine[i]))
+        << "state tensor " << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Blocks, FusedBlock,
+    ::testing::Values(BlockCase{8, 8, 1, 16, 2, false},
+                      BlockCase{8, 8, 1, 16, 2, true},
+                      BlockCase{8, 16, 2, 16, 2, false},
+                      BlockCase{16, 32, 2, 8, 3, true},
+                      BlockCase{32, 32, 1, 4, 4, false},
+                      BlockCase{3, 3, 1, 5, 1, false},
+                      BlockCase{5, 12, 2, 7, 2, true}));
 
 }  // namespace
 }  // namespace comdml::nn

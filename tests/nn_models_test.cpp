@@ -2,10 +2,14 @@
 // learning on toy datasets, split training, and architecture specs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "data/synthetic.hpp"
 #include "nn/arch_specs.hpp"
 #include "nn/loss.hpp"
 #include "nn/split.hpp"
+#include "tensor/gemm.hpp"
 
 namespace comdml::nn {
 namespace {
@@ -214,6 +218,45 @@ TEST(Learning, SmallCnnLearnsSyntheticImages) {
   for (int epoch = 0; epoch < 40; ++epoch)
     (void)train_batch_full(*net, opt, ds.images, ds.labels);
   EXPECT_GT(evaluate_accuracy(*net, ds.images, ds.labels), 0.9f);
+}
+
+// ---- numerics pin -----------------------------------------------------------
+
+/// FNV-1a over the bytes of `n` floats, continuing from `h`.
+uint64_t fnv1a(uint64_t h, const float* p, size_t n) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  for (size_t i = 0; i < n * sizeof(float); ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ResNetStep, WeightsMatchParentDigest) {
+  // Three SGD-momentum steps of a ResNet-20 geometry (base 8, 16x16
+  // inputs, batch 16) must reproduce, bit for bit, the weights, BN
+  // running statistics and losses recorded before the kernels around the
+  // convolutions were vectorized. The digest depends only on which GEMM
+  // and conv kernels the host selects (FMA chains or unfused mul-add),
+  // never on the thread count.
+  Rng rng(2024);
+  auto net = make_resnet_cifar(3, 8, 10, rng);
+  SGD opt(net->parameters(), {0.05f, 0.9f, 5e-4f});
+  const Tensor x = rng.normal_tensor({16, 3, 16, 16}, 0.0f, 1.0f);
+  std::vector<int64_t> labels(16);
+  for (size_t i = 0; i < labels.size(); ++i)
+    labels[i] = static_cast<int64_t>(i % 10);
+  uint64_t h = 14695981039346656037ull;
+  for (int step = 0; step < 3; ++step) {
+    const float loss = train_batch_full(*net, opt, x, labels).loss;
+    h = fnv1a(h, &loss, 1);
+  }
+  for (const Tensor& t : state_of(*net))
+    h = fnv1a(h, t.flat().data(), t.flat().size());
+  const std::string kernel = tensor::gemm_kernel_name();
+  const uint64_t want =
+      kernel == "scalar" ? 0x018e302b70aa14caull : 0x135974efd4a0b6e2ull;
+  EXPECT_EQ(h, want) << "kernel " << kernel << " digest 0x" << std::hex << h;
 }
 
 // ---- split training -------------------------------------------------------------

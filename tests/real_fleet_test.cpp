@@ -3,11 +3,14 @@
 // and the real baseline fleets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/real_baselines.hpp"
 #include "core/fleet_runtime.hpp"
 #include "core/real_fleet.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
+#include "nn/arch_specs.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::core {
@@ -258,6 +261,46 @@ TEST(RealBaselines, GossipHonorsLinkLatency) {
   EXPECT_NEAR(round_seconds(Method::kFedAvg, 0.5) -
                   round_seconds(Method::kFedAvg, 0.0),
               1.0, 1e-9);
+}
+
+TEST(RealBaselines, ComputeSpanMatchesRealFleetClock) {
+  // FedAvg and AllReduce-DML (RealFleet with pairing off) on the same
+  // heterogeneous fleet both report the slowest agent's modeled solo time
+  // as their compute span, and round_seconds adds the aggregation to it.
+  FleetOptions opt;
+  opt.train.batches_per_round = 3;
+  const Topology topo = hetero_mesh(4);
+  double tau_max = 0.0;
+  {
+    const auto shards = blob_shards(4, 30, 3, 6, 28);
+    const auto model = mlp_factory(6, 3);
+    Rng rng(1);
+    const auto spec = nn::spec_from_model(*model(rng),
+                                          shards.front().sample_shape(),
+                                          "real-model", 3);
+    for (int64_t i = 0; i < 4; ++i)
+      tau_max = std::max(
+          tau_max, modeled_agent(i, topo.profile(i).cpu,
+                                 opt.train.reference_flops, spec.total_flops(),
+                                 opt.train.batch_size,
+                                 opt.train.batches_per_round)
+                       .tau_solo);
+  }
+  ASSERT_GT(tau_max, 0.0);
+  for (const Method m : {Method::kFedAvg, Method::kAllReduceDML}) {
+    auto fleet = FleetBuilder()
+                     .method(m)
+                     .options(opt)
+                     .topology(topo)
+                     .model(mlp_factory(6, 3), 3)
+                     .shards(blob_shards(4, 30, 3, 6, 28))
+                     .build();
+    const RoundReport rep = fleet.step();
+    EXPECT_EQ(rep.compute_seconds, tau_max) << learncurve::method_name(m);
+    EXPECT_GT(rep.aggregation_seconds, 0.0) << learncurve::method_name(m);
+    EXPECT_EQ(rep.round_seconds, rep.compute_seconds + rep.aggregation_seconds)
+        << learncurve::method_name(m);
+  }
 }
 
 TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {
