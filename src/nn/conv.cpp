@@ -853,11 +853,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor dx(in_shape_);
   float* dxp = dx.flat().data();
 #if COMDML_SIMD_X86
-  if (g_avx2 && same3(g)) {
-    // Chunk reads reach w + 1 floats before a sample's grad and w + 8 past
-    // it, which stays inside grad_out except for the first and the last
-    // sample: those read from copies with slack on both ends.
-    const int64_t sample = cout_ * g.how, slack = g.w + 16;
+  // Chunk reads reach w + 1 floats before a sample's grad and w + 8 past
+  // it. When a sample holds at least w + 8 floats that stays inside
+  // grad_out except for the first and the last sample, which read from
+  // copies with slack on both ends; smaller samples take dx_plane.
+  const int64_t sample = cout_ * g.how;
+  if (g_avx2 && same3(g) && sample >= g.w + 8) {
+    const int64_t slack = g.w + 16;
     core::Scratch<float> edge(2 * (sample + 2 * slack));
     const float* edge_grad[2];
     for (int64_t e = 0; e < 2; ++e) {
@@ -866,12 +868,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       std::copy_n(gp + (e == 0 ? 0 : g.n - 1) * sample, sample, b + slack);
       edge_grad[e] = b + slack;
     }
-    if (dx_masks_h_ != g.h || dx_masks_w_ != g.w) {
-      dx_masks_.resize(static_cast<size_t>((g.how + 7) / 8 * kSameTaps * 8));
-      same3_masks(g, dx_masks_.data());
-      dx_masks_h_ = g.h;
-      dx_masks_w_ = g.w;
-    }
+    core::Scratch<int32_t> masks((g.how + 7) / 8 * kSameTaps * 8);
+    same3_masks(g, masks.data());
     // Items of two input channels (one for an odd last channel).
     const int64_t pairs = (g.cin + 1) / 2;
     core::parallel_for(0, g.n * pairs, 1, [&](int64_t lo, int64_t hi) {
@@ -883,9 +881,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         const float* wc = wt.data() + ci * cout_ * g.kk;
         float* d = dxp + (in * g.cin + ci) * g.how;
         if (ci + 1 < g.cin)
-          dx_same3_avx2<2, 2>(g, dx_masks_.data(), gs, wc, d);
+          dx_same3_avx2<2, 2>(g, masks.data(), gs, wc, d);
         else
-          dx_same3_avx2<2, 1>(g, dx_masks_.data(), gs, wc, d);
+          dx_same3_avx2<2, 1>(g, masks.data(), gs, wc, d);
       }
     });
     return dx;

@@ -26,8 +26,9 @@
 //    each output's dcol vectors into a padded dx plane.
 // Work fans out over disjoint outputs only — forward over (n, co-block),
 // dW over (co-block, c-tile), dx over (n, ci) or, for 3x3 stride 1, over
-// (n, pair of ci) — so the bits do not depend on the thread count. conv2d_reference_* are the double-precision
-// oracle for parity tests and benchmark baselines.
+// (n, pair of ci) — so the bits do not depend on the thread count.
+// conv2d_reference_* are the double-precision oracle for parity tests and
+// benchmark baselines.
 #pragma once
 
 #include <vector>
@@ -73,9 +74,6 @@ class Conv2d : public Module {
   Parameter weight_;  ///< [cout, cin, k, k]
   Shape in_shape_;                   ///< last training forward's input shape
   std::vector<float> padded_input_;  ///< and its zero-padded input planes
-  /// Lane masks of the 3x3 stride-1 dx kernel, built for h x w planes.
-  std::vector<int32_t> dx_masks_;
-  int64_t dx_masks_h_ = 0, dx_masks_w_ = 0;
 };
 
 }  // namespace comdml::nn

@@ -22,9 +22,10 @@ struct Affine {
   float shift, scale, gamma, beta;
 };
 
-/// The tensors of one normalize pass; `res` (a residual added to the BN
-/// output) and `mask` (the 1/0 mask of a ReLU applied last) are optional,
-/// `xh` is written in training only.
+/// The tensors of one normalize pass; `mask` (the 1/0 mask of a ReLU
+/// applied last) is optional, `res` (a residual added to the BN output
+/// before that ReLU) comes only with it, and `xh` is written in training
+/// only.
 struct NormIo {
   const float* x;
   const float* res;
@@ -86,7 +87,10 @@ void grad_sums_scalar(const GradIo& io, Extent e, double* sum_dy,
   }
 }
 
-template <bool kTrain, bool kRes, bool kRelu>
+/// What the normalize pass applies after the affine.
+enum class Tail { kNone, kRelu, kResRelu };
+
+template <bool kTrain, Tail kTail>
 inline void normalize_scalar(const NormIo& io, Affine a, int64_t lo,
                              int64_t hi) {
   for (int64_t k = lo; k < hi; ++k) {
@@ -98,8 +102,8 @@ inline void normalize_scalar(const NormIo& io, Affine a, int64_t lo,
     } else {
       out = a.gamma * (io.x[k] - a.shift) * a.scale + a.beta;
     }
-    if constexpr (kRes) out += io.res[k];
-    if constexpr (kRelu) out = simd::relu(out, io.mask[k]);
+    if constexpr (kTail == Tail::kResRelu) out += io.res[k];
+    if constexpr (kTail != Tail::kNone) out = simd::relu(out, io.mask[k]);
     io.y[k] = out;
   }
 }
@@ -234,7 +238,7 @@ COMDML_AVX2 void grad_sums_avx2(const GradIo& io, Extent e, double* sum_dy,
   }
 }
 
-template <bool kTrain, bool kRes, bool kRelu>
+template <bool kTrain, Tail kTail>
 COMDML_AVX2 void normalize_avx2(const NormIo& io, Affine a, int64_t hw) {
   const __m256 shift = _mm256_set1_ps(a.shift);
   const __m256 scale = _mm256_set1_ps(a.scale);
@@ -251,15 +255,16 @@ COMDML_AVX2 void normalize_avx2(const NormIo& io, Affine a, int64_t hw) {
     } else {
       out = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(gamma, x), scale), beta);
     }
-    if constexpr (kRes) out = _mm256_add_ps(out, _mm256_loadu_ps(io.res + k));
-    if constexpr (kRelu) {
+    if constexpr (kTail == Tail::kResRelu)
+      out = _mm256_add_ps(out, _mm256_loadu_ps(io.res + k));
+    if constexpr (kTail != Tail::kNone) {
       __m256 m;
       out = simd::relu8(out, m);
       _mm256_storeu_ps(io.mask + k, m);
     }
     _mm256_storeu_ps(io.y + k, out);
   }
-  normalize_scalar<kTrain, kRes, kRelu>(io, a, k, hw);
+  normalize_scalar<kTrain, kTail>(io, a, k, hw);
 }
 
 template <bool kMask>
@@ -332,34 +337,38 @@ void grad_sums(const GradIo& io, Extent e, double* sum_dy, double* sum_dy_xh) {
   grad_sums_scalar(io, e, sum_dy, sum_dy_xh, rest);
 }
 
-template <bool kTrain, bool kRes, bool kRelu>
+template <bool kTrain, Tail kTail>
 void normalize_rows(const NormIo& io, Extent e, const Affine* aff) {
   for (int64_t i = 0; i < e.n; ++i)
     for (int64_t j = 0; j < e.c; ++j) {
       const int64_t at = (i * e.c + j) * e.hw;
-      const NormIo row{io.x + at, kRes ? io.res + at : nullptr, io.y + at,
-                       kTrain ? io.xh + at : nullptr,
-                       kRelu ? io.mask + at : nullptr};
+      const NormIo row{io.x + at,
+                       kTail == Tail::kResRelu ? io.res + at : nullptr,
+                       io.y + at, kTrain ? io.xh + at : nullptr,
+                       kTail != Tail::kNone ? io.mask + at : nullptr};
 #if COMDML_SIMD_X86
       if (simd::kAvx2) {
-        normalize_avx2<kTrain, kRes, kRelu>(row, aff[j], e.hw);
+        normalize_avx2<kTrain, kTail>(row, aff[j], e.hw);
         continue;
       }
 #endif
-      normalize_scalar<kTrain, kRes, kRelu>(row, aff[j], 0, e.hw);
+      normalize_scalar<kTrain, kTail>(row, aff[j], 0, e.hw);
     }
 }
 
 void normalize(const NormIo& io, Extent e, const Affine* aff, bool train) {
   using Rows = void (*)(const NormIo&, Extent, const Affine*);
-  // [train][residual][relu]
-  static constexpr Rows kRows[2][2][2] = {
-      {{normalize_rows<false, false, false>,
-        normalize_rows<false, false, true>},
-       {normalize_rows<false, true, false>, normalize_rows<false, true, true>}},
-      {{normalize_rows<true, false, false>, normalize_rows<true, false, true>},
-       {normalize_rows<true, true, false>, normalize_rows<true, true, true>}}};
-  kRows[train][io.res != nullptr][io.mask != nullptr](io, e, aff);
+  // [train][Tail]
+  static constexpr Rows kRows[2][3] = {
+      {normalize_rows<false, Tail::kNone>, normalize_rows<false, Tail::kRelu>,
+       normalize_rows<false, Tail::kResRelu>},
+      {normalize_rows<true, Tail::kNone>, normalize_rows<true, Tail::kRelu>,
+       normalize_rows<true, Tail::kResRelu>}};
+  COMDML_DCHECK(io.res == nullptr || io.mask != nullptr);
+  const Tail tail = io.mask == nullptr  ? Tail::kNone
+                    : io.res == nullptr ? Tail::kRelu
+                                        : Tail::kResRelu;
+  kRows[train][static_cast<int>(tail)](io, e, aff);
 }
 
 template <bool kMask>

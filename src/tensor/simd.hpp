@@ -10,10 +10,11 @@
 // path. The scalar kernels are the reference the AVX2 ones are tested
 // against.
 //
-// Kernels that must match a scalar loop bit for bit are compiled with
-// target("avx2") alone, never "fma": C++ lets GCC contract a multiply and
-// an add into one FMA wherever FMA is enabled, and the scalar build never
-// has it.
+// Kernels that must match a scalar loop bit for bit use a separate
+// multiply and add, never an FMA. C++ lets GCC contract the two into one
+// FMA wherever FMA is enabled (inside target("fma") functions, or
+// everywhere under -march=native on an FMA host), so the library is built
+// with -ffp-contract=off, and these kernels ask for target("avx2") alone.
 #pragma once
 
 #include <bit>

@@ -238,7 +238,8 @@ TEST(ResNetStep, WeightsMatchParentDigest) {
   // running statistics and losses recorded before the kernels around the
   // convolutions were vectorized. The digest depends only on which GEMM
   // and conv kernels the host selects (FMA chains or unfused mul-add),
-  // never on the thread count.
+  // never on the thread count, nor on -march=native: the library is built
+  // with -ffp-contract=off.
   Rng rng(2024);
   auto net = make_resnet_cifar(3, 8, 10, rng);
   SGD opt(net->parameters(), {0.05f, 0.9f, 5e-4f});

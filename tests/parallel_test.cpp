@@ -454,6 +454,12 @@ INSTANTIATE_TEST_SUITE_P(
         ConvShape{2, 4, 3, 8, 8, 3, 1, 1},
         ConvShape{2, 4, 5, 6, 9, 3, 1, 1},
         ConvShape{3, 6, 12, 10, 10, 3, 2, 1},
+        // 3x3 stride 1 with samples of grad_out smaller than a row plus
+        // 8 floats (8 < 16: padded-plane dx) and of exactly that size
+        // (16: per-element dx, whose reads around the middle sample then
+        // reach both ends of grad_out).
+        ConvShape{3, 4, 1, 1, 8, 3, 1, 1},
+        ConvShape{3, 2, 2, 1, 8, 3, 1, 1},
         // k = 5, and stride 2 without padding.
         ConvShape{2, 3, 8, 11, 11, 5, 1, 2},
         ConvShape{2, 2, 5, 12, 9, 5, 2, 2},
