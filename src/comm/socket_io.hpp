@@ -75,7 +75,10 @@ inline constexpr uint32_t kFrameMagic = 0x434D4446;  // "CMDF"
 /// Version 3: a data frame's checksum field carries the word-wise payload
 /// hash of comm::Message::checksum (version 2 carried byte-wise FNV-1a), so
 /// a peer of another version would reject every payload as corrupted.
-inline constexpr uint16_t kWireVersion = 3;
+/// Version 4: fleetd's round exchange carries the training state of every
+/// trained agent with a binary rng state, kMergedResults leaves out the
+/// receiver's own blobs, and the coordinator no longer sends kPing.
+inline constexpr uint16_t kWireVersion = 4;
 /// Upper bound on a frame body — rejects desynchronized/garbage peers
 /// before a bad length turns into a huge allocation.
 inline constexpr uint32_t kMaxFrameBody = 1u << 30;

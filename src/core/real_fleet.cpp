@@ -381,26 +381,33 @@ RealFleet::RoundStats RealFleet::step() {
   // Multi-process: gather every worker's owned TaskResults into the full
   // vector so the serial fold below stays one code path — every worker
   // folds identical slots and lands on the same mean_loss, dcor, and
-  // plateau trajectory. Pair tasks trained a borrowed fast replica on the
-  // slow agent's owner; those replicas ship home here, and every worker
-  // imports every borrowed blob so owners post current state into the
-  // collective. Agents whose worker crashed mid-training come back in
-  // `died`: they leave the fleet before the collective forms, so the
-  // survivors aggregate exactly like a from-scratch survivor-only fleet
-  // (the dead workers' zero TaskResult slots fold harmlessly).
+  // plateau trajectory. Every agent a worker trained ships its training
+  // state (momentum, batcher) to the other workers, so whichever worker
+  // trains it next starts where it stopped. Pair tasks trained a
+  // borrowed fast replica on the slow agent's owner; its weights ship
+  // too, so the owner posts the trained replica into the collective.
+  // Agents whose worker crashed mid-training come back in `died`: they
+  // leave the fleet before the collective forms, so the survivors
+  // aggregate exactly like a from-scratch survivor-only fleet (the dead
+  // workers' zero TaskResult slots fold harmlessly).
   if (dist_ && dist_->exchange) {
     ExchangeIO io;
     io.task_agent = &task_agent;
     io.results = &results;
-    for (const OffloadDecision& p : plan.pairs) {
-      if (dist_->owner[static_cast<size_t>(p.slow_agent)] != dist_->shard)
-        continue;
-      if (dist_->owner[static_cast<size_t>(p.fast_agent)] != dist_->shard)
-        io.state_out.emplace_back(p.fast_agent, export_agent(p.fast_agent));
+    const auto mine = [&](int64_t a) {
+      return dist_->owner[static_cast<size_t>(a)] == dist_->shard;
+    };
+    for (size_t t = 0; t < n_tasks; ++t) {
+      if (!mine(task_agent[t])) continue;
+      io.state_out.emplace_back(task_agent[t],
+                                export_trained(task_agent[t], false));
+      if (t >= n_pairs) continue;
+      const int64_t fast = plan.pairs[t].fast_agent;
+      io.state_out.emplace_back(fast, export_trained(fast, !mine(fast)));
     }
     dist_->exchange(io);
     for (const AgentBlob& blob : io.state_in)
-      import_agent(blob.first, blob.second);
+      import_trained(blob.first, blob.second);
     for (const int64_t a : io.died)
       if (agents_[static_cast<size_t>(a)].alive) kill_agent(a);
   }
@@ -675,7 +682,7 @@ void RealFleet::rejoin(int64_t agent) {
 
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x434D444C;  // "CMDL"
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;  // v3: binary rng states
 }  // namespace
 
 std::vector<uint8_t> RealFleet::checkpoint() {
@@ -693,16 +700,7 @@ std::vector<uint8_t> RealFleet::checkpoint() {
     body.f32(s.best);
     body.i64(s.stale);
   }
-  for (AgentState& st : agents_) {
-    body.u8(st.alive ? 1 : 0);
-    body.tensors(nn::state_of(*st.model));
-    body.tensors(st.velocity);
-    const data::Batcher::State bs = st.batcher->save();
-    body.i64s(bs.order);
-    body.i64(bs.cursor);
-    body.i64(bs.epoch);
-    body.str(bs.rng);
-  }
+  for (int64_t a = 0; a < agents(); ++a) write_agent(body, a);
   // "A residual slab follows": fleets without error feedback or straggler
   // deferral write a bare 0, whatever their bucket layout.
   const std::vector<double>& residuals = pipeline_->residuals();
@@ -763,18 +761,7 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
       s.stale = static_cast<int>(r.i64());
       plateau_->load(s);
     }
-    for (int64_t a = 0; a < k; ++a) {
-      AgentState& st = agents_[static_cast<size_t>(a)];
-      st.alive = r.u8() != 0;
-      nn::load_state(*st.model, r.tensors());
-      st.velocity = r.tensors();
-      data::Batcher::State bs;
-      bs.order = r.i64s();
-      bs.cursor = r.i64();
-      bs.epoch = r.i64();
-      bs.rng = r.str();
-      st.batcher->load(bs);
-    }
+    for (int64_t a = 0; a < k; ++a) read_agent(r, a);
     // A narrower checkpoint restores into a wider fleet: the agents beyond
     // the checkpointed set come up as left (the consensus does not include
     // them) and can rejoin from a live agent's post-aggregation state.
@@ -892,27 +879,18 @@ void RealFleet::set_dist_transport(comm::Transport* transport) {
   pipeline_->set_mesh(transport, std::move(owned));
 }
 
-std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {
-  COMDML_CHECK(agent >= 0 && agent < agents());
-  AgentState& st = agents_[static_cast<size_t>(agent)];
-  tensor::ByteWriter w;
-  w.u8(st.alive ? 1 : 0);
-  w.tensors(nn::state_of(*st.model));
+void RealFleet::write_training_state(tensor::ByteWriter& w, int64_t agent) {
+  const AgentState& st = agents_[static_cast<size_t>(agent)];
   w.tensors(st.velocity);
   const data::Batcher::State bs = st.batcher->save();
   w.i64s(bs.order);
   w.i64(bs.cursor);
   w.i64(bs.epoch);
   w.str(bs.rng);
-  return w.bytes();
 }
 
-void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
-  COMDML_CHECK(agent >= 0 && agent < agents());
+void RealFleet::read_training_state(tensor::ByteReader& r, int64_t agent) {
   AgentState& st = agents_[static_cast<size_t>(agent)];
-  tensor::ByteReader r(bytes);
-  st.alive = r.u8() != 0;
-  nn::load_state(*st.model, r.tensors());
   st.velocity = r.tensors();
   data::Batcher::State bs;
   bs.order = r.i64s();
@@ -920,12 +898,58 @@ void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
   bs.epoch = r.i64();
   bs.rng = r.str();
   st.batcher->load(bs);
+}
+
+void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent) {
+  const AgentState& st = agents_[static_cast<size_t>(agent)];
+  w.u8(st.alive ? 1 : 0);
+  w.tensors(nn::state_of(*st.model));
+  write_training_state(w, agent);
+}
+
+void RealFleet::read_agent(tensor::ByteReader& r, int64_t agent) {
+  AgentState& st = agents_[static_cast<size_t>(agent)];
+  st.alive = r.u8() != 0;
+  nn::load_state(*st.model, r.tensors());
+  read_training_state(r, agent);
+}
+
+std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {
+  COMDML_CHECK(agent >= 0 && agent < agents());
+  tensor::ByteWriter w;
+  write_agent(w, agent);
+  return w.bytes();
+}
+
+void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
+  COMDML_CHECK(agent >= 0 && agent < agents());
+  tensor::ByteReader r(bytes);
+  read_agent(r, agent);
+  r.expect_done();
+}
+
+std::vector<uint8_t> RealFleet::export_trained(int64_t agent, bool weights) {
+  tensor::ByteWriter w;
+  w.u8(weights ? 1 : 0);
+  if (weights)
+    w.tensors(nn::state_of(*agents_[static_cast<size_t>(agent)].model));
+  write_training_state(w, agent);
+  return w.bytes();
+}
+
+void RealFleet::import_trained(int64_t agent,
+                               const std::vector<uint8_t>& bytes) {
+  COMDML_CHECK(agent >= 0 && agent < agents());
+  tensor::ByteReader r(bytes);
+  if (r.u8() != 0)
+    nn::load_state(*agents_[static_cast<size_t>(agent)].model, r.tensors());
+  read_training_state(r, agent);
   r.expect_done();
 }
 
 namespace {
 constexpr uint32_t kShardMagic = 0x434D4453;  // "CMDS"
-constexpr uint32_t kShardVersion = 1;
+constexpr uint32_t kShardVersion = 2;  // v2: binary rng states
 }  // namespace
 
 std::vector<uint8_t> RealFleet::checkpoint_shard(

@@ -19,6 +19,11 @@
 #include "data/batcher.hpp"
 #include "nn/split.hpp"
 
+namespace comdml::tensor {
+class ByteReader;
+class ByteWriter;
+}  // namespace comdml::tensor
+
 namespace comdml::core {
 
 /// Builds one model replica; must be deterministic given the Rng.
@@ -108,11 +113,13 @@ class RealFleet {
   using AgentBlob = std::pair<int64_t, std::vector<uint8_t>>;
 
   /// The cross-worker round barrier's payload. A worker fills `state_out`
-  /// with the agents it trained but does not own (an offload pair borrows
-  /// the fast agent's replica onto the slow agent's owner); the exchange
-  /// returns every worker's borrowed state in `state_in` plus `died` — the
-  /// agents of workers that crashed mid-training, which the step kills
-  /// before forming the aggregation collective.
+  /// with one blob per agent it trained: the agent's training state
+  /// (momentum, batcher position), plus its weights when another worker
+  /// owns it (an offload pair borrows the fast agent's replica onto the
+  /// slow agent's owner). The exchange returns the blobs the *other*
+  /// workers produced in `state_in` (a worker already holds its own) plus
+  /// `died` — the agents of workers that crashed mid-training, which the
+  /// step kills before forming the aggregation collective.
   struct ExchangeIO {
     /// Task -> primary agent id: the solo agent, or a pair's slow agent.
     /// The owner of the primary runs the task.
@@ -120,8 +127,8 @@ class RealFleet {
     /// In: this worker's results for owned tasks. Out: results merged
     /// across all workers, every surviving worker's slot filled.
     std::vector<TaskResult>* results = nullptr;
-    std::vector<AgentBlob> state_out;  ///< borrowed agents, trained here
-    std::vector<AgentBlob> state_in;   ///< all workers' borrowed agents
+    std::vector<AgentBlob> state_out;  ///< agents trained here
+    std::vector<AgentBlob> state_in;   ///< agents other workers trained
     std::vector<int64_t> died;         ///< agents of crashed workers
   };
 
@@ -129,7 +136,7 @@ class RealFleet {
   /// hosting the agents whose owner[] entry names it. Every worker runs
   /// the same deterministic fleet (same seeds -> identical replicas) but
   /// trains only the tasks whose primary agent it owns; `exchange` merges
-  /// TaskResults and borrowed agent state across workers. Aggregation is
+  /// TaskResults and trained agents' state across workers. Aggregation is
   /// the ordinary RoundPipeline in mesh mode: every bucket collective runs
   /// over `transport` (endpoints == agents) with this worker's owned rows,
   /// the same schedules and arithmetic as the in-process buckets, so the
@@ -306,6 +313,19 @@ class RealFleet {
   /// Write `<checkpoint_dir>/fleet_r<round>.cmdl` and prune beyond the
   /// retention count.
   void auto_checkpoint();
+  /// One agent's state in the checkpoint layout: liveness, weights, then
+  /// its training state — momentum and batcher (order, cursor, epoch, the
+  /// binary rng state). export_agent, checkpoint() and checkpoint_shard()
+  /// all write this.
+  void write_agent(tensor::ByteWriter& w, int64_t agent);
+  void read_agent(tensor::ByteReader& r, int64_t agent);
+  void write_training_state(tensor::ByteWriter& w, int64_t agent);
+  void read_training_state(tensor::ByteReader& r, int64_t agent);
+  /// The exchange blob of an agent trained this round: u8 has-weights,
+  /// [weights], training state.
+  [[nodiscard]] std::vector<uint8_t> export_trained(int64_t agent,
+                                                    bool weights);
+  void import_trained(int64_t agent, const std::vector<uint8_t>& bytes);
 };
 
 }  // namespace comdml::core

@@ -1,6 +1,7 @@
 #include "daemon/fleetd.hpp"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -300,7 +301,7 @@ class Coordinator {
         tensor::ByteReader r(frame.body);
         const std::string dir = r.str();
         r.expect_done();
-        sweep_and_notify();
+        reap_exited_workers();
         tensor::ByteWriter req;
         req.str(dir);
         std::vector<int64_t> sent;
@@ -375,7 +376,7 @@ class Coordinator {
     // Catch workers that died while the fleet sat idle, so the round
     // starts from an agreed live set instead of discovering the corpse
     // mid-protocol.
-    sweep_and_notify();
+    reap_exited_workers();
     (void)first_alive_worker();
 
     std::vector<int64_t> died_mid;
@@ -388,15 +389,21 @@ class Coordinator {
           append(died_mid, mark_worker_dead(i));
     }
 
-    // Gather owned task results, merge, broadcast the full vector plus
-    // every worker's borrowed agent state. This doubles as the round
+    // Gather owned task results, merge, and send each worker the full
+    // vector plus the blobs of the agents the *other* workers trained (a
+    // worker already holds what it trained). This doubles as the round
     // barrier: every worker sits inside its exchange() until the merged
     // vector lands. A worker that dies here (crash mid-training) loses
     // its task slots — its agents ride the died list so the survivors
     // kill them before forming the aggregation collective.
     int64_t n_tasks = -1;
     std::vector<core::RealFleet::TaskResult> merged;
-    std::vector<std::pair<int64_t, std::string>> blobs;
+    struct Blob {
+      int64_t from = 0;  ///< the worker that trained the agent
+      int64_t agent = 0;
+      std::string bytes;
+    };
+    std::vector<Blob> blobs;
     for (const int64_t i : live_worker_ids()) {
       try {
         const comm::WireFrame frame = expect_msg(
@@ -421,7 +428,7 @@ class Coordinator {
         const uint32_t nblobs = r.u32();
         for (uint32_t b = 0; b < nblobs; ++b) {
           const int64_t agent = r.i64();
-          blobs.emplace_back(agent, r.str());
+          blobs.push_back(Blob{i, agent, r.str()});
         }
         r.expect_done();
       } catch (const std::exception& e) {
@@ -432,22 +439,24 @@ class Coordinator {
     }
     COMDML_REQUIRE(n_tasks >= 0,
                    "every worker died before reporting task results");
-    {
-      std::sort(died_mid.begin(), died_mid.end());
+    std::sort(died_mid.begin(), died_mid.end());
+    for (const int64_t i : live_worker_ids()) {
       tensor::ByteWriter w;
       w.u32(static_cast<uint32_t>(merged.size()));
       for (const core::RealFleet::TaskResult& t : merged)
         write_task_result(w, t);
-      w.u32(static_cast<uint32_t>(blobs.size()));
-      for (const auto& [agent, blob] : blobs) {
-        w.i64(agent);
-        w.str(blob);
+      uint32_t theirs = 0;
+      for (const Blob& b : blobs) theirs += b.from != i ? 1 : 0;
+      w.u32(theirs);
+      for (const Blob& b : blobs) {
+        if (b.from == i) continue;
+        w.i64(b.agent);
+        w.str(b.bytes);
       }
       w.i64s(died_mid);
-      for (const int64_t i : live_worker_ids())
-        if (!send_msg(workers_[static_cast<size_t>(i)].fd,
-                      Msg::kMergedResults, w.bytes()))
-          (void)mark_worker_dead(i);  // the sync barrier drops its agents
+      if (!send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kMergedResults,
+                    w.bytes()))
+        (void)mark_worker_dead(i);  // the sync barrier drops its agents
     }
 
     // Crash barrier: after every collective attempt the workers report
@@ -581,7 +590,7 @@ class Coordinator {
   /// or not. An owner crashing mid-gather loses its agents (marked dead
   /// and propagated) but not the checkpoint.
   std::vector<uint8_t> gather_checkpoint() {
-    sweep_and_notify();
+    reap_exited_workers();
     const int64_t target = first_alive_worker();
     const int tfd = workers_[static_cast<size_t>(target)].fd;
     for (int64_t a = 0; a < options_.spec.agents; ++a) {
@@ -623,7 +632,7 @@ class Coordinator {
                    "rejoin index " << k << " out of range");
     COMDML_REQUIRE(!workers_[static_cast<size_t>(k)].alive,
                    "worker " << k << " is alive; nothing to rejoin");
-    sweep_and_notify();
+    reap_exited_workers();
     const std::vector<uint8_t> ckpt = gather_checkpoint();
     ++mesh_gen_;
     const std::vector<std::string> mesh =
@@ -771,24 +780,32 @@ class Coordinator {
     }
   }
 
-  /// Heartbeat sweep between rounds: ping every worker thought alive,
-  /// mark the silent ones dead, and propagate their agents' deaths.
-  void sweep_and_notify() {
-    std::vector<int64_t> died;
-    std::vector<int64_t> pinged;
+  /// Heartbeat between requests, without a round trip: the fleet is idle
+  /// (every worker sits in its serve loop and owes the coordinator no
+  /// frame), so a control socket that polls readable with nothing to read
+  /// is a worker that exited. One zero-timeout poll over the live workers'
+  /// sockets finds them; they are marked dead and their agents' deaths
+  /// propagate to the survivors before the next request goes out.
+  void reap_exited_workers() {
+    std::vector<struct pollfd> fds;
+    std::vector<int64_t> ids;
     for (const int64_t i : live_worker_ids()) {
-      if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kPing))
-        pinged.push_back(i);
-      else
-        append(died, mark_worker_dead(i));
+      fds.push_back({workers_[static_cast<size_t>(i)].fd, POLLIN, 0});
+      ids.push_back(i);
     }
-    for (const int64_t i : pinged) {
-      try {
-        (void)expect_msg(workers_[static_cast<size_t>(i)].fd, Msg::kPong,
-                         "worker");
-      } catch (const std::exception&) {
-        append(died, mark_worker_dead(i));
-      }
+    int rc = 0;
+    do {
+      rc = ::poll(fds.data(), fds.size(), 0);
+    } while (rc < 0 && errno == EINTR);
+    std::vector<int64_t> died;
+    for (size_t k = 0; rc > 0 && k < fds.size(); ++k) {
+      if (fds[k].revents == 0) continue;
+      char byte = 0;
+      const ssize_t n =
+          ::recv(fds[k].fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+      if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+                     errno != EINTR))
+        append(died, mark_worker_dead(ids[k]));
     }
     notify_agents_died(std::move(died));
   }
@@ -1043,10 +1060,6 @@ int run_worker(const WorkerOptions& options) {
             write_stats(w, mesh->stats_snapshot());
             COMDML_REQUIRE(send_msg(fd, Msg::kRoundDone, w.bytes()),
                            "coordinator is gone");
-            break;
-          }
-          case Msg::kPing: {
-            (void)send_msg(fd, Msg::kPong);
             break;
           }
           case Msg::kAgentsDied: {

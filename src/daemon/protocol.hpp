@@ -10,10 +10,13 @@
 //
 // Round protocol (coordinator-driven, one kClientRound at a time):
 //   client  -> coord   kClientRound
+//   (coord polls the idle workers' control sockets: an exited worker's
+//    agents leave every survivor via kAgentsDied before the round starts)
 //   coord   -> workers kRound            (all workers, round index)
-//   workers -> coord   kTaskResults      (owned task slots + borrowed state)
-//   coord   -> workers kMergedResults    (every slot filled, borrowed state
-//                                         from all workers, agents of
+//   workers -> coord   kTaskResults      (owned task slots + one blob per
+//                                         agent the worker trained)
+//   coord   -> workers kMergedResults    (every slot filled, the blobs the
+//                                         *other* workers sent, agents of
 //                                         workers that crashed mid-training)
 //   workers -> coord   kCollectiveSync   (post-collective live view; loops
 //                                         with kCollectiveAgree until every
@@ -21,6 +24,13 @@
 //   coord   -> workers kCollectiveAgree  (agreed live set [+ remesh info])
 //   workers -> coord   kRoundDone        (RoundReport + transport snapshot)
 //   coord   -> client  kRoundReport      (merged stats folded in)
+// An agent blob (RealFleet's exchange blob) is [u8 has-weights][weights]
+// [velocity][batcher order, cursor, epoch, rng state]: the training state
+// travels for every agent a worker trained, so whichever worker trains the
+// agent next starts where it stopped; the weights travel only for a
+// borrowed replica (the slow agent's worker trained its fast helper), so
+// its owner posts it into the collective. The rng state is the binary
+// tensor::Rng::state() (2,504 bytes).
 // The kTaskResults/kMergedResults exchange doubles as the round barrier:
 // no worker reaches the aggregation collective until every worker has
 // finished training, so data-mesh resets can never race inbound frames.
@@ -52,7 +62,9 @@ enum class Msg : uint16_t {
   kReady,            ///< worker -> coord: data mesh connected
   kRound,            ///< coord -> worker: i64 round index
   kTaskResults,      ///< worker -> coord: owned (task, TaskResult) slots
+                     ///< + agent blobs
   kMergedResults,    ///< coord -> worker: the full TaskResult vector
+                     ///< + other workers' blobs + died agents
   kRoundDone,        ///< worker -> coord: RoundReport + TransportStats
   kStatsReq,         ///< coord -> worker: (empty)
   kStatsResp,        ///< worker -> coord: TransportStats snapshot
@@ -67,8 +79,8 @@ enum class Msg : uint16_t {
   kLeave,            ///< coord -> worker: i64 agent
   kShutdown,         ///< coord -> worker: (empty)
   kError,            ///< raw error text
-  kPing,             ///< coord -> worker: (empty); reply kPong
-  kPong,             ///< worker -> coord: (empty)
+  kPing,             ///< unused since wire version 4 (value reserved)
+  kPong,             ///< unused since wire version 4 (value reserved)
   kAgentsDied,       ///< coord -> worker: i64s agents; reply kAck
   kCollectiveSync,   ///< worker -> coord: u8 attempt-ok + i64s live view
   kCollectiveAgree,  ///< coord -> worker: u8 done + i64s agreed live set

@@ -1,9 +1,38 @@
 #include "tensor/random.hpp"
 
 #include <cmath>
-#include <sstream>
+#include <cstring>
 
 namespace comdml::tensor {
+
+namespace {
+constexpr size_t kShift = 156;  // MT19937-64's middle word offset m
+constexpr uint64_t kMatrix = 0xB5026F5AA96619E9ULL;
+constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+constexpr uint64_t kLower = ~kUpper;
+
+inline uint64_t mix(uint64_t hi, uint64_t lo, uint64_t far) {
+  const uint64_t y = (hi & kUpper) | (lo & kLower);
+  return far ^ (y >> 1) ^ ((y & 1) != 0 ? kMatrix : 0);
+}
+}  // namespace
+
+Mt19937_64::Mt19937_64(uint64_t seed) {
+  words[0] = seed;
+  for (size_t i = 1; i < kWords; ++i)
+    words[i] = 6364136223846793005ULL * (words[i - 1] ^ (words[i - 1] >> 62)) +
+               i;
+}
+
+void Mt19937_64::twist() noexcept {
+  size_t k = 0;
+  for (; k < kWords - kShift; ++k)
+    words[k] = mix(words[k], words[k + 1], words[k + kShift]);
+  for (; k < kWords - 1; ++k)
+    words[k] = mix(words[k], words[k + 1], words[k + kShift - kWords]);
+  words[kWords - 1] = mix(words[kWords - 1], words[0], words[kShift - 1]);
+  index = 0;
+}
 
 float Rng::uniform(float lo, float hi) {
   COMDML_CHECK(lo < hi);
@@ -79,15 +108,24 @@ Rng Rng::fork() {
 }
 
 std::string Rng::state() const {
-  std::ostringstream os;
-  os << engine_;
-  return os.str();
+  std::string s(kStateBytes, '\0');
+  std::memcpy(s.data(), engine_.words.data(), Mt19937_64::kWords * 8);
+  std::memcpy(s.data() + Mt19937_64::kWords * 8, &engine_.index, 8);
+  return s;
 }
 
-void Rng::set_state(const std::string& s) {
-  std::istringstream is(s);
-  is >> engine_;
-  COMDML_REQUIRE(!is.fail(), "malformed rng state string");
+void Rng::set_state(std::string_view s) {
+  if (s.size() != kStateBytes)
+    throw RngStateError("rng state is " + std::to_string(s.size()) +
+                        " bytes, expected " + std::to_string(kStateBytes));
+  uint64_t index = 0;
+  std::memcpy(&index, s.data() + Mt19937_64::kWords * 8, 8);
+  if (index > Mt19937_64::kWords)
+    throw RngStateError("rng state position " + std::to_string(index) +
+                        " is past the " +
+                        std::to_string(Mt19937_64::kWords) + "-word state");
+  std::memcpy(engine_.words.data(), s.data(), Mt19937_64::kWords * 8);
+  engine_.index = index;
 }
 
 }  // namespace comdml::tensor

@@ -4,15 +4,58 @@
 // global entropy, so all tests, examples and benches are reproducible.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
+#include <random>  // callers reach the standard distributions through here
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "tensor/tensor.hpp"
 
 namespace comdml::tensor {
 
-/// Thin seedable wrapper around std::mt19937_64 with tensor-filling helpers.
+/// The 64-bit Mersenne Twister (MT19937-64). It draws exactly what
+/// std::mt19937_64 draws for the same seed, so the standard distributions
+/// built on it produce the same values; unlike the standard engine its
+/// 312-word state is open, so it saves and restores as a byte copy.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kWords = 312;
+
+  explicit Mt19937_64(uint64_t seed);
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (index >= kWords) twist();
+    uint64_t z = words[index++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    z ^= z >> 43;
+    return z;
+  }
+
+  /// The next outputs temper words[index..], then the next twist's words;
+  /// index lies in [0, kWords].
+  std::array<uint64_t, kWords> words{};
+  uint64_t index = kWords;
+
+ private:
+  void twist() noexcept;
+};
+
+/// Rng::set_state got bytes that are not a saved engine state.
+class RngStateError : public std::invalid_argument {
+ public:
+  explicit RngStateError(const std::string& what)
+      : std::invalid_argument(what) {}
+};
+
+/// Seedable generator with tensor-filling helpers.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -45,16 +88,18 @@ class Rng {
   /// Derive an independent child generator (stable split for per-agent RNGs).
   [[nodiscard]] Rng fork();
 
-  /// Full engine state as text (std::mt19937_64 stream format) — resuming
-  /// from it continues the exact draw sequence. Distributions are built
-  /// fresh per call, so the engine is the only state worth saving.
+  /// Full engine state as kStateBytes bytes: the 312 state words, then the
+  /// position of the next word to temper (0..312), each a native-endian
+  /// u64 (same-machine format, like the checkpoint blobs that carry it).
+  /// Resuming from it continues the exact draw sequence. Distributions are
+  /// built fresh per call, so the engine is the only state worth saving.
+  static constexpr size_t kStateBytes = (Mt19937_64::kWords + 1) * 8;
   [[nodiscard]] std::string state() const;
-  void set_state(const std::string& s);
-
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
+  /// Throws RngStateError for a wrong length or a position above 312.
+  void set_state(std::string_view s);
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace comdml::tensor

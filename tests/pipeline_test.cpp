@@ -1122,8 +1122,9 @@ TEST(FlatRoundModes, SingleShardOwnedRowsMatchThePipelineBitwise) {
 }
 
 /// In-process stand-in for the fleetd coordinator's round barrier: every
-/// shard deposits its owned task results and borrowed replicas, and once
-/// all shards arrived for the round each one reads the merged set.
+/// shard deposits its owned task results and the blobs of the agents it
+/// trained, and once all shards arrived for the round each one reads the
+/// merged results and the blobs the other shards produced.
 class ExchangeHub {
  public:
   ExchangeHub(int64_t shards, std::vector<int64_t> owner)
@@ -1136,22 +1137,24 @@ class ExchangeHub {
     for (size_t t = 0; t < io.task_agent->size(); ++t)
       if (owner_[static_cast<size_t>((*io.task_agent)[t])] == shard)
         slot.results[t] = (*io.results)[t];
-    slot.blobs.insert(slot.blobs.end(), io.state_out.begin(),
-                      io.state_out.end());
+    for (const RealFleet::AgentBlob& blob : io.state_out)
+      slot.blobs.emplace_back(shard, blob);
     ++slot.arrived;
     cv_.notify_all();
     if (!cv_.wait_for(lk, std::chrono::seconds(60),
                       [&] { return slot.arrived == shards_; }))
       throw std::runtime_error("exchange barrier timed out");
     *io.results = slot.results;
-    io.state_in = slot.blobs;
+    io.state_in.clear();
+    for (const auto& [from, blob] : slot.blobs)
+      if (from != shard) io.state_in.push_back(blob);
     io.died.clear();
   }
 
  private:
   struct Slot {
     std::vector<RealFleet::TaskResult> results;
-    std::vector<RealFleet::AgentBlob> blobs;
+    std::vector<std::pair<int64_t, RealFleet::AgentBlob>> blobs;
     int64_t arrived = 0;
   };
   int64_t shards_;
@@ -1161,95 +1164,142 @@ class ExchangeHub {
   std::map<int64_t, Slot> slots_;
 };
 
-TEST(FlatRoundModes, TwoShardSocketMeshMatchesThePipelineBitwise) {
-  // Two shards of one fleet, each on its own thread with its own end of a
-  // socket mesh (a two-worker fleetd fleet without the daemon), aggregate
-  // through the pipeline in mesh mode. Every bucket plan must reproduce the
-  // single-process round bit for bit, paired offloads and a leave included.
+Topology mesh_of(const std::vector<double>& cpus) {
+  std::vector<ResourceProfile> profiles;
+  for (const double cpu : cpus) profiles.push_back({cpu, 100.0});
+  return Topology::full_mesh(profiles);
+}
+
+/// Two shards of one fleet (owner a % 2), each on its own thread with its
+/// own end of a socket mesh (a two-worker fleetd fleet without the daemon),
+/// aggregate through the pipeline in mesh mode. Three rounds of each
+/// shard must reproduce the single-process rounds bit for bit.
+void expect_two_shards_match_the_pipeline(const FleetOptions& opt,
+                                          const Topology& topology) {
   static int run = 0;
-  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
-    SCOPED_TRACE("bucket_bytes " + std::to_string(bucket_bytes));
-    FleetOptions opt;
-    opt.seed = 99;
-    opt.comms.bucket_bytes = bucket_bytes;
+  const int64_t k = topology.agents();
+  std::vector<int64_t> owner;
+  for (int64_t a = 0; a < k; ++a) owner.push_back(a % 2);
+  const auto make = [&] {
+    return std::make_unique<RealFleet>(mlp_factory(6, 3), 3,
+                                       blob_shards(k, 30, 3, 6, 55),
+                                       topology, opt);
+  };
+  auto reference = make();
+  const ThreeRounds want = run_three_rounds(*reference);
+
+  std::vector<std::string> addrs;
+  for (int p = 0; p < 2; ++p)
+    addrs.push_back("unix:/tmp/comdml_pt_" + std::to_string(::getpid()) +
+                    "_" + std::to_string(run) + "_" + std::to_string(p) +
+                    ".sock");
+  ++run;
+  ExchangeHub hub(2, owner);
+  std::vector<std::unique_ptr<RealFleet>> shards;
+  std::vector<std::unique_ptr<comm::SocketTransport>> meshes;
+  for (int64_t s = 0; s < 2; ++s) {
+    comm::SocketPeerConfig cfg;
+    cfg.owner = owner;
+    cfg.self = s;
+    cfg.addrs = addrs;
+    cfg.recv_timeout_sec = 60.0;
+    meshes.push_back(std::make_unique<comm::SocketTransport>(
+        comm::LinkGrid::uniform(k, 100.0), cfg));
+    shards.push_back(make());
+    RealFleet& fleet = *shards.back();
+    RealFleet::DistContext ctx;
+    ctx.shard = s;
+    ctx.shards = 2;
+    ctx.owner = owner;
+    ctx.transport = meshes.back().get();
+    ctx.exchange = [&hub, &fleet, s](RealFleet::ExchangeIO& io) {
+      hub.exchange(s, fleet.round(), io);
+    };
+    ctx.collective_sync = [](const std::vector<int64_t>& view, bool ok) {
+      EXPECT_TRUE(ok);
+      return std::pair<std::vector<int64_t>, comm::Transport*>(view, nullptr);
+    };
+    fleet.set_dist_context(std::move(ctx));
+  }
+  std::vector<ThreeRounds> got(2);
+  std::vector<std::exception_ptr> errors(2);
+  std::vector<std::thread> workers;
+  for (size_t s = 0; s < 2; ++s)
+    workers.emplace_back([&, s] {
+      try {
+        meshes[s]->wait_ready();
+        got[s] = run_three_rounds(*shards[s]);
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    });
+  for (std::thread& w : workers) w.join();
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+
+  for (size_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    for (size_t r = 0; r < want.rounds.size(); ++r) {
+      EXPECT_EQ(got[s].rounds[r].mean_loss, want.rounds[r].mean_loss)
+          << "round " << r;
+      EXPECT_EQ(got[s].rounds[r].num_pairs, want.rounds[r].num_pairs);
+      EXPECT_EQ(got[s].rounds[r].buckets, want.rounds[r].buckets);
+      EXPECT_EQ(got[s].rounds[r].dropped_agents,
+                want.rounds[r].dropped_agents);
+    }
+    expect_states_equal(want.state, got[s].state, "shard vs pipeline");
+  }
+  EXPECT_GE(want.rounds[0].num_pairs, 1);
+  EXPECT_EQ(want.rounds[0].buckets > 1, opt.comms.bucket_bytes > 0);
+}
+
+FleetOptions two_shard_options(int64_t bucket_bytes,
+                               const std::vector<int64_t>& leave_at_round1) {
+  FleetOptions opt;
+  opt.seed = 99;
+  opt.comms.bucket_bytes = bucket_bytes;
+  for (const int64_t agent : leave_at_round1) {
     FleetOptions::FaultOptions::AgentFailure leave;
-    leave.agent = 2;
+    leave.agent = agent;
     leave.round = 1;
     opt.faults.failures.push_back(leave);
-    constexpr int64_t k = 4;
-    const std::vector<int64_t> owner = {0, 1, 0, 1};
-    const auto make = [&] {
-      return std::make_unique<RealFleet>(mlp_factory(6, 3), 3,
-                                         blob_shards(k, 30, 3, 6, 55),
-                                         hetero_mesh(k), opt);
-    };
-    auto reference = make();
-    const ThreeRounds want = run_three_rounds(*reference);
+  }
+  return opt;
+}
 
-    std::vector<std::string> addrs;
-    for (int p = 0; p < 2; ++p)
-      addrs.push_back("unix:/tmp/comdml_pt_" + std::to_string(::getpid()) +
-                      "_" + std::to_string(run) + "_" + std::to_string(p) +
-                      ".sock");
-    ++run;
-    ExchangeHub hub(2, owner);
-    std::vector<std::unique_ptr<RealFleet>> shards;
-    std::vector<std::unique_ptr<comm::SocketTransport>> meshes;
-    for (int64_t s = 0; s < 2; ++s) {
-      comm::SocketPeerConfig cfg;
-      cfg.owner = owner;
-      cfg.self = s;
-      cfg.addrs = addrs;
-      cfg.recv_timeout_sec = 60.0;
-      meshes.push_back(std::make_unique<comm::SocketTransport>(
-          comm::LinkGrid::uniform(k, 100.0), cfg));
-      shards.push_back(make());
-      RealFleet& fleet = *shards.back();
-      RealFleet::DistContext ctx;
-      ctx.shard = s;
-      ctx.shards = 2;
-      ctx.owner = owner;
-      ctx.transport = meshes.back().get();
-      ctx.exchange = [&hub, &fleet, s](RealFleet::ExchangeIO& io) {
-        hub.exchange(s, fleet.round(), io);
-      };
-      ctx.collective_sync = [](const std::vector<int64_t>& view, bool ok) {
-        EXPECT_TRUE(ok);
-        return std::pair<std::vector<int64_t>, comm::Transport*>(view,
-                                                                 nullptr);
-      };
-      fleet.set_dist_context(std::move(ctx));
-    }
-    std::vector<ThreeRounds> got(2);
-    std::vector<std::exception_ptr> errors(2);
-    std::vector<std::thread> workers;
-    for (size_t s = 0; s < 2; ++s)
-      workers.emplace_back([&, s] {
-        try {
-          meshes[s]->wait_ready();
-          got[s] = run_three_rounds(*shards[s]);
-        } catch (...) {
-          errors[s] = std::current_exception();
-        }
-      });
-    for (std::thread& w : workers) w.join();
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
+TEST(FlatRoundModes, TwoShardSocketMeshMatchesThePipelineBitwise) {
+  // Every bucket plan must reproduce the single-process round bit for
+  // bit, paired offloads and a leave included.
+  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
+    SCOPED_TRACE("bucket_bytes " + std::to_string(bucket_bytes));
+    expect_two_shards_match_the_pipeline(two_shard_options(bucket_bytes, {2}),
+                                         hetero_mesh(4));
+  }
+}
 
-    for (size_t s = 0; s < 2; ++s) {
-      SCOPED_TRACE("shard " + std::to_string(s));
-      for (size_t r = 0; r < want.rounds.size(); ++r) {
-        EXPECT_EQ(got[s].rounds[r].mean_loss, want.rounds[r].mean_loss)
-            << "round " << r;
-        EXPECT_EQ(got[s].rounds[r].num_pairs, want.rounds[r].num_pairs);
-        EXPECT_EQ(got[s].rounds[r].buckets, want.rounds[r].buckets);
-        EXPECT_EQ(got[s].rounds[r].dropped_agents,
-                  want.rounds[r].dropped_agents);
-      }
-      expect_states_equal(want.state, got[s].state, "shard vs pipeline");
-    }
-    EXPECT_GE(want.rounds[0].num_pairs, 1);
-    EXPECT_EQ(want.rounds[0].buckets > 1, bucket_bytes > 0);
+TEST(FlatRoundModes, TwoShardAgentLentAfterTrainingAtHomeKeepsItsState) {
+  // Round 0 pairs agent 1 (slow) with agent 0 and trains 2 and 3 solo on
+  // their own workers. Agent 0 leaves before round 1, whose pairing lends
+  // agent 2 to agent 1's worker: agent 2 must train there from the
+  // momentum and batch position its round-0 solo training left, not from
+  // its initial ones.
+  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
+    SCOPED_TRACE("bucket_bytes " + std::to_string(bucket_bytes));
+    expect_two_shards_match_the_pipeline(two_shard_options(bucket_bytes, {0}),
+                                         mesh_of({4.0, 0.2, 1.0, 1.0}));
+  }
+}
+
+TEST(FlatRoundModes, TwoShardSlowSideLaterLentKeepsItsState) {
+  // Round 0 trains agents 0 and 1 as the slow sides of pairs on their own
+  // workers. Once 2 and 3 leave, round 1 pairs agent 1 with agent 0, so
+  // agent 0 trains on agent 1's worker: it must start from the batch
+  // position its round-0 split training left on its own worker.
+  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
+    SCOPED_TRACE("bucket_bytes " + std::to_string(bucket_bytes));
+    expect_two_shards_match_the_pipeline(
+        two_shard_options(bucket_bytes, {2, 3}),
+        mesh_of({0.5, 0.1, 4.0, 4.0}));
   }
 }
 

@@ -1017,5 +1017,112 @@ TEST(Fleetd, HeterogeneousScalesPairAcrossProcessesBitForBit) {
   EXPECT_EQ(dist_weights, fleet_weights(local));
 }
 
+TEST(Fleetd, HeterogeneousLeaveAcrossProcessesBitForBit) {
+  // A leave changes the pairing across workers: round 0 pairs slow agent
+  // 1 with agent 0 and trains 2 and 3 solo at home; after agent 0 leaves,
+  // agent 2 helps agent 1 on worker 1. It must train there from the
+  // momentum and batch position its round-0 training left on worker 0.
+  const std::string bin = std::string(COMDML_BIN_DIR) + "/fleetd";
+  if (::access(bin.c_str(), X_OK) != 0)
+    GTEST_SKIP() << "fleetd binary not built at " << bin;
+  const std::string addr = unique_control_addr();
+  FleetSpec spec;
+  spec.agents = 4;
+  spec.compute_scales = {4.0, 0.2, 1.0, 1.0};
+
+  ProcReaper reaper;
+  reaper.pids.push_back(
+      spawn(bin, {"--listen", addr, "--workers", "2", "--agents", "4",
+                  "--scale", "4,0.2,1,1"}));
+  reaper.pids.push_back(
+      spawn(bin, {"--worker", "--index", "0", "--connect", addr}));
+  reaper.pids.push_back(
+      spawn(bin, {"--worker", "--index", "1", "--connect", addr}));
+
+  std::vector<core::RoundReport> dist;
+  FleetClient client(addr, /*timeout_sec=*/60.0);
+  dist.push_back(client.round());
+  client.leave(0);
+  for (int64_t r = 0; r < 3; ++r) dist.push_back(client.round());
+  const std::vector<uint8_t> dist_weights = client.weights();
+  client.shutdown();
+  for (const pid_t p : reaper.pids)
+    EXPECT_EQ(wait_with_timeout(p, 30.0), 0);
+
+  core::FleetRuntime local = build_spec_fleet(spec);
+  std::vector<core::RoundReport> want;
+  want.push_back(local.step());
+  local.leave(0);
+  for (int64_t r = 0; r < 3; ++r) want.push_back(local.step());
+  ASSERT_EQ(dist.size(), want.size());
+  EXPECT_GE(want[0].num_pairs, 1);
+  EXPECT_GE(want[1].num_pairs, 1);
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(dist[r].round, want[r].round);
+    EXPECT_EQ(dist[r].num_pairs, want[r].num_pairs) << "round " << r;
+    EXPECT_EQ(dist[r].mean_loss, want[r].mean_loss) << "round " << r;
+    EXPECT_EQ(dist[r].mean_slow_loss, want[r].mean_slow_loss)
+        << "round " << r;
+    EXPECT_EQ(dist[r].dropped_agents, want[r].dropped_agents)
+        << "round " << r;
+  }
+  EXPECT_EQ(dist_weights, fleet_weights(local));
+}
+
+TEST(Fleetd, WorkerKilledBetweenRoundsLeavesAtTheBoundary) {
+  // Worker 2 (agents 2 and 5) is SIGKILLed and reaped while the fleet is
+  // idle. The next round must notice it before training starts — its
+  // agents leave at the boundary — and match the single-process fleet
+  // where they left there. Such a round reports no dropped agents; a
+  // death found only when kRound bounced would drop both mid-round, after
+  // a pairing that still counted them.
+  const std::string bin = std::string(COMDML_BIN_DIR) + "/fleetd";
+  if (::access(bin.c_str(), X_OK) != 0)
+    GTEST_SKIP() << "fleetd binary not built at " << bin;
+  const std::string addr = unique_control_addr();
+  FleetSpec spec;
+  spec.agents = 6;
+  spec.compute_scales = {1.0, 0.3, 1.0, 0.3, 1.0, 0.3};
+
+  ProcReaper reaper;
+  reaper.pids.push_back(
+      spawn(bin, {"--listen", addr, "--workers", "3", "--agents", "6",
+                  "--scale", "1,0.3,1,0.3,1,0.3"}));
+  std::array<pid_t, 3> workers{};
+  for (int i = 0; i < 3; ++i) {
+    workers[static_cast<size_t>(i)] = spawn(
+        bin, {"--worker", "--index", std::to_string(i), "--connect", addr});
+    reaper.pids.push_back(workers[static_cast<size_t>(i)]);
+  }
+
+  std::vector<core::RoundReport> dist;
+  FleetClient client(addr, /*timeout_sec=*/60.0);
+  dist.push_back(client.round());
+  ASSERT_EQ(::kill(workers[2], SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(workers[2], &status, 0), workers[2]);
+  EXPECT_TRUE(WIFSIGNALED(status));
+  reaper.pids.erase(
+      std::find(reaper.pids.begin(), reaper.pids.end(), workers[2]));
+  for (int64_t r = 0; r < 2; ++r) dist.push_back(client.round());
+  const std::vector<uint8_t> dist_weights = client.weights();
+  client.shutdown();
+  EXPECT_EQ(wait_with_timeout(reaper.pids[0], 30.0), 0);
+  EXPECT_EQ(wait_with_timeout(workers[0], 30.0), 0);
+  EXPECT_EQ(wait_with_timeout(workers[1], 30.0), 0);
+
+  std::vector<core::RoundReport> want;
+  core::FleetRuntime ref = leave_reference(spec, &want, 2);
+  ASSERT_EQ(dist.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(dist[r].round, want[r].round);
+    EXPECT_EQ(dist[r].num_pairs, want[r].num_pairs) << "round " << r;
+    EXPECT_EQ(dist[r].mean_loss, want[r].mean_loss) << "round " << r;
+    EXPECT_EQ(dist[r].dropped_agents, 0) << "round " << r;
+  }
+  EXPECT_EQ(want[1].num_pairs, 2) << "agents 2 and 5 gone: two pairs left";
+  EXPECT_EQ(dist_weights, fleet_weights(ref));
+}
+
 }  // namespace
 }  // namespace comdml::daemon

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <random>
 
+#include "core/real_fleet.hpp"
+#include "data/partition.hpp"
+#include "data/synthetic.hpp"
+#include "nn/resnet.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tensor/serialize.hpp"
@@ -295,6 +301,130 @@ TEST(Rng, ForkProducesIndependentStreams) {
   Rng child = a.fork();
   // The parent's subsequent draws differ from the child's.
   EXPECT_NE(a.uniform(), child.uniform());
+}
+
+// ---- the Mersenne Twister engine ---------------------------------------------
+
+TEST(Mt19937_64, DrawsWhatTheStandardEngineDraws) {
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{42},
+                              ~uint64_t{0}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Mt19937_64 ours(seed);
+    std::mt19937_64 std_engine(seed);
+    for (int i = 0; i < 100000; ++i) ASSERT_EQ(ours(), std_engine()) << i;
+  }
+}
+
+TEST(Mt19937_64, TenThousandthDrawOfTheDefaultSeed) {
+  // The C++ standard fixes this value for mt19937_64 default-constructed
+  // (seed 5489).
+  Mt19937_64 e(5489);
+  for (int i = 0; i < 9999; ++i) (void)e();
+  EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+/// The same helpers over std::mt19937_64, as Rng computed them before it
+/// kept its own engine.
+struct StdRng {
+  std::mt19937_64 e;
+  float uniform(float lo, float hi) {
+    return std::uniform_real_distribution<float>(lo, hi)(e);
+  }
+  float normal(float mean, float stddev) {
+    return std::normal_distribution<float>(mean, stddev)(e);
+  }
+  int64_t below(int64_t n) {
+    return std::uniform_int_distribution<int64_t>(0, n - 1)(e);
+  }
+};
+
+TEST(Rng, HelpersMatchTheStandardEngineSequences) {
+  Rng ours(7);
+  StdRng ref{std::mt19937_64(7)};
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(ours.uniform(-2.0f, 3.0f), ref.uniform(-2.0f, 3.0f)) << i;
+    ASSERT_EQ(ours.normal(0.5f, 2.0f), ref.normal(0.5f, 2.0f)) << i;
+    ASSERT_EQ(ours.below(1 + i), ref.below(1 + i)) << i;
+  }
+  std::vector<int64_t> v(97), w(97);
+  std::iota(v.begin(), v.end(), 0);
+  std::iota(w.begin(), w.end(), 0);
+  ours.shuffle(v);
+  for (size_t i = w.size(); i > 1; --i)
+    std::swap(w[i - 1], w[static_cast<size_t>(
+                            ref.below(static_cast<int64_t>(i)))]);
+  EXPECT_EQ(v, w);
+  // fork() seeds the child with the parent's next raw draw.
+  Rng child = ours.fork();
+  StdRng ref_child{std::mt19937_64(ref.e())};
+  for (int i = 0; i < 100; ++i)
+    ASSERT_EQ(child.normal(0.0f, 1.0f), ref_child.normal(0.0f, 1.0f)) << i;
+  EXPECT_EQ(ours.below(1000), ref.below(1000));
+}
+
+TEST(Rng, StateTakenMidBlockResumesTheExactSequence) {
+  Rng a(123);
+  for (int i = 0; i < 500; ++i) (void)a.below(1 << 20);  // past one twist
+  const std::string saved = a.state();
+  EXPECT_EQ(saved.size(), Rng::kStateBytes);
+  EXPECT_EQ(saved.size(), 2504u);
+  std::vector<int64_t> want;
+  for (int i = 0; i < 1000; ++i) want.push_back(a.below(1 << 20));
+  Rng b(999);
+  b.set_state(saved);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(b.below(1 << 20), want[i]) << i;
+  EXPECT_EQ(a.state(), b.state());
+}
+
+TEST(Rng, SetStateRejectsWrongLengthAndPosition) {
+  Rng a(5);
+  const std::string good = a.state();
+  EXPECT_THROW(a.set_state(good.substr(0, good.size() - 1)), RngStateError);
+  EXPECT_THROW(a.set_state(good + "x"), RngStateError);
+  EXPECT_THROW(a.set_state(""), RngStateError);
+  std::string bad = good;
+  const uint64_t past = 313;
+  std::memcpy(bad.data() + 312 * 8, &past, 8);
+  EXPECT_THROW(a.set_state(bad), RngStateError);
+  // A rejected state leaves the generator untouched.
+  EXPECT_EQ(a.state(), good);
+  const uint64_t end = 312;  // the next draw twists first
+  std::memcpy(bad.data() + 312 * 8, &end, 8);
+  EXPECT_NO_THROW(a.set_state(bad));
+}
+
+TEST(Rng, CheckpointsOfTheTextRngStateAreRefusedByVersion) {
+  // CMDL v2 and CMDS v1 carried std::mt19937_64's decimal text state; a
+  // restore names the blob's version and the one it reads.
+  Rng rng(3);
+  const data::Dataset ds = data::make_blobs(40, 2, 4, 0.3f, rng);
+  std::vector<data::Dataset> shards;
+  for (const auto& idx : data::iid_partition(ds.size(), 2, rng))
+    shards.push_back(ds.subset(idx));
+  std::vector<sim::ResourceProfile> profiles(2, {1.0, 100.0});
+  core::RealFleet fleet([](Rng& r) { return nn::mlp({4, 8, 2}, r); }, 2,
+                        shards, sim::Topology::full_mesh(profiles), {});
+  const auto expect_refused = [&](std::vector<uint8_t> blob, uint32_t old,
+                                  uint32_t now, bool shard) {
+    std::memcpy(blob.data() + 4, &old, 4);
+    try {
+      if (shard)
+        fleet.restore_shards({blob});
+      else
+        fleet.restore(blob);
+      FAIL() << "version " << old << " restored";
+    } catch (const core::CheckpointError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(old)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("expected " + std::to_string(now)),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_refused(fleet.checkpoint(), 2, 3, false);
+  expect_refused(fleet.checkpoint_shard(0, 1, {0, 1}), 1, 2, true);
 }
 
 // ---- serialize --------------------------------------------------------------
