@@ -78,7 +78,10 @@ inline constexpr uint32_t kFrameMagic = 0x434D4446;  // "CMDF"
 /// Version 4: fleetd's round exchange carries the training state of every
 /// trained agent with a binary rng state, kMergedResults leaves out the
 /// receiver's own blobs, and the coordinator no longer sends kPing.
-inline constexpr uint16_t kWireVersion = 4;
+/// Version 5: the round exchange carries no agent state (every agent
+/// trains on its owner); a TaskResult ends with the fast half's per-batch
+/// losses.
+inline constexpr uint16_t kWireVersion = 5;
 /// Upper bound on a frame body — rejects desynchronized/garbage peers
 /// before a bad length turns into a huge allocation.
 inline constexpr uint32_t kMaxFrameBody = 1u << 30;

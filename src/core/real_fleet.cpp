@@ -110,11 +110,13 @@ std::vector<AgentInfo> RealFleet::build_infos() const {
   return infos;
 }
 
-data::Batch RealFleet::next_batch(int64_t agent, tensor::Rng& rng) {
-  data::Batch batch = agents_[static_cast<size_t>(agent)].batcher->next();
+data::Batch RealFleet::next_batch(int64_t agent) {
+  data::Batcher& batcher = *agents_[static_cast<size_t>(agent)].batcher;
+  data::Batch batch = batcher.next();
   if (options_.privacy.technique == learncurve::PrivacyTechnique::kPatchShuffle &&
       batch.x.rank() == 4) {
-    batch.x = privacy::patch_shuffle(batch.x, options_.privacy.shuffle_patch, rng);
+    batch.x = privacy::patch_shuffle(batch.x, options_.privacy.shuffle_patch,
+                                     batcher.rng());
   }
   return batch;
 }
@@ -188,35 +190,45 @@ RealFleet::RoundStats RealFleet::step() {
   // Local-training phase. Pairing is a matching, so pair tasks touch
   // disjoint agent replicas/batchers and solo tasks the rest: every task is
   // independent between the pairing and aggregation barriers. Each task
-  // gets an Rng forked in fixed task order before the fan-out, and results
-  // land in a pre-sized slot vector reduced serially afterwards, so the
-  // round is bit-identical for every COMDML_NUM_THREADS value. (TaskResult
-  // is the public nested type so multi-process fleets can exchange slots.)
+  // gets an Rng forked in fixed task order before the fan-out (only the
+  // split trainer draws from it; batches and their privacy transform draw
+  // from the agent's own batcher), and results land in a pre-sized slot
+  // vector reduced serially afterwards, so the round is bit-identical for
+  // every COMDML_NUM_THREADS value. (TaskResult is the public nested type
+  // so multi-process fleets can exchange slots.)
   const size_t n_pairs = plan.pairs.size();
   const size_t n_tasks = n_pairs + plan.solo.size();
   std::vector<tensor::Rng> task_rngs;
   task_rngs.reserve(n_tasks);
   for (size_t t = 0; t < n_tasks; ++t) task_rngs.push_back(rng_.fork());
-  std::vector<TaskResult> results(n_tasks);
 
-  // Task -> primary agent id: the solo agent, or a pair's slow agent. A
-  // multi-process round runs each task on the primary's owning shard (a
-  // pair task trains both replicas there — the borrowed fast replica ships
-  // home through the exchange) and keys owned results by this map.
-  std::vector<int64_t> task_agent;
+  // Placement: each half of a task runs on the owner of the agent it
+  // trains — a pair's split half (the slow replica) on the slow agent's
+  // owner, the fast agent's own training on the fast agent's owner. A pair
+  // both of whose agents are owned here stays one task; its fast half
+  // still fills its own slot after the tasks' slots, and slot_agent keys
+  // every slot by the agent whose owner fills it.
+  const auto mine = [&](int64_t a) {
+    return !dist_ || dist_->owner[static_cast<size_t>(a)] == dist_->shard;
+  };
+  std::vector<TaskResult> results(n_tasks + n_pairs);
+  std::vector<int64_t> slot_agent;
   if (dist_) {
-    task_agent.assign(n_tasks, -1);
-    for (size_t t = 0; t < n_pairs; ++t)
-      task_agent[t] = plan.pairs[t].slow_agent;
+    slot_agent.resize(results.size());
+    for (size_t t = 0; t < n_pairs; ++t) {
+      slot_agent[t] = plan.pairs[t].slow_agent;
+      slot_agent[n_tasks + t] = plan.pairs[t].fast_agent;
+    }
     for (size_t t = n_pairs; t < n_tasks; ++t)
-      task_agent[t] = plan.solo[t - n_pairs];
+      slot_agent[t] = plan.solo[t - n_pairs];
   }
 
   // Aggregation modes. DP noise draws from the fleet Rng in agent order
   // after training (historical semantics), so with DP the buckets are
   // published after the noising pass instead of from inside the tasks, and
   // the layerwise overlap window closes. Multi-process rounds publish after
-  // the exchange too: a borrowed replica only comes home there.
+  // the exchange too: it settles which workers survived training before
+  // any bucket enters the mesh.
   const bool dp = options_.privacy.technique ==
                   learncurve::PrivacyTechnique::kDifferentialPrivacy;
   const bool publish_in_task = !dp && !dist_;
@@ -256,8 +268,17 @@ RealFleet::RoundStats RealFleet::step() {
   // the task, the round's last batch steps each unit as its backward
   // completes, so output-side buckets enter the pipeline while input-side
   // backward compute is still running (bit-identical math either way).
-  const auto train_full = [&](int64_t agent, tensor::Rng& rng,
-                              TaskResult& out) {
+  // A pair's fast half lists its batch losses in out.fast_losses instead
+  // of folding them into out.loss_sum.
+  const auto train_full = [&](int64_t agent, TaskResult& out, bool half) {
+    const auto record = [&](float loss) {
+      if (half) {
+        out.fast_losses.push_back(loss);
+      } else {
+        out.loss_sum += loss;
+        ++out.loss_count;
+      }
+    };
     auto& st = agents_[static_cast<size_t>(agent)];
     nn::SGD opt(st.model->parameters(), sgd);
     // Momentum is fleet state, not round state: carry the velocity across
@@ -268,7 +289,7 @@ RealFleet::RoundStats RealFleet::step() {
         die_at >= 0 ? std::min(options_.train.batches_per_round, die_at)
                     : options_.train.batches_per_round;
     for (int64_t b = 0; b < batches; ++b) {
-      const auto batch = next_batch(agent, rng);
+      const auto batch = next_batch(agent);
       if (publish_in_task && b == batches - 1 && die_at < 0 &&
           late[static_cast<size_t>(agent)] == 0) {
         std::vector<tensor::Tensor*> ptrs;
@@ -280,13 +301,9 @@ RealFleet::RoundStats RealFleet::step() {
               tracker.unit_done(
                   u, [&](int64_t bk) { publish_bucket(agent, ptrs, bk); });
             });
-        out.loss_sum += res.loss;
-        ++out.loss_count;
+        record(res.loss);
       } else {
-        const auto res =
-            nn::train_batch_full(*st.model, opt, batch.x, batch.y);
-        out.loss_sum += res.loss;
-        ++out.loss_count;
+        record(nn::train_batch_full(*st.model, opt, batch.x, batch.y).loss);
       }
     }
     st.velocity = opt.velocity();
@@ -294,123 +311,105 @@ RealFleet::RoundStats RealFleet::step() {
     if (die_at >= 0) kill_agent(agent);
   };
 
-  const auto run_task = [&](int64_t t) {
-    tensor::Rng& rng = task_rngs[static_cast<size_t>(t)];
-    TaskResult& out = results[static_cast<size_t>(t)];
-    if (t < static_cast<int64_t>(n_pairs)) {
-      // Paired agents: local-loss split training of the *slow* agent's
-      // replica (fast side physically runs on the fast agent; state-wise
-      // it is the slow replica's suffix), while the fast agent also
-      // trains its own replica.
-      const auto& pair = plan.pairs[static_cast<size_t>(t)];
-      // Multi-process: the slow agent's owner runs the whole pair task,
-      // fast replica included (the task's rng was forked in fixed order,
-      // so skipping elsewhere preserves every other draw).
-      if (dist_ &&
-          dist_->owner[static_cast<size_t>(pair.slow_agent)] != dist_->shard)
-        return;
-      auto& slow = agents_[static_cast<size_t>(pair.slow_agent)];
-      const int64_t batches = options_.train.batches_per_round;
-      const int64_t slow_die =
-          die_after_batches[static_cast<size_t>(pair.slow_agent)];
-      const int64_t slow_batches =
-          slow_die >= 0 ? std::min(batches, slow_die) : batches;
-      nn::LocalLossSplitTrainer split(*slow.model, pair.cut, in_shape_,
-                                      classes_, rng, sgd);
-      for (int64_t b = 0; b < slow_batches; ++b) {
-        const auto batch = next_batch(pair.slow_agent, rng);
-        nn::LocalLossSplitTrainer::StepStats step;
-        if (publish_in_task && b == batches - 1 && slow_die < 0) {
-          // Final batch: per-unit finalization publishes the slow
-          // replica's buckets layer-by-layer during the split backward —
-          // prefix-side buckets enter the pipeline before the fast-side
-          // backward even starts, and every bucket ships before the fast
-          // agent's own full-model training below (bit-identical math
-          // either way).
-          std::vector<tensor::Tensor*> ptrs;
-          slow.model->collect_state(ptrs);
-          nn::BucketReadyTracker tracker(bucket_plan_);
-          const size_t total_units = slow.model->size();
-          size_t units_done = 0;
-          step = split.train_batch_notify(
-              batch.x, batch.y, bucket_plan_.unit_param_counts(),
-              [&](size_t u) {
-                ++units_done;
-                tracker.unit_done(u, [&](int64_t bk) {
-                  publish_bucket(pair.slow_agent, ptrs, bk);
-                  // Published while split units were still pending: the
-                  // widened overlap window, as a number.
-                  if (units_done < total_units) ++out.split_early_buckets;
-                });
+  // Local-loss split training of a pair's *slow* replica (the fast side
+  // physically runs on the fast agent; state-wise it is the slow
+  // replica's suffix).
+  const auto train_split = [&](const OffloadDecision& pair, tensor::Rng& rng,
+                               TaskResult& out) {
+    auto& slow = agents_[static_cast<size_t>(pair.slow_agent)];
+    const int64_t batches = options_.train.batches_per_round;
+    const int64_t slow_die =
+        die_after_batches[static_cast<size_t>(pair.slow_agent)];
+    const int64_t slow_batches =
+        slow_die >= 0 ? std::min(batches, slow_die) : batches;
+    nn::LocalLossSplitTrainer split(*slow.model, pair.cut, in_shape_,
+                                    classes_, rng, sgd);
+    for (int64_t b = 0; b < slow_batches; ++b) {
+      const auto batch = next_batch(pair.slow_agent);
+      nn::LocalLossSplitTrainer::StepStats step;
+      if (publish_in_task && b == batches - 1 && slow_die < 0) {
+        // Final batch: per-unit finalization publishes the slow
+        // replica's buckets layer-by-layer during the split backward —
+        // prefix-side buckets enter the pipeline before the fast-side
+        // backward even starts, and every bucket ships before the fast
+        // agent's own full-model training (bit-identical math either way).
+        std::vector<tensor::Tensor*> ptrs;
+        slow.model->collect_state(ptrs);
+        nn::BucketReadyTracker tracker(bucket_plan_);
+        const size_t total_units = slow.model->size();
+        size_t units_done = 0;
+        step = split.train_batch_notify(
+            batch.x, batch.y, bucket_plan_.unit_param_counts(),
+            [&](size_t u) {
+              ++units_done;
+              tracker.unit_done(u, [&](int64_t bk) {
+                publish_bucket(pair.slow_agent, ptrs, bk);
+                // Published while split units were still pending: the
+                // widened overlap window, as a number.
+                if (units_done < total_units) ++out.split_early_buckets;
               });
-        } else {
-          step = split.train_batch(batch.x, batch.y);
-        }
-        out.slow_loss_sum += step.slow_loss;
-        out.loss_sum += step.fast_loss;
-        ++out.loss_count;
-        if (b == 0) {
-          // Privacy leakage across the cut, measured on real
-          // activations, and the actually-achieved wire compression of
-          // the same payload.
-          const auto h =
-              slow.model->forward_range(batch.x, 0, pair.cut, false);
-          out.dcor += privacy::distance_correlation(batch.x, h);
-          out.wire_compression += comm::compression_ratio(h);
-          ++out.dcor_count;
-        }
+            });
+      } else {
+        step = split.train_batch(batch.x, batch.y);
       }
-      if (slow_die >= 0) kill_agent(pair.slow_agent);
-      train_full(pair.fast_agent, rng, out);
-    } else {
-      // Solo agents train the full model. In multi-process mode only the
-      // owning shard trains the agent (the task's rng was already forked
-      // in fixed order, so skipping preserves every other draw); its
-      // result reaches the other workers through the exchange below.
-      const int64_t id = plan.solo[static_cast<size_t>(t) - n_pairs];
-      if (dist_ && dist_->owner[static_cast<size_t>(id)] != dist_->shard)
-        return;
-      train_full(id, rng, out);
+      out.slow_loss_sum += step.slow_loss;
+      out.loss_sum += step.fast_loss;
+      ++out.loss_count;
+      if (b == 0) {
+        // Privacy leakage across the cut, measured on real activations,
+        // and the actually-achieved wire compression of the same payload.
+        const auto h = slow.model->forward_range(batch.x, 0, pair.cut, false);
+        out.dcor += privacy::distance_correlation(batch.x, h);
+        out.wire_compression += comm::compression_ratio(h);
+        ++out.dcor_count;
+      }
     }
+    if (slow_die >= 0) kill_agent(pair.slow_agent);
+  };
+
+  // Each half runs only on its agent's owner; a solo agent's result, or a
+  // half trained here, reaches the other workers through the exchange.
+  const auto run_task = [&](int64_t t) {
+    const auto i = static_cast<size_t>(t);
+    if (i >= n_pairs) {
+      const int64_t id = plan.solo[i - n_pairs];
+      if (mine(id)) train_full(id, results[i], false);
+      return;
+    }
+    const OffloadDecision& pair = plan.pairs[i];
+    if (mine(pair.slow_agent)) train_split(pair, task_rngs[i], results[i]);
+    if (mine(pair.fast_agent))
+      train_full(pair.fast_agent, results[n_tasks + i], true);
   };
 
   // Fan the tasks out through the pipeline orchestration (collector slots
   // in overlapped mode, abort-on-exception).
   pipeline_->run_round(static_cast<int64_t>(n_tasks), run_task, overlap);
 
-  // Multi-process: gather every worker's owned TaskResults into the full
+  // Multi-process: gather every worker's TaskResult slots into the full
   // vector so the serial fold below stays one code path — every worker
   // folds identical slots and lands on the same mean_loss, dcor, and
-  // plateau trajectory. Every agent a worker trained ships its training
-  // state (momentum, batcher) to the other workers, so whichever worker
-  // trains it next starts where it stopped. Pair tasks trained a
-  // borrowed fast replica on the slow agent's owner; its weights ship
-  // too, so the owner posts the trained replica into the collective.
-  // Agents whose worker crashed mid-training come back in `died`: they
-  // leave the fleet before the collective forms, so the survivors
-  // aggregate exactly like a from-scratch survivor-only fleet (the dead
-  // workers' zero TaskResult slots fold harmlessly).
+  // plateau trajectory. No agent trained away from its owner, so no agent
+  // state crosses workers. Agents whose worker crashed mid-training come
+  // back in `died`: they leave the fleet before the collective forms, so
+  // the survivors aggregate exactly like a from-scratch survivor-only
+  // fleet (the dead workers' zero slots fold harmlessly).
   if (dist_ && dist_->exchange) {
     ExchangeIO io;
-    io.task_agent = &task_agent;
+    io.slot_agent = &slot_agent;
     io.results = &results;
-    const auto mine = [&](int64_t a) {
-      return dist_->owner[static_cast<size_t>(a)] == dist_->shard;
-    };
-    for (size_t t = 0; t < n_tasks; ++t) {
-      if (!mine(task_agent[t])) continue;
-      io.state_out.emplace_back(task_agent[t],
-                                export_trained(task_agent[t], false));
-      if (t >= n_pairs) continue;
-      const int64_t fast = plan.pairs[t].fast_agent;
-      io.state_out.emplace_back(fast, export_trained(fast, !mine(fast)));
-    }
     dist_->exchange(io);
-    for (const AgentBlob& blob : io.state_in)
-      import_trained(blob.first, blob.second);
     for (const int64_t a : io.died)
       if (agents_[static_cast<size_t>(a)].alive) kill_agent(a);
   }
+  // Fast halves' batch losses land on their pair's slot in batch order,
+  // after the split half's: the float sum of one pair task.
+  for (size_t t = 0; t < n_pairs; ++t)
+    for (const float loss : results[n_tasks + t].fast_losses) {
+      results[t].loss_sum += loss;
+      ++results[t].loss_count;
+    }
+  results.resize(n_tasks);
 
   float slow_loss_sum = 0.0f, loss_sum = 0.0f;
   int64_t loss_count = 0;
@@ -825,8 +824,9 @@ void RealFleet::set_dist_context(DistContext ctx) {
       "multi-process mode needs the fp32 codec (comms.codec): residuals of "
       "agents a worker does not own would diverge");
   COMDML_REQUIRE(!options_.comms.overlap,
-                 "multi-process mode cannot overlap (comms.overlap): borrowed "
-                 "replicas come home only at the exchange");
+                 "multi-process mode cannot overlap (comms.overlap): mesh "
+                 "buckets reduce only after the round exchange settles which "
+                 "workers survived training");
   for (const FleetOptions::FaultOptions::AgentFailure& f :
        options_.faults.failures)
     COMDML_REQUIRE(f.after_batches < 0 && f.after_buckets < 0 &&
@@ -879,8 +879,10 @@ void RealFleet::set_dist_transport(comm::Transport* transport) {
   pipeline_->set_mesh(transport, std::move(owned));
 }
 
-void RealFleet::write_training_state(tensor::ByteWriter& w, int64_t agent) {
+void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent) {
   const AgentState& st = agents_[static_cast<size_t>(agent)];
+  w.u8(st.alive ? 1 : 0);
+  w.tensors(nn::state_of(*st.model));
   w.tensors(st.velocity);
   const data::Batcher::State bs = st.batcher->save();
   w.i64s(bs.order);
@@ -889,8 +891,10 @@ void RealFleet::write_training_state(tensor::ByteWriter& w, int64_t agent) {
   w.str(bs.rng);
 }
 
-void RealFleet::read_training_state(tensor::ByteReader& r, int64_t agent) {
+void RealFleet::read_agent(tensor::ByteReader& r, int64_t agent) {
   AgentState& st = agents_[static_cast<size_t>(agent)];
+  st.alive = r.u8() != 0;
+  nn::load_state(*st.model, r.tensors());
   st.velocity = r.tensors();
   data::Batcher::State bs;
   bs.order = r.i64s();
@@ -898,20 +902,6 @@ void RealFleet::read_training_state(tensor::ByteReader& r, int64_t agent) {
   bs.epoch = r.i64();
   bs.rng = r.str();
   st.batcher->load(bs);
-}
-
-void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent) {
-  const AgentState& st = agents_[static_cast<size_t>(agent)];
-  w.u8(st.alive ? 1 : 0);
-  w.tensors(nn::state_of(*st.model));
-  write_training_state(w, agent);
-}
-
-void RealFleet::read_agent(tensor::ByteReader& r, int64_t agent) {
-  AgentState& st = agents_[static_cast<size_t>(agent)];
-  st.alive = r.u8() != 0;
-  nn::load_state(*st.model, r.tensors());
-  read_training_state(r, agent);
 }
 
 std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {
@@ -925,25 +915,6 @@ void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
   COMDML_CHECK(agent >= 0 && agent < agents());
   tensor::ByteReader r(bytes);
   read_agent(r, agent);
-  r.expect_done();
-}
-
-std::vector<uint8_t> RealFleet::export_trained(int64_t agent, bool weights) {
-  tensor::ByteWriter w;
-  w.u8(weights ? 1 : 0);
-  if (weights)
-    w.tensors(nn::state_of(*agents_[static_cast<size_t>(agent)].model));
-  write_training_state(w, agent);
-  return w.bytes();
-}
-
-void RealFleet::import_trained(int64_t agent,
-                               const std::vector<uint8_t>& bytes) {
-  COMDML_CHECK(agent >= 0 && agent < agents());
-  tensor::ByteReader r(bytes);
-  if (r.u8() != 0)
-    nn::load_state(*agents_[static_cast<size_t>(agent)].model, r.tensors());
-  read_training_state(r, agent);
   r.expect_done();
 }
 

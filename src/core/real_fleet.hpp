@@ -107,36 +107,37 @@ class RealFleet {
     double wire_compression = 0.0;
     int64_t dcor_count = 0;
     int64_t split_early_buckets = 0;
+    /// A pair's fast half: the fast agent's per-batch losses, which the
+    /// merge adds onto the pair's loss_sum in batch order (the float fold
+    /// of one pair task).
+    std::vector<float> fast_losses;
   };
 
-  /// One agent's exported round state in transit between workers.
-  using AgentBlob = std::pair<int64_t, std::vector<uint8_t>>;
-
-  /// The cross-worker round barrier's payload. A worker fills `state_out`
-  /// with one blob per agent it trained: the agent's training state
-  /// (momentum, batcher position), plus its weights when another worker
-  /// owns it (an offload pair borrows the fast agent's replica onto the
-  /// slow agent's owner). The exchange returns the blobs the *other*
-  /// workers produced in `state_in` (a worker already holds its own) plus
-  /// `died` — the agents of workers that crashed mid-training, which the
-  /// step kills before forming the aggregation collective.
+  /// The cross-worker round barrier's payload. Every half of a task trains
+  /// on the owner of the agent it trains, so no agent state crosses
+  /// workers: only results do. The exchange returns the merged results
+  /// plus `died` — the agents of workers that crashed mid-training, which
+  /// the step kills before forming the aggregation collective.
   struct ExchangeIO {
-    /// Task -> primary agent id: the solo agent, or a pair's slow agent.
-    /// The owner of the primary runs the task.
-    const std::vector<int64_t>* task_agent = nullptr;
-    /// In: this worker's results for owned tasks. Out: results merged
-    /// across all workers, every surviving worker's slot filled.
+    /// Result slot -> the agent whose owner fills it. Slot t < tasks is
+    /// task t, keyed by its primary agent (the solo agent, or a pair's
+    /// slow agent, whose owner runs the split half); slot tasks + p is
+    /// pair p's fast half, keyed by the fast agent.
+    const std::vector<int64_t>* slot_agent = nullptr;
+    /// In: this worker's results for the slots it fills. Out: results
+    /// merged across all workers, every surviving worker's slots filled.
     std::vector<TaskResult>* results = nullptr;
-    std::vector<AgentBlob> state_out;  ///< agents trained here
-    std::vector<AgentBlob> state_in;   ///< agents other workers trained
-    std::vector<int64_t> died;         ///< agents of crashed workers
+    std::vector<int64_t> died;  ///< agents of crashed workers
   };
 
   /// Multi-process execution: this process is shard `shard` of `shards`,
   /// hosting the agents whose owner[] entry names it. Every worker runs
   /// the same deterministic fleet (same seeds -> identical replicas) but
-  /// trains only the tasks whose primary agent it owns; `exchange` merges
-  /// TaskResults and trained agents' state across workers. Aggregation is
+  /// trains only its own agents: a pair's split half runs on the slow
+  /// agent's owner and the fast agent's own training on the fast agent's
+  /// owner (one task when both are owned here). `exchange` merges the
+  /// TaskResults across workers; agents' momentum and batchers never
+  /// leave their owner. Aggregation is
   /// the ordinary RoundPipeline in mesh mode: every bucket collective runs
   /// over `transport` (endpoints == agents) with this worker's owned rows,
   /// the same schedules and arithmetic as the in-process buckets, so the
@@ -300,9 +301,9 @@ class RealFleet {
   std::optional<DistContext> dist_;
 
   [[nodiscard]] std::vector<AgentInfo> build_infos() const;
-  /// Draws from the agent's own batcher; `rng` drives any privacy
-  /// transform so concurrent tasks never share a generator.
-  [[nodiscard]] data::Batch next_batch(int64_t agent, tensor::Rng& rng);
+  /// Draws from the agent's own batcher; its rng also drives any privacy
+  /// transform, so the draws stay with the agent wherever it trains.
+  [[nodiscard]] data::Batch next_batch(int64_t agent);
   /// Mid-round death: mark the agent dead and drop its pending bucket
   /// contributions. Safe from the agent's own training task.
   void kill_agent(int64_t agent);
@@ -319,13 +320,6 @@ class RealFleet {
   /// all write this.
   void write_agent(tensor::ByteWriter& w, int64_t agent);
   void read_agent(tensor::ByteReader& r, int64_t agent);
-  void write_training_state(tensor::ByteWriter& w, int64_t agent);
-  void read_training_state(tensor::ByteReader& r, int64_t agent);
-  /// The exchange blob of an agent trained this round: u8 has-weights,
-  /// [weights], training state.
-  [[nodiscard]] std::vector<uint8_t> export_trained(int64_t agent,
-                                                    bool weights);
-  void import_trained(int64_t agent, const std::vector<uint8_t>& bytes);
 };
 
 }  // namespace comdml::core

@@ -389,21 +389,15 @@ class Coordinator {
           append(died_mid, mark_worker_dead(i));
     }
 
-    // Gather owned task results, merge, and send each worker the full
-    // vector plus the blobs of the agents the *other* workers trained (a
-    // worker already holds what it trained). This doubles as the round
-    // barrier: every worker sits inside its exchange() until the merged
-    // vector lands. A worker that dies here (crash mid-training) loses
-    // its task slots — its agents ride the died list so the survivors
-    // kill them before forming the aggregation collective.
-    int64_t n_tasks = -1;
+    // Gather the result slots each worker filled, merge, and send every
+    // worker the full vector (no agent state: every agent trained on its
+    // owner). This doubles as the round barrier: every worker sits inside
+    // its exchange() until the merged vector lands. A worker that dies
+    // here (crash mid-training) loses its slots — its agents ride the died
+    // list so the survivors kill them before forming the aggregation
+    // collective.
+    int64_t n_slots = -1;
     std::vector<core::RealFleet::TaskResult> merged;
-    struct Blob {
-      int64_t from = 0;  ///< the worker that trained the agent
-      int64_t agent = 0;
-      std::string bytes;
-    };
-    std::vector<Blob> blobs;
     for (const int64_t i : live_worker_ids()) {
       try {
         const comm::WireFrame frame = expect_msg(
@@ -411,24 +405,19 @@ class Coordinator {
             "worker");
         tensor::ByteReader r(frame.body);
         const int64_t n = r.i64();
-        if (n_tasks < 0) {
-          n_tasks = n;
+        if (n_slots < 0) {
+          n_slots = n;
           merged.resize(static_cast<size_t>(n));
         }
-        COMDML_REQUIRE(n == n_tasks,
-                       "workers disagree on the round's task count ("
-                           << n << " vs " << n_tasks << ")");
+        COMDML_REQUIRE(n == n_slots,
+                       "workers disagree on the round's slot count ("
+                           << n << " vs " << n_slots << ")");
         const uint32_t count = r.u32();
         for (uint32_t t = 0; t < count; ++t) {
-          const int64_t task = r.i64();
-          COMDML_REQUIRE(task >= 0 && task < n_tasks,
-                         "task index " << task << " out of range");
-          merged[static_cast<size_t>(task)] = read_task_result(r);
-        }
-        const uint32_t nblobs = r.u32();
-        for (uint32_t b = 0; b < nblobs; ++b) {
-          const int64_t agent = r.i64();
-          blobs.push_back(Blob{i, agent, r.str()});
+          const int64_t slot = r.i64();
+          COMDML_REQUIRE(slot >= 0 && slot < n_slots,
+                         "slot index " << slot << " out of range");
+          merged[static_cast<size_t>(slot)] = read_task_result(r);
         }
         r.expect_done();
       } catch (const std::exception& e) {
@@ -437,27 +426,18 @@ class Coordinator {
         append(died_mid, mark_worker_dead(i));
       }
     }
-    COMDML_REQUIRE(n_tasks >= 0,
+    COMDML_REQUIRE(n_slots >= 0,
                    "every worker died before reporting task results");
     std::sort(died_mid.begin(), died_mid.end());
-    for (const int64_t i : live_worker_ids()) {
-      tensor::ByteWriter w;
-      w.u32(static_cast<uint32_t>(merged.size()));
-      for (const core::RealFleet::TaskResult& t : merged)
-        write_task_result(w, t);
-      uint32_t theirs = 0;
-      for (const Blob& b : blobs) theirs += b.from != i ? 1 : 0;
-      w.u32(theirs);
-      for (const Blob& b : blobs) {
-        if (b.from == i) continue;
-        w.i64(b.agent);
-        w.str(b.bytes);
-      }
-      w.i64s(died_mid);
+    tensor::ByteWriter merged_msg;
+    merged_msg.u32(static_cast<uint32_t>(merged.size()));
+    for (const core::RealFleet::TaskResult& t : merged)
+      write_task_result(merged_msg, t);
+    merged_msg.i64s(died_mid);
+    for (const int64_t i : live_worker_ids())
       if (!send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kMergedResults,
-                    w.bytes()))
+                    merged_msg.bytes()))
         (void)mark_worker_dead(i);  // the sync barrier drops its agents
-    }
 
     // Crash barrier: after every collective attempt the workers report
     // (ok, live view); the coordinator arbitrates. Agreement = every
@@ -960,27 +940,18 @@ int run_worker(const WorkerOptions& options) {
     ctx.owner = owner;
     ctx.transport = mesh.get();
     ctx.exchange = [&](core::RealFleet::ExchangeIO& io) {
-      const std::vector<int64_t>& task_agent = *io.task_agent;
+      const std::vector<int64_t>& slot_agent = *io.slot_agent;
       std::vector<core::RealFleet::TaskResult>& results = *io.results;
+      std::vector<int64_t> filled;
+      for (size_t t = 0; t < slot_agent.size(); ++t)
+        if (owner[static_cast<size_t>(slot_agent[t])] == options.index)
+          filled.push_back(static_cast<int64_t>(t));
       tensor::ByteWriter w;
       w.i64(static_cast<int64_t>(results.size()));
-      uint32_t count = 0;
-      for (const int64_t agent : task_agent)
-        if (agent >= 0 &&
-            owner[static_cast<size_t>(agent)] == options.index)
-          ++count;
-      w.u32(count);
-      for (size_t t = 0; t < task_agent.size(); ++t) {
-        const int64_t agent = task_agent[t];
-        if (agent < 0 || owner[static_cast<size_t>(agent)] != options.index)
-          continue;
-        w.i64(static_cast<int64_t>(t));
-        write_task_result(w, results[t]);
-      }
-      w.u32(static_cast<uint32_t>(io.state_out.size()));
-      for (const auto& [agent, blob] : io.state_out) {
-        w.i64(agent);
-        w.str(blob_to_str(blob));
+      w.u32(static_cast<uint32_t>(filled.size()));
+      for (const int64_t t : filled) {
+        w.i64(t);
+        write_task_result(w, results[static_cast<size_t>(t)]);
       }
       COMDML_REQUIRE(send_msg(fd, Msg::kTaskResults, w.bytes()),
                      "coordinator is gone");
@@ -989,15 +960,9 @@ int run_worker(const WorkerOptions& options) {
       tensor::ByteReader r(merged.body);
       const uint32_t n = r.u32();
       COMDML_REQUIRE(n == results.size(),
-                     "merged results cover " << n << " tasks, expected "
+                     "merged results cover " << n << " slots, expected "
                                              << results.size());
       for (uint32_t t = 0; t < n; ++t) results[t] = read_task_result(r);
-      const uint32_t nblobs = r.u32();
-      io.state_in.clear();
-      for (uint32_t b = 0; b < nblobs; ++b) {
-        const int64_t agent = r.i64();
-        io.state_in.emplace_back(agent, str_to_blob(r.str()));
-      }
       io.died = r.i64s();
       r.expect_done();
       if (crash.fires(rf->round(), "collective"))

@@ -6,14 +6,11 @@
 // rounds on behalf of connected clients. Each worker builds the full
 // deterministic fleet from the spec (identical replicas everywhere),
 // connects a comm::SocketTransport data mesh to its sibling workers, and
-// trains only the tasks whose primary agent it owns; task results and the
-// state of every trained agent flow through the coordinator (gather ->
-// merge -> each worker receives what the other workers sent) and the
-// aggregation collective runs rank-partitioned over the socket mesh. An
-// agent's state travels as binary blobs: the training state (momentum,
-// batcher with its 2,504-byte binary rng state) of every agent a worker
-// trained, plus the weights of a borrowed replica (protocol.hpp has the
-// layout). The result is bit-identical to the same fleet stepped in a
+// trains only its own agents: a pair's split half on the slow agent's
+// worker, the fast agent's own training on the fast agent's. Task results
+// flow through the coordinator (gather -> merge -> broadcast); no agent
+// state does. The aggregation collective runs rank-partitioned over the
+// socket mesh. The result is bit-identical to the same fleet stepped in a
 // single process — the socket_test asserts final weights byte-for-byte.
 //
 //   fleetd --listen unix:/tmp/fleet.sock --workers 2 --agents 4   # coord

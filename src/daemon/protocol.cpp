@@ -141,6 +141,7 @@ void write_task_result(tensor::ByteWriter& w,
   w.f64(t.wire_compression);
   w.i64(t.dcor_count);
   w.i64(t.split_early_buckets);
+  w.f32s(t.fast_losses);
 }
 
 core::RealFleet::TaskResult read_task_result(tensor::ByteReader& r) {
@@ -152,6 +153,7 @@ core::RealFleet::TaskResult read_task_result(tensor::ByteReader& r) {
   t.wire_compression = r.f64();
   t.dcor_count = r.i64();
   t.split_early_buckets = r.i64();
+  t.fast_losses = r.f32s();
   return t;
 }
 

@@ -13,10 +13,9 @@
 //   (coord polls the idle workers' control sockets: an exited worker's
 //    agents leave every survivor via kAgentsDied before the round starts)
 //   coord   -> workers kRound            (all workers, round index)
-//   workers -> coord   kTaskResults      (owned task slots + one blob per
-//                                         agent the worker trained)
-//   coord   -> workers kMergedResults    (every slot filled, the blobs the
-//                                         *other* workers sent, agents of
+//   workers -> coord   kTaskResults      (the result slots of the halves
+//                                         the worker trained)
+//   coord   -> workers kMergedResults    (every slot filled, agents of
 //                                         workers that crashed mid-training)
 //   workers -> coord   kCollectiveSync   (post-collective live view; loops
 //                                         with kCollectiveAgree until every
@@ -24,13 +23,12 @@
 //   coord   -> workers kCollectiveAgree  (agreed live set [+ remesh info])
 //   workers -> coord   kRoundDone        (RoundReport + transport snapshot)
 //   coord   -> client  kRoundReport      (merged stats folded in)
-// An agent blob (RealFleet's exchange blob) is [u8 has-weights][weights]
-// [velocity][batcher order, cursor, epoch, rng state]: the training state
-// travels for every agent a worker trained, so whichever worker trains the
-// agent next starts where it stopped; the weights travel only for a
-// borrowed replica (the slow agent's worker trained its fast helper), so
-// its owner posts it into the collective. The rng state is the binary
-// tensor::Rng::state() (2,504 bytes).
+// No agent state rides the round exchange: every half of a task trains on
+// the owner of the agent it trains (a pair's split half on the slow
+// agent's worker, the fast agent's own training on the fast agent's), so
+// weights, momentum and batcher never leave their owner. A pair's fast
+// half fills its own slot with the fast agent's per-batch losses
+// (TaskResult::fast_losses).
 // The kTaskResults/kMergedResults exchange doubles as the round barrier:
 // no worker reaches the aggregation collective until every worker has
 // finished training, so data-mesh resets can never race inbound frames.
@@ -61,10 +59,9 @@ enum class Msg : uint16_t {
   kStart,            ///< coord -> worker: spec, workers, owner map, mesh addrs
   kReady,            ///< worker -> coord: data mesh connected
   kRound,            ///< coord -> worker: i64 round index
-  kTaskResults,      ///< worker -> coord: owned (task, TaskResult) slots
-                     ///< + agent blobs
+  kTaskResults,      ///< worker -> coord: filled (slot, TaskResult) pairs
   kMergedResults,    ///< coord -> worker: the full TaskResult vector
-                     ///< + other workers' blobs + died agents
+                     ///< + died agents
   kRoundDone,        ///< worker -> coord: RoundReport + TransportStats
   kStatsReq,         ///< coord -> worker: (empty)
   kStatsResp,        ///< worker -> coord: TransportStats snapshot

@@ -28,6 +28,10 @@ class Batcher {
 
   [[nodiscard]] int64_t epoch() const noexcept { return epoch_; }
 
+  /// The shuffling rng. Per-batch draws of the batcher's owner (a privacy
+  /// transform) take it too, so they ride the same saved state.
+  [[nodiscard]] tensor::Rng& rng() noexcept { return rng_; }
+
   /// Durable iteration state: shuffle order, position, epoch, and the
   /// shuffling rng. Restoring it resumes the exact batch sequence.
   struct State {

@@ -134,6 +134,12 @@ void ByteWriter::i64s(const std::vector<int64_t>& v) {
   buf_.insert(buf_.end(), p, p + v.size() * sizeof(int64_t));
 }
 
+void ByteWriter::f32s(const std::vector<float>& v) {
+  u32(static_cast<uint32_t>(v.size()));
+  const auto* p = reinterpret_cast<const uint8_t*>(v.data());
+  buf_.insert(buf_.end(), p, p + v.size() * sizeof(float));
+}
+
 void ByteWriter::f64s(const std::vector<double>& v) {
   u32(static_cast<uint32_t>(v.size()));
   const auto* p = reinterpret_cast<const uint8_t*>(v.data());
@@ -166,6 +172,10 @@ std::string ByteReader::str() {
 
 std::vector<int64_t> ByteReader::i64s() {
   return read_array<int64_t>(*bytes_, offset_);
+}
+
+std::vector<float> ByteReader::f32s() {
+  return read_array<float>(*bytes_, offset_);
 }
 
 std::vector<double> ByteReader::f64s() {

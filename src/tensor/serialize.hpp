@@ -54,6 +54,7 @@ class ByteWriter {
   void str(const std::string& s);
   /// u32 count + payload.
   void i64s(const std::vector<int64_t>& v);
+  void f32s(const std::vector<float>& v);
   void f64s(const std::vector<double>& v);
   /// pack_tensors framing (u32 count + per-tensor wire format).
   void tensors(const std::vector<Tensor>& ts);
@@ -85,6 +86,7 @@ class ByteReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<int64_t> i64s();
+  [[nodiscard]] std::vector<float> f32s();
   [[nodiscard]] std::vector<double> f64s();
   [[nodiscard]] std::vector<Tensor> tensors();
 

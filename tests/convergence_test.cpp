@@ -3,6 +3,7 @@
 // side's convergence is tied to the slow side's (constants C1/C2).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "analysis/convergence.hpp"

@@ -3,6 +3,8 @@
 // the batch-level pair execution model.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/execution.hpp"
 #include "core/optimizer_exact.hpp"
 #include "core/trainer.hpp"

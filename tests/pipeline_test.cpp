@@ -1122,46 +1122,62 @@ TEST(FlatRoundModes, SingleShardOwnedRowsMatchThePipelineBitwise) {
 }
 
 /// In-process stand-in for the fleetd coordinator's round barrier: every
-/// shard deposits its owned task results and the blobs of the agents it
-/// trained, and once all shards arrived for the round each one reads the
-/// merged results and the blobs the other shards produced.
+/// shard deposits the result slots it filled, and once all shards arrived
+/// for the round each one reads the merged results. Given the round's pair
+/// count (slots [0, pairs) are pairs keyed by the slow agent, the last
+/// `pairs` slots their fast halves), it counts from the owner map the fast
+/// halves that trained on another shard than their split half.
 class ExchangeHub {
  public:
-  ExchangeHub(int64_t shards, std::vector<int64_t> owner)
-      : shards_(shards), owner_(std::move(owner)) {}
+  ExchangeHub(int64_t shards, std::vector<int64_t> owner,
+              std::vector<int64_t> pairs_per_round)
+      : shards_(shards),
+        owner_(std::move(owner)),
+        pairs_per_round_(std::move(pairs_per_round)) {}
 
   void exchange(int64_t shard, int64_t round, RealFleet::ExchangeIO& io) {
     std::unique_lock<std::mutex> lk(mu_);
+    const std::vector<int64_t>& slot_agent = *io.slot_agent;
     Slot& slot = slots_[round];
+    if (slot.arrived == 0) {
+      const auto pairs = static_cast<size_t>(
+          pairs_per_round_.at(static_cast<size_t>(round)));
+      const size_t fast0 = slot_agent.size() - pairs;
+      for (size_t p = 0; p < pairs; ++p)
+        if (owner_[static_cast<size_t>(slot_agent[p])] !=
+            owner_[static_cast<size_t>(slot_agent[fast0 + p])])
+          ++apart_halves_;
+    }
     slot.results.resize(io.results->size());
-    for (size_t t = 0; t < io.task_agent->size(); ++t)
-      if (owner_[static_cast<size_t>((*io.task_agent)[t])] == shard)
+    for (size_t t = 0; t < slot_agent.size(); ++t)
+      if (owner_[static_cast<size_t>(slot_agent[t])] == shard)
         slot.results[t] = (*io.results)[t];
-    for (const RealFleet::AgentBlob& blob : io.state_out)
-      slot.blobs.emplace_back(shard, blob);
     ++slot.arrived;
     cv_.notify_all();
     if (!cv_.wait_for(lk, std::chrono::seconds(60),
                       [&] { return slot.arrived == shards_; }))
       throw std::runtime_error("exchange barrier timed out");
     *io.results = slot.results;
-    io.state_in.clear();
-    for (const auto& [from, blob] : slot.blobs)
-      if (from != shard) io.state_in.push_back(blob);
     io.died.clear();
+  }
+
+  [[nodiscard]] int64_t apart_halves() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return apart_halves_;
   }
 
  private:
   struct Slot {
     std::vector<RealFleet::TaskResult> results;
-    std::vector<std::pair<int64_t, RealFleet::AgentBlob>> blobs;
     int64_t arrived = 0;
   };
   int64_t shards_;
   std::vector<int64_t> owner_;
+  std::vector<int64_t> pairs_per_round_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::map<int64_t, Slot> slots_;
+  int64_t apart_halves_ = 0;
 };
 
 Topology mesh_of(const std::vector<double>& cpus) {
@@ -1170,21 +1186,42 @@ Topology mesh_of(const std::vector<double>& cpus) {
   return Topology::full_mesh(profiles);
 }
 
+using FleetMaker = std::function<std::unique_ptr<RealFleet>(
+    const FleetOptions&, const Topology&)>;
+
+std::unique_ptr<RealFleet> blob_fleet(const FleetOptions& opt,
+                                      const Topology& topology) {
+  return std::make_unique<RealFleet>(
+      mlp_factory(6, 3), 3, blob_shards(topology.agents(), 30, 3, 6, 55),
+      topology, opt);
+}
+
+std::unique_ptr<RealFleet> image_fleet(const FleetOptions& opt,
+                                       const Topology& topology) {
+  const int64_t k = topology.agents();
+  Rng rng(21);
+  const auto ds = data::make_synthetic_images(16 * k, 3, {3, 8, 8}, 0.3f, rng);
+  std::vector<data::Dataset> shards;
+  for (const auto& idx : data::iid_partition(ds.size(), k, rng))
+    shards.push_back(ds.subset(idx));
+  return std::make_unique<RealFleet>(
+      [](Rng& r) { return nn::small_cnn(3, 3, r); }, 3, std::move(shards),
+      topology, opt);
+}
+
 /// Two shards of one fleet (owner a % 2), each on its own thread with its
 /// own end of a socket mesh (a two-worker fleetd fleet without the daemon),
 /// aggregate through the pipeline in mesh mode. Three rounds of each
-/// shard must reproduce the single-process rounds bit for bit.
-void expect_two_shards_match_the_pipeline(const FleetOptions& opt,
-                                          const Topology& topology) {
+/// shard must reproduce the single-process rounds bit for bit. Returns
+/// how many fast halves trained on another shard than their split half.
+int64_t expect_two_shards_match_the_pipeline(
+    const FleetOptions& opt, const Topology& topology,
+    const FleetMaker& make_fleet = blob_fleet) {
   static int run = 0;
   const int64_t k = topology.agents();
   std::vector<int64_t> owner;
   for (int64_t a = 0; a < k; ++a) owner.push_back(a % 2);
-  const auto make = [&] {
-    return std::make_unique<RealFleet>(mlp_factory(6, 3), 3,
-                                       blob_shards(k, 30, 3, 6, 55),
-                                       topology, opt);
-  };
+  const auto make = [&] { return make_fleet(opt, topology); };
   auto reference = make();
   const ThreeRounds want = run_three_rounds(*reference);
 
@@ -1194,7 +1231,10 @@ void expect_two_shards_match_the_pipeline(const FleetOptions& opt,
                     "_" + std::to_string(run) + "_" + std::to_string(p) +
                     ".sock");
   ++run;
-  ExchangeHub hub(2, owner);
+  std::vector<int64_t> pairs_per_round;
+  for (const RealFleet::RoundStats& r : want.rounds)
+    pairs_per_round.push_back(r.num_pairs);
+  ExchangeHub hub(2, owner, pairs_per_round);
   std::vector<std::unique_ptr<RealFleet>> shards;
   std::vector<std::unique_ptr<comm::SocketTransport>> meshes;
   for (int64_t s = 0; s < 2; ++s) {
@@ -1251,6 +1291,7 @@ void expect_two_shards_match_the_pipeline(const FleetOptions& opt,
   }
   EXPECT_GE(want.rounds[0].num_pairs, 1);
   EXPECT_EQ(want.rounds[0].buckets > 1, opt.comms.bucket_bytes > 0);
+  return hub.apart_halves();
 }
 
 FleetOptions two_shard_options(int64_t bucket_bytes,
@@ -1300,6 +1341,23 @@ TEST(FlatRoundModes, TwoShardSlowSideLaterLentKeepsItsState) {
     expect_two_shards_match_the_pipeline(
         two_shard_options(bucket_bytes, {2, 3}),
         mesh_of({0.5, 0.1, 4.0, 4.0}));
+  }
+}
+
+TEST(FlatRoundModes, TwoShardPatchShuffleMatchesThePipelineBitwise) {
+  // Patch-shuffle draws come from each agent's own batcher, so a pair
+  // whose fast agent trains on the other shard than its split half
+  // shuffles the same patches as the single-process pair task.
+  for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}}) {
+    SCOPED_TRACE("bucket_bytes " + std::to_string(bucket_bytes));
+    FleetOptions opt = two_shard_options(bucket_bytes, {});
+    opt.privacy.technique = learncurve::PrivacyTechnique::kPatchShuffle;
+    opt.privacy.shuffle_patch = 2;
+    opt.train.batch_size = 8;
+    opt.train.batches_per_round = 2;
+    EXPECT_GT(
+        expect_two_shards_match_the_pipeline(opt, hetero_mesh(4), image_fleet),
+        0);
   }
 }
 

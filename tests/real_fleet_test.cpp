@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "baselines/real_baselines.hpp"
 #include "core/fleet_runtime.hpp"
@@ -11,6 +12,8 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/arch_specs.hpp"
+#include "nn/resnet.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::core {
@@ -142,6 +145,56 @@ TEST(RealFleet, PatchShufflePathRunsOnImages) {
                   Topology::full_mesh(profiles), opt);
   const auto stats = fleet.step();
   EXPECT_GE(stats.mean_loss, 0.0f);
+}
+
+/// FNV-1a over the bytes of `n` values, continuing from `h`.
+template <typename T>
+uint64_t fnv1a(uint64_t h, const T* p, size_t n) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  for (size_t i = 0; i < n * sizeof(T); ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(RealFleet, PairedCnnRoundsMatchParentDigest) {
+  // Three rounds of a 4-agent tiny-ResNet fleet whose compute scales
+  // {4, 0.25, 2, 0.5} form offload pairs (split half plus the fast agent's
+  // own training in one task) must reproduce, bit for bit, every agent's
+  // weights and BN statistics and each round's mean_loss and
+  // mean_slow_loss as recorded before a pair's two halves could run on
+  // different shards. Like ResNetStep.WeightsMatchParentDigest the digest
+  // depends only on the host's kernel family, never on the thread count.
+  RealFleet::Options opt;
+  opt.seed = 31;
+  opt.train.batch_size = 8;
+  opt.train.batches_per_round = 2;
+  Rng rng(12);
+  const auto ds = data::make_synthetic_images(96, 3, {3, 8, 8}, 0.3f, rng);
+  const auto parts = data::iid_partition(ds.size(), 4, rng);
+  std::vector<data::Dataset> shards;
+  for (const auto& idx : parts) shards.push_back(ds.subset(idx));
+  std::vector<ResourceProfile> profiles;
+  for (const double cpu : {4.0, 0.25, 2.0, 0.5})
+    profiles.push_back({cpu, 100.0});
+  const ModelFactory factory = [](Rng& r) { return nn::tiny_resnet(3, r); };
+  RealFleet fleet(factory, 3, std::move(shards),
+                  Topology::full_mesh(profiles), opt);
+  uint64_t h = 14695981039346656037ull;
+  for (int r = 0; r < 3; ++r) {
+    const RealFleet::RoundStats st = fleet.step();
+    ASSERT_GE(st.num_pairs, 1) << "round " << r;
+    h = fnv1a(h, &st.mean_loss, 1);
+    h = fnv1a(h, &st.mean_slow_loss, 1);
+  }
+  for (int64_t a = 0; a < fleet.agents(); ++a)
+    for (const tensor::Tensor& t : nn::state_of(fleet.model(a)))
+      h = fnv1a(h, t.flat().data(), t.flat().size());
+  const std::string kernel = tensor::gemm_kernel_name();
+  const uint64_t want =
+      kernel == "scalar" ? 0x94a2b289141b4556ull : 0x3683b870f6668429ull;
+  EXPECT_EQ(h, want) << "kernel " << kernel << " digest 0x" << std::hex << h;
 }
 
 TEST(RealFleet, PlateauScheduleDecaysLearningRate) {

@@ -9,6 +9,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -502,6 +503,41 @@ TEST(DaemonProtocol, OwnerMapIsRoundRobinAndTotal) {
   const auto owner = owner_map(5, 2);
   EXPECT_EQ(owner, (std::vector<int64_t>{0, 1, 0, 1, 0}));
   EXPECT_THROW((void)owner_map(1, 2), std::invalid_argument);
+}
+
+TEST(DaemonProtocol, TaskResultRoundTripsAndRefusesAForgedLossCount) {
+  core::RealFleet::TaskResult t;
+  t.loss_sum = 1.5f;
+  t.loss_count = 2;
+  t.fast_losses = {0.75f, 0.5f};
+  // A kTaskResults body: slot count, filled slots, one (slot, result).
+  tensor::ByteWriter w;
+  w.i64(4);
+  w.u32(1);
+  w.i64(2);
+  write_task_result(w, t);
+  {
+    tensor::ByteReader r(w.bytes());
+    (void)r.i64();
+    (void)r.u32();
+    (void)r.i64();
+    const core::RealFleet::TaskResult t2 = read_task_result(r);
+    r.expect_done();
+    EXPECT_EQ(t2.loss_sum, 1.5f);
+    EXPECT_EQ(t2.loss_count, 2);
+    EXPECT_EQ(t2.fast_losses, t.fast_losses);
+  }
+  // The fast_losses count is the u32 before the body's last two floats:
+  // claiming 2^32-1 of them must throw, not size a 16 GB vector.
+  std::vector<uint8_t> forged = w.bytes();
+  const size_t count_at = forged.size() - 2 * sizeof(float) - sizeof(uint32_t);
+  const uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(forged.data() + count_at, &huge, sizeof(huge));
+  tensor::ByteReader r(forged);
+  (void)r.i64();
+  (void)r.u32();
+  (void)r.i64();
+  EXPECT_THROW((void)read_task_result(r), std::invalid_argument);
 }
 
 TEST(DaemonProtocol, SpecAndReportRoundTrip) {
