@@ -17,9 +17,11 @@
 // daemon — the same round table, driven over the wire:
 //
 //   ./examples/fleet_cli --connect unix:/tmp/fleet.sock --rounds 3 --shutdown
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,9 +89,18 @@ struct Args {
   bool shutdown = false;     ///< client mode: stop the daemon afterwards
 };
 
-bool parse(int argc, char** argv, Args& args) {
+/// Throws std::invalid_argument, naming the flag, for a malformed or
+/// out-of-range numeric value (parse() reports it).
+bool parse_flags(int argc, char** argv, Args& args) {
+  constexpr double kMax = std::numeric_limits<double>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    const auto count = [&](const char* v, int64_t lo) {
+      return core::parse_flag_value<int64_t>(flag, v, lo, INT64_MAX);
+    };
+    const auto real = [&](const char* v, double lo, double hi) {
+      return core::parse_flag_value<double>(flag, v, lo, hi);
+    };
     auto need_value = [&](const char* name) -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", name);
@@ -101,15 +112,15 @@ bool parse(int argc, char** argv, Args& args) {
     if (flag == "--method" && (v = need_value("--method"))) args.method = v;
     else if (flag == "--dataset" && (v = need_value("--dataset"))) args.dataset = v;
     else if (flag == "--partition" && (v = need_value("--partition"))) args.partition = v;
-    else if (flag == "--agents" && (v = need_value("--agents"))) args.agents = std::stoll(v);
-    else if (flag == "--rounds" && (v = need_value("--rounds"))) args.rounds = std::stoll(v);
-    else if (flag == "--participation" && (v = need_value("--participation"))) args.participation = std::stod(v);
-    else if (flag == "--topology" && (v = need_value("--topology"))) args.topology = std::stod(v);
-    else if (flag == "--target" && (v = need_value("--target"))) args.target = std::stod(v);
-    else if (flag == "--dropout" && (v = need_value("--dropout"))) args.dropout = std::stod(v);
-    else if (flag == "--seed" && (v = need_value("--seed"))) args.seed = std::stoull(v);
+    else if (flag == "--agents" && (v = need_value("--agents"))) args.agents = count(v, 1);
+    else if (flag == "--rounds" && (v = need_value("--rounds"))) args.rounds = count(v, 0);
+    else if (flag == "--participation" && (v = need_value("--participation"))) args.participation = real(v, 0.0, 1.0);
+    else if (flag == "--topology" && (v = need_value("--topology"))) args.topology = real(v, 0.0, 1.0);
+    else if (flag == "--target" && (v = need_value("--target"))) args.target = real(v, 0.0, 1.0);
+    else if (flag == "--dropout" && (v = need_value("--dropout"))) args.dropout = real(v, 0.0, 1.0);
+    else if (flag == "--seed" && (v = need_value("--seed"))) args.seed = core::parse_flag_value<uint64_t>(flag, v, 0, UINT64_MAX);
     else if (flag == "--real") { args.real = true; continue; }
-    else if (flag == "--bucket-bytes" && (v = need_value("--bucket-bytes"))) args.bucket_bytes = std::stoll(v);
+    else if (flag == "--bucket-bytes" && (v = need_value("--bucket-bytes"))) args.bucket_bytes = count(v, 0);
     else if (flag == "--overlap") { args.overlap = true; continue; }
     else if (flag == "--codec" && (v = need_value("--codec"))) {
       args.codec = v;
@@ -131,16 +142,16 @@ bool parse(int argc, char** argv, Args& args) {
       }
       args.fail_agents.push_back(v);
     }
-    else if (flag == "--drop-prob" && (v = need_value("--drop-prob"))) args.drop_prob = std::stod(v);
-    else if (flag == "--deadline-ms" && (v = need_value("--deadline-ms"))) args.deadline_ms = std::stod(v);
-    else if (flag == "--checkpoint-every" && (v = need_value("--checkpoint-every"))) args.checkpoint_every = std::stoll(v);
+    else if (flag == "--drop-prob" && (v = need_value("--drop-prob"))) args.drop_prob = real(v, 0.0, 1.0);
+    else if (flag == "--deadline-ms" && (v = need_value("--deadline-ms"))) args.deadline_ms = real(v, 0.0, kMax);
+    else if (flag == "--checkpoint-every" && (v = need_value("--checkpoint-every"))) args.checkpoint_every = count(v, 0);
     else if (flag == "--checkpoint-dir" && (v = need_value("--checkpoint-dir"))) args.checkpoint_dir = v;
     else if (flag == "--checkpoint" && (v = need_value("--checkpoint"))) args.checkpoint_path = v;
     else if (flag == "--restore" && (v = need_value("--restore"))) args.restore_path = v;
     else if (flag == "--restore-shard" && (v = need_value("--restore-shard"))) args.restore_shards.push_back(v);
     else if (flag == "--shard-checkpoint" && (v = need_value("--shard-checkpoint"))) args.shard_dir = v;
     else if (flag == "--connect" && (v = need_value("--connect"))) args.connect = v;
-    else if (flag == "--connect-timeout-sec" && (v = need_value("--connect-timeout-sec"))) args.connect_timeout_sec = std::stod(v);
+    else if (flag == "--connect-timeout-sec" && (v = need_value("--connect-timeout-sec"))) args.connect_timeout_sec = real(v, 0.0, kMax);
     else if (flag == "--uniform") { args.uniform = true; continue; }
     else if (flag == "--scale" && (v = need_value("--scale"))) args.scale_csv = v;
     else if (flag == "--weights-out" && (v = need_value("--weights-out"))) args.weights_out = v;
@@ -155,8 +166,9 @@ bool parse(int argc, char** argv, Args& args) {
           "  [--target ACC] [--dropout P] [--seed N] [--real]\n"
           "  (--participation and --dropout: simulation only; --dropout:\n"
           "   comdml only)\n"
-          "  Only --real comdml|allreduce take these (without --uniform or\n"
-          "  --connect; everything else refuses them):\n"
+          "  Only --real takes these (without --uniform or --connect;\n"
+          "  everything else refuses them, and a --real method refuses,\n"
+          "  before round 0, a setting it cannot run):\n"
           "  [--bucket-bytes N] [--overlap]   (bucketed / overlapped\n"
           "   aggregation through the round pipeline; 0 = one whole-state\n"
           "   bucket)\n"
@@ -207,18 +219,17 @@ bool parse(int argc, char** argv, Args& args) {
                  "fleet; the --real fleets train every agent every round\n");
     return false;
   }
-  // comdml and allreduce run on the RealFleet engine. The simulated fleet,
-  // the other real baselines, the --uniform fleetd spec fleet and a fleetd
-  // client have no pipeline, fault injection or autonomy settings of their
-  // own, so those flags are refused rather than silently dropped.
-  const bool real_fleet =
-      args.method == "comdml" || args.method == "allreduce";
+  // Every --real method runs on the RealFleet engine, which refuses at
+  // construction what its method cannot run. The simulated fleet, the
+  // --uniform fleetd spec fleet and a fleetd client have no pipeline, fault
+  // injection or autonomy settings of their own, so those flags are
+  // refused here rather than silently dropped.
   const bool durable = !args.checkpoint_path.empty() ||
                        !args.restore_path.empty() ||
                        !args.restore_shards.empty();
-  if (durable && (!(args.real || args.uniform) || !real_fleet)) {
+  if (durable && !(args.real || args.uniform)) {
     std::fprintf(stderr, "error: --checkpoint/--restore/--restore-shard "
-                         "need --real --method comdml|allreduce\n");
+                         "need --real\n");
     return false;
   }
   const std::pair<const char*, bool> real_fleet_only[] = {
@@ -237,19 +248,26 @@ bool parse(int argc, char** argv, Args& args) {
       why = "the fleetd daemon's spec does not carry it";
     else if (!args.real)
       why = "the simulated fleet would run without it";
-    else if (!real_fleet)
-      why = "this real baseline would run without it";
     else if (args.uniform)
       why = "the --uniform fleetd spec fleet would run without it";
     if (why != nullptr) {
       std::fprintf(stderr,
-                   "error: %s needs --real --method comdml|allreduce "
-                   "(without --uniform or --connect); %s\n",
+                   "error: %s needs --real (without --uniform or "
+                   "--connect); %s\n",
                    name, why);
       return false;
     }
   }
   return true;
+}
+
+bool parse(int argc, char** argv, Args& args) {
+  try {
+    return parse_flags(argc, argv, args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
 }
 
 Method parse_method(const std::string& name) {
@@ -342,22 +360,6 @@ bool write_blob(const std::string& path, const std::vector<uint8_t>& bytes) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   return true;
-}
-
-/// Parse "1.0,0.35,1.0" into per-agent compute multipliers.
-std::vector<double> parse_scales(const std::string& csv) {
-  std::vector<double> scales;
-  size_t pos = 0;
-  while (pos <= csv.size()) {
-    const size_t comma = csv.find(',', pos);
-    const std::string item =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (item.empty()) throw std::invalid_argument("empty --scale entry");
-    scales.push_back(std::stod(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return scales;
 }
 
 /// Client mode: drive a running fleetd daemon round by round.
@@ -460,7 +462,8 @@ int main(int argc, char** argv) {
         spec.agents = args.agents;
         spec.seed = args.seed;
         if (!args.scale_csv.empty())
-          spec.compute_scales = parse_scales(args.scale_csv);
+          spec.compute_scales =
+              core::parse_positive_list("--scale", args.scale_csv);
         return daemon::build_spec_fleet(spec, &eval_set);
       }
       return args.real
@@ -557,9 +560,8 @@ int main(int argc, char** argv) {
                              "simulators train no tensors)\n");
         return 1;
       }
-      const int64_t agent =
-          fleet.real_comdml() != nullptr ? fleet.live_agents().front() : 0;
-      const auto blob = tensor::pack_tensors(nn::state_of(fleet.model(agent)));
+      const auto blob = tensor::pack_tensors(
+          nn::state_of(fleet.model(fleet.live_agents().front())));
       if (!write_blob(args.weights_out, blob)) return 1;
       std::printf("weights (%zu bytes) written to %s\n", blob.size(),
                   args.weights_out.c_str());

@@ -448,7 +448,7 @@ class GossipExchange final : public Collective {
     std::optional<Recovery> recovery;
     std::string rng_state;
     if (t.has_endpoint_faults()) {
-      recovery.emplace(t, req, std::vector<int64_t>{});
+      recovery.emplace(t, req, req.participants);
       rng_state = req.rng->state();
     }
     for (;;) {
@@ -468,7 +468,16 @@ class GossipExchange final : public Collective {
   static CollectiveReport run_once(Transport& t, const CollectiveRequest& req,
                                    ReliableChannel* ch) {
     const int64_t k = t.endpoints();
-    const std::vector<int64_t> live = t.live_endpoints();
+    // The selected endpoints still alive; the rest sit the round out.
+    std::vector<int64_t> live;
+    if (req.participants.empty()) {
+      live = t.live_endpoints();
+    } else {
+      for (const int64_t e : req.participants) {
+        COMDML_CHECK(e >= 0 && e < k);
+        if (t.endpoint_alive(e)) live.push_back(e);
+      }
+    }
     std::vector<char> is_live(static_cast<size_t>(k), 0);
     for (const int64_t e : live) is_live[static_cast<size_t>(e)] = 1;
 

@@ -69,7 +69,9 @@ struct CollectiveRequest {
   /// Aggregation weights parallel to `participants` (param-server;
   /// empty = uniform).
   std::vector<double> weights;
-  /// Selected agents (param-server; empty = every agent endpoint).
+  /// Selected agents, ascending (param-server and gossip; empty = every
+  /// agent endpoint). Gossip draws partners among the live selected
+  /// agents only.
   std::vector<int64_t> participants;
   /// Randomness for randomized protocols (gossip partner draw). The draw
   /// sequence is identical with and without buffers, so a timing-only run

@@ -14,8 +14,7 @@ namespace comdml::core {
 /// Layered options for every fleet the repo can run — the one structure
 /// behind core::FleetBuilder, the paper-scale simulators
 /// (core::SimulatedFleet, baselines::BaselineFleet) and the real-execution
-/// fleets (core::RealFleet, baselines::RealBaselineFleet, whose Options
-/// types alias this).
+/// engine (core::RealFleet, whose Options type aliases this).
 ///
 /// Defaults suit the real-execution fleets (small models, short rounds);
 /// `paper_defaults()` switches the training geometry to the paper-scale
@@ -31,7 +30,8 @@ struct FleetOptions {
     /// the timing model still uses full shard sizes).
     int64_t batches_per_round = 4;
     nn::SGD::Options sgd{0.05f, 0.9f, 0.0f};
-    /// FedProx proximal coefficient (used when method == kFedProx).
+    /// FedProx proximal coefficient (used when method == kFedProx): each
+    /// local step pulls the weights toward their round-start values.
     float prox_mu = 0.01f;
     /// Plateau LR schedule (the paper reduces LR by 0.2/0.5 when accuracy
     /// plateaus). 0 disables; otherwise the LR is multiplied by this
@@ -48,6 +48,8 @@ struct FleetOptions {
 
   /// Communication-substrate knobs (transport + collectives).
   struct CommOptions {
+    /// Allreduce of ComDML and AllReduce-DML rounds (the other real
+    /// baselines run their own param-server or gossip collective).
     comm::AllReduceAlgo aggregation = comm::AllReduceAlgo::kHalvingDoubling;
     /// Wire compression applied to intermediate activations. The profiled
     /// cuts sit after ReLU units, whose outputs are ~50 % zeros; 8-bit

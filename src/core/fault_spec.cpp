@@ -1,6 +1,7 @@
 #include "core/fault_spec.hpp"
 
 #include <charconv>
+#include <limits>
 #include <string_view>
 
 namespace comdml::core {
@@ -69,6 +70,19 @@ bool parse_fault_spec(const std::string& spec,
       return fail(error, std::string("unknown mode '") + mode +
                              "' (want b = batches, k = buckets, "
                              "c = collective step)");
+  }
+}
+
+std::vector<double> parse_positive_list(std::string_view flag,
+                                        std::string_view csv) {
+  std::vector<double> out;
+  for (;;) {
+    const size_t comma = csv.find(',');
+    out.push_back(parse_flag_value<double>(
+        flag, csv.substr(0, comma), std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max()));
+    if (comma == std::string_view::npos) return out;
+    csv.remove_prefix(comma + 1);
   }
 }
 

@@ -10,7 +10,7 @@ RoundReport FleetRuntime::step() {
     rep = sim_comdml_->step();
   } else if (sim_baseline_ != nullptr) {
     rep = sim_baseline_->step();
-  } else if (real_fleet_ != nullptr) {
+  } else {
     const auto stats = real_fleet_->step();
     rep.round_seconds = stats.sim_time;
     rep.compute_seconds = stats.compute_seconds;
@@ -27,9 +27,6 @@ RoundReport FleetRuntime::step() {
     rep.dropped_agents = stats.dropped_agents;
     rep.late_agents = stats.late_agents;
     rep.retransmit_bytes = stats.retransmit_bytes;
-  } else {
-    COMDML_CHECK(real_baseline_ != nullptr);
-    rep = real_baseline_->step();
   }
   rep.round = round_++;
   return rep;
@@ -44,21 +41,17 @@ RunReport FleetRuntime::run(int64_t rounds) {
 }
 
 float FleetRuntime::evaluate(const data::Dataset& test) {
-  COMDML_REQUIRE(real(), "evaluate() needs a real-execution fleet "
-                         "(builder with model()/shards())");
-  return real_fleet_ != nullptr ? real_fleet_->evaluate(test)
-                                 : real_baseline_->evaluate(test);
+  return real_fleet("evaluate()").evaluate(test);
 }
 
 nn::Sequential& FleetRuntime::model(int64_t agent) {
-  COMDML_REQUIRE(real(), "model() needs a real-execution fleet");
-  return real_fleet_ != nullptr ? real_fleet_->model(agent)
-                                 : real_baseline_->model(agent);
+  return real_fleet("model()").model(agent);
 }
 
 RealFleet& FleetRuntime::real_fleet(const char* what) const {
   COMDML_REQUIRE(real_fleet_ != nullptr,
-                 what << " needs a RealFleet engine (ComDML, AllReduce-DML)");
+                 what << " needs a real-execution fleet (builder with "
+                         "model()/shards())");
   return *real_fleet_;
 }
 
@@ -181,17 +174,9 @@ FleetRuntime FleetBuilder::build() {
     COMDML_REQUIRE(scheduler_ == Scheduler::kComDML,
                    "scheduler() ablations only apply to the ComDML "
                    "simulation");
-    if (method_ == learncurve::Method::kComDML ||
-        method_ == learncurve::Method::kAllReduceDML) {
-      runtime.real_fleet_ = std::make_unique<RealFleet>(
-          factory_, classes_, std::move(*shards_), std::move(*topology_),
-          options_, method_);
-    } else {
-      runtime.real_baseline_ =
-          std::make_unique<baselines::RealBaselineFleet>(
-              method_, factory_, classes_, std::move(*shards_),
-              std::move(*topology_), options_);
-    }
+    runtime.real_fleet_ = std::make_unique<RealFleet>(
+        factory_, classes_, std::move(*shards_), std::move(*topology_),
+        options_, method_);
   }
   return runtime;
 }

@@ -1,8 +1,8 @@
 // Unified fleet facade: one step()/run()/evaluate() interface over every
 // engine the repo has — the paper-scale timing simulators (SimulatedFleet,
-// BaselineFleet) and the real-execution fleets (RealFleet for ComDML and
-// AllReduce-DML, RealBaselineFleet for FedAvg, FedProx, gossip and
-// BrainTorrent) — for ComDML and all comparison methods.
+// BaselineFleet) and the one real-execution engine, RealFleet, which runs
+// ComDML and, with pairing off, every baseline (AllReduce-DML, FedAvg,
+// FedProx, gossip, BrainTorrent).
 //
 //   auto fleet = core::FleetBuilder()
 //                    .method(learncurve::Method::kComDML)
@@ -31,7 +31,6 @@
 #include <optional>
 
 #include "baselines/baseline_fleet.hpp"
-#include "baselines/real_baselines.hpp"
 #include "core/real_fleet.hpp"
 #include "core/trainer.hpp"
 
@@ -48,7 +47,7 @@ class FleetRuntime {
   }
   /// True when the fleet trains real tensors (evaluate()/model() legal).
   [[nodiscard]] bool real() const noexcept {
-    return real_fleet_ != nullptr || real_baseline_ != nullptr;
+    return real_fleet_ != nullptr;
   }
   [[nodiscard]] int64_t agents() const noexcept { return agents_; }
   [[nodiscard]] int64_t rounds_executed() const noexcept { return round_; }
@@ -58,19 +57,18 @@ class FleetRuntime {
   /// Agent replica access (real fleets only).
   [[nodiscard]] nn::Sequential& model(int64_t agent);
 
-  /// Elastic membership between rounds (RealFleet engine only: ComDML,
-  /// AllReduce-DML): leave() removes an agent, rejoin() re-admits it
-  /// initialized from consensus.
+  /// Elastic membership between rounds (real fleets only): leave()
+  /// removes an agent, rejoin() re-admits it initialized from consensus.
   void leave(int64_t agent);
   void rejoin(int64_t agent);
   [[nodiscard]] std::vector<int64_t> live_agents() const;
 
-  /// Durable fleet state between rounds (RealFleet engine only); restore
+  /// Durable fleet state between rounds (real fleets only); restore
   /// also resynchronizes the runtime's round counter.
   [[nodiscard]] std::vector<uint8_t> checkpoint();
   void restore(const std::vector<uint8_t>& bytes);
 
-  /// Quorum checkpointing (RealFleet engine only): checkpoint_shard
+  /// Quorum checkpointing (real fleets only): checkpoint_shard
   /// serializes one worker's owned agents + fleet-level state;
   /// restore_shards reassembles a fleet from any subset of shards and
   /// resynchronizes the runtime's round counter. See RealFleet.
@@ -78,9 +76,9 @@ class FleetRuntime {
       int64_t shard, int64_t shards, const std::vector<int64_t>& owned);
   void restore_shards(const std::vector<std::vector<uint8_t>>& shards);
 
-  /// The underlying RealFleet (real ComDML or AllReduce-DML), or nullptr
-  /// for every other engine. Multi-process workers (fleetd) reach through
-  /// this to install a DistContext and to export/import per-agent state.
+  /// The underlying RealFleet (any real method), or nullptr for the
+  /// simulators. Multi-process workers (fleetd) reach through this to
+  /// install a DistContext and to export/import per-agent state.
   [[nodiscard]] RealFleet* real_comdml() noexcept {
     return real_fleet_.get();
   }
@@ -98,7 +96,6 @@ class FleetRuntime {
   std::unique_ptr<SimulatedFleet> sim_comdml_;
   std::unique_ptr<baselines::BaselineFleet> sim_baseline_;
   std::unique_ptr<RealFleet> real_fleet_;
-  std::unique_ptr<baselines::RealBaselineFleet> real_baseline_;
 };
 
 /// Collects the inputs for a FleetRuntime and validates the combination.

@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 
+#include "baselines/baseline_fleet.hpp"
 #include "comm/compress.hpp"
 #include "core/parallel.hpp"
 #include "nn/arch_specs.hpp"
@@ -29,15 +31,26 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
       in_shape_(),
       profile_() {
   options_.validate();
-  COMDML_REQUIRE(method_ == learncurve::Method::kComDML ||
-                     method_ == learncurve::Method::kAllReduceDML,
-                 "RealFleet runs ComDML or AllReduce-DML, not "
-                     << learncurve::method_name(method_)
-                     << "; build the other baselines as "
-                        "baselines::RealBaselineFleet");
   COMDML_REQUIRE(!shards_.empty(), "fleet needs at least one shard");
   COMDML_CHECK(static_cast<int64_t>(shards_.size()) == topology_.agents());
   for (auto& s : shards_) s.validate();
+  for (const FleetOptions::FaultOptions::AgentFailure& f :
+       options_.faults.failures)
+    COMDML_REQUIRE(f.agent < agents(),
+                   "fault injection names agent "
+                       << f.agent << " of a " << agents() << "-agent fleet");
+  // Gossip draws one partner per agent per round from the fleet rng and
+  // leaves no consensus behind, so it takes one whole-state bucket and no
+  // straggler deferral (a deferred agent adopts the round's consensus).
+  if (method_ == learncurve::Method::kGossip) {
+    COMDML_REQUIRE(options_.comms.bucket_bytes == 0,
+                   "gossip takes one whole-state bucket (comms.bucket_bytes "
+                   "0, got " << options_.comms.bucket_bytes
+                             << "): every bucket would draw its own partners");
+    COMDML_REQUIRE(options_.faults.deadline_sec == 0.0,
+                   "gossip takes no straggler deadline (faults.deadline_sec): "
+                   "a deferred agent has no round consensus to adopt");
+  }
   in_shape_ = shards_.front().sample_shape();
 
   // Identical initial replicas: build each from a forked RNG, then overwrite
@@ -75,12 +88,7 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
   comm::FaultPlan faults;
   faults.drop_prob = options_.faults.message_drop_prob;
   faults.seed = options_.seed;
-  pipeline_ = std::make_unique<RoundPipeline>(
-      static_cast<int64_t>(agents_.size()), bucket_plan_,
-      bottleneck_grid(topology_, options_.comms.latency_sec),
-      options_.comms.aggregation, options_.comms.bucket_codec(),
-      options_.comms.error_feedback, faults,
-      /*straggler_support=*/options_.faults.deadline_sec > 0.0);
+  pipeline_ = make_pipeline(faults);
   // Modeled backward-tail fraction per bucket: the share of one batch's
   // work still ahead of the final backward sweep when the bucket's lowest
   // unit has finished — this is the compute window the bucket's collective
@@ -95,6 +103,50 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
   for (int64_t b = 0; b < bucket_plan_.buckets(); ++b)
     bucket_back_frac_[static_cast<size_t>(b)] =
         total > 0.0 ? below[bucket_plan_.bucket(b).first_unit] / total : 0.0;
+}
+
+std::unique_ptr<RoundPipeline> RealFleet::make_pipeline(
+    comm::FaultPlan faults) {
+  // The method's aggregation: ComDML and AllReduce-DML allreduce over the
+  // bottleneck grid; FedAvg and FedProx average on a param-server star
+  // weighted by shard size, BrainTorrent uniformly; gossip pushes over the
+  // topology's own links, drawing partners from the fleet rng.
+  const int64_t k = agents();
+  comm::Protocol protocol =
+      comm::allreduce_protocol(options_.comms.aggregation);
+  std::optional<comm::LinkGrid> grid;
+  std::vector<double> weights;
+  tensor::Rng* draw = nullptr;
+  switch (method_) {
+    case learncurve::Method::kComDML:
+    case learncurve::Method::kAllReduceDML:
+      grid = bottleneck_grid(topology_, options_.comms.latency_sec);
+      break;
+    case learncurve::Method::kFedAvg:
+    case learncurve::Method::kFedProx:
+      for (const data::Dataset& s : shards_)
+        weights.push_back(static_cast<double>(s.size()));
+      [[fallthrough]];
+    case learncurve::Method::kBrainTorrent: {
+      protocol = comm::Protocol::kParamServer;
+      std::vector<int64_t> all(static_cast<size_t>(k));
+      std::iota(all.begin(), all.end(), int64_t{0});
+      grid = baselines::param_server_grid(topology_.profiles(), all,
+                                          options_.comms);
+      break;
+    }
+    case learncurve::Method::kGossip:
+      protocol = comm::Protocol::kGossip;
+      grid = comm::LinkGrid::from_topology(topology_,
+                                           options_.comms.latency_sec);
+      draw = &rng_;
+      break;
+  }
+  return std::make_unique<RoundPipeline>(
+      k, bucket_plan_, *grid, protocol, options_.comms.bucket_codec(),
+      options_.comms.error_feedback, faults,
+      /*straggler_support=*/options_.faults.deadline_sec > 0.0,
+      std::move(weights), draw);
 }
 
 std::vector<AgentInfo> RealFleet::build_infos() const {
@@ -153,12 +205,12 @@ RealFleet::RoundStats RealFleet::step() {
   const auto infos = build_infos();
   const std::vector<int64_t> participants = live_agents();
   COMDML_REQUIRE(!participants.empty(), "no live agents left to run a round");
-  // AllReduce-DML is ComDML without offloading: Algorithm 1 with no helper
-  // leaves every agent solo.
+  // Every baseline is ComDML without offloading: Algorithm 1 with no
+  // helper leaves every agent solo.
   const std::vector<int64_t> no_helpers;
   const PairingResult plan = pair_agents(
       profile_, infos, topology_, options_.train.batch_size, participants,
-      method_ == learncurve::Method::kAllReduceDML ? &no_helpers : nullptr);
+      method_ == learncurve::Method::kComDML ? nullptr : &no_helpers);
 
   RoundStats stats;
   stats.num_pairs = static_cast<int64_t>(plan.pairs.size());
@@ -265,11 +317,12 @@ RealFleet::RoundStats RealFleet::step() {
   };
 
   // Full-model local training for one agent. When publishing from inside
-  // the task, the round's last batch steps each unit as its backward
+  // the task, the round's last batch notifies as each unit's step
   // completes, so output-side buckets enter the pipeline while input-side
-  // backward compute is still running (bit-identical math either way).
-  // A pair's fast half lists its batch losses in out.fast_losses instead
-  // of folding them into out.loss_sum.
+  // backward compute is still running. FedProx anchors the proximal term
+  // at the agent's round-start weights. A pair's fast half lists its batch
+  // losses in out.fast_losses instead of folding them into out.loss_sum.
+  const nn::UnitFinalFn no_notify;
   const auto train_full = [&](int64_t agent, TaskResult& out, bool half) {
     const auto record = [&](float loss) {
       if (half) {
@@ -284,27 +337,31 @@ RealFleet::RoundStats RealFleet::step() {
     // Momentum is fleet state, not round state: carry the velocity across
     // the per-round optimizer rebuilds (and through checkpoint/restore).
     if (!st.velocity.empty()) opt.load_velocity(st.velocity);
+    if (method_ == learncurve::Method::kFedProx)
+      opt.anchor_proximal(options_.train.prox_mu);
     const int64_t die_at = die_after_batches[static_cast<size_t>(agent)];
     const int64_t batches =
         die_at >= 0 ? std::min(options_.train.batches_per_round, die_at)
                     : options_.train.batches_per_round;
+    std::vector<tensor::Tensor*> ptrs;
+    std::optional<nn::BucketReadyTracker> tracker;
+    nn::UnitFinalFn publish = no_notify;
+    if (publish_in_task && die_at < 0 &&
+        late[static_cast<size_t>(agent)] == 0) {
+      st.model->collect_state(ptrs);
+      tracker.emplace(bucket_plan_);
+      publish = [&](size_t u) {
+        tracker->unit_done(
+            u, [&](int64_t bk) { publish_bucket(agent, ptrs, bk); });
+      };
+    }
     for (int64_t b = 0; b < batches; ++b) {
       const auto batch = next_batch(agent);
-      if (publish_in_task && b == batches - 1 && die_at < 0 &&
-          late[static_cast<size_t>(agent)] == 0) {
-        std::vector<tensor::Tensor*> ptrs;
-        st.model->collect_state(ptrs);
-        nn::BucketReadyTracker tracker(bucket_plan_);
-        const auto res = nn::train_batch_full_notify(
-            *st.model, opt, batch.x, batch.y,
-            bucket_plan_.unit_param_counts(), [&](size_t u) {
-              tracker.unit_done(
-                  u, [&](int64_t bk) { publish_bucket(agent, ptrs, bk); });
-            });
-        record(res.loss);
-      } else {
-        record(nn::train_batch_full(*st.model, opt, batch.x, batch.y).loss);
-      }
+      record(nn::train_batch_full_notify(
+                 *st.model, opt, batch.x, batch.y,
+                 bucket_plan_.unit_param_counts(),
+                 b == batches - 1 ? publish : no_notify)
+                 .loss);
     }
     st.velocity = opt.velocity();
     // Died after its batch quota: nothing published this round.
@@ -324,34 +381,34 @@ RealFleet::RoundStats RealFleet::step() {
         slow_die >= 0 ? std::min(batches, slow_die) : batches;
     nn::LocalLossSplitTrainer split(*slow.model, pair.cut, in_shape_,
                                     classes_, rng, sgd);
+    // Final batch: per-unit finalization publishes the slow replica's
+    // buckets layer-by-layer during the split backward — prefix-side
+    // buckets enter the pipeline before the fast-side backward even
+    // starts, and every bucket ships before the fast agent's own
+    // full-model training.
+    std::vector<tensor::Tensor*> ptrs;
+    std::optional<nn::BucketReadyTracker> tracker;
+    nn::UnitFinalFn publish = no_notify;
+    if (publish_in_task && slow_die < 0) {
+      slow.model->collect_state(ptrs);
+      tracker.emplace(bucket_plan_);
+      const size_t total_units = slow.model->size();
+      publish = [&, total_units, units_done = size_t{0}](size_t u) mutable {
+        ++units_done;
+        tracker->unit_done(u, [&](int64_t bk) {
+          publish_bucket(pair.slow_agent, ptrs, bk);
+          // Published while split units were still pending: the widened
+          // overlap window, as a number.
+          if (units_done < total_units) ++out.split_early_buckets;
+        });
+      };
+    }
     for (int64_t b = 0; b < slow_batches; ++b) {
       const auto batch = next_batch(pair.slow_agent);
-      nn::LocalLossSplitTrainer::StepStats step;
-      if (publish_in_task && b == batches - 1 && slow_die < 0) {
-        // Final batch: per-unit finalization publishes the slow
-        // replica's buckets layer-by-layer during the split backward —
-        // prefix-side buckets enter the pipeline before the fast-side
-        // backward even starts, and every bucket ships before the fast
-        // agent's own full-model training (bit-identical math either way).
-        std::vector<tensor::Tensor*> ptrs;
-        slow.model->collect_state(ptrs);
-        nn::BucketReadyTracker tracker(bucket_plan_);
-        const size_t total_units = slow.model->size();
-        size_t units_done = 0;
-        step = split.train_batch_notify(
-            batch.x, batch.y, bucket_plan_.unit_param_counts(),
-            [&](size_t u) {
-              ++units_done;
-              tracker.unit_done(u, [&](int64_t bk) {
-                publish_bucket(pair.slow_agent, ptrs, bk);
-                // Published while split units were still pending: the
-                // widened overlap window, as a number.
-                if (units_done < total_units) ++out.split_early_buckets;
-              });
-            });
-      } else {
-        step = split.train_batch(batch.x, batch.y);
-      }
+      const nn::LocalLossSplitTrainer::StepStats step =
+          split.train_batch_notify(batch.x, batch.y,
+                                   bucket_plan_.unit_param_counts(),
+                                   b == batches - 1 ? publish : no_notify);
       out.slow_loss_sum += step.slow_loss;
       out.loss_sum += step.fast_loss;
       ++out.loss_count;
@@ -819,6 +876,12 @@ void RealFleet::set_dist_context(DistContext ctx) {
                  "bad shard index " << ctx.shard << " of " << ctx.shards);
   // Settings a multi-process round cannot take: FleetSpec carries none of
   // them, and each lacks the cross-process wire or stat machinery.
+  COMDML_REQUIRE(pipeline_->stepped(),
+                 "multi-process fleets run a stepped allreduce; "
+                     << learncurve::method_name(method_) << "'s "
+                     << comm::collective(pipeline_->protocol()).name()
+                     << " collective has no schedule to run over the "
+                        "socket mesh");
   COMDML_REQUIRE(
       options_.comms.codec == FleetOptions::CommOptions::Codec::kFp32,
       "multi-process mode needs the fp32 codec (comms.codec): residuals of "

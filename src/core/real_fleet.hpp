@@ -2,9 +2,12 @@
 // local-loss split training on actual tensors, and a real message-level
 // AllReduce — on small models and synthetic data. The scheduling code is
 // the same pair_agents()/SplitProfile used at paper scale, so nothing about
-// the algorithm is mocked; only the model/dataset sizes shrink. The
-// AllReduce-DML baseline is this engine with pairing off: every agent
-// trains solo and the round is the same decentralized allreduce.
+// the algorithm is mocked; only the model/dataset sizes shrink. Every
+// baseline is this engine with pairing off (every agent trains solo) and
+// its own aggregation: AllReduce-DML the same decentralized allreduce,
+// FedAvg and FedProx a shard-weighted param-server star (FedProx with a
+// proximal local step), BrainTorrent a uniform star, and gossip one push
+// to a random topology neighbour.
 #pragma once
 
 #include <functional>
@@ -48,8 +51,12 @@ class RealFleet {
   using Options = FleetOptions;
 
   /// One shard per agent; all shards must share classes and sample shape.
-  /// `method` is kComDML or kAllReduceDML (pairing off: Algorithm 1 runs
-  /// with no helper, so every agent trains solo); any other method throws.
+  /// Every method but kComDML runs with pairing off (Algorithm 1 with no
+  /// helper, so every agent trains solo). Throws, naming the setting, for
+  /// what the method cannot run: a fault-injection agent outside the
+  /// fleet; for gossip, comms.bucket_bytes > 0 or a straggler deadline;
+  /// for the param-server methods (FedAvg, FedProx, BrainTorrent), an agent
+  /// with no uplink.
   RealFleet(const ModelFactory& factory, int64_t classes,
             std::vector<data::Dataset> shards, sim::Topology topology,
             Options options,
@@ -166,7 +173,9 @@ class RealFleet {
   };
 
   /// Enable multi-process mode; any bucket_bytes works. Throws, naming the
-  /// setting, for what a multi-process round cannot take: a lossy codec,
+  /// setting, for what a multi-process round cannot take: a method whose
+  /// collective is not a stepped allreduce (param-server, gossip), a lossy
+  /// codec,
   /// overlap, a straggler deadline, :bN/:kN/:cS failure modes (only
   /// leave-mode failures), and message loss — plus shards > 1 without
   /// `exchange` or `collective_sync`. Call before the first step() (a
@@ -300,6 +309,9 @@ class RealFleet {
   /// Multi-process execution context; nullopt = ordinary single-process.
   std::optional<DistContext> dist_;
 
+  /// The method's aggregation engine (protocol, grid, weights).
+  [[nodiscard]] std::unique_ptr<RoundPipeline> make_pipeline(
+      comm::FaultPlan faults);
   [[nodiscard]] std::vector<AgentInfo> build_infos() const;
   /// Draws from the agent's own batcher; its rng also drives any privacy
   /// transform, so the draws stay with the agent wherever it trains.

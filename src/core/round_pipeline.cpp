@@ -42,30 +42,51 @@ comm::LinkGrid bottleneck_grid(const sim::Topology& topology,
 
 RoundPipeline::RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
                              const comm::LinkGrid& grid,
-                             comm::AllReduceAlgo algo,
+                             comm::Protocol protocol,
                              const comm::Codec* codec, bool error_feedback,
-                             comm::FaultPlan faults, bool straggler_support)
+                             comm::FaultPlan faults, bool straggler_support,
+                             std::vector<double> weights, tensor::Rng* rng)
     : plan_(&plan),
       agents_(agents),
-      protocol_(comm::allreduce_protocol(algo)),
+      protocol_(protocol),
       codec_(codec),
+      weights_(std::move(weights)),
+      rng_(rng),
       pending_(static_cast<size_t>(plan.buckets())),
       contributed_(static_cast<size_t>(agents * plan.buckets())) {
   COMDML_CHECK(agents > 0);
-  COMDML_CHECK(grid.endpoints() == agents);
+  const bool star = protocol_ == comm::Protocol::kParamServer;
+  COMDML_REQUIRE(grid.endpoints() == agents + (star ? 1 : 0),
+                 "a " << comm::collective(protocol_).name() << " grid for "
+                      << agents << " agents has "
+                      << agents + (star ? 1 : 0) << " endpoints, got "
+                      << grid.endpoints());
+  COMDML_REQUIRE(weights_.empty() ||
+                     static_cast<int64_t>(weights_.size()) == agents,
+                 "aggregation weights cover " << weights_.size()
+                                              << " agents of " << agents);
+  COMDML_REQUIRE(protocol_ != comm::Protocol::kGossip || rng_ != nullptr,
+                 "gossip needs a partner-draw Rng");
   live_.assign(static_cast<size_t>(agents_), 1);
   slab_.resize(static_cast<size_t>(agents_ * plan.total_elems()));
   if ((error_feedback && codec_ != nullptr) || straggler_support)
     residual_.assign(slab_.size(), 0.0);
   transports_.reserve(static_cast<size_t>(plan.buckets()));
-  schedules_.reserve(static_cast<size_t>(plan.buckets()));
-  for (int64_t b = 0; b < plan.buckets(); ++b) {
+  for (int64_t b = 0; b < plan.buckets(); ++b)
     transports_.push_back(
         std::make_unique<comm::InProcTransport>(grid, codec_, faults));
-    schedules_.push_back(
-        comm::allreduce_schedule(protocol_, agents_, plan.bucket(b).elems));
+  if (stepped()) {
+    schedules_.reserve(static_cast<size_t>(plan.buckets()));
+    for (int64_t b = 0; b < plan.buckets(); ++b)
+      schedules_.push_back(
+          comm::allreduce_schedule(protocol_, agents_, plan.bucket(b).elems));
   }
   begin_round();
+}
+
+bool RoundPipeline::stepped() const noexcept {
+  return protocol_ == comm::Protocol::kRingAllReduce ||
+         protocol_ == comm::Protocol::kHalvingDoublingAllReduce;
 }
 
 void RoundPipeline::begin_round() {
@@ -81,6 +102,7 @@ void RoundPipeline::begin_round() {
 }
 
 void RoundPipeline::set_mesh(comm::Transport* mesh, std::vector<char> owned) {
+  COMDML_CHECK(stepped());
   COMDML_CHECK(mesh != nullptr && mesh->endpoints() == agents_);
   COMDML_CHECK(owned.empty() || static_cast<int64_t>(owned.size()) == agents_);
   mesh_ = mesh;
@@ -287,6 +309,19 @@ void RoundPipeline::run_bucket(int64_t bucket) {
   req.buffers.resize(static_cast<size_t>(agents_));
   for (int64_t a = 0; a < agents_; ++a)
     req.buffers[static_cast<size_t>(a)] = slot(a, bucket);
+  if (!stepped()) {
+    // Param-server and gossip run whole on the bucket's own transport,
+    // over the contributors only; they recover from endpoint deaths
+    // themselves whenever the transport has endpoint faults.
+    req.participants = contributors;
+    if (!weights_.empty())
+      for (const int64_t a : contributors)
+        req.weights.push_back(weights_[static_cast<size_t>(a)]);
+    req.rng = rng_;
+    (void)comm::collective(protocol_).run(
+        *transports_[static_cast<size_t>(bucket)], req);
+    return;
+  }
   req.owned = owned_;
   // On a pool worker a parallel_for would run inline: let the collectors
   // waiting in drain() take the step items instead.
@@ -471,17 +506,20 @@ PipelineStats RoundPipeline::stats() const {
   PipelineStats out;
   out.buckets = plan_->buckets();
   out.bucket_seconds.reserve(transports_.size());
-  std::vector<int64_t> per_agent(static_cast<size_t>(agents_), 0);
+  // Every endpoint of the bucket transports, the param-server star's
+  // server included: its downlink is the round's largest send.
+  std::vector<int64_t> per_endpoint(
+      static_cast<size_t>(transports_.front()->endpoints()), 0);
   for (const auto& t : transports_) {
     const comm::TransportStats& st = t->stats();
     out.steps += st.steps;
     out.comm_seconds += st.seconds;
     out.retransmit_bytes += st.retransmit_wire_bytes;
     out.bucket_seconds.push_back(st.seconds);
-    for (size_t a = 0; a < per_agent.size(); ++a)
-      per_agent[a] += st.bytes_sent[a];
+    for (size_t e = 0; e < per_endpoint.size(); ++e)
+      per_endpoint[e] += st.bytes_sent[e];
   }
-  for (const int64_t b : per_agent)
+  for (const int64_t b : per_endpoint)
     out.max_bytes_sent = std::max(out.max_bytes_sent, b);
   return out;
 }

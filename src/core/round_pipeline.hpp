@@ -2,8 +2,10 @@
 // aggregation behind the tail of local training.
 //
 // This is the only aggregation path, in-process and across processes.
-// core::RealFleet (ComDML, and AllReduce-DML with pairing off) builds one
-// pipeline for its lifetime; a flat round (bucket_bytes == 0) is a single
+// core::RealFleet builds one pipeline for its lifetime, whatever the
+// method: ComDML and AllReduce-DML allreduce, FedAvg, FedProx and
+// BrainTorrent run a param-server star, gossip pushes to one random peer
+// (see the constructor). A flat round (bucket_bytes == 0) is a single
 // whole-state bucket, so codecs, error feedback, straggler deferral and
 // bucket-level faults work the same at every bucket size. A multi-process
 // fleet (fleetd) runs it in mesh mode (set_mesh): each bucket collective
@@ -101,7 +103,9 @@ struct PipelineStats {
   int64_t buckets = 0;
   int64_t steps = 0;          ///< collective steps summed over buckets
   double comm_seconds = 0.0;  ///< modeled link seconds summed over buckets
-  int64_t max_bytes_sent = 0;  ///< max over agents of summed bucket sends
+  /// Max over transport endpoints (a param-server star's server too) of
+  /// summed bucket sends.
+  int64_t max_bytes_sent = 0;
   /// Retransmission traffic summed over buckets (reliable delivery under
   /// message faults; 0 on a clean network). Excluded from goodput.
   int64_t retransmit_bytes = 0;
@@ -130,18 +134,30 @@ class RoundPipeline {
   /// `straggler_support` allocates the residual slab even without a lossy
   /// codec so defer()/absorb_late() can carry a late agent's update into
   /// its next contribution (error feedback with an identity codec).
+  ///
+  /// `protocol` is the bucket collective. Ring and halving/doubling run
+  /// stepped through comm::AsyncCollective (on the mesh too); param-server
+  /// and gossip run whole through comm::collective(protocol).run() on the
+  /// bucket's own transport, over that bucket's contributors. `grid` has
+  /// one endpoint per agent, plus the server for param-server
+  /// (baselines::param_server_grid). `weights` (param-server; empty =
+  /// uniform) holds one aggregation weight per agent, filtered down to
+  /// each bucket's contributors. `rng` (gossip; borrowed) draws the
+  /// partners, so gossip must not run buckets concurrently.
   RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
-                const comm::LinkGrid& grid, comm::AllReduceAlgo algo,
+                const comm::LinkGrid& grid, comm::Protocol protocol,
                 const comm::Codec* codec = nullptr,
                 bool error_feedback = false, comm::FaultPlan faults = {},
-                bool straggler_support = false);
+                bool straggler_support = false,
+                std::vector<double> weights = {}, tensor::Rng* rng = nullptr);
 
   /// Reset counters/transports for a new round. No thread may be inside
   /// contribute()/drain() when this runs.
   void begin_round();
 
-  /// Mesh mode: run every bucket collective over `mesh` (borrowed;
-  /// endpoints == agents) with only the rows `owned` marks (empty = all).
+  /// Mesh mode (stepped protocols only): run every bucket collective over
+  /// `mesh` (borrowed; endpoints == agents) with only the rows `owned`
+  /// marks (empty = all).
   /// After each bucket reduces, the non-owned contributor rows copy the
   /// first owned contributor's mean. Call again after a remesh.
   void set_mesh(comm::Transport* mesh, std::vector<char> owned);
@@ -150,6 +166,9 @@ class RoundPipeline {
     return *plan_;
   }
   [[nodiscard]] int64_t agents() const noexcept { return agents_; }
+  [[nodiscard]] comm::Protocol protocol() const noexcept { return protocol_; }
+  /// Ring or halving/doubling: a stepped schedule that can run on a mesh.
+  [[nodiscard]] bool stepped() const noexcept;
 
   // ---- elastic membership ---------------------------------------------------
 
@@ -292,9 +311,12 @@ class RoundPipeline {
   int64_t agents_;
   comm::Protocol protocol_;
   const comm::Codec* codec_;  ///< nullptr = fp32 wire
+  std::vector<double> weights_;  ///< per agent; empty = uniform
+  tensor::Rng* rng_;             ///< gossip partner draws
   /// One transport per bucket so concurrent bucket collectives keep
   /// independent mailboxes and per-bucket accounting, and one prebuilt
-  /// schedule per bucket so steady-state rounds stop re-deriving them.
+  /// schedule per bucket (stepped protocols) so steady-state rounds stop
+  /// re-deriving them.
   std::vector<std::unique_ptr<comm::InProcTransport>> transports_;
   std::vector<comm::SteppedSchedule> schedules_;
   /// Mesh mode (nullptr = off): transport, owned rows, round traffic.

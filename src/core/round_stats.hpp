@@ -13,14 +13,11 @@ namespace comdml::core {
 /// filled depends on the engine underneath:
 ///  - paper-scale simulators: the full timing breakdown (compute / comm /
 ///    aggregation / idle / unbalanced) plus pairs and churn;
-///  - RealFleet (ComDML, and AllReduce-DML with num_pairs == 0):
+///  - RealFleet (ComDML, and every baseline with num_pairs == 0):
 ///    round_seconds (balanced span + collective), compute_seconds, the
 ///    aggregation clock and executed bytes, pairs, and the loss/privacy
-///    fields;
-///  - RealBaselineFleet (FedAvg, FedProx, gossip, BrainTorrent):
-///    compute_seconds (slowest agent's modeled solo time, on RealFleet's
-///    clock), the aggregation clock/bytes, round_seconds = compute +
-///    aggregation, and mean_loss.
+///    fields. A solo round's compute span is the slowest agent's modeled
+///    solo time.
 /// Unfilled fields are zero.
 struct RoundReport {
   int64_t round = 0;

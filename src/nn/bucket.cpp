@@ -12,7 +12,7 @@ BucketPlan BucketPlan::build(Sequential& model, int64_t bucket_bytes) {
   // unit state in unit order) and learnable-parameter counts.
   std::vector<size_t> tensor_unit;  // owning unit per state tensor
   plan.unit_buckets_.resize(model.size());
-  plan.unit_param_counts_.resize(model.size(), 0);
+  plan.unit_param_counts_ = nn::unit_param_counts(model);
   for (size_t u = 0; u < model.size(); ++u) {
     std::vector<tensor::Tensor*> state;
     model.unit(u).collect_state(state);
@@ -20,9 +20,6 @@ BucketPlan BucketPlan::build(Sequential& model, int64_t bucket_bytes) {
       plan.tensor_elems_.push_back(t->size());
       tensor_unit.push_back(u);
     }
-    std::vector<Parameter*> params;
-    model.unit(u).collect_parameters(params);
-    plan.unit_param_counts_[u] = params.size();
   }
 
   const int64_t cap_elems =
@@ -135,6 +132,17 @@ void BucketReadyTracker::finish(const ReadyFn& on_ready) {
     ++fired_count_;
     if (on_ready) on_ready(b);
   }
+}
+
+std::vector<size_t> unit_param_counts(Sequential& model) {
+  std::vector<size_t> counts(model.size(), 0);
+  std::vector<Parameter*> params;
+  for (size_t u = 0; u < model.size(); ++u) {
+    params.clear();
+    model.unit(u).collect_parameters(params);
+    counts[u] = params.size();
+  }
+  return counts;
 }
 
 }  // namespace comdml::nn

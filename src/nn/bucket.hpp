@@ -120,4 +120,9 @@ class BucketReadyTracker {
   int64_t fired_count_ = 0;
 };
 
+/// Learnable-parameter count of each of `model`'s units, in unit order
+/// (collect_parameters order): the per-unit ranges of an optimizer built
+/// over model.parameters().
+[[nodiscard]] std::vector<size_t> unit_param_counts(Sequential& model);
+
 }  // namespace comdml::nn

@@ -16,10 +16,24 @@ SGD::SGD(std::vector<Parameter*> params, Options options)
 
 void SGD::step() { step_range(0, params_.size()); }
 
+void SGD::anchor_proximal(float mu) {
+  COMDML_CHECK(mu >= 0.0f);
+  prox_mu_ = mu;
+  anchor_.clear();
+  anchor_.reserve(params_.size());
+  for (const Parameter* p : params_) anchor_.push_back(p->value);
+}
+
 void SGD::step_range(size_t first, size_t count) {
   COMDML_CHECK(first + count <= params_.size());
   for (size_t i = first; i < first + count; ++i) {
     Parameter& p = *params_[i];
+    if (!anchor_.empty()) {
+      const auto g = p.grad.flat();
+      const auto w = p.value.flat();
+      const auto a = anchor_[i].flat();
+      for (size_t k = 0; k < g.size(); ++k) g[k] += prox_mu_ * (w[k] - a[k]);
+    }
     tensor::sgd_momentum_update(p.value, velocity_[i], p.grad, options_.lr,
                                 options_.momentum, options_.weight_decay);
   }

@@ -20,6 +20,11 @@ class SGD {
   /// Apply one update: v <- momentum*v - lr*(g + wd*w); w <- w + v.
   void step();
 
+  /// FedProx's proximal term: from now on every update first adds
+  /// mu * (w - w_anchor) to each gradient, where w_anchor is the
+  /// parameter's value at this call (the round-start model).
+  void anchor_proximal(float mu);
+
   /// Update only params [first, first + count) of the construction list.
   /// Per-parameter math is independent, so stepping a partition of the
   /// list in any order is bit-identical to one step() — the overlapped
@@ -47,6 +52,9 @@ class SGD {
   std::vector<Parameter*> params_;
   std::vector<Tensor> velocity_;
   Options options_;
+  /// Round-start values of the proximal anchor (empty = no proximal term).
+  std::vector<Tensor> anchor_;
+  float prox_mu_ = 0.0f;
 };
 
 /// Reduce-on-plateau controller: multiply LR by `factor` when the tracked

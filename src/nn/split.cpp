@@ -58,30 +58,7 @@ LocalLossSplitTrainer::LocalLossSplitTrainer(Sequential& model, size_t cut,
 
 LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch(
     const Tensor& x, std::span<const int64_t> labels) {
-  StepStats stats;
-
-  // Slow side: prefix forward, auxiliary local loss, prefix backward.
-  slow_opt_.zero_grad();
-  const Tensor h = model_.forward_range(x, 0, cut_, /*train=*/true);
-  stats.intermediate_bytes = h.nbytes();
-  const Tensor aux_logits = aux_->forward(h, /*train=*/true);
-  const LossResult slow = softmax_cross_entropy(aux_logits, labels);
-  stats.slow_loss = slow.loss;
-  const Tensor dh = aux_->backward(slow.grad_logits);
-  (void)model_.backward_range(dh, 0, cut_);
-  slow_opt_.step();
-
-  // Fast side: consumes h as a detached input (no gradient crosses the cut).
-  fast_opt_.zero_grad();
-  const Tensor logits =
-      model_.forward_range(h, cut_, model_.size(), /*train=*/true);
-  const LossResult fast = softmax_cross_entropy(logits, labels);
-  stats.fast_loss = fast.loss;
-  stats.fast_accuracy = fast.accuracy;
-  (void)model_.backward_range(fast.grad_logits, cut_, model_.size());
-  fast_opt_.step();
-
-  return stats;
+  return train_batch_notify(x, labels, unit_param_counts(model_), {});
 }
 
 LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch_notify(
@@ -147,12 +124,8 @@ Tensor LocalLossSplitTrainer::infer(const Tensor& x) {
 
 LossResult train_batch_full(Sequential& model, SGD& opt, const Tensor& x,
                             std::span<const int64_t> labels) {
-  opt.zero_grad();
-  const Tensor logits = model.forward(x, /*train=*/true);
-  LossResult res = softmax_cross_entropy(logits, labels);
-  (void)model.backward(res.grad_logits);
-  opt.step();
-  return res;
+  return train_batch_full_notify(model, opt, x, labels,
+                                 unit_param_counts(model), {});
 }
 
 LossResult train_batch_full_notify(Sequential& model, SGD& opt,

@@ -10,6 +10,7 @@
 #include <functional>
 #include <span>
 
+#include "nn/bucket.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/resnet.hpp"
@@ -40,7 +41,8 @@ class LocalLossSplitTrainer {
   };
 
   /// One parallel update on a batch: slow side w/ aux head, fast side on the
-  /// detached intermediate activations.
+  /// detached intermediate activations (train_batch_notify with no
+  /// callback).
   StepStats train_batch(const Tensor& x, std::span<const int64_t> labels);
 
   /// train_batch with per-unit finalization across both sides (the split
@@ -54,9 +56,11 @@ class LocalLossSplitTrainer {
   /// layer-by-layer while the split tail still computes, instead of at
   /// task end. `unit_param_counts` must list every model unit's
   /// learnable-parameter count (nn::BucketPlan::unit_param_counts()).
-  /// Bit-identical to train_batch: per-parameter SGD math is
-  /// order-independent, and the aux head's update never feeds the
-  /// remaining backward.
+  /// Stepping each unit right after its own backward is the same
+  /// arithmetic as one step after the whole backward: per-parameter SGD
+  /// math is order-independent, no earlier unit's backward reads a later
+  /// unit's weights, and the aux head's update never feeds the remaining
+  /// backward. An empty `on_unit_final` only steps.
   StepStats train_batch_notify(const Tensor& x,
                                std::span<const int64_t> labels,
                                std::span<const size_t> unit_param_counts,
@@ -78,8 +82,8 @@ class LocalLossSplitTrainer {
   SGD fast_opt_;
 };
 
-/// One conventional (non-split) SGD step on a full model; shared by the
-/// baselines. Returns (loss, accuracy).
+/// One conventional (non-split) SGD step on a full model:
+/// train_batch_full_notify with no callback. Returns (loss, accuracy).
 [[nodiscard]] LossResult train_batch_full(Sequential& model, SGD& opt,
                                           const Tensor& x,
                                           std::span<const int64_t> labels);
@@ -93,8 +97,9 @@ using UnitFinalFn = std::function<void(size_t unit)>;
 /// unit u's state (params + buffers) will not change again this batch.
 /// `opt` must have been constructed over exactly model.parameters() and
 /// `unit_param_counts` must list each unit's learnable-parameter count
-/// (nn::BucketPlan::unit_param_counts()). Bit-identical to
-/// train_batch_full: per-parameter SGD math is order-independent.
+/// (nn::BucketPlan::unit_param_counts()). An empty `on_unit_final` only
+/// steps: per-parameter SGD math is order-independent, so this is one SGD
+/// step on the batch.
 [[nodiscard]] LossResult train_batch_full_notify(
     Sequential& model, SGD& opt, const Tensor& x,
     std::span<const int64_t> labels,

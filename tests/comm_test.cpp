@@ -1,8 +1,8 @@
 // Communication substrate tests: transfer-time model, AllReduce cost model
 // vs real message-level execution (ring and halving/doubling, including
 // non-power-of-two fleets), step fan-out determinism across thread counts
-// and item orders, the baselines' state means, gossip exchange through the
-// registry, parameter-server sharing.
+// and item orders, the reference state means the collectives are checked
+// against, gossip exchange through the registry, parameter-server sharing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "baselines/baseline_fleet.hpp"
-#include "baselines/real_baselines.hpp"
 #include "comm/collective.hpp"
 #include "core/parallel.hpp"
 #include "tensor/ops.hpp"
@@ -25,6 +24,42 @@ using sim::ResourceProfile;
 using sim::Topology;
 using tensor::Rng;
 using tensor::Tensor;
+
+/// Reference weighted mean across agents' states in fp32 (no traffic):
+/// what the collectives' fp64 means are checked against.
+std::vector<Tensor> weighted_mean_state(
+    const std::vector<std::vector<Tensor>>& agent_states,
+    const std::vector<double>& weights) {
+  COMDML_CHECK(!agent_states.empty());
+  COMDML_CHECK(agent_states.size() == weights.size());
+  double wsum = 0.0;
+  for (const double w : weights) {
+    COMDML_CHECK(w >= 0.0);
+    wsum += w;
+  }
+  COMDML_REQUIRE(wsum > 0.0, "all aggregation weights are zero");
+  std::vector<Tensor> out = agent_states[0];
+  for (auto& t : out)
+    tensor::scale_inplace(t, static_cast<float>(weights[0] / wsum));
+  for (size_t a = 1; a < agent_states.size(); ++a) {
+    const float w = static_cast<float>(weights[a] / wsum);
+    COMDML_REQUIRE(agent_states[a].size() == out.size(),
+                   "agent " << a << " state arity differs");
+    for (size_t t = 0; t < out.size(); ++t)
+      tensor::axpy(w, agent_states[a][t], out[t]);
+  }
+  return out;
+}
+
+/// Plain arithmetic mean across agents' states.
+std::vector<Tensor> mean_state(
+    const std::vector<std::vector<Tensor>>& agent_states) {
+  COMDML_CHECK(!agent_states.empty());
+  return weighted_mean_state(
+      agent_states, std::vector<double>(agent_states.size(),
+                                        1.0 / static_cast<double>(
+                                                  agent_states.size())));
+}
 
 // ---- link -----------------------------------------------------------------------
 
@@ -164,7 +199,7 @@ TEST_P(AllReduceExecP, ComputesExactMean) {
   const auto [k, algo] = GetParam();
   Rng rng(1000 + k);
   auto states = random_states(static_cast<size_t>(k), rng);
-  const auto expected = baselines::mean_state(states);
+  const auto expected = mean_state(states);
   (void)run_allreduce(states, algo);
   for (int a = 0; a < k; ++a)
     for (size_t t = 0; t < expected.size(); ++t)
@@ -340,13 +375,13 @@ TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
 TEST(MeanState, WeightedMeanMatchesManual) {
   std::vector<std::vector<Tensor>> states{{Tensor::of({1.f})},
                                           {Tensor::of({5.f})}};
-  const auto avg = baselines::weighted_mean_state(states, {3.0, 1.0});
+  const auto avg = weighted_mean_state(states, {3.0, 1.0});
   EXPECT_NEAR(avg[0][0], 2.0f, 1e-6);
 }
 
 TEST(MeanState, ZeroWeightsThrow) {
   std::vector<std::vector<Tensor>> states{{Tensor::of({1.f})}};
-  EXPECT_THROW((void)baselines::weighted_mean_state(states, {0.0}),
+  EXPECT_THROW((void)weighted_mean_state(states, {0.0}),
                std::invalid_argument);
 }
 
@@ -426,6 +461,30 @@ TEST(Gossip, CostUsesChosenLink) {
   (void)collective(Protocol::kGossip).run(transport, req);
   // 1.25 MB over 10 Mbps = 1 s (+5 ms latency).
   EXPECT_NEAR(transport.stats().send_seconds[0], 1.005, 1e-6);
+}
+
+TEST(Gossip, OnlySelectedAgentsTakePart) {
+  // Agents left out of `participants` (deferred or dead ones) neither push
+  // nor receive, and their states stay as they were.
+  Rng rng(7);
+  std::vector<ResourceProfile> profiles(4, {1.0, 100.0});
+  const auto topo = Topology::full_mesh(profiles);
+  InProcTransport transport(LinkGrid::from_topology(topo));
+  std::vector<std::vector<Tensor>> states;
+  for (int a = 0; a < 4; ++a)
+    states.push_back({Tensor::of({static_cast<float>(a)})});
+  CollectiveRequest req;
+  req.rng = &rng;
+  req.participants = {0, 2, 3};
+  const CollectiveReport rep =
+      run_on_states(states, Protocol::kGossip, transport, req);
+  EXPECT_FALSE(rep.partners[1].has_value());
+  for (const int64_t a : {0, 2, 3}) {
+    ASSERT_TRUE(rep.partners[static_cast<size_t>(a)].has_value());
+    EXPECT_NE(*rep.partners[static_cast<size_t>(a)], 1);
+  }
+  EXPECT_EQ(rep.transport.bytes_sent[1], 0);
+  EXPECT_EQ(states[1][0][0], 1.0f);
 }
 
 // ---- parameter server -----------------------------------------------------------------

@@ -379,7 +379,7 @@ TEST(PipelineChurn, MidRoundDeathReducesOverContributors) {
   const auto plan = nn::BucketPlan::build(*model, 256);
   ASSERT_GT(plan.buckets(), 1);
   core::RoundPipeline p(3, plan, LinkGrid::uniform(3, 100.0),
-                        comm::AllReduceAlgo::kRing);
+                        comm::Protocol::kRingAllReduce);
   p.begin_round();
   fill_and_contribute(p, 0);
   fill_and_contribute(p, 1);
@@ -405,7 +405,7 @@ TEST(PipelineChurn, LeaveAndRejoinBetweenRounds) {
   const auto model = nn::mlp({6, 12, 3}, rng);
   const auto plan = nn::BucketPlan::build(*model, 256);
   core::RoundPipeline p(3, plan, LinkGrid::uniform(3, 100.0),
-                        comm::AllReduceAlgo::kHalvingDoubling);
+                        comm::Protocol::kHalvingDoublingAllReduce);
   p.leave(2);
   EXPECT_FALSE(p.agent_live(2));
   p.begin_round();
@@ -436,7 +436,8 @@ TEST(PipelineChurn, ResidualsSurviveRebuild) {
   const auto algo = comm::AllReduceAlgo::kRing;
   const comm::Codec* codec = &comm::quantized_codec();
 
-  core::RoundPipeline a(2, plan, grid, algo, codec, /*error_feedback=*/true);
+  core::RoundPipeline a(2, plan, grid, comm::allreduce_protocol(algo),
+                        codec, /*error_feedback=*/true);
   a.begin_round();
   for (int64_t ag = 0; ag < 2; ++ag) fill_and_contribute(a, ag);
   a.drain();
@@ -453,7 +454,8 @@ TEST(PipelineChurn, ResidualsSurviveRebuild) {
 
   // ...and a rebuilt pipeline that loaded the carried residuals must
   // reproduce it bit-for-bit (this is what checkpoint/restore relies on).
-  core::RoundPipeline b(2, plan, grid, algo, codec, /*error_feedback=*/true);
+  core::RoundPipeline b(2, plan, grid, comm::allreduce_protocol(algo),
+                        codec, /*error_feedback=*/true);
   b.load_residuals(carried);
   b.begin_round();
   for (int64_t ag = 0; ag < 2; ++ag) fill_and_contribute(b, ag);

@@ -22,7 +22,6 @@
 #include <string>
 #include <thread>
 
-#include "baselines/real_baselines.hpp"
 #include "comm/collective.hpp"
 #include "comm/socket_transport.hpp"
 #include "core/fleet_runtime.hpp"
@@ -383,7 +382,7 @@ TEST(RoundPipeline, ConcurrentProducersAndCollectorsReduceEveryBucket) {
   const auto plan = nn::BucketPlan::build(*model, 128);
   const int64_t k = 6;
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kHalvingDoubling);
+                               comm::Protocol::kHalvingDoublingAllReduce);
 
   // Expected mean of the synthetic per-agent payloads.
   const int64_t n = plan.total_elems();
@@ -437,7 +436,7 @@ TEST(RoundPipeline, BeginRoundResetsForReuse) {
   const auto plan = nn::BucketPlan::build(*model, 64);
   const int64_t k = 3;
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kRing);
+                               comm::Protocol::kRingAllReduce);
   for (int round = 0; round < 3; ++round) {
     pipeline.begin_round();
     for (int64_t a = 0; a < k; ++a) {
@@ -456,6 +455,31 @@ TEST(RoundPipeline, BeginRoundResetsForReuse) {
     for (int64_t a = 0; a < k; ++a)
       EXPECT_NEAR(pipeline.slot(a, 0)[0], 1.0, 1e-12);  // mean of 0,1,2
   }
+}
+
+TEST(RoundPipeline, ParamServerStatsCountTheServerDownlink) {
+  // A param-server star has agents + 1 endpoints, and the round's largest
+  // send is the server's broadcast back to the contributors. A deactivated
+  // agent is left out of the weighted mean.
+  Rng rng(10);
+  const auto model = nn::mlp({4, 8, 3}, rng);
+  const auto plan = nn::BucketPlan::build(*model, 0);
+  const int64_t k = 3;
+  core::RoundPipeline pipeline(
+      k, plan, comm::LinkGrid::star({100.0, 100.0, 100.0}),
+      comm::Protocol::kParamServer, nullptr, false, {}, false,
+      {1.0, 3.0, 4.0});
+  const int64_t n = plan.total_elems();
+  pipeline.deactivate(2);
+  for (int64_t a = 0; a < 2; ++a) {
+    std::fill(pipeline.slot(a, 0), pipeline.slot(a, 0) + n,
+              static_cast<double>(a));
+    pipeline.contribute(a, 0);
+  }
+  pipeline.drain();
+  for (int64_t a = 0; a < 2; ++a)
+    EXPECT_DOUBLE_EQ(pipeline.slot(a, 0)[n - 1], 0.75);  // (0 + 3) / 4
+  EXPECT_EQ(pipeline.stats().max_bytes_sent, 2 * comm::fp32_wire_bytes(n));
 }
 
 /// fp32 wire codec whose encode_copy throws on its `fail_at`-th call (the
@@ -494,7 +518,8 @@ TEST(RoundPipeline, StepItemExceptionRethrowsAndTheNextRoundReduces) {
   const int64_t k = 8;
   ThrowingCodec codec(/*fail_at=*/20);
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kHalvingDoubling, &codec);
+                               comm::Protocol::kHalvingDoublingAllReduce,
+                               &codec);
   const auto value_of = [](int64_t agent, int64_t i) {
     return static_cast<double>(agent) + 0.125 * static_cast<double>(i % 9);
   };
@@ -582,7 +607,8 @@ TEST_P(OverlapParityP, SimPredictsExecutedBucketScheduleExactly) {
   }
 
   // Executed: the concurrent pipeline with real payloads.
-  core::RoundPipeline pipeline(k, plan, grid, algo);
+  core::RoundPipeline pipeline(k, plan, grid,
+                               comm::allreduce_protocol(algo));
   for (int64_t a = 0; a < k; ++a) {
     for (int64_t b = 0; b < plan.buckets(); ++b) {
       double* slot = pipeline.slot(a, b);
@@ -623,7 +649,7 @@ INSTANTIATE_TEST_SUITE_P(
 int64_t pipeline_round_bytes(const nn::BucketPlan& plan, int64_t k,
                              const comm::Codec* codec, bool error_feedback) {
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kHalvingDoubling, codec,
+                               comm::Protocol::kHalvingDoublingAllReduce, codec,
                                error_feedback);
   for (int64_t a = 0; a < k; ++a) {
     for (int64_t b = 0; b < plan.buckets(); ++b) {
@@ -680,7 +706,7 @@ TEST(CompressedBuckets, SimPredictsExecutedQuantizedBucketsExactly) {
   }
 
   core::RoundPipeline pipeline(k, plan, grid,
-                               comm::AllReduceAlgo::kHalvingDoubling,
+                               comm::Protocol::kHalvingDoublingAllReduce,
                                &comm::quantized_codec(), true);
   for (int64_t a = 0; a < k; ++a) {
     for (int64_t b = 0; b < plan.buckets(); ++b) {
@@ -721,7 +747,7 @@ TEST(CompressedBuckets, ErrorFeedbackDrivesRepeatedRoundsToTheMean) {
 
   for (const bool ef : {true, false}) {
     core::RoundPipeline pipeline(1, plan, comm::LinkGrid::uniform(1, 100.0),
-                                 comm::AllReduceAlgo::kHalvingDoubling,
+                                 comm::Protocol::kHalvingDoublingAllReduce,
                                  &comm::quantized_codec(), ef);
     constexpr int kRounds = 64;
     std::vector<double> mean(static_cast<size_t>(n), 0.0);
@@ -1574,9 +1600,13 @@ TEST(FleetOptionsValidate, FleetsRejectInvalidOptionsAtConstruction) {
   EXPECT_THROW(RealFleet(mlp_factory(6, 3), 3, blob_shards(2, 20, 3, 6, 71),
                          hetero_mesh(2), opt),
                std::invalid_argument);
-  EXPECT_THROW(baselines::RealBaselineFleet(
-                   learncurve::Method::kFedAvg, mlp_factory(6, 3), 3,
-                   blob_shards(2, 20, 3, 6, 72), hetero_mesh(2), opt),
+  EXPECT_THROW(core::FleetBuilder()
+                   .method(learncurve::Method::kFedAvg)
+                   .options(opt)
+                   .topology(hetero_mesh(2))
+                   .model(mlp_factory(6, 3), 3)
+                   .shards(blob_shards(2, 20, 3, 6, 72))
+                   .build(),
                std::invalid_argument);
   EXPECT_THROW(core::FleetBuilder()
                    .method(learncurve::Method::kComDML)

@@ -1,13 +1,16 @@
 // End-to-end real-training tests: the full ComDML round (pairing +
 // local-loss split training + message-level AllReduce) on actual tensors,
-// and the real baseline fleets.
+// and the real baselines (RealFleet with pairing off and the method's own
+// aggregation), built through FleetBuilder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 
-#include "baselines/real_baselines.hpp"
 #include "core/fleet_runtime.hpp"
+#include "core/parallel.hpp"
 #include "core/real_fleet.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
@@ -19,7 +22,6 @@
 namespace comdml::core {
 namespace {
 
-using baselines::RealBaselineFleet;
 using learncurve::Method;
 using sim::ResourceProfile;
 using sim::Topology;
@@ -248,16 +250,29 @@ TEST(RealFleet, RejectsShardTopologyMismatch) {
 
 // ---- real baselines ---------------------------------------------------------------
 
+/// A real baseline fleet, built the way fleet_cli builds one.
+FleetRuntime real_baseline(Method method, ModelFactory factory,
+                           int64_t classes, std::vector<data::Dataset> shards,
+                           Topology topology, const FleetOptions& options) {
+  return FleetBuilder()
+      .method(method)
+      .options(options)
+      .topology(std::move(topology))
+      .model(std::move(factory), classes)
+      .shards(std::move(shards))
+      .build();
+}
+
 class RealBaselineP : public ::testing::TestWithParam<Method> {};
 
 TEST_P(RealBaselineP, LearnsBlobs) {
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   opt.train.batches_per_round = 6;
   opt.train.sgd.lr = 0.08f;
   auto shards = blob_shards(4, 60, 3, 6, 12);
   data::Dataset pooled = shards[0];
-  RealBaselineFleet fleet(GetParam(), mlp_factory(6, 3), 3,
-                          std::move(shards), hetero_mesh(4), opt);
+  FleetRuntime fleet = real_baseline(GetParam(), mlp_factory(6, 3), 3,
+                                     std::move(shards), hetero_mesh(4), opt);
   for (int r = 0; r < 15; ++r) (void)fleet.step();
   EXPECT_GT(fleet.evaluate(pooled), 0.75f);
 }
@@ -268,9 +283,10 @@ INSTANTIATE_TEST_SUITE_P(Methods, RealBaselineP,
                                            Method::kBrainTorrent));
 
 TEST(RealBaselines, FedAvgReachesConsensus) {
-  RealBaselineFleet::Options opt;
-  RealBaselineFleet fleet(Method::kFedAvg, mlp_factory(6, 3), 3,
-                          blob_shards(4, 40, 3, 6, 13), hetero_mesh(4), opt);
+  FleetOptions opt;
+  FleetRuntime fleet =
+      real_baseline(Method::kFedAvg, mlp_factory(6, 3), 3,
+                    blob_shards(4, 40, 3, 6, 13), hetero_mesh(4), opt);
   (void)fleet.step();
   Rng rng(14);
   const auto x = rng.normal_tensor({5, 6}, 0, 1);
@@ -281,9 +297,10 @@ TEST(RealBaselines, FedAvgReachesConsensus) {
 }
 
 TEST(RealBaselines, GossipReplicasMayDiverge) {
-  RealBaselineFleet::Options opt;
-  RealBaselineFleet fleet(Method::kGossip, mlp_factory(6, 3), 3,
-                          blob_shards(4, 40, 3, 6, 15), hetero_mesh(4), opt);
+  FleetOptions opt;
+  FleetRuntime fleet =
+      real_baseline(Method::kGossip, mlp_factory(6, 3), 3,
+                    blob_shards(4, 40, 3, 6, 15), hetero_mesh(4), opt);
   (void)fleet.step();
   Rng rng(16);
   const auto x = rng.normal_tensor({5, 6}, 0, 1);
@@ -301,11 +318,11 @@ TEST(RealBaselines, GossipHonorsLinkLatency) {
   // the round's slowest push pays comms.latency_sec once, like each leg
   // of a FedAvg round does.
   const auto round_seconds = [](Method method, double latency_sec) {
-    RealBaselineFleet::Options opt;
+    FleetOptions opt;
     opt.comms.latency_sec = latency_sec;
-    RealBaselineFleet fleet(method, mlp_factory(6, 3), 3,
-                            blob_shards(5, 20, 3, 6, 27), hetero_mesh(5),
-                            opt);
+    FleetRuntime fleet =
+        real_baseline(method, mlp_factory(6, 3), 3,
+                      blob_shards(5, 20, 3, 6, 27), hetero_mesh(5), opt);
     return fleet.step().aggregation_seconds;
   };
   EXPECT_NEAR(round_seconds(Method::kGossip, 0.5) -
@@ -356,23 +373,26 @@ TEST(RealBaselines, ComputeSpanMatchesRealFleetClock) {
   }
 }
 
-TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {
-  // An offline agent cannot reach the param-server star; aggregation must
-  // fall back to the historical local weighted mean instead of throwing.
+TEST(RealBaselines, FedAvgRefusesAgentWithoutUplink) {
+  // The param-server star cannot reach an agent with no uplink, so the
+  // fleet is refused at construction rather than averaging that agent's
+  // model with no traffic accounted.
   std::vector<ResourceProfile> profiles{
       {4.0, 100.0}, {0.2, 100.0}, {2.0, 0.0}};
-  RealBaselineFleet::Options opt;
-  RealBaselineFleet fleet(Method::kFedAvg, mlp_factory(6, 3), 3,
+  FleetOptions opt;
+  for (const Method m :
+       {Method::kFedAvg, Method::kFedProx, Method::kBrainTorrent}) {
+    try {
+      (void)real_baseline(m, mlp_factory(6, 3), 3,
                           blob_shards(3, 20, 3, 6, 25),
                           Topology::full_mesh(profiles), opt);
-  const auto stats = fleet.step();
-  EXPECT_EQ(stats.aggregation_bytes, 0);  // no transport traffic accounted
-  Rng rng(26);
-  const auto x = rng.normal_tensor({5, 6}, 0, 1);
-  const auto y0 = fleet.model(0).forward(x, false);
-  for (int64_t a = 1; a < 3; ++a)
-    EXPECT_TRUE(
-        tensor::allclose(fleet.model(a).forward(x, false), y0, 1e-4f));
+      ADD_FAILURE() << learncurve::method_name(m) << " was not refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("agent 2 has no uplink"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RealBaselines, FedProxAnchorsEveryParameterOnBatchNormModels) {
@@ -386,13 +406,13 @@ TEST(RealBaselines, FedProxAnchorsEveryParameterOnBatchNormModels) {
   const data::Dataset shard =
       data::make_synthetic_images(1, 3, {3, 8, 8}, 0.4f, rng);
   const ModelFactory factory = [](Rng& r) { return nn::small_cnn(3, 3, r); };
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   opt.train.batch_size = 1;
   opt.train.batches_per_round = 2;
   opt.train.sgd = {0.05f, 0.0f, 0.0f};
   opt.train.prox_mu = 5.0f;
-  RealBaselineFleet fleet(Method::kFedProx, factory, 3, {shard},
-                          Topology::full_mesh({{1.0, 100.0}}), opt);
+  FleetRuntime fleet = real_baseline(Method::kFedProx, factory, 3, {shard},
+                                     Topology::full_mesh({{1.0, 100.0}}), opt);
 
   Rng ref_rng(0);
   auto ref = factory(ref_rng);
@@ -432,7 +452,7 @@ TEST(RealBaselines, MomentumCarriesAcrossRounds) {
   // FedProx's local step plain SGD.
   Rng rng(42);
   const data::Dataset shard = data::make_blobs(1, 3, 6, 0.3f, rng);
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   opt.train.batch_size = 1;
   opt.train.batches_per_round = 2;
   opt.train.sgd = {0.05f, 0.9f, 0.0f};
@@ -441,8 +461,9 @@ TEST(RealBaselines, MomentumCarriesAcrossRounds) {
   for (const Method m : {Method::kFedAvg, Method::kFedProx, Method::kGossip,
                          Method::kBrainTorrent}) {
     SCOPED_TRACE(learncurve::method_name(m));
-    RealBaselineFleet fleet(m, mlp_factory(6, 3), 3, {shard},
-                            Topology::full_mesh({{1.0, 100.0}}), opt);
+    FleetRuntime fleet = real_baseline(m, mlp_factory(6, 3), 3, {shard},
+                                       Topology::full_mesh({{1.0, 100.0}}),
+                                       opt);
     Rng ref_rng(0);
     auto ref = mlp_factory(6, 3)(ref_rng);
     nn::load_state(*ref, nn::state_of(fleet.model(0)));
@@ -459,18 +480,205 @@ TEST(RealBaselines, MomentumCarriesAcrossRounds) {
   }
 }
 
-TEST(RealBaselines, RejectsComDML) {
-  RealBaselineFleet::Options opt;
-  for (const Method m : {Method::kComDML, Method::kAllReduceDML})
-    EXPECT_THROW(RealBaselineFleet(m, mlp_factory(6, 3), 3,
-                                   blob_shards(2, 20, 3, 6, 17),
-                                   hetero_mesh(2), opt),
-                 std::invalid_argument)
-        << learncurve::method_name(m);
-  // ...and RealFleet takes only those two.
-  EXPECT_THROW(RealFleet(mlp_factory(6, 3), 3, blob_shards(2, 20, 3, 6, 17),
-                         hetero_mesh(2), opt, Method::kFedAvg),
-               std::invalid_argument);
+TEST(RealFleet, RefusesFailureAgentOutsideTheFleet) {
+  // A failure naming an agent the fleet does not have is refused at
+  // construction, not mid-round when its round comes up.
+  FleetOptions opt;
+  FleetOptions::FaultOptions::AgentFailure f;
+  f.agent = 7;
+  f.round = 1;
+  opt.faults.failures.push_back(f);
+  for (const Method m : {Method::kComDML, Method::kAllReduceDML,
+                         Method::kFedAvg, Method::kGossip}) {
+    try {
+      (void)RealFleet(mlp_factory(6, 3), 3, blob_shards(4, 20, 3, 6, 18),
+                      hetero_mesh(4), opt, m);
+      ADD_FAILURE() << learncurve::method_name(m) << " was not refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("agent 7 of a 4-agent fleet"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RealFleet, DistContextRefusesParamServerAndGossip) {
+  // A multi-process round runs each bucket as a stepped allreduce over the
+  // socket mesh; the param-server star and gossip have no such schedule.
+  for (const Method m : {Method::kFedAvg, Method::kFedProx,
+                         Method::kBrainTorrent, Method::kGossip}) {
+    RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 20, 3, 6, 19),
+                    hetero_mesh(4), FleetOptions{}, m);
+    comm::InProcTransport mesh(comm::LinkGrid::uniform(4, 100.0));
+    RealFleet::DistContext ctx;
+    ctx.owner.assign(4, 0);
+    ctx.transport = &mesh;
+    try {
+      fleet.set_dist_context(std::move(ctx));
+      ADD_FAILURE() << learncurve::method_name(m) << " was not refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("no schedule to run over the "
+                                           "socket mesh"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RealFleet, BaselineRoundsMatchParentDigest) {
+  // Two rounds of each real baseline on a 4-agent tiny-ResNet fleet,
+  // hashed over every agent's weights and BN statistics. FedAvg and
+  // FedProx reproduce, bit for bit, the digests recorded when the real
+  // baselines ran on an engine of their own. Gossip and BrainTorrent are
+  // recorded on RealFleet itself: gossip's partner draws now come after
+  // the round's per-task forks of the fleet rng, and BrainTorrent's mean is
+  // the param-server star's fp64 mean instead of a local fp32 one. Like
+  // PairedCnnRoundsMatchParentDigest, each digest depends only on the
+  // host's kernel family.
+  struct Want {
+    Method method;
+    uint64_t scalar;
+    uint64_t avx2;
+  };
+  const Want wants[] = {
+      // Recorded on the separate baseline engine.
+      {Method::kFedAvg, 0x07ae090f52bdc5ddull, 0x9711dd84c7f23cedull},
+      {Method::kFedProx, 0x0656b5418646286dull, 0x09fa8afd8b392875ull},
+      // Recorded on RealFleet.
+      {Method::kGossip, 0xcc75dfecbe8d751cull, 0x31713fae839aada2ull},
+      {Method::kBrainTorrent, 0xb15caf5f2d0fef9dull, 0xa3d043c85d0c7c95ull},
+  };
+  const std::string kernel = tensor::gemm_kernel_name();
+  for (const Want& want : wants) {
+    FleetOptions opt;
+    opt.seed = 37;
+    opt.train.batch_size = 8;
+    opt.train.batches_per_round = 2;
+    Rng rng(13);
+    const auto ds = data::make_synthetic_images(96, 3, {3, 8, 8}, 0.3f, rng);
+    // Shards of 16, 32, 24 and 24 samples: FedAvg's shard-size weights are
+    // not uniform.
+    auto parts = data::iid_partition(ds.size(), 4, rng);
+    parts[1].insert(parts[1].end(), parts[0].end() - 8, parts[0].end());
+    parts[0].resize(parts[0].size() - 8);
+    std::vector<data::Dataset> shards;
+    for (const auto& idx : parts) shards.push_back(ds.subset(idx));
+    std::vector<ResourceProfile> profiles;
+    for (const double cpu : {4.0, 0.25, 2.0, 0.5})
+      profiles.push_back({cpu, 100.0});
+    FleetRuntime fleet = real_baseline(
+        want.method, [](Rng& r) { return nn::tiny_resnet(3, r); }, 3,
+        std::move(shards), Topology::full_mesh(profiles), opt);
+    for (int r = 0; r < 2; ++r) (void)fleet.step();
+    uint64_t h = 14695981039346656037ull;
+    for (int64_t a = 0; a < fleet.agents(); ++a)
+      for (const tensor::Tensor& t : nn::state_of(fleet.model(a)))
+        h = fnv1a(h, t.flat().data(), t.flat().size());
+    EXPECT_EQ(h, kernel == "scalar" ? want.scalar : want.avx2)
+        << learncurve::method_name(want.method) << " kernel " << kernel
+        << " digest 0x" << std::hex << h;
+  }
+}
+
+TEST(RealBaselines, EveryFlagCombinationRunsOrIsRefused) {
+  // Every combination of the settings fleet_cli --real passes through
+  // (buckets, overlap, codec, straggler deadline, one injected failure,
+  // message loss) either runs two rounds to a finite loss with states
+  // bit-identical at 1 and 4 threads, or is refused at construction with
+  // a message naming the setting.
+  const Topology topo = hetero_mesh(4);
+  FleetOptions base;
+  base.train.batch_size = 8;
+  base.train.batches_per_round = 2;
+  // A deadline between the two slowest agents' modeled solo times defers
+  // agent 1 (cpu 0.2) every round.
+  std::vector<double> tau;
+  {
+    Rng rng(1);
+    const auto spec = nn::spec_from_model(*mlp_factory(6, 3)(rng), {6},
+                                          "real-model", 3);
+    for (int64_t i = 0; i < 4; ++i)
+      tau.push_back(modeled_agent(i, topo.profile(i).cpu,
+                                  base.train.reference_flops,
+                                  spec.total_flops(), base.train.batch_size,
+                                  base.train.batches_per_round)
+                        .tau_solo);
+  }
+  const double deadline = 0.5 * (tau[1] + tau[3]);
+  using Failure = FleetOptions::FaultOptions::AgentFailure;
+  const std::pair<const char*, Failure> failures[] = {
+      {"leave", {2, 1, -1, -1, -1}},
+      {":b1", {2, 0, 1, -1, -1}},
+      {":k1", {2, 0, -1, 1, -1}},
+      {":c1", {2, 0, -1, -1, 1}},
+  };
+  const int threads_before = num_threads();
+  for (const Method m : {Method::kFedAvg, Method::kFedProx, Method::kGossip,
+                         Method::kBrainTorrent})
+    for (const int64_t bucket_bytes : {int64_t{0}, int64_t{512}})
+      for (const bool overlap : {false, true})
+        for (const bool quantized : {false, true})
+          for (const bool late : {false, true})
+            for (const auto& [fault, failure] : failures)
+              for (const double drop : {0.0, 0.2}) {
+                FleetOptions opt = base;
+                opt.comms.bucket_bytes = bucket_bytes;
+                opt.comms.overlap = overlap;
+                if (quantized)
+                  opt.comms.codec =
+                      FleetOptions::CommOptions::Codec::kInt8Quantized;
+                opt.faults.deadline_sec = late ? deadline : 0.0;
+                opt.faults.failures = {failure};
+                opt.faults.message_drop_prob = drop;
+                const std::string what =
+                    learncurve::method_name(m) + " bucket_bytes " +
+                    std::to_string(bucket_bytes) +
+                    (overlap ? " overlap" : "") +
+                    (quantized ? " int8" : "") +
+                    (late ? " deadline" : "") + " " + fault +
+                    (drop > 0.0 ? " drop" : "");
+                SCOPED_TRACE(what);
+                const char* refusal = nullptr;
+                if (m == Method::kGossip && bucket_bytes > 0)
+                  refusal = "comms.bucket_bytes";
+                else if (m == Method::kGossip && late)
+                  refusal = "faults.deadline_sec";
+                std::vector<std::vector<float>> states;
+                for (const int threads : {1, 4}) {
+                  set_num_threads(threads);
+                  const auto build = [&] {
+                    return real_baseline(m, mlp_factory(6, 3), 3,
+                                         blob_shards(4, 24, 3, 6, 61), topo,
+                                         opt);
+                  };
+                  if (refusal != nullptr) {
+                    try {
+                      (void)build();
+                      ADD_FAILURE() << "not refused";
+                    } catch (const std::invalid_argument& e) {
+                      EXPECT_NE(std::string(e.what()).find(refusal),
+                                std::string::npos)
+                          << e.what();
+                    }
+                    continue;
+                  }
+                  FleetRuntime fleet = build();
+                  for (int r = 0; r < 2; ++r)
+                    EXPECT_TRUE(std::isfinite(fleet.step().mean_loss));
+                  std::vector<float> flat;
+                  for (int64_t a = 0; a < fleet.agents(); ++a)
+                    for (const tensor::Tensor& t : nn::state_of(fleet.model(a)))
+                      flat.insert(flat.end(), t.flat().begin(),
+                                  t.flat().end());
+                  states.push_back(std::move(flat));
+                }
+                if (states.size() == 2)
+                  EXPECT_TRUE(states[0].size() == states[1].size() &&
+                              std::memcmp(states[0].data(), states[1].data(),
+                                          states[0].size() *
+                                              sizeof(float)) == 0);
+              }
+  set_num_threads(threads_before);
 }
 
 // ---- FleetRuntime facade (real-execution engines) ---------------------------
