@@ -66,13 +66,12 @@ struct Args {
   double deadline_ms = 0.0;
   int64_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  /// Durable state: write a checkpoint after the run / load one before it.
+  /// Durable state: write a checkpoint after the run / load one before it
+  /// (the files are concatenated: a checkpoint is one or more frames, so
+  /// any quorum of a fleetd fleet's shard files restores).
   std::string checkpoint_path;
-  std::string restore_path;
-  /// Quorum shards: per-worker shard files to assemble a fleet from
-  /// (local mode), or the directory workers write their shards into
-  /// (client mode).
-  std::vector<std::string> restore_shards;
+  std::vector<std::string> restore_paths;
+  /// Client mode: the directory workers write their shard files into.
   std::string shard_dir;
   /// Client mode: drive a running fleetd daemon instead of a local fleet.
   std::string connect;
@@ -147,8 +146,7 @@ bool parse_flags(int argc, char** argv, Args& args) {
     else if (flag == "--checkpoint-every" && (v = need_value("--checkpoint-every"))) args.checkpoint_every = count(v, 0);
     else if (flag == "--checkpoint-dir" && (v = need_value("--checkpoint-dir"))) args.checkpoint_dir = v;
     else if (flag == "--checkpoint" && (v = need_value("--checkpoint"))) args.checkpoint_path = v;
-    else if (flag == "--restore" && (v = need_value("--restore"))) args.restore_path = v;
-    else if (flag == "--restore-shard" && (v = need_value("--restore-shard"))) args.restore_shards.push_back(v);
+    else if (flag == "--restore" && (v = need_value("--restore"))) args.restore_paths.push_back(v);
     else if (flag == "--shard-checkpoint" && (v = need_value("--shard-checkpoint"))) args.shard_dir = v;
     else if (flag == "--connect" && (v = need_value("--connect"))) args.connect = v;
     else if (flag == "--connect-timeout-sec" && (v = need_value("--connect-timeout-sec"))) args.connect_timeout_sec = real(v, 0.0, kMax);
@@ -187,18 +185,20 @@ bool parse_flags(int argc, char** argv, Args& args) {
           "  [--checkpoint-every N] [--checkpoint-dir DIR]   (write a\n"
           "   checksummed checkpoint to DIR every N rounds, keeping the\n"
           "   newest two)\n"
-          "  [--checkpoint PATH] [--restore PATH]   (save the fleet state\n"
-          "   after the run / resume from a saved state)\n"
-          "  [--restore-shard PATH]   (repeatable: assemble the fleet from\n"
-          "   per-worker quorum shards before the run; agents missing from\n"
-          "   the shards come up as left)\n"
+          "  [--checkpoint PATH]   (save the fleet state after the run;\n"
+          "   in client mode, every live worker's frame of its agents)\n"
+          "  [--restore PATH]   (repeatable: resume from a saved state; the\n"
+          "   files are concatenated, so any quorum of --shard-checkpoint\n"
+          "   files restores, agents missing from them coming up as left)\n"
           "  [--connect ADDR]   (client mode: drive a running fleetd at\n"
           "   unix:/path.sock or tcp:host:port instead of a local fleet;\n"
-          "   combine with --rounds, --weights-out, --stats, --shutdown)\n"
+          "   combine with --rounds, --weights-out, --checkpoint, --stats,\n"
+          "   --shutdown)\n"
           "  [--connect-timeout-sec S]   (client mode: give up dialing the\n"
           "   coordinator after S seconds; a stale unix socket fails fast)\n"
           "  [--shard-checkpoint DIR]   (client mode: every live worker\n"
-          "   writes its owned-agent shard into DIR after the rounds)\n"
+          "   writes the frame of the agents it owns into DIR after the\n"
+          "   rounds)\n"
           "  [--uniform]   (real comdml: build the fleetd FleetSpec fleet —\n"
           "   uniform resource profiles — so this single-process run is\n"
           "   bit-comparable with a fleetd multi-process run)\n"
@@ -224,12 +224,13 @@ bool parse_flags(int argc, char** argv, Args& args) {
   // --uniform fleetd spec fleet and a fleetd client have no pipeline, fault
   // injection or autonomy settings of their own, so those flags are
   // refused here rather than silently dropped.
-  const bool durable = !args.checkpoint_path.empty() ||
-                       !args.restore_path.empty() ||
-                       !args.restore_shards.empty();
-  if (durable && !(args.real || args.uniform)) {
-    std::fprintf(stderr, "error: --checkpoint/--restore/--restore-shard "
-                         "need --real\n");
+  const bool local = args.real || args.uniform;
+  if (!args.restore_paths.empty() && (!local || !args.connect.empty())) {
+    std::fprintf(stderr, "error: --restore needs a local --real fleet\n");
+    return false;
+  }
+  if (!args.checkpoint_path.empty() && !local && args.connect.empty()) {
+    std::fprintf(stderr, "error: --checkpoint needs --real or --connect\n");
     return false;
   }
   const std::pair<const char*, bool> real_fleet_only[] = {
@@ -472,57 +473,33 @@ int main(int argc, char** argv) {
                                    std::move(sizes));
     }();
 
-    if (!args.restore_shards.empty()) {
-      std::vector<std::vector<uint8_t>> blobs;
-      for (const std::string& path : args.restore_shards) {
+    if (!args.restore_paths.empty()) {
+      std::vector<uint8_t> bytes;
+      for (const std::string& path : args.restore_paths) {
         std::ifstream in(path, std::ios::binary);
         if (!in) {
-          std::fprintf(stderr, "error: cannot read shard %s\n",
-                       path.c_str());
+          std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
           return 1;
         }
-        blobs.emplace_back((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
+        bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
       }
-      try {
-        fleet.restore_shards(blobs);
-      } catch (const core::CheckpointError& e) {
-        std::fprintf(stderr,
-                     "error: shard set is unusable: %s\n"
-                     "(a shard is truncated, corrupted, or the shards come "
-                     "from different checkpoints; gather a consistent "
-                     "quorum and retry)\n",
-                     e.what());
-        return 1;
-      }
-      std::printf("restored %zu shard(s); %zu live agent(s), resuming at "
-                  "round %lld\n",
-                  blobs.size(), fleet.live_agents().size(),
-                  (long long)fleet.rounds_executed());
-    }
-    if (!args.restore_path.empty()) {
-      std::ifstream in(args.restore_path, std::ios::binary);
-      if (!in) {
-        std::fprintf(stderr, "error: cannot read %s\n",
-                     args.restore_path.c_str());
-        return 1;
-      }
-      const std::vector<uint8_t> bytes(
-          (std::istreambuf_iterator<char>(in)),
-          std::istreambuf_iterator<char>());
       try {
         fleet.restore(bytes);
       } catch (const core::CheckpointError& e) {
         std::fprintf(stderr,
-                     "error: checkpoint %s is unusable: %s\n"
-                     "(the file is truncated, corrupted, or from an "
-                     "incompatible fleet; restart from scratch or pick an "
-                     "older checkpoint)\n",
-                     args.restore_path.c_str(), e.what());
+                     "error: checkpoint %s%s is unusable: %s\n"
+                     "(a file is truncated, corrupted, from an incompatible "
+                     "fleet, or the files come from different checkpoints; "
+                     "restart from scratch or pick a consistent set)\n",
+                     args.restore_paths.front().c_str(),
+                     args.restore_paths.size() > 1 ? " (and the rest)" : "",
+                     e.what());
         return 1;
       }
-      std::printf("restored fleet state from %s (resuming at round %lld)\n",
-                  args.restore_path.c_str(),
+      std::printf("restored fleet state from %zu file(s); %zu live "
+                  "agent(s), resuming at round %lld\n",
+                  args.restore_paths.size(), fleet.live_agents().size(),
                   (long long)fleet.rounds_executed());
     }
 

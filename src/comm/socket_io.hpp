@@ -81,7 +81,9 @@ inline constexpr uint32_t kFrameMagic = 0x434D4446;  // "CMDF"
 /// Version 5: the round exchange carries no agent state (every agent
 /// trains on its owner); a TaskResult ends with the fast half's per-batch
 /// losses.
-inline constexpr uint16_t kWireVersion = 5;
+/// Version 6: fleetd's agent-state relay is gone; every live worker
+/// answers kCheckpointReq with its own checkpoint frame.
+inline constexpr uint16_t kWireVersion = 6;
 /// Upper bound on a frame body — rejects desynchronized/garbage peers
 /// before a bad length turns into a huge allocation.
 inline constexpr uint32_t kMaxFrameBody = 1u << 30;

@@ -77,15 +77,9 @@ void FleetRuntime::restore(const std::vector<uint8_t>& bytes) {
 }
 
 std::vector<uint8_t> FleetRuntime::checkpoint_shard(
-    int64_t shard, int64_t shards, const std::vector<int64_t>& owned) {
+    int64_t shard, int64_t shards, const std::vector<int64_t>& covered) {
   return real_fleet("checkpoint/restore")
-      .checkpoint_shard(shard, shards, owned);
-}
-
-void FleetRuntime::restore_shards(
-    const std::vector<std::vector<uint8_t>>& shards) {
-  real_fleet("checkpoint/restore").restore_shards(shards);
-  round_ = real_fleet_->round();
+      .checkpoint_shard(shard, shards, covered);
 }
 
 // ---- FleetBuilder -----------------------------------------------------------

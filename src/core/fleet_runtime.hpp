@@ -63,22 +63,18 @@ class FleetRuntime {
   void rejoin(int64_t agent);
   [[nodiscard]] std::vector<int64_t> live_agents() const;
 
-  /// Durable fleet state between rounds (real fleets only); restore
-  /// also resynchronizes the runtime's round counter.
-  [[nodiscard]] std::vector<uint8_t> checkpoint();
-  void restore(const std::vector<uint8_t>& bytes);
-
-  /// Quorum checkpointing (real fleets only): checkpoint_shard
-  /// serializes one worker's owned agents + fleet-level state;
-  /// restore_shards reassembles a fleet from any subset of shards and
+  /// Durable fleet state between rounds (real fleets only). checkpoint
+  /// is one frame of every agent, checkpoint_shard one frame of the
+  /// listed agents; restore reads any concatenation of frames and also
   /// resynchronizes the runtime's round counter. See RealFleet.
+  [[nodiscard]] std::vector<uint8_t> checkpoint();
   [[nodiscard]] std::vector<uint8_t> checkpoint_shard(
-      int64_t shard, int64_t shards, const std::vector<int64_t>& owned);
-  void restore_shards(const std::vector<std::vector<uint8_t>>& shards);
+      int64_t shard, int64_t shards, const std::vector<int64_t>& covered);
+  void restore(const std::vector<uint8_t>& bytes);
 
   /// The underlying RealFleet (any real method), or nullptr for the
   /// simulators. Multi-process workers (fleetd) reach through this to
-  /// install a DistContext and to export/import per-agent state.
+  /// install a DistContext.
   [[nodiscard]] RealFleet* real_comdml() noexcept {
     return real_fleet_.get();
   }

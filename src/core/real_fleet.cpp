@@ -1,7 +1,9 @@
 #include "core/real_fleet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -736,130 +738,6 @@ void RealFleet::rejoin(int64_t agent) {
   pipeline_->rejoin(agent);
 }
 
-namespace {
-constexpr uint32_t kCheckpointMagic = 0x434D444C;  // "CMDL"
-constexpr uint32_t kCheckpointVersion = 3;  // v3: binary rng states
-}  // namespace
-
-std::vector<uint8_t> RealFleet::checkpoint() {
-  // Body first, then the [magic | version | checksum] frame around it —
-  // restore() verifies the fnv1a before parsing a single body field, so
-  // truncation and bit rot surface as CheckpointError up front.
-  tensor::ByteWriter body;
-  body.u32(static_cast<uint32_t>(agents()));
-  body.i64(round_);
-  body.f32(current_lr_);
-  body.str(rng_.state());
-  body.u8(plateau_.has_value() ? 1 : 0);
-  if (plateau_) {
-    const nn::PlateauScheduler::State s = plateau_->save();
-    body.f32(s.best);
-    body.i64(s.stale);
-  }
-  for (int64_t a = 0; a < agents(); ++a) write_agent(body, a);
-  // "A residual slab follows": fleets without error feedback or straggler
-  // deferral write a bare 0, whatever their bucket layout.
-  const std::vector<double>& residuals = pipeline_->residuals();
-  body.u8(residuals.empty() ? 0 : 1);
-  if (!residuals.empty()) body.f64s(residuals);
-
-  const std::vector<uint8_t> payload = body.bytes();
-  tensor::ByteWriter w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  w.u64(tensor::fnv1a(payload.data(), payload.size()));
-  w.raw(payload);
-  return w.bytes();
-}
-
-void RealFleet::restore(const std::vector<uint8_t>& bytes) {
-  // Frame validation. Every defect below is a CheckpointError: the caller
-  // handed us an unusable blob, not a programming error.
-  constexpr size_t kHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-  if (bytes.size() < kHeader)
-    throw CheckpointError("checkpoint truncated: " +
-                          std::to_string(bytes.size()) +
-                          " bytes is smaller than the header");
-  tensor::ByteReader r(bytes);
-  if (r.u32() != kCheckpointMagic)
-    throw CheckpointError("not a fleet checkpoint (bad magic)");
-  const uint32_t version = r.u32();
-  if (version != kCheckpointVersion)
-    throw CheckpointError("unsupported checkpoint version " +
-                          std::to_string(version) + " (expected " +
-                          std::to_string(kCheckpointVersion) + ")");
-  const uint64_t want_sum = r.u64();
-  const uint64_t got_sum =
-      tensor::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
-  if (got_sum != want_sum)
-    throw CheckpointError(
-        "checkpoint checksum mismatch (truncated or corrupted blob)");
-
-  // The body parse cannot run off the end (the checksum covered every
-  // byte), but a malformed length field could still ask for more than is
-  // there; surface that as a CheckpointError too.
-  try {
-    const auto k = static_cast<int64_t>(r.u32());
-    if (k > agents())
-      throw CheckpointError(
-          "checkpoint holds " + std::to_string(k) +
-          " agents but this fleet only has " + std::to_string(agents()) +
-          " — restore needs a fleet at least as wide as the checkpoint");
-    round_ = r.i64();
-    current_lr_ = r.f32();
-    rng_.set_state(r.str());
-    const bool has_plateau = r.u8() != 0;
-    if (has_plateau != plateau_.has_value())
-      throw CheckpointError("checkpoint plateau-schedule config mismatch");
-    if (plateau_) {
-      nn::PlateauScheduler::State s;
-      s.best = r.f32();
-      s.stale = static_cast<int>(r.i64());
-      plateau_->load(s);
-    }
-    for (int64_t a = 0; a < k; ++a) read_agent(r, a);
-    // A narrower checkpoint restores into a wider fleet: the agents beyond
-    // the checkpointed set come up as left (the consensus does not include
-    // them) and can rejoin from a live agent's post-aggregation state.
-    for (int64_t a = k; a < agents(); ++a) {
-      AgentState& st = agents_[static_cast<size_t>(a)];
-      st.alive = false;
-      st.velocity.clear();
-    }
-    // Rejoin clears residuals, so the checkpointed slab loads after this.
-    sync_pipeline_membership();
-    // The residual slab is laid out agent-major over the whole flat state,
-    // so it is independent of the bucket layout: only its presence and
-    // width must match.
-    std::vector<double> residuals;
-    if (r.u8() != 0) residuals = r.f64s();
-    const size_t want = pipeline_->residuals().size();
-    if (want > 0) {
-      // The checkpointed slab covers k agents; rows for the extra agents of
-      // a wider fleet start zeroed (no residual history).
-      const size_t per_agent = want / static_cast<size_t>(agents());
-      if (residuals.size() != per_agent * static_cast<size_t>(k))
-        throw CheckpointError(
-            "checkpoint residual slab mismatch: holds " +
-            std::to_string(residuals.size()) + " values, expected " +
-            std::to_string(per_agent * static_cast<size_t>(k)));
-      residuals.resize(want, 0.0);
-      pipeline_->load_residuals(residuals);
-    } else if (!residuals.empty()) {
-      throw CheckpointError(
-          "checkpoint carries error-feedback residuals but this fleet "
-          "has no residual slab (codec/straggler config mismatch)");
-    }
-    r.expect_done();
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::invalid_argument& e) {
-    throw CheckpointError(std::string("malformed checkpoint body: ") +
-                          e.what());
-  }
-  rounds_since_checkpoint_ = 0;
-}
-
 void RealFleet::sync_pipeline_membership() {
   for (int64_t a = 0; a < agents(); ++a) {
     if (agents_[static_cast<size_t>(a)].alive)
@@ -942,8 +820,140 @@ void RealFleet::set_dist_transport(comm::Transport* transport) {
   pipeline_->set_mesh(transport, std::move(owned));
 }
 
+// ---- durable state ----------------------------------------------------------
+
+namespace {
+
+constexpr uint32_t kFrameMagic = 0x434D4453;  // "CMDS"
+/// Older frames (a text rng state, nested agent blobs) are refused.
+constexpr uint32_t kFrameVersion = 3;
+constexpr size_t kFrameHeader = 2 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+
+/// One agent as RealFleet::write_agent lays it out.
+struct AgentRecord {
+  int64_t agent = 0;
+  bool alive = false;
+  std::vector<tensor::Tensor> state;
+  std::vector<tensor::Tensor> velocity;
+  data::Batcher::State batcher;
+  std::vector<double> residual;
+};
+
+/// A frame's payload, decoded but not yet checked against any fleet.
+struct Frame {
+  int64_t agents = 0;
+  int64_t round = 0;
+  int64_t shard = 0;
+  int64_t shards = 0;
+  float lr = 0.0f;
+  std::string rng;
+  bool has_plateau = false;
+  nn::PlateauScheduler::State plateau;
+  bool has_residual = false;
+  std::vector<AgentRecord> records;
+};
+
+bool read_flag(tensor::ByteReader& r) {
+  const uint8_t v = r.u8();
+  COMDML_REQUIRE(v <= 1, "flag byte " << int{v} << " is neither 0 nor 1");
+  return v == 1;
+}
+
+Frame read_payload(const std::vector<uint8_t>& payload) {
+  tensor::ByteReader r(payload);
+  Frame f;
+  f.agents = r.u32();
+  f.round = r.i64();
+  f.shard = r.i64();
+  f.shards = r.i64();
+  f.lr = r.f32();
+  f.rng = r.str();
+  f.has_plateau = read_flag(r);
+  if (f.has_plateau) {
+    f.plateau.best = r.f32();
+    const int64_t stale = r.i64();
+    COMDML_REQUIRE(stale >= 0 && stale <= INT32_MAX,
+                   "plateau staleness " << stale << " out of range");
+    f.plateau.stale = static_cast<int>(stale);
+  }
+  f.has_residual = read_flag(r);
+  // The record count is untrusted: records are appended as they parse,
+  // never reserved, so a lie runs out of bytes rather than memory.
+  const uint32_t count = r.u32();
+  for (uint32_t i = 0; i < count; ++i) {
+    AgentRecord& rec = f.records.emplace_back();
+    rec.agent = r.i64();
+    rec.alive = read_flag(r);
+    rec.state = r.tensors();
+    rec.velocity = r.tensors();
+    rec.batcher.order = r.i64s();
+    rec.batcher.cursor = r.i64();
+    rec.batcher.epoch = r.i64();
+    rec.batcher.rng = r.str();
+    if (f.has_residual) rec.residual = r.f64s();
+  }
+  r.expect_done();
+  return f;
+}
+
+/// Split a checkpoint into frames and decode each one, checking headers
+/// and checksums. Nothing here knows the restoring fleet.
+std::vector<Frame> decode_frames(const std::vector<uint8_t>& bytes) {
+  if (bytes.empty()) throw CheckpointError("empty checkpoint: no frames");
+  std::vector<Frame> frames;
+  for (size_t at = 0; at < bytes.size();) {
+    const std::string frame =
+        "checkpoint frame " + std::to_string(frames.size());
+    const size_t left = bytes.size() - at;
+    if (left < kFrameHeader)
+      throw CheckpointError(frame + " truncated: " + std::to_string(left) +
+                            " bytes is smaller than the header");
+    const auto field = [&](auto value, size_t offset) {
+      std::memcpy(&value, bytes.data() + at + offset, sizeof(value));
+      return value;
+    };
+    if (field(uint32_t{}, 0) != kFrameMagic)
+      throw CheckpointError(frame + " is not a fleet checkpoint (bad magic)");
+    const uint32_t version = field(uint32_t{}, 4);
+    if (version != kFrameVersion)
+      throw CheckpointError("unsupported checkpoint version " +
+                            std::to_string(version) + " (expected " +
+                            std::to_string(kFrameVersion) + ")");
+    const uint64_t length = field(uint64_t{}, 8);
+    if (length > left - kFrameHeader)
+      throw CheckpointError(frame + " truncated: its payload claims " +
+                            std::to_string(length) + " bytes, " +
+                            std::to_string(left - kFrameHeader) + " remain");
+    const uint8_t* payload = bytes.data() + at + kFrameHeader;
+    if (tensor::fnv1a(payload, length) != field(uint64_t{}, 16))
+      throw CheckpointError(frame +
+                            " checksum mismatch (truncated or corrupted)");
+    try {
+      frames.push_back(
+          read_payload(std::vector<uint8_t>(payload, payload + length)));
+    } catch (const std::invalid_argument& e) {
+      throw CheckpointError(frame + " is malformed: " + e.what());
+    }
+    at += kFrameHeader + length;
+  }
+  return frames;
+}
+
+bool valid_rng_state(const std::string& state) {
+  tensor::Rng probe(0);
+  try {
+    probe.set_state(state);
+  } catch (const tensor::RngStateError&) {
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent) {
   const AgentState& st = agents_[static_cast<size_t>(agent)];
+  w.i64(agent);
   w.u8(st.alive ? 1 : 0);
   w.tensors(nn::state_of(*st.model));
   w.tensors(st.velocity);
@@ -952,42 +962,23 @@ void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent) {
   w.i64(bs.cursor);
   w.i64(bs.epoch);
   w.str(bs.rng);
+  // The slab is agent-major, so the agent's row is one contiguous run.
+  const std::vector<double>& slab = pipeline_->residuals();
+  if (slab.empty()) return;
+  const size_t row = slab.size() / agents_.size();
+  const auto first = slab.begin() + static_cast<std::ptrdiff_t>(
+                                        static_cast<size_t>(agent) * row);
+  w.f64s(std::vector<double>(first, first + static_cast<std::ptrdiff_t>(row)));
 }
 
-void RealFleet::read_agent(tensor::ByteReader& r, int64_t agent) {
-  AgentState& st = agents_[static_cast<size_t>(agent)];
-  st.alive = r.u8() != 0;
-  nn::load_state(*st.model, r.tensors());
-  st.velocity = r.tensors();
-  data::Batcher::State bs;
-  bs.order = r.i64s();
-  bs.cursor = r.i64();
-  bs.epoch = r.i64();
-  bs.rng = r.str();
-  st.batcher->load(bs);
+std::vector<uint8_t> RealFleet::checkpoint() {
+  std::vector<int64_t> every(agents_.size());
+  std::iota(every.begin(), every.end(), 0);
+  return checkpoint_shard(0, 1, every);
 }
-
-std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {
-  COMDML_CHECK(agent >= 0 && agent < agents());
-  tensor::ByteWriter w;
-  write_agent(w, agent);
-  return w.bytes();
-}
-
-void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
-  COMDML_CHECK(agent >= 0 && agent < agents());
-  tensor::ByteReader r(bytes);
-  read_agent(r, agent);
-  r.expect_done();
-}
-
-namespace {
-constexpr uint32_t kShardMagic = 0x434D4453;  // "CMDS"
-constexpr uint32_t kShardVersion = 2;  // v2: binary rng states
-}  // namespace
 
 std::vector<uint8_t> RealFleet::checkpoint_shard(
-    int64_t shard, int64_t shards, const std::vector<int64_t>& owned_agents) {
+    int64_t shard, int64_t shards, const std::vector<int64_t>& covered) {
   COMDML_REQUIRE(shards >= 1 && shard >= 0 && shard < shards,
                  "bad shard index " << shard << " of " << shards);
   tensor::ByteWriter body;
@@ -996,9 +987,9 @@ std::vector<uint8_t> RealFleet::checkpoint_shard(
   body.i64(shard);
   body.i64(shards);
   body.f32(current_lr_);
-  // Fleet-level rng travels in EVERY shard: all workers fork task rngs for
+  // The fleet rng travels in every frame: all workers fork task rngs for
   // all tasks every round, so their fleet rng states are identical and any
-  // shard can seed the restored fleet.
+  // frame can seed the restored fleet.
   body.str(rng_.state());
   body.u8(plateau_.has_value() ? 1 : 0);
   if (plateau_) {
@@ -1006,165 +997,157 @@ std::vector<uint8_t> RealFleet::checkpoint_shard(
     body.f32(s.best);
     body.i64(s.stale);
   }
-  body.u32(static_cast<uint32_t>(owned_agents.size()));
-  for (const int64_t a : owned_agents) {
+  body.u8(pipeline_->residuals().empty() ? 0 : 1);
+  body.u32(static_cast<uint32_t>(covered.size()));
+  for (const int64_t a : covered) {
     COMDML_CHECK(a >= 0 && a < agents());
-    body.i64(a);
-    const std::vector<uint8_t> blob = export_agent(a);
-    body.str(std::string(blob.begin(), blob.end()));
+    write_agent(body, a);
   }
 
-  const std::vector<uint8_t> payload = body.bytes();
+  const std::vector<uint8_t>& payload = body.bytes();
   tensor::ByteWriter w;
-  w.u32(kShardMagic);
-  w.u32(kShardVersion);
+  w.u32(kFrameMagic);
+  w.u32(kFrameVersion);
+  w.u64(payload.size());
   w.u64(tensor::fnv1a(payload.data(), payload.size()));
   w.raw(payload);
   return w.bytes();
 }
 
-void RealFleet::restore_shards(
-    const std::vector<std::vector<uint8_t>>& shards) {
-  COMDML_REQUIRE(pipeline_->residuals().empty(),
-                 "shard restore needs a fleet without an error-feedback "
-                 "residual slab (shards carry no residuals)");
-  if (shards.empty())
-    throw CheckpointError("shard restore got zero shards");
+void RealFleet::restore(const std::vector<uint8_t>& bytes) {
+  const std::vector<Frame> frames = decode_frames(bytes);
 
-  struct ParsedShard {
-    int64_t agents_total = 0;
-    int64_t round = 0;
-    int64_t shard = 0;
-    int64_t shards = 0;
-    float lr = 0.0f;
-    std::string rng;
-    bool has_plateau = false;
-    float plateau_best = 0.0f;
-    int64_t plateau_stale = 0;
-    std::vector<std::pair<int64_t, std::string>> blobs;
+  // Check every frame against this fleet before writing any of its state.
+  const Frame& head = frames.front();
+  if (head.agents > agents())
+    throw CheckpointError(
+        "checkpoint holds " + std::to_string(head.agents) +
+        " agents but this fleet only has " + std::to_string(agents()) +
+        " — restore needs a fleet at least as wide as the checkpoint");
+  if (head.has_plateau != plateau_.has_value())
+    throw CheckpointError("checkpoint plateau-schedule config mismatch");
+  const std::vector<double>& slab = pipeline_->residuals();
+  if (head.has_residual != !slab.empty())
+    throw CheckpointError(
+        head.has_residual
+            ? "checkpoint carries error-feedback residuals but this fleet "
+              "has no residual slab (codec/straggler config mismatch)"
+            : "checkpoint carries no error-feedback residuals but this "
+              "fleet keeps a residual slab (codec/straggler config mismatch)");
+  const size_t row = slab.size() / agents_.size();
+  // Every replica comes from one factory: agent 0's model is the template.
+  std::vector<tensor::Tensor*> state;
+  agents_.front().model->collect_state(state);
+  const std::vector<nn::Parameter*> params =
+      agents_.front().model->parameters();
+  const auto check_agent = [&](const AgentRecord& rec) {
+    const std::string who = "checkpoint agent " + std::to_string(rec.agent);
+    if (rec.state.size() != state.size())
+      throw CheckpointError(who + " holds " +
+                            std::to_string(rec.state.size()) +
+                            " state tensors; this fleet's model has " +
+                            std::to_string(state.size()));
+    for (size_t i = 0; i < state.size(); ++i)
+      if (rec.state[i].shape() != state[i]->shape())
+        throw CheckpointError(who + "'s state tensor " + std::to_string(i) +
+                              " does not fit this fleet's model");
+    if (!rec.velocity.empty()) {
+      bool fits = rec.velocity.size() == params.size();
+      for (size_t i = 0; fits && i < params.size(); ++i)
+        fits = rec.velocity[i].shape() == params[i]->value.shape();
+      if (!fits)
+        throw CheckpointError(who + "'s momentum does not fit this fleet's "
+                                    "model");
+    }
+    const data::Batcher::State& b = rec.batcher;
+    const int64_t n = shards_[static_cast<size_t>(rec.agent)].size();
+    const bool batcher_fits =
+        static_cast<int64_t>(b.order.size()) == n &&
+        std::all_of(b.order.begin(), b.order.end(),
+                    [n](int64_t i) { return i >= 0 && i < n; }) &&
+        b.cursor >= 0 && b.cursor <= n && b.epoch >= 0 &&
+        valid_rng_state(b.rng);
+    if (!batcher_fits)
+      throw CheckpointError(who + "'s batcher state does not fit its " +
+                            std::to_string(n) + "-sample shard");
+    if (rec.residual.size() != row)
+      throw CheckpointError(who + "'s residual row holds " +
+                            std::to_string(rec.residual.size()) +
+                            " values; this fleet's rows hold " +
+                            std::to_string(row));
   };
-  std::vector<ParsedShard> parsed;
-  parsed.reserve(shards.size());
-  for (const std::vector<uint8_t>& bytes : shards) {
-    constexpr size_t kHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-    if (bytes.size() < kHeader)
-      throw CheckpointError("checkpoint shard truncated: " +
-                            std::to_string(bytes.size()) +
-                            " bytes is smaller than the header");
-    tensor::ByteReader r(bytes);
-    if (r.u32() != kShardMagic)
-      throw CheckpointError("not a fleet checkpoint shard (bad magic)");
-    const uint32_t version = r.u32();
-    if (version != kShardVersion)
-      throw CheckpointError("unsupported checkpoint shard version " +
-                            std::to_string(version) + " (expected " +
-                            std::to_string(kShardVersion) + ")");
-    const uint64_t want_sum = r.u64();
-    const uint64_t got_sum =
-        tensor::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
-    if (got_sum != want_sum)
+
+  const Frame* lead = &head;
+  std::vector<int64_t> slots;
+  std::vector<char> covered(agents_.size(), 0);
+  bool any_live = false;
+  for (const Frame& f : frames) {
+    if (f.agents != head.agents || f.round != head.round ||
+        f.shards != head.shards || f.has_plateau != head.has_plateau ||
+        f.has_residual != head.has_residual)
       throw CheckpointError(
-          "checkpoint shard checksum mismatch (truncated or corrupted)");
-    try {
-      ParsedShard p;
-      p.agents_total = static_cast<int64_t>(r.u32());
-      p.round = r.i64();
-      p.shard = r.i64();
-      p.shards = r.i64();
-      p.lr = r.f32();
-      p.rng = r.str();
-      p.has_plateau = r.u8() != 0;
-      if (p.has_plateau) {
-        p.plateau_best = r.f32();
-        p.plateau_stale = r.i64();
-      }
-      const uint32_t count = r.u32();
-      p.blobs.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        const int64_t a = r.i64();
-        p.blobs.emplace_back(a, r.str());
-      }
-      r.expect_done();
-      parsed.push_back(std::move(p));
-    } catch (const std::invalid_argument& e) {
-      throw CheckpointError(std::string("malformed checkpoint shard: ") +
-                            e.what());
+          "inconsistent checkpoint frames: mixed fleets or rounds");
+    if (f.shard < 0 || f.shard >= f.shards)
+      throw CheckpointError("checkpoint frame slot " +
+                            std::to_string(f.shard) + " of " +
+                            std::to_string(f.shards) + " is out of range");
+    slots.push_back(f.shard);
+    // Fleet-level state comes from the lowest slot present (every frame
+    // carries identical copies; the choice only pins determinism).
+    if (f.shard < lead->shard) lead = &f;
+    for (const AgentRecord& rec : f.records) {
+      if (rec.agent < 0 || rec.agent >= f.agents)
+        throw CheckpointError("checkpoint agent " +
+                              std::to_string(rec.agent) + " is outside its " +
+                              std::to_string(f.agents) + "-agent fleet");
+      char& seen = covered[static_cast<size_t>(rec.agent)];
+      if (seen != 0)
+        throw CheckpointError("checkpoint agent " +
+                              std::to_string(rec.agent) +
+                              " is covered by two frames");
+      seen = 1;
+      check_agent(rec);
+      any_live = any_live || rec.alive;
     }
   }
-
-  // Cross-shard consistency: every shard must describe the same fleet at
-  // the same round, and no two shards may carry the same worker slot or
-  // the same agent.
-  const ParsedShard& head = parsed.front();
-  if (head.agents_total > agents())
+  std::sort(slots.begin(), slots.end());
+  const auto dup = std::adjacent_find(slots.begin(), slots.end());
+  if (dup != slots.end())
+    throw CheckpointError("two checkpoint frames fill slot " +
+                          std::to_string(*dup));
+  if (!any_live)
     throw CheckpointError(
-        "checkpoint shards hold " + std::to_string(head.agents_total) +
-        " agents but this fleet only has " + std::to_string(agents()));
-  if (head.has_plateau != plateau_.has_value())
-    throw CheckpointError("checkpoint shard plateau-schedule config mismatch");
-  std::vector<char> slot_seen(static_cast<size_t>(head.shards), 0);
-  for (const ParsedShard& p : parsed) {
-    if (p.agents_total != head.agents_total || p.round != head.round ||
-        p.shards != head.shards)
-      throw CheckpointError(
-          "inconsistent checkpoint shards: mixed fleets or rounds");
-    if (p.shard < 0 || p.shard >= p.shards)
-      throw CheckpointError("checkpoint shard index out of range");
-    if (slot_seen[static_cast<size_t>(p.shard)] != 0)
-      throw CheckpointError("duplicate checkpoint shard " +
-                            std::to_string(p.shard));
-    slot_seen[static_cast<size_t>(p.shard)] = 1;
-  }
+        "checkpoint restores zero live agents; need frames covering at "
+        "least one");
+  if (head.round < 0 || !(lead->lr > 0.0f) || !std::isfinite(lead->lr) ||
+      !valid_rng_state(lead->rng))
+    throw CheckpointError(
+        "checkpoint fleet state is malformed (round, LR or rng)");
 
-  // Fleet-level state from the lowest shard index present (all shards
-  // carry identical copies; the choice only pins determinism).
-  const ParsedShard* lead = &head;
-  for (const ParsedShard& p : parsed)
-    if (p.shard < lead->shard) lead = &p;
+  // Everything fits: load. Agents no frame covers come up left.
   round_ = lead->round;
   current_lr_ = lead->lr;
   rng_.set_state(lead->rng);
-  if (plateau_) {
-    nn::PlateauScheduler::State s;
-    s.best = lead->plateau_best;
-    s.stale = static_cast<int>(lead->plateau_stale);
-    plateau_->load(s);
-  }
-
-  // Start everyone as left, then bring covered agents up with their exact
-  // state. Agents of absent shards stay left — rejoinable from consensus.
+  if (plateau_) plateau_->load(lead->plateau);
   for (AgentState& st : agents_) {
     st.alive = false;
     st.velocity.clear();
   }
-  std::vector<char> agent_seen(static_cast<size_t>(agents()), 0);
-  int64_t live = 0;
-  for (const ParsedShard& p : parsed) {
-    for (const auto& entry : p.blobs) {
-      const int64_t a = entry.first;
-      if (a < 0 || a >= agents())
-        throw CheckpointError("checkpoint shard covers agent " +
-                              std::to_string(a) + " outside this fleet");
-      if (agent_seen[static_cast<size_t>(a)] != 0)
-        throw CheckpointError("agent " + std::to_string(a) +
-                              " covered by two checkpoint shards");
-      agent_seen[static_cast<size_t>(a)] = 1;
-      try {
-        import_agent(a, std::vector<uint8_t>(entry.second.begin(),
-                                             entry.second.end()));
-      } catch (const std::invalid_argument& e) {
-        throw CheckpointError(std::string("malformed agent blob in "
-                                          "checkpoint shard: ") +
-                              e.what());
-      }
-      if (agents_[static_cast<size_t>(a)].alive) ++live;
+  std::vector<double> rows(slab.size(), 0.0);
+  for (const Frame& f : frames)
+    for (const AgentRecord& rec : f.records) {
+      AgentState& st = agents_[static_cast<size_t>(rec.agent)];
+      st.alive = rec.alive;
+      nn::load_state(*st.model, rec.state);
+      st.velocity = rec.velocity;
+      st.batcher->load(rec.batcher);
+      std::copy(rec.residual.begin(), rec.residual.end(),
+                rows.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<size_t>(rec.agent) * row));
     }
-  }
+  // Rejoin zeroes residual rows, so the checkpointed rows load after it.
   sync_pipeline_membership();
-  if (live == 0)
-    throw CheckpointError(
-        "checkpoint shards restore zero live agents; need a quorum "
-        "covering at least one");
+  if (!rows.empty()) pipeline_->load_residuals(rows);
   rounds_since_checkpoint_ = 0;
 }
 

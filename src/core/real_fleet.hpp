@@ -23,7 +23,6 @@
 #include "nn/split.hpp"
 
 namespace comdml::tensor {
-class ByteReader;
 class ByteWriter;
 }  // namespace comdml::tensor
 
@@ -186,13 +185,6 @@ class RealFleet {
   /// destroy.
   void set_dist_transport(comm::Transport* transport);
 
-  /// Serialize one agent's mutable round state (liveness, weights,
-  /// momentum, batcher position) so ownership can move between processes
-  /// — the checkpoint path gathers remote agents through this.
-  [[nodiscard]] std::vector<uint8_t> export_agent(int64_t agent);
-  /// Inverse of export_agent (geometry must match).
-  void import_agent(int64_t agent, const std::vector<uint8_t>& bytes);
-
   /// One complete round (pair -> train -> aggregate) over the live
   /// agents. Injected faults (options.faults) kill their agent at the
   /// configured point; the round still completes over the survivors.
@@ -227,42 +219,39 @@ class RealFleet {
   [[nodiscard]] std::vector<int64_t> live_agents() const;
 
   // ---- durable state --------------------------------------------------------
+  //
+  // One checkpoint format. A checkpoint is one or more shard frames back
+  // to back, each [magic "CMDS" | u32 version 3 | u64 payload length |
+  // u64 fnv1a(payload) | payload]. The payload holds the fleet-level
+  // fields (agent count, round, shard index and count, LR, fleet rng,
+  // plateau controller, whether residual rows follow), then every covered
+  // agent: its index, liveness, weights, momentum, batcher position and,
+  // when the fleet keeps an error-feedback residual slab, its residual row.
 
-  /// Serialize the full fleet state between rounds: every agent's model,
-  /// momentum, batcher position, liveness, the fleet rng / LR / plateau
-  /// controller, and the pipeline's error-feedback residuals (when the
-  /// fleet keeps a residual slab). The blob is
-  /// framed [magic | version | fnv1a(payload) | payload], so restore()
-  /// detects truncation and bit rot before touching fleet state. Restoring
-  /// into a structurally identical fleet resumes bit-identically to never
-  /// having stopped.
+  /// The whole fleet between rounds as one frame:
+  /// checkpoint_shard(0, 1, every agent). Restoring it into a structurally
+  /// identical fleet resumes bit-identically to never having stopped.
   [[nodiscard]] std::vector<uint8_t> checkpoint();
-  /// Validates and loads a checkpoint. Throws CheckpointError for an
-  /// unusable blob (bad magic/version, checksum mismatch, truncation), for
-  /// a checkpoint of *more* agents than this fleet, and for a residual
-  /// slab this fleet does not keep (or lacks). The bucket layout does not
-  /// matter: a flat checkpoint restores into a bucketed fleet and the
-  /// other way round. A checkpoint of
-  /// fewer agents restores into the wider fleet: the extra agents come up
-  /// as left (rejoinable from consensus), so a crashed fleet can resume
-  /// into different live-set geometry.
-  void restore(const std::vector<uint8_t>& bytes);
-
-  /// Quorum checkpointing: one worker's shard of the fleet state — the
-  /// fleet-level fields (round, rng, LR, plateau) plus only the listed
-  /// agents' exported state. Every worker writes its own shard locally, so
-  /// a checkpoint survives any coordinator or worker crash that leaves a
-  /// quorum of shards readable. Framed like checkpoint() (magic "CMDS").
+  /// One frame covering only `covered` agents (plus the fleet-level
+  /// fields, identical on every worker). Every fleetd worker writes the
+  /// frame of the agents it owns, so any quorum of frames that survives a
+  /// crash restores.
   [[nodiscard]] std::vector<uint8_t> checkpoint_shard(
-      int64_t shard, int64_t shards,
-      const std::vector<int64_t>& owned_agents);
-  /// Assemble a fleet from per-worker shards, in any order and from any
-  /// subset of the original workers: agents covered by a present shard
-  /// come up live with their exact state, the rest come up as left
-  /// (rejoinable from consensus). Throws CheckpointError for unusable or
-  /// mutually inconsistent shards. Shards carry no error-feedback
-  /// residuals, so the fleet must not keep a residual slab.
-  void restore_shards(const std::vector<std::vector<uint8_t>>& shards);
+      int64_t shard, int64_t shards, const std::vector<int64_t>& covered);
+  /// The one checkpoint reader. Splits `bytes` into frames and checks all
+  /// of them before it writes any fleet state, so a refused checkpoint
+  /// leaves the fleet as it was. Throws CheckpointError for an unusable
+  /// frame (bad magic or version, checksum mismatch, truncation, a
+  /// malformed body), for frames of different fleets or rounds, for a slot
+  /// or agent two frames both cover, for a checkpoint of *more* agents
+  /// than this fleet, for tensors or batcher state that do not fit this
+  /// fleet's model and data, for a residual slab this fleet does not keep
+  /// (or lacks), and for a checkpoint with no live agent. Covered agents
+  /// come up with their exact state and residual row; the rest come up
+  /// left (rejoinable from consensus) with zeroed rows, so a checkpoint of
+  /// fewer agents, or a quorum of frames, restores into a different
+  /// live-set geometry. The bucket layout does not matter.
+  void restore(const std::vector<uint8_t>& bytes);
 
   /// Rounds completed since the last auto-checkpoint write (0 right after
   /// one; tests and dashboards). Auto-checkpointing itself is configured
@@ -323,15 +312,13 @@ class RealFleet {
   /// state load (rejoin also zeroes the agent's residual row).
   void sync_pipeline_membership();
   [[nodiscard]] int64_t first_live() const;
-  /// Write `<checkpoint_dir>/fleet_r<round>.cmdl` and prune beyond the
-  /// retention count.
+  /// Write checkpoint() to `<checkpoint_dir>/fleet_r<round>.cmdl` and
+  /// prune beyond the retention count.
   void auto_checkpoint();
-  /// One agent's state in the checkpoint layout: liveness, weights, then
-  /// its training state — momentum and batcher (order, cursor, epoch, the
-  /// binary rng state). export_agent, checkpoint() and checkpoint_shard()
-  /// all write this.
+  /// One agent's record in a checkpoint frame: liveness, weights, then its
+  /// training state — momentum and batcher (order, cursor, epoch, the
+  /// binary rng state) — and its residual row when the fleet keeps a slab.
   void write_agent(tensor::ByteWriter& w, int64_t agent);
-  void read_agent(tensor::ByteReader& r, int64_t agent);
 };
 
 }  // namespace comdml::core

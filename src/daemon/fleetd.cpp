@@ -13,6 +13,8 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -250,22 +252,10 @@ class Coordinator {
         return false;
       }
       case Msg::kClientStats: {
-        std::vector<int64_t> sent;
-        for (const int64_t i : live_worker_ids()) {
-          if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kStatsReq))
-            sent.push_back(i);
-          else
-            notify_agents_died(mark_worker_dead(i));
-        }
         std::vector<comm::TransportStats> parts;
-        for (const int64_t i : sent) {
-          if (!workers_[static_cast<size_t>(i)].alive) continue;
-          auto resp = recv_from_worker(i, Msg::kStatsResp);
-          if (!resp.has_value()) {
-            notify_agents_died(mark_worker_dead(i));
-            continue;
-          }
-          tensor::ByteReader r(resp->body);
+        for (const comm::WireFrame& resp :
+             ask_live_workers(Msg::kStatsReq, {}, Msg::kStatsResp)) {
+          tensor::ByteReader r(resp.body);
           parts.push_back(read_stats(r));
           r.expect_done();
         }
@@ -304,23 +294,10 @@ class Coordinator {
         reap_exited_workers();
         tensor::ByteWriter req;
         req.str(dir);
-        std::vector<int64_t> sent;
-        for (const int64_t i : live_worker_ids()) {
-          if (send_msg(workers_[static_cast<size_t>(i)].fd,
-                       Msg::kShardCheckpoint, req.bytes()))
-            sent.push_back(i);
-          else
-            notify_agents_died(mark_worker_dead(i));
-        }
         std::vector<std::string> paths;
-        for (const int64_t i : sent) {
-          if (!workers_[static_cast<size_t>(i)].alive) continue;
-          auto resp = recv_from_worker(i, Msg::kShardDone);
-          if (!resp.has_value()) {
-            notify_agents_died(mark_worker_dead(i));
-            continue;
-          }
-          tensor::ByteReader rr(resp->body);
+        for (const comm::WireFrame& resp : ask_live_workers(
+                 Msg::kShardCheckpoint, req.bytes(), Msg::kShardDone)) {
+          tensor::ByteReader rr(resp.body);
           paths.push_back(rr.str());
           rr.expect_done();
         }
@@ -339,19 +316,7 @@ class Coordinator {
                        "leave agent " << agent << " out of range");
         tensor::ByteWriter w;
         w.i64(agent);
-        std::vector<int64_t> sent;
-        for (const int64_t i : live_worker_ids()) {
-          if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kLeave,
-                       w.bytes()))
-            sent.push_back(i);
-          else
-            notify_agents_died(mark_worker_dead(i));
-        }
-        for (const int64_t i : sent) {
-          if (!workers_[static_cast<size_t>(i)].alive) continue;
-          if (!recv_from_worker(i, Msg::kAck).has_value())
-            notify_agents_died(mark_worker_dead(i));
-        }
+        (void)ask_live_workers(Msg::kLeave, w.bytes(), Msg::kAck);
         agent_live_[static_cast<size_t>(agent)] = 0;
         agent_left_[static_cast<size_t>(agent)] = 1;
         reply(client, Msg::kAck, {});
@@ -564,43 +529,19 @@ class Coordinator {
     return report;
   }
 
-  /// Pull every live remote-owned agent's state onto the first live
-  /// worker, then take an ordinary single-fleet checkpoint there — the
-  /// blob restores into any structurally identical fleet, multi-process
-  /// or not. An owner crashing mid-gather loses its agents (marked dead
-  /// and propagated) but not the checkpoint.
+  /// Every live worker's checkpoint frame (the agents it owns),
+  /// concatenated in worker order; RealFleet::restore reads the result
+  /// in any process. A worker crashing mid-gather loses its agents
+  /// (marked dead and propagated) but not the checkpoint: the survivors'
+  /// frames still restore, its agents left.
   std::vector<uint8_t> gather_checkpoint() {
     reap_exited_workers();
-    const int64_t target = first_alive_worker();
-    const int tfd = workers_[static_cast<size_t>(target)].fd;
-    for (int64_t a = 0; a < options_.spec.agents; ++a) {
-      if (agent_live_[static_cast<size_t>(a)] == 0) continue;
-      const int64_t owner = owner_[static_cast<size_t>(a)];
-      if (owner == target ||
-          !workers_[static_cast<size_t>(owner)].alive)
-        continue;
-      comm::WireFrame state;
-      try {
-        tensor::ByteWriter req;
-        req.i64(a);
-        const int ofd = workers_[static_cast<size_t>(owner)].fd;
-        COMDML_REQUIRE(send_msg(ofd, Msg::kAgentStateReq, req.bytes()),
-                       "worker " << owner << " is gone");
-        state = expect_msg(ofd, Msg::kAgentState, "worker");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "fleetd: worker %lld lost during checkpoint: %s\n",
-                     (long long)owner, e.what());
-        notify_agents_died(mark_worker_dead(owner));
-        continue;
-      }
-      COMDML_REQUIRE(send_msg(tfd, Msg::kLoadAgentState, state.body),
-                     "worker " << target << " is gone");
-      (void)expect_msg(tfd, Msg::kAck, "worker");
-    }
-    COMDML_REQUIRE(send_msg(tfd, Msg::kCheckpointReq),
-                   "worker " << target << " is gone");
-    return expect_msg(tfd, Msg::kCheckpointBlob, "worker").body;
+    std::vector<uint8_t> blob;
+    for (const comm::WireFrame& frame :
+         ask_live_workers(Msg::kCheckpointReq, {}, Msg::kCheckpointBlob))
+      blob.insert(blob.end(), frame.body.begin(), frame.body.end());
+    COMDML_REQUIRE(!blob.empty(), "every fleetd worker has crashed");
+    return blob;
   }
 
   /// Re-admit a re-spawned worker into slot `k`: ship it the spec + the
@@ -669,19 +610,7 @@ class Coordinator {
     if (!back.empty()) {
       tensor::ByteWriter w;
       w.i64s(back);
-      std::vector<int64_t> sent;
-      for (const int64_t i : live_worker_ids()) {
-        if (send_msg(workers_[static_cast<size_t>(i)].fd,
-                     Msg::kRejoinAgents, w.bytes()))
-          sent.push_back(i);
-        else
-          notify_agents_died(mark_worker_dead(i));
-      }
-      for (const int64_t i : sent) {
-        if (!workers_[static_cast<size_t>(i)].alive) continue;
-        if (!recv_from_worker(i, Msg::kAck).has_value())
-          notify_agents_died(mark_worker_dead(i));
-      }
+      (void)ask_live_workers(Msg::kRejoinAgents, w.bytes(), Msg::kAck);
       for (const int64_t a : back) agent_live_[static_cast<size_t>(a)] = 1;
     }
     std::fprintf(stderr,
@@ -788,6 +717,39 @@ class Coordinator {
         append(died, mark_worker_dead(ids[k]));
     }
     notify_agents_died(std::move(died));
+  }
+
+  /// Send one request to every live worker, then collect each one's
+  /// `want` reply in worker order. Workers that vanish on the way are
+  /// marked dead, and their agents' deaths reach the survivors once every
+  /// reply is in (a worker still owing its reply cannot take the notice).
+  /// A kError reply throws after the others were drained.
+  std::vector<comm::WireFrame> ask_live_workers(
+      Msg type, const std::vector<uint8_t>& body, Msg want) {
+    std::vector<int64_t> died;
+    std::vector<int64_t> sent;
+    for (const int64_t i : live_worker_ids()) {
+      if (send_msg(workers_[static_cast<size_t>(i)].fd, type, body))
+        sent.push_back(i);
+      else
+        append(died, mark_worker_dead(i));
+    }
+    std::vector<comm::WireFrame> replies;
+    std::optional<std::runtime_error> failed;
+    for (const int64_t i : sent) {
+      try {
+        auto resp = recv_from_worker(i, want);
+        if (resp.has_value())
+          replies.push_back(std::move(*resp));
+        else
+          append(died, mark_worker_dead(i));
+      } catch (const std::runtime_error& e) {
+        if (!failed) failed.emplace(e);
+      }
+    }
+    notify_agents_died(std::move(died));
+    if (failed) throw *failed;
+    return replies;
   }
 
   /// Receive one frame from worker `i` where only `want` or death make
@@ -999,8 +961,19 @@ int run_worker(const WorkerOptions& options) {
     rf->set_dist_context(std::move(ctx));
     // A rejoiner restores after the context is installed (the context
     // requires a fresh fleet; the restore then fast-forwards it to the
-    // consensus round).
+    // consensus round). Its own agents are in no survivor's frame, so
+    // they come up left until kRejoinAgents revives them.
     if (options.rejoin) fleet.restore(restore_blob);
+
+    // This worker's checkpoint frame covers the agents it owns: the same
+    // bytes whether they go to the coordinator or to a shard file.
+    const auto own_frame = [&] {
+      std::vector<int64_t> owned;
+      for (int64_t a = 0; a < spec.agents; ++a)
+        if (owner[static_cast<size_t>(a)] == options.index)
+          owned.push_back(a);
+      return fleet.checkpoint_shard(options.index, workers, owned);
+    };
     COMDML_REQUIRE(send_msg(fd, Msg::kReady), "coordinator is gone");
 
     for (;;) {
@@ -1062,41 +1035,18 @@ int run_worker(const WorkerOptions& options) {
             (void)send_msg(fd, Msg::kStatsResp, w.bytes());
             break;
           }
-          case Msg::kAgentStateReq: {
+          case Msg::kCheckpointReq: {
             if (crash.point == "gather" && crash.round >= 0 &&
                 fleet.rounds_executed() >= crash.round)
               crash_now(options.index, "the checkpoint gather");
-            tensor::ByteReader req(frame->body);
-            const int64_t agent = req.i64();
-            req.expect_done();
-            tensor::ByteWriter w;
-            w.i64(agent);
-            w.str(blob_to_str(rf->export_agent(agent)));
-            (void)send_msg(fd, Msg::kAgentState, w.bytes());
-            break;
-          }
-          case Msg::kLoadAgentState: {
-            tensor::ByteReader req(frame->body);
-            const int64_t agent = req.i64();
-            rf->import_agent(agent, str_to_blob(req.str()));
-            req.expect_done();
-            (void)send_msg(fd, Msg::kAck);
-            break;
-          }
-          case Msg::kCheckpointReq: {
-            (void)send_msg(fd, Msg::kCheckpointBlob, fleet.checkpoint());
+            (void)send_msg(fd, Msg::kCheckpointBlob, own_frame());
             break;
           }
           case Msg::kShardCheckpoint: {
             tensor::ByteReader req(frame->body);
             const std::string dir = req.str();
             req.expect_done();
-            std::vector<int64_t> owned_live;
-            for (const int64_t a : fleet.live_agents())
-              if (owner[static_cast<size_t>(a)] == options.index)
-                owned_live.push_back(a);
-            const std::vector<uint8_t> blob = fleet.checkpoint_shard(
-                options.index, workers, owned_live);
+            const std::vector<uint8_t> blob = own_frame();
             std::filesystem::create_directories(dir);
             char name[64];
             std::snprintf(name, sizeof(name), "fleet_r%06lld.w%02lld.cmdl",

@@ -45,9 +45,9 @@ struct WorkerOptions {
   int64_t index = 0;
   /// Re-spawned replacement for a crashed worker: instead of the kJoin
   /// handshake it sends kRejoin, receives the spec + current mesh layout +
-  /// a full consensus checkpoint, restores mid-history, and re-enters the
-  /// serve loop. Its previously-dead agents then rejoin from consensus on
-  /// every worker.
+  /// the live workers' checkpoint frames, restores mid-history, and
+  /// re-enters the serve loop. Its previously-dead agents then rejoin from
+  /// consensus on every worker.
   bool rejoin = false;
 };
 
@@ -90,13 +90,15 @@ class FleetClient {
   [[nodiscard]] comm::TransportStats stats();
   /// pack_tensors() of the consensus model (first live agent's replica).
   [[nodiscard]] std::vector<uint8_t> weights();
-  /// Full fleet checkpoint: remote agents are gathered onto worker 0
-  /// first, so the blob restores into a single-process fleet.
+  /// Whole-fleet checkpoint: every live worker's checkpoint frame (the
+  /// agents it owns), concatenated in worker order. RealFleet::restore
+  /// reads it in any process; the agents of a worker that crashed before
+  /// answering come up left.
   [[nodiscard]] std::vector<uint8_t> checkpoint();
-  /// Quorum checkpoint: every live worker writes its owned-agent shard
-  /// into `dir` (a path valid on the workers' filesystem) and the call
-  /// returns the shard paths. No coordinator-side assembly — any quorum of
-  /// the files restores via RealFleet::restore_shards.
+  /// Quorum checkpoint: every live worker writes the same frame into
+  /// `dir` (a path valid on the workers' filesystem) and the call returns
+  /// the file paths. Any quorum of the files, concatenated, restores
+  /// through RealFleet::restore.
   [[nodiscard]] std::vector<std::string> shard_checkpoint(
       const std::string& dir);
   /// Remove an agent from the fleet on every worker.

@@ -65,12 +65,13 @@ enum class Msg : uint16_t {
   kRoundDone,        ///< worker -> coord: RoundReport + TransportStats
   kStatsReq,         ///< coord -> worker: (empty)
   kStatsResp,        ///< worker -> coord: TransportStats snapshot
-  kAgentStateReq,    ///< coord -> worker: i64 agent
-  kAgentState,       ///< worker -> coord: i64 agent + state blob
-  kLoadAgentState,   ///< coord -> worker: i64 agent + state blob
+  kAgentStateReq,    ///< unused since wire version 6 (value reserved)
+  kAgentState,       ///< unused since wire version 6 (value reserved)
+  kLoadAgentState,   ///< unused since wire version 6 (value reserved)
   kAck,              ///< (empty)
-  kCheckpointReq,    ///< coord -> worker 0: (empty)
-  kCheckpointBlob,   ///< worker 0 -> coord: raw checkpoint bytes
+  kCheckpointReq,    ///< coord -> every live worker: (empty)
+  kCheckpointBlob,   ///< worker -> coord: its checkpoint frame, the agents
+                     ///< it owns (RealFleet::checkpoint_shard)
   kWeightsReq,       ///< coord -> worker 0: (empty)
   kWeights,          ///< worker 0 -> coord: raw pack_tensors bytes
   kLeave,            ///< coord -> worker: i64 agent
@@ -84,11 +85,13 @@ enum class Msg : uint16_t {
                      ///< [+ i64 mesh gen, i64s live workers, u32+addrs]
   kRejoin,           ///< respawned worker -> coord: i64 worker index
   kRejoinState,      ///< coord -> rejoiner: spec, workers, owner, mesh gen,
-                     ///< live workers, addrs, full checkpoint blob
+                     ///< live workers, addrs, str of the live workers'
+                     ///< checkpoint frames concatenated
   kRemesh,           ///< coord -> worker: mesh gen, live workers, addrs;
                      ///< reply kReady once the new mesh formed
   kRejoinAgents,     ///< coord -> worker: i64s agents to rejoin; reply kAck
-  kShardCheckpoint,  ///< coord -> worker: str dir; reply kShardDone
+  kShardCheckpoint,  ///< coord -> worker: str dir; the worker writes its
+                     ///< kCheckpointBlob frame there; reply kShardDone
   kShardDone,        ///< worker -> coord: str shard path
   // client <-> coordinator
   kClientHello = 64, ///< client -> coord: (empty); reply: i64 agents, workers
@@ -98,6 +101,7 @@ enum class Msg : uint16_t {
   kClientStatsResp,  ///< coord -> client: merged TransportStats
   kClientWeights,    ///< client -> coord: (empty); reply kWeights
   kClientCheckpoint, ///< client -> coord: (empty); reply kCheckpointBlob
+                     ///< holding every live worker's frame, concatenated
   kClientLeave,      ///< client -> coord: i64 agent; reply kAck
   kClientShutdown,   ///< client -> coord: (empty); reply kAck
   kClientShardCheckpoint, ///< client -> coord: str dir; reply kShardPaths

@@ -30,8 +30,8 @@ namespace comdml::tensor {
 /// Total payload bytes a tensor list occupies on the wire.
 [[nodiscard]] int64_t wire_bytes(const std::vector<Tensor>& ts);
 
-/// FNV-1a over a byte range: the checkpoint blob and shard integrity check
-/// (CMDL / CMDS frames) — seedless and stable across platforms for
+/// FNV-1a over a byte range: the checkpoint frame integrity check
+/// ("CMDS" frames) — seedless and stable across platforms for
 /// same-width input. Transport messages use their own word-wise hash
 /// (comm::Message::checksum), which is cheaper per payload byte.
 [[nodiscard]] uint64_t fnv1a(const void* data, size_t n);

@@ -3,17 +3,143 @@
 // side's convergence is tied to the slow side's (constants C1/C2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <vector>
 
-#include "analysis/convergence.hpp"
 #include "data/synthetic.hpp"
+#include "nn/split.hpp"
 
 namespace comdml::analysis {
 namespace {
 
 using nn::Rng;
 using nn::Sequential;
+
+// ---- the theorem's measurements -------------------------------------------------
+//
+// The paper proves O(1/sqrt(R A_m)) (non-convex) and O(1/(R A_m)) + linear
+// (convex) convergence of the slow and fast agent-side models under
+// local-loss split training, with fast-side convergence *contingent on*
+// slow-side convergence (constants C1/C2). These helpers measure the
+// quantities the theorem speaks about — gradient norms and suboptimality
+// traces — and fit decay rates.
+
+/// Global L2 norm of all parameter gradients currently accumulated in `m`.
+double gradient_norm(nn::Module& m) {
+  double sq = 0.0;
+  for (const nn::Parameter* p : m.parameters())
+    for (const float g : p->grad.flat()) sq += static_cast<double>(g) * g;
+  return std::sqrt(sq);
+}
+
+/// Least-squares slope of log(y) against log(x) over positive samples —
+/// the empirical decay exponent (a 1/R rate gives slope ~ -1, a 1/sqrt(R)
+/// rate gives slope ~ -0.5). Requires >= 3 positive points.
+double log_log_slope(std::span<const double> xs, std::span<const double> ys) {
+  COMDML_CHECK(xs.size() == ys.size());
+  std::vector<double> lx, ly;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (xs[i] > 0.0 && ys[i] > 0.0) {
+      lx.push_back(std::log(xs[i]));
+      ly.push_back(std::log(ys[i]));
+    }
+  }
+  COMDML_REQUIRE(lx.size() >= 3, "need >= 3 positive samples, got "
+                                     << lx.size());
+  double mx = 0, my = 0;
+  for (size_t i = 0; i < lx.size(); ++i) {
+    mx += lx[i];
+    my += ly[i];
+  }
+  mx /= static_cast<double>(lx.size());
+  my /= static_cast<double>(lx.size());
+  double cov = 0, var = 0;
+  for (size_t i = 0; i < lx.size(); ++i) {
+    cov += (lx[i] - mx) * (ly[i] - my);
+    var += (lx[i] - mx) * (lx[i] - mx);
+  }
+  COMDML_REQUIRE(var > 0.0, "degenerate x range");
+  return cov / var;
+}
+
+/// Fraction of steps where the running minimum improved — a robustness
+/// measure of "the trace is going down" that tolerates SGD noise.
+double descent_fraction(std::span<const double> trace) {
+  COMDML_CHECK(trace.size() >= 2);
+  double best = trace[0];
+  size_t improved = 0;
+  for (size_t i = 1; i < trace.size(); ++i) {
+    if (trace[i] < best) {
+      best = trace[i];
+      ++improved;
+    }
+  }
+  return static_cast<double>(improved) /
+         static_cast<double>(trace.size() - 1);
+}
+
+/// Smallest prefix mean / last-window mean (how much the trace shrank).
+double shrink_ratio(std::span<const double> trace, size_t window = 5) {
+  COMDML_CHECK(trace.size() >= 2 * window && window >= 1);
+  double head = 0, tail = 0;
+  for (size_t i = 0; i < window; ++i) {
+    head += trace[i];
+    tail += trace[trace.size() - 1 - i];
+  }
+  // A tail of exactly zero means the objective fully converged; report a
+  // large finite ratio instead of dividing by zero.
+  return head / std::max(tail, 1e-12);
+}
+
+/// Traces from one local-loss split-training run (Theorem 1's setting).
+struct SplitRunTraces {
+  std::vector<double> slow_loss;       ///< f_s per round (Eq. 2)
+  std::vector<double> fast_loss;       ///< f_f per round (Eq. 3)
+  std::vector<double> slow_grad_norm;  ///< ||grad f_s|| after each round
+  std::vector<double> fast_grad_norm;  ///< ||grad f_f|| after each round
+};
+
+/// Train `model` (cut at `cut`) with local-loss split training for
+/// `rounds` full-batch steps on (x, labels), recording the theorem's
+/// quantities. The model is trained in place.
+SplitRunTraces run_split_training(nn::Sequential& model, size_t cut,
+                                  const tensor::Shape& in_shape,
+                                  int64_t classes, const tensor::Tensor& x,
+                                  std::span<const int64_t> labels,
+                                  int64_t rounds, float lr, uint64_t seed) {
+  COMDML_CHECK(rounds > 0);
+  tensor::Rng rng(seed);
+  nn::LocalLossSplitTrainer trainer(model, cut, in_shape, classes, rng,
+                                    {lr, 0.9f, 0.0f});
+  SplitRunTraces traces;
+  traces.slow_loss.reserve(static_cast<size_t>(rounds));
+  for (int64_t r = 0; r < rounds; ++r) {
+    const auto stats = trainer.train_batch(x, labels);
+    traces.slow_loss.push_back(stats.slow_loss);
+    traces.fast_loss.push_back(stats.fast_loss);
+    // Gradient norms of the *last* step, split by side: prefix + aux vs
+    // suffix. train_batch leaves the most recent gradients in place.
+    double slow_sq = 0.0, fast_sq = 0.0;
+    for (size_t u = 0; u < model.size(); ++u) {
+      std::vector<nn::Parameter*> params;
+      model.unit(u).collect_parameters(params);
+      double sq = 0.0;
+      for (const nn::Parameter* p : params)
+        for (const float g : p->grad.flat())
+          sq += static_cast<double>(g) * g;
+      if (u < cut)
+        slow_sq += sq;
+      else
+        fast_sq += sq;
+    }
+    traces.slow_grad_norm.push_back(std::sqrt(slow_sq));
+    traces.fast_grad_norm.push_back(std::sqrt(fast_sq));
+  }
+  return traces;
+}
 
 // ---- analysis utilities ---------------------------------------------------------
 

@@ -873,7 +873,7 @@ TEST(Fleetd, WorkerCrashDuringCheckpointGatherStillYieldsACheckpoint) {
   FleetClient client(fleet.addr, /*timeout_sec=*/60.0);
   (void)client.round();
   (void)client.round();
-  // The hook fires on the first kAgentStateReq once two rounds ran: the
+  // The hook fires on the first kCheckpointReq once two rounds ran: the
   // gather loses worker 2 mid-checkpoint, drops its agents, and still
   // assembles a restorable blob from the survivors.
   const std::vector<uint8_t> blob = client.checkpoint();
@@ -989,7 +989,10 @@ TEST(Fleetd, QuorumShardCheckpointRestoresBitIdentically) {
   // The full quorum reassembles the fleet bit for bit, coordinator-free.
   FleetSpec spec;  // defaults: 4 agents, seed 42
   core::FleetRuntime full = build_spec_fleet(spec);
-  full.restore_shards(shards);
+  std::vector<uint8_t> frames;
+  for (const auto& shard : shards)
+    frames.insert(frames.end(), shard.begin(), shard.end());
+  full.restore(frames);
   EXPECT_EQ(full.rounds_executed(), 2);
   EXPECT_EQ(full.live_agents().size(), 4u);
   EXPECT_EQ(fleet_weights(full), dist_weights);
@@ -997,7 +1000,7 @@ TEST(Fleetd, QuorumShardCheckpointRestoresBitIdentically) {
   // Any quorum: worker 0's shard alone revives exactly its owned agents;
   // the rest stay rejoinable.
   core::FleetRuntime partial = build_spec_fleet(spec);
-  partial.restore_shards({shards[0]});
+  partial.restore(shards[0]);
   EXPECT_EQ(partial.rounds_executed(), 2);
   EXPECT_EQ(partial.live_agents(), (std::vector<int64_t>{0, 2}));
 

@@ -394,8 +394,9 @@ TEST(Rng, SetStateRejectsWrongLengthAndPosition) {
 }
 
 TEST(Rng, CheckpointsOfTheTextRngStateAreRefusedByVersion) {
-  // CMDL v2 and CMDS v1 carried std::mt19937_64's decimal text state; a
-  // restore names the blob's version and the one it reads.
+  // Frames of versions 1 and 2 are refused: v1 carried std::mt19937_64's
+  // decimal text state, v2 nested each agent in an export blob. A restore
+  // names the frame's version and the one it reads.
   Rng rng(3);
   const data::Dataset ds = data::make_blobs(40, 2, 4, 0.3f, rng);
   std::vector<data::Dataset> shards;
@@ -405,13 +406,10 @@ TEST(Rng, CheckpointsOfTheTextRngStateAreRefusedByVersion) {
   core::RealFleet fleet([](Rng& r) { return nn::mlp({4, 8, 2}, r); }, 2,
                         shards, sim::Topology::full_mesh(profiles), {});
   const auto expect_refused = [&](std::vector<uint8_t> blob, uint32_t old,
-                                  uint32_t now, bool shard) {
+                                  uint32_t now) {
     std::memcpy(blob.data() + 4, &old, 4);
     try {
-      if (shard)
-        fleet.restore_shards({blob});
-      else
-        fleet.restore(blob);
+      fleet.restore(blob);
       FAIL() << "version " << old << " restored";
     } catch (const core::CheckpointError& e) {
       const std::string what = e.what();
@@ -423,8 +421,8 @@ TEST(Rng, CheckpointsOfTheTextRngStateAreRefusedByVersion) {
           << what;
     }
   };
-  expect_refused(fleet.checkpoint(), 2, 3, false);
-  expect_refused(fleet.checkpoint_shard(0, 1, {0, 1}), 1, 2, true);
+  expect_refused(fleet.checkpoint(), 2, 3);
+  expect_refused(fleet.checkpoint_shard(0, 1, {0, 1}), 1, 3);
 }
 
 // ---- serialize --------------------------------------------------------------

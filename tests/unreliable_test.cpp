@@ -7,13 +7,18 @@
 // parity; gossip and param-server survivor recovery under endpoint death
 // and total edge loss; straggler deadlines absorbing late solo updates
 // through the error-feedback residual; autonomous checksummed
-// checkpointing with retention pruning, typed CheckpointError on corrupt
-// blobs, and geometry-flexible restore; and the strict --fail-agent spec
-// parser.
+// checkpointing with retention pruning, the one checkpoint decoder
+// (typed CheckpointError on corrupt, mutated or ill-fitting frames, with
+// the fleet left untouched), residual rows in shard frames, and
+// geometry-flexible restore; and the strict --fail-agent spec parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <cstdlib>
 #include <filesystem>
 #include <unistd.h>
@@ -29,6 +34,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/serialize.hpp"
 
 namespace comdml {
 namespace {
@@ -1018,6 +1024,238 @@ TEST(CheckpointErrors, GeometryFlexibleRestore) {
   const auto big_blob = big.checkpoint();
   auto narrow = make_fleet(fast_options(), 3);
   EXPECT_THROW(narrow.restore(big_blob), CheckpointError);
+}
+
+// ---- the one checkpoint decoder ----------------------------------------------
+
+/// A 3-agent MLP 4-`hidden`-2 fleet on 4-feature blobs.
+RealFleet mlp_fleet(int64_t hidden, FleetOptions opt = fast_options()) {
+  Rng rng(3);
+  const data::Dataset ds = data::make_blobs(72, 2, 4, 0.3f, rng);
+  std::vector<data::Dataset> shards;
+  for (const auto& idx : data::iid_partition(ds.size(), 3, rng))
+    shards.push_back(ds.subset(idx));
+  std::vector<ResourceProfile> profiles(3, {1.0, 100.0});
+  return RealFleet([hidden](Rng& r) { return nn::mlp({4, hidden, 2}, r); },
+                   2, shards, Topology::full_mesh(profiles), opt);
+}
+
+FleetOptions int8_options() {
+  FleetOptions opt = fast_options();
+  opt.comms.codec = FleetOptions::CommOptions::Codec::kInt8Quantized;
+  return opt;
+}
+
+std::vector<uint8_t> concat(std::vector<uint8_t> a,
+                            const std::vector<uint8_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+std::vector<uint8_t> weights_of(RealFleet& fleet) {
+  std::vector<uint8_t> out;
+  for (int64_t a = 0; a < fleet.agents(); ++a)
+    out = concat(std::move(out),
+                 tensor::pack_tensors(nn::state_of(fleet.model(a))));
+  return out;
+}
+
+TEST(CheckpointErrors, ModelMismatchLeavesTheFleetUntouched) {
+  // Checksum-valid checkpoints of an MLP 4-8-2 fleet do not fit an MLP
+  // 4-16-2 fleet. The refusal must come before any fleet state is
+  // written: the fleet stays at round 0 with every agent live and steps.
+  auto small = mlp_fleet(8);
+  (void)small.step();
+  (void)small.step();
+  const std::vector<std::vector<uint8_t>> blobs{
+      small.checkpoint(), small.checkpoint_shard(0, 3, {0})};
+  for (const auto& blob : blobs) {
+    auto wide = mlp_fleet(16);
+    EXPECT_THROW(wide.restore(blob), CheckpointError);
+    ASSERT_EQ(wide.round(), 0);
+    ASSERT_EQ(wide.live_agents().size(), 3u);
+    EXPECT_TRUE(std::isfinite(wide.step().mean_loss));
+  }
+}
+
+TEST(CheckpointErrors, ShardFramesCarryResidualRows) {
+  auto source = mlp_fleet(8, int8_options());
+  (void)source.step();
+  (void)source.step();
+  const std::vector<uint8_t> front = source.checkpoint_shard(0, 2, {0, 1});
+  const std::vector<uint8_t> back = source.checkpoint_shard(1, 2, {2});
+  // A residual row is the last field of a frame: its agent's row when the
+  // frame covers one agent.
+  int64_t row = 0;
+  for (const Tensor& t : nn::state_of(source.model(0))) row += t.size();
+  const auto last_row = [row](const std::vector<uint8_t>& frame) {
+    std::vector<double> out(static_cast<size_t>(row));
+    std::memcpy(out.data(), frame.data() + frame.size() - out.size() * 8,
+                out.size() * 8);
+    return out;
+  };
+  const std::vector<double> zeros(static_cast<size_t>(row), 0.0);
+  ASSERT_NE(last_row(source.checkpoint_shard(0, 1, {1})), zeros)
+      << "two int8 rounds leave a quantization residual";
+
+  // Agents 0 and 1 come back with their exact state and residual rows;
+  // agent 2 comes up left with a zeroed row.
+  auto partial = mlp_fleet(8, int8_options());
+  partial.restore(front);
+  EXPECT_EQ(partial.round(), 2);
+  EXPECT_EQ(partial.live_agents(), (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(partial.checkpoint_shard(0, 2, {0, 1}), front);
+  EXPECT_EQ(last_row(partial.checkpoint_shard(1, 2, {2})), zeros);
+  EXPECT_TRUE(std::isfinite(partial.step().mean_loss));
+
+  // Both frames restore the whole fleet: the next round is bit-identical.
+  auto whole = mlp_fleet(8, int8_options());
+  whole.restore(concat(back, front));
+  (void)source.step();
+  (void)whole.step();
+  EXPECT_EQ(weights_of(whole), weights_of(source));
+
+  // A residual slab on one side only is still refused.
+  auto plain = mlp_fleet(8);
+  EXPECT_THROW(plain.restore(front), CheckpointError);
+  (void)plain.step();
+  auto lossy = mlp_fleet(8, int8_options());
+  EXPECT_THROW(lossy.restore(plain.checkpoint()), CheckpointError);
+}
+
+}  // namespace
+}  // namespace comdml
+
+// Largest single heap request since the last reset: the mutation test
+// below checks that no refused checkpoint sizes an allocation from a
+// forged length field.
+namespace {
+std::atomic<size_t> g_largest_new{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  size_t seen = g_largest_new.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_new.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+// The nothrow form is replaced too: memory from it is released through the
+// plain operator delete below (std::get_temporary_buffer does this).
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace comdml {
+namespace {
+
+TEST(CheckpointErrors, MutatedFramesAreRefusedAndLeaveTheFleetUnchanged) {
+  auto source = mlp_fleet(8, int8_options());
+  (void)source.step();
+  (void)source.step();
+  const std::vector<uint8_t> first = source.checkpoint_shard(0, 2, {0, 2});
+  const std::vector<uint8_t> blob =
+      concat(first, source.checkpoint_shard(1, 2, {1}));
+  const std::vector<size_t> starts{0, first.size()};
+
+  auto probe = mlp_fleet(8, int8_options());
+  (void)probe.step();
+  const std::vector<uint8_t> before = weights_of(probe);
+  const auto expect_refused = [&](const std::vector<uint8_t>& bytes,
+                                  const std::string& what) {
+    g_largest_new = 0;
+    EXPECT_THROW(probe.restore(bytes), CheckpointError) << what;
+    EXPECT_LT(g_largest_new.load(), std::max<size_t>(4 * blob.size(), 1 << 20))
+        << what << ": allocation sized from a forged field";
+    ASSERT_EQ(probe.round(), 1) << what;
+  };
+
+  // Seeded bit flips anywhere: the frame checks catch every one.
+  Rng rng(2024);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<uint8_t> bytes = blob;
+    const auto bit = static_cast<size_t>(
+        rng.uniform(0.0f, static_cast<float>(bytes.size() * 8)));
+    bytes[std::min(bit / 8, bytes.size() - 1)] ^=
+        static_cast<uint8_t>(1u << (bit % 8));
+    expect_refused(bytes, "bit flip " + std::to_string(bit));
+  }
+
+  // Truncation inside either frame, around its header fields and payload.
+  // (A cut exactly between frames leaves whole frames: a quorum.)
+  expect_refused({}, "empty blob");
+  for (const size_t start : starts) {
+    const size_t end = start == 0 ? first.size() : blob.size();
+    for (const size_t cut : {start + 1, start + 4, start + 8, start + 16,
+                             start + 23, start + 24, (start + end) / 2,
+                             end - 1})
+      expect_refused(std::vector<uint8_t>(blob.begin(), blob.begin() + cut),
+                     "cut at " + std::to_string(cut));
+  }
+
+  // Forged length fields, re-checksummed so they reach the body parser.
+  // Payload offsets: u32 agents @0, rng string @32 (u32 length + state),
+  // then u8 plateau, u8 residual flag, u32 record count, and the first
+  // record: i64 agent, u8 alive, u32 state tensor count, then the first
+  // tensor's u32 rank and i64 extents.
+  constexpr size_t kHeader = 24;
+  const size_t rng_len = Rng(0).state().size();
+  const size_t records = 38 + rng_len;
+  const size_t tensors = records + 4 + 8 + 1;
+  const auto forge = [&](size_t start, size_t at, auto value) {
+    std::vector<uint8_t> bytes = blob;
+    std::memcpy(bytes.data() + start + at, &value, sizeof(value));
+    uint64_t length = 0;
+    std::memcpy(&length, bytes.data() + start + 8, 8);
+    length = std::min<uint64_t>(length, bytes.size() - start - kHeader);
+    const uint64_t sum =
+        tensor::fnv1a(bytes.data() + start + kHeader, length);
+    std::memcpy(bytes.data() + start + 16, &sum, 8);
+    return bytes;
+  };
+  for (const size_t start : starts) {
+    const std::string frame = "frame @" + std::to_string(start) + " ";
+    uint64_t length = 0;
+    std::memcpy(&length, blob.data() + start + 8, 8);
+    for (const uint64_t lie : {uint64_t{0}, length / 2, length - 1,
+                               length + 1, ~uint64_t{0}})
+      expect_refused(forge(start, 8, lie), frame + "payload length");
+    for (const uint32_t lie : {0u, 4u, ~0u})
+      expect_refused(forge(start, kHeader, lie), frame + "agent count");
+    for (const uint32_t lie : {0u, 3u, ~0u})
+      expect_refused(forge(start, kHeader + records, lie),
+                     frame + "record count");
+    for (const uint32_t lie : {0u, 1u, 7u, ~0u})
+      expect_refused(forge(start, kHeader + tensors, lie),
+                     frame + "tensor count");
+    for (const uint32_t lie : {0u, 9u, ~0u})
+      expect_refused(forge(start, kHeader + tensors + 4, lie),
+                     frame + "tensor rank");
+    for (const int64_t lie : {int64_t{-1}, int64_t{1} << 40,
+                              std::numeric_limits<int64_t>::max()})
+      expect_refused(forge(start, kHeader + tensors + 8, lie),
+                     frame + "tensor extent");
+  }
+
+  // Nothing was written: the probe steps on from its own round 1.
+  EXPECT_EQ(weights_of(probe), before);
+  EXPECT_EQ(probe.live_agents().size(), 3u);
+  EXPECT_TRUE(std::isfinite(probe.step().mean_loss));
+  EXPECT_EQ(probe.round(), 2);
+
+  // The untouched blob, and its first frame alone, do restore.
+  probe.restore(blob);
+  EXPECT_EQ(probe.round(), 2);
+  auto quorum = mlp_fleet(8, int8_options());
+  quorum.restore(first);
+  EXPECT_EQ(quorum.live_agents(), (std::vector<int64_t>{0, 2}));
 }
 
 // ---- --fail-agent spec parsing ----------------------------------------------
