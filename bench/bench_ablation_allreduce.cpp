@@ -35,7 +35,7 @@ int main() {
       std::vector<int64_t> sel(static_cast<size_t>(k));
       for (int64_t i = 0; i < k; ++i) sel[static_cast<size_t>(i)] = i;
       const auto ps =
-          baselines::server_round_times(profiles, sel, model.bytes, {});
+          core::server_round_times(profiles, sel, model.bytes, {});
       const double ps_worst = *std::max_element(ps.begin(), ps.end());
       std::printf("%8lld %17.2fs %13.2fs %17.2fs\n",
                   static_cast<long long>(k), hd.seconds, ring.seconds,

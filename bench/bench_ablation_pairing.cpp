@@ -1,6 +1,7 @@
 // Ablation A1 (DESIGN.md): the decentralized greedy pairing scheduler vs
 // the exact integer-program optimum, random pairing, static pairing and no
-// offloading — estimated round time over seeds, 10-agent fleets.
+// offloading (AllReduce-DML: the same fleet with pairing off) — simulated
+// round time over seeds, 10-agent fleets.
 #include <numeric>
 
 #include "bench_util.hpp"
@@ -16,12 +17,13 @@ int main() {
   const struct {
     const char* label;
     Scheduler scheduler;
+    Method method = Method::kComDML;
   } variants[] = {
       {"greedy (ComDML Algorithm 1)", Scheduler::kComDML},
       {"exact integer program", Scheduler::kExact},
       {"random pairing", Scheduler::kRandom},
       {"static pairing", Scheduler::kStatic},
-      {"no offloading", Scheduler::kNoOffloading},
+      {"no offloading", Scheduler::kComDML, Method::kAllReduceDML},
   };
 
   std::printf("%-30s %14s %14s\n", "scheduler", "mean round(s)",
@@ -42,7 +44,8 @@ int main() {
       auto opts = make_options(s);
       opts.scale.max_split_points = 12;  // keep the exact solver tractable
       core::SimulatedFleet fleet(spec, opts, std::move(topo),
-                                 std::move(sizes), variants[v].scheduler);
+                                 std::move(sizes), variants[v].method,
+                                 variants[v].scheduler);
       total += fleet.step().round_seconds;
     }
     mean_of[v] = total / 8.0;

@@ -8,14 +8,11 @@
 #include <cstdio>
 #include <string>
 
-#include "baselines/baseline_fleet.hpp"
 #include "core/trainer.hpp"
 
 namespace comdml::bench {
 
-using baselines::BaselineFleet;
 using core::FleetOptions;
-using core::Scheduler;
 using core::SimulatedFleet;
 using learncurve::Method;
 using learncurve::PartitionKind;
@@ -108,13 +105,8 @@ inline double time_to_accuracy(Method method, const Scenario& s,
 
   const auto sim_rounds =
       std::min<int64_t>(horizon, static_cast<int64_t>(std::ceil(*rounds)));
-  if (method == Method::kComDML) {
-    SimulatedFleet fleet(mspec, make_options(s), std::move(topology),
-                         std::move(sizes), Scheduler::kComDML);
-    return fleet.run(sim_rounds).time_for_rounds(*rounds);
-  }
-  BaselineFleet fleet(method, mspec, make_options(s), std::move(topology),
-                      std::move(sizes));
+  SimulatedFleet fleet(mspec, make_options(s), std::move(topology),
+                       std::move(sizes), method);
   return fleet.run(sim_rounds).time_for_rounds(*rounds);
 }
 

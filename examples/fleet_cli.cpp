@@ -162,8 +162,7 @@ bool parse_flags(int argc, char** argv, Args& args) {
           "  [--dataset cifar10|cifar100|cinic10] [--partition iid|dirichlet]\n"
           "  [--agents N] [--rounds N] [--participation F] [--topology P]\n"
           "  [--target ACC] [--dropout P] [--seed N] [--real]\n"
-          "  (--participation and --dropout: simulation only; --dropout:\n"
-          "   comdml only)\n"
+          "  (--participation and --dropout: simulation only)\n"
           "  Only --real takes these (without --uniform or --connect;\n"
           "  everything else refuses them, and a --real method refuses,\n"
           "  before round 0, a setting it cannot run):\n"

@@ -1,4 +1,4 @@
-// Fleet-level configuration shared by the ComDML trainer and the baselines.
+// Fleet-level configuration shared by every engine and every method.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +12,9 @@
 namespace comdml::core {
 
 /// Layered options for every fleet the repo can run — the one structure
-/// behind core::FleetBuilder, the paper-scale simulators
-/// (core::SimulatedFleet, baselines::BaselineFleet) and the real-execution
-/// engine (core::RealFleet, whose Options type aliases this).
+/// behind core::FleetBuilder, the paper-scale timing simulator
+/// (core::SimulatedFleet) and the real-execution engine (core::RealFleet,
+/// whose Options type aliases this). Each engine runs every method.
 ///
 /// Defaults suit the real-execution fleets (small models, short rounds);
 /// `paper_defaults()` switches the training geometry to the paper-scale
@@ -160,8 +160,8 @@ struct FleetOptions {
     /// Cap on the number of profiled split points (0 = every boundary).
     size_t max_split_points = 0;
     /// Per-round probability that a sampled agent fails before training
-    /// (device churn; ComDML simulation only). Failed agents skip the
-    /// round; the fleet re-pairs among survivors and aggregates without
+    /// (device churn; simulated fleets, every method). Failed agents skip
+    /// the round; the fleet re-pairs among survivors and aggregates without
     /// them — the paper's no-single-point-of-failure claim as an
     /// executable property.
     double agent_dropout = 0.0;

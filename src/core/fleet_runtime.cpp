@@ -6,10 +6,8 @@ namespace comdml::core {
 
 RoundReport FleetRuntime::step() {
   RoundReport rep;
-  if (sim_comdml_ != nullptr) {
-    rep = sim_comdml_->step();
-  } else if (sim_baseline_ != nullptr) {
-    rep = sim_baseline_->step();
+  if (sim_fleet_ != nullptr) {
+    rep = sim_fleet_->step();
   } else {
     const auto stats = real_fleet_->step();
     rep.round_seconds = stats.sim_time;
@@ -151,17 +149,9 @@ FleetRuntime FleetBuilder::build() {
     // Simulated fleets default to the paper-scale preset.
     const FleetOptions opts =
         options_set_ ? options_ : FleetOptions::paper_defaults();
-    if (method_ == learncurve::Method::kComDML) {
-      runtime.sim_comdml_ = std::make_unique<SimulatedFleet>(
-          *spec_, opts, std::move(*topology_), std::move(*shard_sizes_),
-          scheduler_);
-    } else {
-      COMDML_REQUIRE(scheduler_ == Scheduler::kComDML,
-                     "scheduler() ablations only apply to ComDML");
-      runtime.sim_baseline_ = std::make_unique<baselines::BaselineFleet>(
-          method_, *spec_, opts, std::move(*topology_),
-          std::move(*shard_sizes_));
-    }
+    runtime.sim_fleet_ = std::make_unique<SimulatedFleet>(
+        *spec_, opts, std::move(*topology_), std::move(*shard_sizes_),
+        method_, scheduler_);
   } else {
     COMDML_REQUIRE(factory_ != nullptr && shards_.has_value(),
                    "real execution needs model() and shards()");

@@ -1,8 +1,8 @@
-// Unified fleet facade: one step()/run()/evaluate() interface over every
-// engine the repo has — the paper-scale timing simulators (SimulatedFleet,
-// BaselineFleet) and the one real-execution engine, RealFleet, which runs
-// ComDML and, with pairing off, every baseline (AllReduce-DML, FedAvg,
-// FedProx, gossip, BrainTorrent).
+// Unified fleet facade: one step()/run()/evaluate() interface over the
+// repo's two engines — the paper-scale timing simulator, SimulatedFleet,
+// and the real-execution engine, RealFleet. Each runs ComDML and, with
+// pairing off, every baseline (AllReduce-DML, FedAvg, FedProx, gossip,
+// BrainTorrent).
 //
 //   auto fleet = core::FleetBuilder()
 //                    .method(learncurve::Method::kComDML)
@@ -19,9 +19,9 @@
 //                    .shards(std::move(datasets))
 //                    .build();               // real execution
 //
-// The builder picks the engine from (method, real-vs-simulated inputs).
-// Every engine takes the one FleetOptions, and every engine but RealFleet
-// returns the one RoundReport (core/round_stats.hpp) itself; step() maps
+// The builder picks the engine from real-vs-simulated inputs. Both
+// engines take the one FleetOptions; SimulatedFleet returns the one
+// RoundReport (core/round_stats.hpp) itself, and step() maps
 // RealFleet::RoundStats onto it, so callers stop caring which engine is
 // underneath. This is the entry point new scenarios (async rounds, sharded
 // fleets, alternative backends) extend.
@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 
-#include "baselines/baseline_fleet.hpp"
 #include "core/real_fleet.hpp"
 #include "core/trainer.hpp"
 
@@ -89,8 +88,7 @@ class FleetRuntime {
   int64_t agents_ = 0;
   int64_t round_ = 0;
   // Exactly one engine is non-null.
-  std::unique_ptr<SimulatedFleet> sim_comdml_;
-  std::unique_ptr<baselines::BaselineFleet> sim_baseline_;
+  std::unique_ptr<SimulatedFleet> sim_fleet_;
   std::unique_ptr<RealFleet> real_fleet_;
 };
 

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <numeric>
 
-#include "baselines/baseline_fleet.hpp"
 #include "comm/compress.hpp"
 #include "core/parallel.hpp"
 #include "nn/arch_specs.hpp"
@@ -133,8 +132,7 @@ std::unique_ptr<RoundPipeline> RealFleet::make_pipeline(
       protocol = comm::Protocol::kParamServer;
       std::vector<int64_t> all(static_cast<size_t>(k));
       std::iota(all.begin(), all.end(), int64_t{0});
-      grid = baselines::param_server_grid(topology_.profiles(), all,
-                                          options_.comms);
+      grid = param_server_grid(topology_.profiles(), all, options_.comms);
       break;
     }
     case learncurve::Method::kGossip:
@@ -855,7 +853,9 @@ struct Frame {
 
 bool read_flag(tensor::ByteReader& r) {
   const uint8_t v = r.u8();
-  COMDML_REQUIRE(v <= 1, "flag byte " << int{v} << " is neither 0 nor 1");
+  if (v > 1)
+    throw tensor::DecodeError("flag byte " + std::to_string(v) +
+                              " is neither 0 nor 1");
   return v == 1;
 }
 
@@ -872,8 +872,9 @@ Frame read_payload(const std::vector<uint8_t>& payload) {
   if (f.has_plateau) {
     f.plateau.best = r.f32();
     const int64_t stale = r.i64();
-    COMDML_REQUIRE(stale >= 0 && stale <= INT32_MAX,
-                   "plateau staleness " << stale << " out of range");
+    if (stale < 0 || stale > INT32_MAX)
+      throw tensor::DecodeError("plateau staleness " +
+                                std::to_string(stale) + " out of range");
     f.plateau.stale = static_cast<int>(stale);
   }
   f.has_residual = read_flag(r);

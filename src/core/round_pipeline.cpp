@@ -40,6 +40,25 @@ comm::LinkGrid bottleneck_grid(const sim::Topology& topology,
                                  latency_sec);
 }
 
+comm::LinkGrid param_server_grid(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected,
+    const FleetOptions::CommOptions& comms) {
+  COMDML_CHECK(!selected.empty());
+  COMDML_CHECK(comms.server_mbps > 0.0);
+  const double share =
+      comms.server_mbps / static_cast<double>(selected.size());
+  std::vector<double> rates(profiles.size(), 0.0);
+  for (const int64_t idx : selected) {
+    COMDML_CHECK(idx >= 0 && idx < static_cast<int64_t>(profiles.size()));
+    const auto& p = profiles[static_cast<size_t>(idx)];
+    COMDML_REQUIRE(p.connected(), "selected agent " << idx
+                                                    << " has no uplink");
+    rates[static_cast<size_t>(idx)] = std::min(p.mbps, share);
+  }
+  return comm::LinkGrid::star(rates, comms.latency_sec);
+}
+
 RoundPipeline::RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
                              const comm::LinkGrid& grid,
                              comm::Protocol protocol,

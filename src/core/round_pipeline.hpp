@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "comm/collective.hpp"
+#include "core/config.hpp"
 #include "nn/bucket.hpp"
 
 namespace comdml::core {
@@ -97,6 +98,18 @@ struct OverlapTimeline {
 /// when the topology has no usable link and more than one agent.
 [[nodiscard]] comm::LinkGrid bottleneck_grid(const sim::Topology& topology,
                                              double latency_sec);
+
+/// Star grid of one param-server round (FedAvg, FedProx, BrainTorrent):
+/// endpoints 0..K-1 are the agents, endpoint K the server. Each selected
+/// agent's edge runs at min(its uplink, comms.server_mbps / #selected)
+/// with `comms.latency_sec`: the server's aggregate bandwidth is shared
+/// across concurrent transfers, the central bottleneck the paper
+/// attributes to server-based FL (§V-B-2). Throws if a selected agent has
+/// no uplink.
+[[nodiscard]] comm::LinkGrid param_server_grid(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected,
+    const FleetOptions::CommOptions& comms);
 
 /// Executed traffic summary of one bucketed aggregation.
 struct PipelineStats {
@@ -140,7 +153,7 @@ class RoundPipeline {
   /// and gossip run whole through comm::collective(protocol).run() on the
   /// bucket's own transport, over that bucket's contributors. `grid` has
   /// one endpoint per agent, plus the server for param-server
-  /// (baselines::param_server_grid). `weights` (param-server; empty =
+  /// (param_server_grid). `weights` (param-server; empty =
   /// uniform) holds one aggregation weight per agent, filtered down to
   /// each bucket's contributors. `rng` (gossip; borrowed) draws the
   /// partners, so gossip must not run buckets concurrently.

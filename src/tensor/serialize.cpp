@@ -1,10 +1,18 @@
 #include "tensor/serialize.hpp"
 
 #include <cstring>
+#include <sstream>
 
 namespace comdml::tensor {
 
 namespace {
+
+template <typename... Parts>
+[[noreturn]] void refuse(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  throw DecodeError(os.str());
+}
 
 template <typename T>
 void append_raw(std::vector<uint8_t>& out, const T& value) {
@@ -14,8 +22,8 @@ void append_raw(std::vector<uint8_t>& out, const T& value) {
 
 template <typename T>
 T read_raw(const std::vector<uint8_t>& bytes, size_t& offset) {
-  COMDML_REQUIRE(offset + sizeof(T) <= bytes.size(),
-                 "truncated tensor wire data at offset " << offset);
+  if (offset + sizeof(T) > bytes.size())
+    refuse("truncated tensor wire data at offset ", offset);
   T value;
   std::memcpy(&value, bytes.data() + offset, sizeof(T));
   offset += sizeof(T);
@@ -28,11 +36,9 @@ T read_raw(const std::vector<uint8_t>& bytes, size_t& offset) {
 size_t checked_count(const std::vector<uint8_t>& bytes, size_t offset,
                      uint32_t count, size_t min_elem_bytes) {
   const size_t left = bytes.size() - offset;
-  COMDML_REQUIRE(count <= left / min_elem_bytes,
-                 "length prefix claims " << count << " elements of >= "
-                                         << min_elem_bytes
-                                         << " bytes, but only " << left
-                                         << " bytes remain");
+  if (count > left / min_elem_bytes)
+    refuse("length prefix claims ", count, " elements of >= ",
+           min_elem_bytes, " bytes, but only ", left, " bytes remain");
   return count;
 }
 
@@ -73,7 +79,7 @@ std::vector<uint8_t> to_bytes(const Tensor& t) {
 
 Tensor from_bytes(const std::vector<uint8_t>& bytes, size_t& offset) {
   const auto rank = read_raw<uint32_t>(bytes, offset);
-  COMDML_REQUIRE(rank <= 8, "implausible tensor rank " << rank);
+  if (rank > 8) refuse("implausible tensor rank ", rank);
   Shape shape(rank);
   // The extents come from untrusted bytes: multiply them overflow-checked
   // and bound the product by the bytes left before sizing anything.
@@ -82,10 +88,10 @@ Tensor from_bytes(const std::vector<uint8_t>& bytes, size_t& offset) {
     d = read_raw<int64_t>(bytes, offset);
     const bool bad =
         d < 0 || __builtin_mul_overflow(n, static_cast<uint64_t>(d), &n);
-    COMDML_REQUIRE(!bad, "implausible tensor extent " << d);
+    if (bad) refuse("implausible tensor extent ", d);
   }
-  COMDML_REQUIRE(n <= (bytes.size() - offset) / sizeof(float),
-                 "truncated tensor payload");
+  if (n > (bytes.size() - offset) / sizeof(float))
+    refuse("truncated tensor payload");
   std::vector<float> data(static_cast<size_t>(n));
   std::memcpy(data.data(), bytes.data() + offset,
               static_cast<size_t>(n) * sizeof(float));
@@ -110,8 +116,8 @@ std::vector<Tensor> unpack_tensors(const std::vector<uint8_t>& bytes) {
   // Each tensor takes at least its 4-byte rank field.
   out.reserve(checked_count(bytes, offset, count, sizeof(uint32_t)));
   for (uint32_t i = 0; i < count; ++i) out.push_back(from_bytes(bytes, offset));
-  COMDML_REQUIRE(offset == bytes.size(),
-                 "trailing bytes after tensor pack: " << bytes.size() - offset);
+  if (offset != bytes.size())
+    refuse("trailing bytes after tensor pack: ", bytes.size() - offset);
   return out;
 }
 
@@ -164,7 +170,7 @@ double ByteReader::f64() { return read_raw<double>(*bytes_, offset_); }
 
 std::string ByteReader::str() {
   const auto n = u32();
-  COMDML_REQUIRE(offset_ + n <= bytes_->size(), "truncated string payload");
+  if (n > bytes_->size() - offset_) refuse("truncated string payload");
   std::string out(reinterpret_cast<const char*>(bytes_->data() + offset_), n);
   offset_ += n;
   return out;
@@ -191,8 +197,9 @@ std::vector<Tensor> ByteReader::tensors() {
 }
 
 void ByteReader::expect_done() const {
-  COMDML_REQUIRE(done(), "trailing bytes in stream: "
-                             << bytes_->size() - offset_ << " unread");
+  if (!done())
+    refuse("trailing bytes in stream: ", bytes_->size() - offset_,
+           " unread");
 }
 
 int64_t wire_bytes(const std::vector<Tensor>& ts) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,18 +13,26 @@
 
 namespace comdml::tensor {
 
+/// Malformed bytes refused by a decoder: truncation, an implausible length
+/// or extent, trailing bytes. The message is the reason alone, fit to show
+/// a user. Derives from std::invalid_argument, which callers catch.
+class DecodeError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Serialized wire format: [rank u32][dims i64...][payload f32...].
 [[nodiscard]] std::vector<uint8_t> to_bytes(const Tensor& t);
 
 /// Parse one tensor from `bytes` starting at `offset`; advances `offset`.
-/// Throws std::invalid_argument on truncated or malformed input.
+/// Throws DecodeError on truncated or malformed input.
 [[nodiscard]] Tensor from_bytes(const std::vector<uint8_t>& bytes,
                                 size_t& offset);
 
 /// Serialize a whole parameter list (e.g. a model snapshot).
 [[nodiscard]] std::vector<uint8_t> pack_tensors(const std::vector<Tensor>& ts);
 
-/// Inverse of pack_tensors.
+/// Inverse of pack_tensors. Throws DecodeError on malformed input.
 [[nodiscard]] std::vector<Tensor> unpack_tensors(
     const std::vector<uint8_t>& bytes);
 
@@ -71,8 +80,7 @@ class ByteWriter {
 };
 
 /// Sequential reader over a ByteWriter stream. Every accessor throws
-/// std::invalid_argument on truncated input; expect_done() rejects
-/// trailing garbage.
+/// DecodeError on truncated input; expect_done() rejects trailing garbage.
 class ByteReader {
  public:
   /// Borrows `bytes`; the buffer must outlive the reader.

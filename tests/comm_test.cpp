@@ -12,9 +12,9 @@
 #include <numeric>
 #include <string>
 
-#include "baselines/baseline_fleet.hpp"
 #include "comm/collective.hpp"
 #include "core/parallel.hpp"
+#include "core/trainer.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::comm {
@@ -495,21 +495,21 @@ TEST(ParamServer, SharesServerBandwidth) {
   std::iota(selected.begin(), selected.end(), 0);
   core::FleetOptions::CommOptions comms;
   comms.server_mbps = 100.0;  // 10 agents share 100 Mbps -> 10 Mbps each
-  const auto times = baselines::server_round_times(profiles, selected,
-                                                   1'250'000, comms);
+  const auto times = core::server_round_times(profiles, selected, 1'250'000,
+                                              comms);
   for (const double t : times) EXPECT_NEAR(t, 2.0 * 1.005, 1e-6);
 }
 
 TEST(ParamServer, AgentLinkCanBeBottleneck) {
   std::vector<ResourceProfile> profiles{{1.0, 10.0}};
   const auto times =
-      baselines::server_round_times(profiles, {0}, 1'250'000, {});
+      core::server_round_times(profiles, {0}, 1'250'000, {});
   EXPECT_NEAR(times[0], 2.0 * 1.005, 1e-6);  // limited by the 10 Mbps uplink
 }
 
 TEST(ParamServer, DisconnectedAgentThrows) {
   std::vector<ResourceProfile> profiles{{1.0, 0.0}};
-  EXPECT_THROW((void)baselines::server_round_times(profiles, {0}, 100, {}),
+  EXPECT_THROW((void)core::server_round_times(profiles, {0}, 100, {}),
                std::invalid_argument);
 }
 

@@ -1,20 +1,19 @@
-// Fleet-level simulation tests: the ComDML SimulatedFleet, the baseline
-// fleets, dynamic profile reshuffling, participation sampling, and the
-// relative timing behaviour the paper's tables rest on.
+// Fleet-level simulation tests: SimulatedFleet running ComDML and, with
+// pairing off, every baseline; dynamic profile reshuffling, participation
+// sampling, device churn, and the relative timing behaviour the paper's
+// tables rest on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
 #include <numeric>
 
-#include "baselines/baseline_fleet.hpp"
 #include "core/fleet_runtime.hpp"
 #include "core/trainer.hpp"
 
 namespace comdml::core {
 namespace {
 
-using baselines::BaselineFleet;
 using learncurve::Method;
 using learncurve::PartitionKind;
 using sim::Topology;
@@ -108,19 +107,19 @@ TEST(SimulatedFleet, SchedulerVariantsOrdering) {
   const auto sizes = iid_sizes(10);
   double greedy_t = 0, none_t = 0, exact_t = 0;
   {
-    SimulatedFleet f(spec, small_config(), mesh(10), sizes,
-                     Scheduler::kComDML);
+    SimulatedFleet f(spec, small_config(), mesh(10), sizes);
     greedy_t = f.step().round_seconds;
   }
   {
     SimulatedFleet f(spec, small_config(), mesh(10), sizes,
-                     Scheduler::kNoOffloading);
+                     Method::kAllReduceDML);
     none_t = f.step().round_seconds;
   }
   {
     auto cfg = small_config();
     cfg.scale.max_split_points = 10;  // keep the exact solver fast
-    SimulatedFleet f(spec, cfg, mesh(10), sizes, Scheduler::kExact);
+    SimulatedFleet f(spec, cfg, mesh(10), sizes, Method::kComDML,
+                     Scheduler::kExact);
     exact_t = f.step().round_seconds;
   }
   EXPECT_LT(greedy_t, none_t);
@@ -134,15 +133,15 @@ TEST(SimulatedFleet, RejectsShardSizeMismatch) {
 }
 
 TEST(SimulatedFleet, PrivacyOverheadSlowsCompute) {
-  // Compare under kNoOffloading so the compute overhead is not partially
-  // absorbed by re-balanced pairing decisions.
+  // Compare with pairing off (AllReduce-DML) so the compute overhead is
+  // not partially absorbed by re-balanced pairing decisions.
   auto cfg = small_config();
   auto cfg_dp = cfg;
   cfg_dp.privacy.technique = learncurve::PrivacyTechnique::kDistanceCorrelation;
   SimulatedFleet plain(nn::resnet56_spec(), cfg, mesh(10), iid_sizes(10),
-                       Scheduler::kNoOffloading);
+                       Method::kAllReduceDML);
   SimulatedFleet dp(nn::resnet56_spec(), cfg_dp, mesh(10), iid_sizes(10),
-                    Scheduler::kNoOffloading);
+                    Method::kAllReduceDML);
   EXPECT_GT(dp.step().round_seconds, plain.step().round_seconds);
 }
 
@@ -151,8 +150,8 @@ TEST(SimulatedFleet, PrivacyOverheadSlowsCompute) {
 class BaselineP : public ::testing::TestWithParam<Method> {};
 
 TEST_P(BaselineP, ProducesPositiveRoundTimes) {
-  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(),
-                      mesh(10), iid_sizes(10));
+  SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(10),
+                       iid_sizes(10), GetParam());
   const auto rec = fleet.step();
   EXPECT_GT(rec.round_seconds, 0.0);
   if (GetParam() == Method::kGossip) {
@@ -166,8 +165,8 @@ TEST_P(BaselineP, ProducesPositiveRoundTimes) {
 }
 
 TEST_P(BaselineP, StragglerDominatesRound) {
-  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(),
-                      mesh(10), iid_sizes(10));
+  SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(10),
+                       iid_sizes(10), GetParam());
   const auto rec = fleet.step();
   // All baselines train the full model: the straggler's full-model time
   // exceeds ComDML's balanced round. Synchronous baselines expose the
@@ -188,48 +187,58 @@ INSTANTIATE_TEST_SUITE_P(Methods, BaselineP,
                                            Method::kBrainTorrent,
                                            Method::kAllReduceDML));
 
-TEST(Baselines, RejectsComDML) {
-  EXPECT_THROW(BaselineFleet(Method::kComDML, nn::resnet56_spec(),
-                             small_config(), mesh(10), iid_sizes(10)),
+TEST(Baselines, RejectSchedulerAblations) {
+  // A baseline runs with pairing off; a pairing scheduler has nothing to do.
+  EXPECT_THROW(SimulatedFleet(nn::resnet56_spec(), small_config(), mesh(10),
+                              iid_sizes(10), Method::kFedAvg,
+                              Scheduler::kRandom),
                std::invalid_argument);
 }
 
-TEST(Baselines, RejectAgentDropout) {
-  // Only the ComDML simulation models device churn; a baseline must refuse
-  // the option rather than run as if it were unset.
+TEST(Baselines, AgentDropoutRunsForEveryMethod) {
+  // The one simulator models device churn for every method: sampled agents
+  // drop out, the round closes over the survivors (at least two), and the
+  // report counts them.
   auto cfg = small_config();
   cfg.scale.agent_dropout = 0.5;
-  for (const Method m : {Method::kFedAvg, Method::kFedProx, Method::kGossip,
-                         Method::kBrainTorrent, Method::kAllReduceDML}) {
-    EXPECT_THROW(BaselineFleet(m, nn::resnet56_spec(), cfg, mesh(10),
-                               iid_sizes(10)),
-                 std::invalid_argument)
-        << learncurve::method_name(m);
+  for (const Method m : {Method::kComDML, Method::kFedAvg, Method::kFedProx,
+                         Method::kGossip, Method::kBrainTorrent,
+                         Method::kAllReduceDML}) {
+    SCOPED_TRACE(learncurve::method_name(m));
+    SimulatedFleet fleet(nn::resnet56_spec(), cfg, mesh(10), iid_sizes(10),
+                         m);
+    int64_t dropped = 0;
+    for (const RoundReport& rec : fleet.run(5).rounds) {
+      EXPECT_GT(rec.round_seconds, 0.0);
+      EXPECT_LE(rec.dropped_agents, 8);
+      dropped += rec.dropped_agents;
+    }
+    EXPECT_GT(dropped, 0);
   }
 }
 
 TEST(Baselines, BrainTorrentAggregationScalesWithFleet) {
   auto t = [&](int64_t k) {
-    BaselineFleet fleet(Method::kBrainTorrent, nn::resnet56_spec(),
-                        small_config(), mesh(k, 7), iid_sizes(k));
+    SimulatedFleet fleet(nn::resnet56_spec(), small_config(), mesh(k, 7),
+                         iid_sizes(k), Method::kBrainTorrent);
     return fleet.step().aggregation_seconds;
   };
   EXPECT_GT(t(20), t(10));
 }
 
 TEST(Baselines, GossipCommCheaperThanBrainTorrent) {
-  BaselineFleet gossip(Method::kGossip, nn::resnet56_spec(),
-                       small_config(), mesh(20, 9), iid_sizes(20));
-  BaselineFleet bt(Method::kBrainTorrent, nn::resnet56_spec(),
-                   small_config(), mesh(20, 9), iid_sizes(20));
+  SimulatedFleet gossip(nn::resnet56_spec(), small_config(), mesh(20, 9),
+                        iid_sizes(20), Method::kGossip);
+  SimulatedFleet bt(nn::resnet56_spec(), small_config(), mesh(20, 9),
+                    iid_sizes(20), Method::kBrainTorrent);
   EXPECT_LT(gossip.step().aggregation_seconds, bt.step().aggregation_seconds);
 }
 
 TEST(Baselines, FedProxSlowerComputeThanFedAvg) {
-  BaselineFleet prox(Method::kFedProx, nn::resnet56_spec(),
-                     small_config(), mesh(10, 11), iid_sizes(10));
-  BaselineFleet avg(Method::kFedAvg, nn::resnet56_spec(), small_config(),
-                    mesh(10, 11), iid_sizes(10));
+  SimulatedFleet prox(nn::resnet56_spec(), small_config(), mesh(10, 11),
+                      iid_sizes(10), Method::kFedProx);
+  SimulatedFleet avg(nn::resnet56_spec(), small_config(), mesh(10, 11),
+                     iid_sizes(10), Method::kFedAvg);
   EXPECT_GT(prox.step().compute_seconds, avg.step().compute_seconds);
 }
 
@@ -327,19 +336,88 @@ TEST(FleetRuntimeSim, OptionsReachTheSimulators) {
     };
     auto built = build(o);
     auto preset = build(FleetOptions::paper_defaults());
-    std::unique_ptr<SimulatedFleet> sim;
-    std::unique_ptr<BaselineFleet> baseline;
-    if (m == Method::kComDML)
-      sim = std::make_unique<SimulatedFleet>(spec, o, mesh(50), iid_sizes(50));
-    else
-      baseline = std::make_unique<BaselineFleet>(m, spec, o, mesh(50),
-                                                 iid_sizes(50));
+    SimulatedFleet direct_fleet(spec, o, mesh(50), iid_sizes(50), m);
     for (int r = 0; r < 3; ++r) {
       SCOPED_TRACE(r);
-      const RoundReport direct = sim ? sim->step() : baseline->step();
+      const RoundReport direct = direct_fleet.step();
       const RoundReport via_builder = built.step();
       expect_reports_equal(via_builder, direct);
       EXPECT_NE(via_builder.round_seconds, preset.step().round_seconds);
+    }
+  }
+}
+
+TEST(FleetRuntimeSim, BaselineRoundsMatchParent) {
+  // Golden rounds of the five baselines, recorded from the separate
+  // baseline simulator this engine replaced (10-agent IID ResNet-56 mesh,
+  // 5,000 samples per agent: whole batches of 100, where its per-sample
+  // compute model and this batch-granular one agree). {round_seconds,
+  // aggregation_seconds} for rounds 0-2 at participation 1, then 0.5. The
+  // tolerance covers the order of the compute-overhead multiply and divide.
+  struct Golden {
+    Method method;
+    double rounds[2][3][2];
+  };
+  const Golden golden[] = {
+      {Method::kFedAvg,
+       {{{132.59525439999999, 5.5141663999999935},
+         {132.59525439999999, 5.5141663999999935},
+         {132.59525439999999, 5.5141663999999935}},
+        {{132.59525439999999, 5.5141663999999935},
+         {129.8431712, 2.7620832000000064},
+         {132.59525439999999, 5.5141663999999935}}}},
+      {Method::kFedProx,
+       {{{138.94930879999998, 5.5141663999999935},
+         {138.94930879999998, 5.5141663999999935},
+         {138.94930879999998, 5.5141663999999935}},
+        {{138.94930879999998, 5.5141663999999935},
+         {136.1972256, 2.7620832000000064},
+         {138.94930879999998, 5.5141663999999935}}}},
+      {Method::kGossip,
+       {{{59.172989504, 0.0},
+         {74.697928383999994, 0.0},
+         {88.676848063999998, 0.0}},
+        {{69.834851520000001, 0.0},
+         {62.600130495999998, 0.0},
+         {98.568126784, 0.0}}}},
+      {Method::kBrainTorrent,
+       {{{132.59525439999999, 5.5141663999999997},
+         {132.59525439999999, 5.5141663999999997},
+         {132.59525439999999, 5.5141663999999997}},
+        {{132.59525439999999, 5.5141663999999997},
+         {129.8431712, 2.7620831999999997},
+         {132.59525439999999, 5.5141663999999997}}}},
+      {Method::kAllReduceDML,
+       {{{137.441408, 10.36032},
+         {137.441408, 10.36032},
+         {137.441408, 10.36032}},
+        {{136.7433824, 9.6622944000000004},
+         {136.7433824, 9.6622944000000004},
+         {136.7433824, 9.6622944000000004}}}},
+  };
+  for (const Golden& g : golden) {
+    for (int p = 0; p < 2; ++p) {
+      SCOPED_TRACE(learncurve::method_name(g.method) + " participation " +
+                   (p == 0 ? "1" : "0.5"));
+      FleetOptions o = small_config();
+      o.scale.participation = p == 0 ? 1.0 : 0.5;
+      auto fleet = FleetBuilder()
+                       .method(g.method)
+                       .options(o)
+                       .topology(mesh(10))
+                       .architecture(nn::resnet56_spec())
+                       .shard_sizes(iid_sizes(10))
+                       .build();
+      for (int r = 0; r < 3; ++r) {
+        const RoundReport rec = fleet.step();
+        for (int k = 0; k < 2; ++k) {
+          const double want = g.rounds[p][r][k];
+          EXPECT_NEAR(k == 0 ? rec.round_seconds : rec.aggregation_seconds,
+                      want, 1e-12 * std::abs(want))
+              << "round " << r << (k == 0 ? " round" : " aggregation");
+        }
+        EXPECT_EQ(rec.unbalanced_seconds, rec.round_seconds) << r;
+      }
     }
   }
 }
@@ -368,9 +446,9 @@ TEST(SampleParticipants, KeepsAtLeastTwoAgents) {
 }
 
 TEST(FleetRuntimeSim, SchedulerAblationRunsThroughFacade) {
+  // No offloading is AllReduce-DML: the same fleet with pairing off.
   auto none = FleetBuilder()
-                  .method(Method::kComDML)
-                  .scheduler(Scheduler::kNoOffloading)
+                  .method(Method::kAllReduceDML)
                   .topology(mesh(10))
                   .architecture(nn::resnet56_spec())
                   .shard_sizes(iid_sizes(10))

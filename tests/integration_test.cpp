@@ -6,7 +6,6 @@
 
 #include <numeric>
 
-#include "baselines/baseline_fleet.hpp"
 #include "core/execution.hpp"
 #include "core/fleet_runtime.hpp"
 #include "core/real_fleet.hpp"
@@ -17,7 +16,6 @@
 namespace comdml {
 namespace {
 
-using baselines::BaselineFleet;
 using core::FleetOptions;
 using core::Scheduler;
 using core::SimulatedFleet;
@@ -58,11 +56,7 @@ TEST(EndToEnd, ComDMLFastestTimeToAccuracy) {
     const auto curve = learncurve::make_accuracy_model(
         "cifar10", "resnet56", PartitionKind::kIID, m);
     const double rounds = *curve.rounds_to(target);
-    if (m == Method::kComDML) {
-      SimulatedFleet fleet(spec, config10(), topo, sizes);
-      return fleet.run(40).time_for_rounds(rounds);
-    }
-    BaselineFleet fleet(m, spec, config10(), topo, sizes);
+    SimulatedFleet fleet(spec, config10(), topo, sizes, m);
     return fleet.run(40).time_for_rounds(rounds);
   };
 
