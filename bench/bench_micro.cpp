@@ -322,6 +322,41 @@ void run_kernel_suite() {
   }
 
   {
+    // The batch-16 Linear GEMMs of perfbench's mlp-int8-overlap model
+    // (32-256-256-10), in all three layouts at 1 thread: matmul_nt is the
+    // forward, matmul the input gradient, matmul_tn the weight gradient.
+    // Shape: m x k x n of the product.
+    struct Gemm {
+      int64_t m, k, n;
+    };
+    const Gemm gemms[] = {{16, 32, 256}, {16, 256, 256}, {16, 256, 10}};
+    core::set_num_threads(1);
+    for (const Gemm& g : gemms) {
+      Rng rng(44);
+      const Tensor a = rng.normal_tensor({g.m, g.k}, 0, 1);
+      const Tensor b = rng.normal_tensor({g.k, g.n}, 0, 1);
+      const Tensor at = tensor::transpose2d(a);
+      const Tensor bt = tensor::transpose2d(b);
+      const double flops = 2.0 * static_cast<double>(g.m * g.k * g.n);
+      const std::string shape = std::to_string(g.m) + "x" +
+                                std::to_string(g.k) + "x" +
+                                std::to_string(g.n);
+      const std::pair<const char*, std::function<Tensor()>> variants[] = {
+          {"matmul_nn", [&] { return tensor::matmul(a, b); }},
+          {"matmul_nt", [&] { return tensor::matmul_nt(a, bt); }},
+          {"matmul_tn", [&] { return tensor::matmul_tn(at, b); }}};
+      for (const auto& [op, fn] : variants) {
+        const double t =
+            time_seconds([&] { benchmark::DoNotOptimize(fn()); });
+        records.push_back({op, shape, 1, flops / t / 1e9, 1.0});
+        std::printf("  %-18s %-22s threads=1: %7.3f GFLOP/s (%.1f us)\n", op,
+                    shape.c_str(), flops / t / 1e9, t * 1e6);
+      }
+    }
+    core::set_num_threads(0);
+  }
+
+  {
     // Conv2d: [8,16,32,32] * [32,16,3,3], stride 1, pad 1.
     const int64_t bn = 8, cin = 16, cout = 32, hw = 32, k = 3;
     Rng rng(42);

@@ -1,6 +1,7 @@
 #include "comm/collective.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -8,6 +9,7 @@
 #include "comm/reliable.hpp"
 #include "core/parallel.hpp"
 #include "core/workspace.hpp"
+#include "tensor/simd.hpp"
 
 namespace comdml::comm {
 
@@ -62,6 +64,52 @@ CollectiveReport report_of(const Transport& t) {
   return rep;
 }
 
+// The fold and the mean's scale, scalar (the reference) and AVX2: one add
+// or one multiply per element either way, so the results are bit-identical.
+
+void add_into_scalar(double* dst, const double* src, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+void scale_scalar(double* data, int64_t n, double s) {
+  for (int64_t i = 0; i < n; ++i) data[i] *= s;
+}
+
+#if COMDML_SIMD_X86
+__attribute__((target("avx2"))) void add_into_avx2(double* dst,
+                                                   const double* src,
+                                                   int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i),
+                                            _mm256_loadu_pd(src + i)));
+  add_into_scalar(dst + i, src + i, n - i);
+}
+
+__attribute__((target("avx2"))) void scale_avx2(double* data, int64_t n,
+                                                double s) {
+  const __m256d vs = _mm256_set1_pd(s);
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(data + i, _mm256_mul_pd(_mm256_loadu_pd(data + i), vs));
+  scale_scalar(data + i, n - i, s);
+}
+#endif  // COMDML_SIMD_X86
+
+void add_into(double* dst, const double* src, int64_t n) {
+#if COMDML_SIMD_X86
+  if (simd::kAvx2) return add_into_avx2(dst, src, n);
+#endif
+  add_into_scalar(dst, src, n);
+}
+
+void scale(double* data, int64_t n, double s) {
+#if COMDML_SIMD_X86
+  if (simd::kAvx2) return scale_avx2(data, n, s);
+#endif
+  scale_scalar(data, n, s);
+}
+
 /// Fold a delivered payload into `dst + seg.begin` (add or overwrite).
 void merge_segment(const Message& msg, double* dst, const Segment& seg,
                    bool accumulate) {
@@ -70,13 +118,11 @@ void merge_segment(const Message& msg, double* dst, const Segment& seg,
                  "message " << msg.src << " -> " << msg.dst << " carries "
                             << msg.payload.size() << " values for a "
                             << seg.size() << "-element segment");
-  if (accumulate) {
-    for (int64_t i = 0; i < seg.size(); ++i)
-      dst[seg.begin + i] += msg.payload[static_cast<size_t>(i)];
-  } else {
-    for (int64_t i = 0; i < seg.size(); ++i)
-      dst[seg.begin + i] = msg.payload[static_cast<size_t>(i)];
-  }
+  if (accumulate)
+    add_into(dst + seg.begin, msg.payload.data(), seg.size());
+  else
+    std::memcpy(dst + seg.begin, msg.payload.data(),
+                static_cast<size_t>(seg.size()) * sizeof(double));
 }
 
 // ---- stepped allreduce schedules --------------------------------------------
@@ -283,8 +329,9 @@ void execute_schedule_step(Transport& t, const CollectiveRequest& req,
 }
 
 /// Sum -> mean after the last step, over the schedule's owned participants
-/// (all endpoints when unset). Survivor schedules divide by the live-set
-/// size.
+/// (all endpoints when unset), one item per participant on the request's
+/// executor (serially when the buffers are too small to pay for a
+/// fan-out). Survivor schedules divide by the live-set size.
 void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
                    int64_t endpoints) {
   if (req.buffers.empty()) return;
@@ -292,16 +339,16 @@ void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
                         ? endpoints
                         : static_cast<int64_t>(sched.participants.size());
   const double inv_k = 1.0 / static_cast<double>(k);
-  const auto scale = [&](int64_t a) {
-    if (!owns(req, a)) return;
-    double* mine = buffer_of(req, a);
-    for (int64_t i = 0; i < req.elems; ++i) mine[i] *= inv_k;
+  const auto scale_one = [&](int64_t i) {
+    const int64_t a = sched.participants.empty()
+                          ? i
+                          : sched.participants[static_cast<size_t>(i)];
+    if (owns(req, a)) scale(buffer_of(req, a), req.elems, inv_k);
   };
-  if (sched.participants.empty()) {
-    for (int64_t a = 0; a < endpoints; ++a) scale(a);
-  } else {
-    for (const int64_t a : sched.participants) scale(a);
-  }
+  StepExecutor* exec = &g_serial_executor;
+  if (k * req.elems >= kMinFanOutElems)
+    exec = req.executor != nullptr ? req.executor : &g_pool_executor;
+  exec->run(k, std::cref(scale_one));
 }
 
 /// Blocking allreduce over a prebuilt schedule (ring and halving/doubling

@@ -131,8 +131,10 @@ LinkModel& LinkGrid::link(int64_t src, int64_t dst) {
 
 namespace {
 
-// The int8 round trip's two passes, scalar (the reference) and AVX2. The
-// AVX2 pass reproduces the scalar one bit for bit, NaN, Inf and signed
+// The int8 round trip's two passes, scalar (the reference) and AVX2, and
+// their error-feedback twins (fold_max folds the residual in before taking
+// the abs-max; round_trip_residual also writes the fresh residual). The
+// AVX2 passes reproduce the scalar ones bit for bit, NaN, Inf and signed
 // zeros included: abs-max is max_pd(|x|, acc), which keeps acc on a NaN
 // exactly as std::max(acc, |x|) does; round_pd to nearest is nearbyint
 // under the default rounding mode; and min_pd(127, max_pd(-127, q)) puts
@@ -155,7 +157,39 @@ void round_trip_scalar(const double* src, double* dst, int64_t elems,
   }
 }
 
+double fold_max_scalar(double* data, const double* residual,
+                       int64_t elems) {
+  double max_abs = 0.0;
+  for (int64_t i = 0; i < elems; ++i) {
+    data[i] += residual[i];
+    max_abs = std::max(max_abs, std::fabs(data[i]));
+  }
+  return max_abs;
+}
+
+void round_trip_residual_scalar(double* data, double* residual,
+                                int64_t elems, double scale,
+                                double inv_scale) {
+  for (int64_t i = 0; i < elems; ++i) {
+    const double x = data[i];
+    const double q = std::nearbyint(x * inv_scale);
+    data[i] = scale * std::clamp(q, -127.0, 127.0);
+    residual[i] = x - data[i];
+  }
+}
+
 #if COMDML_SIMD_X86
+/// The max over every lane of two abs-max accumulators.
+__attribute__((target("avx2"))) double reduce_max_abs(__m256d acc0,
+                                                      __m256d acc1) {
+  // The accumulators never hold a NaN, so the lane order is immaterial.
+  alignas(32) double lanes[4] = {};
+  _mm256_store_pd(lanes, _mm256_max_pd(acc0, acc1));
+  double max_abs = 0.0;
+  for (const double v : lanes) max_abs = std::max(max_abs, v);
+  return max_abs;
+}
+
 __attribute__((target("avx2"))) double max_abs_avx2(const double* data,
                                                     int64_t elems) {
   const __m256d sign = _mm256_set1_pd(-0.0);
@@ -168,12 +202,29 @@ __attribute__((target("avx2"))) double max_abs_avx2(const double* data,
     acc1 = _mm256_max_pd(
         _mm256_andnot_pd(sign, _mm256_loadu_pd(data + i + 4)), acc1);
   }
-  // The accumulators never hold a NaN, so the lane order is immaterial.
-  alignas(32) double lanes[4] = {};
-  _mm256_store_pd(lanes, _mm256_max_pd(acc0, acc1));
-  double max_abs = 0.0;
-  for (const double v : lanes) max_abs = std::max(max_abs, v);
-  return std::max(max_abs, max_abs_scalar(data + i, elems - i));
+  return std::max(reduce_max_abs(acc0, acc1),
+                  max_abs_scalar(data + i, elems - i));
+}
+
+__attribute__((target("avx2"))) double fold_max_avx2(double* data,
+                                                     const double* residual,
+                                                     int64_t elems) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  int64_t i = 0;
+  for (; i + 8 <= elems; i += 8) {
+    const __m256d x0 = _mm256_add_pd(_mm256_loadu_pd(data + i),
+                                     _mm256_loadu_pd(residual + i));
+    const __m256d x1 = _mm256_add_pd(_mm256_loadu_pd(data + i + 4),
+                                     _mm256_loadu_pd(residual + i + 4));
+    _mm256_storeu_pd(data + i, x0);
+    _mm256_storeu_pd(data + i + 4, x1);
+    acc0 = _mm256_max_pd(_mm256_andnot_pd(sign, x0), acc0);
+    acc1 = _mm256_max_pd(_mm256_andnot_pd(sign, x1), acc1);
+  }
+  return std::max(reduce_max_abs(acc0, acc1),
+                  fold_max_scalar(data + i, residual + i, elems - i));
 }
 
 __attribute__((target("avx2"))) void round_trip_avx2(const double* src,
@@ -195,19 +246,65 @@ __attribute__((target("avx2"))) void round_trip_avx2(const double* src,
   }
   round_trip_scalar(src + i, dst + i, elems - i, scale, inv_scale);
 }
+
+__attribute__((target("avx2"))) void round_trip_residual_avx2(
+    double* data, double* residual, int64_t elems, double scale,
+    double inv_scale) {
+  const __m256d vscale = _mm256_set1_pd(scale);
+  const __m256d vinv = _mm256_set1_pd(inv_scale);
+  const __m256d lo = _mm256_set1_pd(-127.0);
+  const __m256d hi = _mm256_set1_pd(127.0);
+  int64_t i = 0;
+  for (; i + 4 <= elems; i += 4) {
+    const __m256d x = _mm256_loadu_pd(data + i);
+    const __m256d q = _mm256_round_pd(
+        _mm256_mul_pd(x, vinv), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    const __m256d v =
+        _mm256_mul_pd(vscale, _mm256_min_pd(hi, _mm256_max_pd(lo, q)));
+    _mm256_storeu_pd(data + i, v);
+    _mm256_storeu_pd(residual + i, _mm256_sub_pd(x, v));
+  }
+  round_trip_residual_scalar(data + i, residual + i, elems - i, scale,
+                             inv_scale);
+}
 #endif  // COMDML_SIMD_X86
 
 struct QuantizeKernels {
   double (*max_abs)(const double*, int64_t);
   void (*round_trip)(const double*, double*, int64_t, double, double);
+  double (*fold_max)(double*, const double*, int64_t);
+  void (*round_trip_residual)(double*, double*, int64_t, double, double);
 };
 
 QuantizeKernels resolve_quantize_kernels() {
 #if COMDML_SIMD_X86
   if (__builtin_cpu_supports("avx2"))
-    return {max_abs_avx2, round_trip_avx2};
+    return {max_abs_avx2, round_trip_avx2, fold_max_avx2,
+            round_trip_residual_avx2};
 #endif
-  return {max_abs_scalar, round_trip_scalar};
+  return {max_abs_scalar, round_trip_scalar, fold_max_scalar,
+          round_trip_residual_scalar};
+}
+
+const QuantizeKernels& quantize_kernels() {
+  static const QuantizeKernels kernels = resolve_quantize_kernels();
+  return kernels;
+}
+
+/// The wire-precision (fp32 header) scale max_abs / 127 of a payload, or 0
+/// when the payload ships unquantized. An all-zero payload is exact.
+/// Degenerate dynamic ranges cannot ride the fp32 scale header: an Inf/NaN
+/// element would turn every finite element into NaN (inv_scale = 0,
+/// inf * 0), and a sub-fp32-normal range would map zeros through 0 * inf.
+/// Such payloads ship unquantized (the wire charge is data-independent
+/// either way) instead of poisoning the bucket — and, under error
+/// feedback, the residual — with NaNs.
+float wire_scale(double max_abs) {
+  const float scale = static_cast<float>(max_abs / 127.0);
+  if (max_abs == 0.0 || !std::isfinite(scale) ||
+      scale < std::numeric_limits<float>::min())
+    return 0.0f;
+  return scale;
 }
 
 /// Symmetric int8 round trip of `src` into `dst` (may alias): scale =
@@ -216,17 +313,9 @@ QuantizeKernels resolve_quantize_kernels() {
 /// the wire-precision scale.
 void quantize_into(const double* src, double* dst, int64_t elems) {
   if (elems == 0) return;
-  static const QuantizeKernels kernels = resolve_quantize_kernels();
-  const double max_abs = kernels.max_abs(src, elems);
-  const float scale = static_cast<float>(max_abs / 127.0);
-  // An all-zero payload is exact. Degenerate dynamic ranges cannot ride
-  // the fp32 scale header: an Inf/NaN element would turn every finite
-  // element into NaN (inv_scale = 0, inf * 0), and a sub-fp32-normal range
-  // would map zeros through 0 * inf. Ship such payloads unquantized (the
-  // wire charge is data-independent either way) instead of poisoning the
-  // bucket — and, under error feedback, the residual — with NaNs.
-  if (max_abs == 0.0 || !std::isfinite(scale) ||
-      scale < std::numeric_limits<float>::min()) {
+  const QuantizeKernels& kernels = quantize_kernels();
+  const float scale = wire_scale(kernels.max_abs(src, elems));
+  if (scale == 0.0f) {
     if (dst != src)
       std::memcpy(dst, src, static_cast<size_t>(elems) * sizeof(double));
     return;
@@ -250,6 +339,16 @@ int64_t Codec::encode_copy(const double* src, double* dst,
                            int64_t elems) const {
   std::copy(src, src + elems, dst);
   return encode(dst, elems);
+}
+
+void Codec::error_feedback(double* data, double* residual,
+                           int64_t elems) const {
+  for (int64_t i = 0; i < elems; ++i) {
+    data[i] += residual[i];
+    residual[i] = data[i];
+  }
+  transform(data, elems);
+  for (int64_t i = 0; i < elems; ++i) residual[i] -= data[i];
 }
 
 const Codec& identity_codec() {
@@ -279,6 +378,21 @@ int64_t QuantizingCodec::encode_copy(const double* src, double* dst,
                                      int64_t elems) const {
   quantize_into(src, dst, elems);
   return quantized_wire_bytes(elems);
+}
+
+void QuantizingCodec::error_feedback(double* data, double* residual,
+                                     int64_t elems) const {
+  if (elems == 0) return;
+  const QuantizeKernels& kernels = quantize_kernels();
+  const float scale = wire_scale(kernels.fold_max(data, residual, elems));
+  if (scale == 0.0f) {
+    // Shipped unquantized: the fresh error is x - x.
+    for (int64_t i = 0; i < elems; ++i) residual[i] = data[i] - data[i];
+    return;
+  }
+  kernels.round_trip_residual(data, residual, elems,
+                              static_cast<double>(scale),
+                              1.0 / static_cast<double>(scale));
 }
 
 const Codec& quantized_codec() {

@@ -110,6 +110,15 @@ class Codec {
   /// payload-moving message through this.
   [[nodiscard]] virtual int64_t encode_copy(const double* src, double* dst,
                                             int64_t elems) const;
+  /// Error feedback on one payload: fold the carried `residual` into
+  /// `data`, apply the lossy round trip, and keep the fresh error in
+  /// `residual` — data' = Q(data + residual), residual' = (data +
+  /// residual) - data'. The result is bit for bit that of the loop
+  /// `data += residual; residual = data; transform(data); residual -=
+  /// data`, which is what the default runs; QuantizingCodec fuses it into
+  /// two passes.
+  virtual void error_feedback(double* data, double* residual,
+                              int64_t elems) const;
 };
 
 /// fp32 on the wire, lossless in fp64 accumulators: elems * 4 bytes.
@@ -142,6 +151,10 @@ class QuantizingCodec final : public Codec {
   /// range) become plain copies.
   [[nodiscard]] int64_t encode_copy(const double* src, double* dst,
                                     int64_t elems) const override;
+  /// Pass 1 folds the residual in and takes the abs-max; pass 2 quantizes
+  /// and writes the new residual.
+  void error_feedback(double* data, double* residual,
+                      int64_t elems) const override;
 };
 
 /// Shared immutable QuantizingCodec instance (codecs are borrowed by

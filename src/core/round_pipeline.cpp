@@ -267,12 +267,8 @@ void RoundPipeline::apply_error_feedback(int64_t agent, int64_t bucket) {
   // quantize once and keep the fresh error: r' = (x + r) - Q(x + r). With
   // no codec (straggler-only residuals) Q is the identity and the carried
   // residual folds in completely, leaving r' = 0.
-  for (int64_t i = 0; i < bk.elems; ++i) {
-    s[i] += r[i];
-    r[i] = s[i];
-  }
-  if (codec_ != nullptr) codec_->transform(s, bk.elems);
-  for (int64_t i = 0; i < bk.elems; ++i) r[i] -= s[i];
+  (codec_ != nullptr ? *codec_ : comm::identity_codec())
+      .error_feedback(s, r, bk.elems);
 }
 
 void RoundPipeline::contribute(int64_t agent, int64_t bucket) {

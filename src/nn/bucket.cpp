@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tensor/simd.hpp"
+
 namespace comdml::nn {
 
 BucketPlan BucketPlan::build(Sequential& model, int64_t bucket_bytes) {
@@ -77,6 +79,50 @@ void for_bucket_tensors(const std::vector<int64_t>& tensor_elems,
     fn(t, tensor_elems[t]);
 }
 
+// fp32 <-> fp64 slab copies, scalar (the reference) and AVX2. Widening is
+// exact, and cvtpd_ps narrows under the same rounding mode as the scalar
+// cast, so both bodies are bit-identical.
+
+void widen_scalar(const float* in, double* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = in[i];
+}
+
+void narrow_scalar(const double* in, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = static_cast<float>(in[i]);
+}
+
+#if COMDML_SIMD_X86
+__attribute__((target("avx2"))) void widen_avx2(const float* in, double* out,
+                                                int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(out + i, _mm256_cvtps_pd(_mm_loadu_ps(in + i)));
+  widen_scalar(in + i, out + i, n - i);
+}
+
+__attribute__((target("avx2"))) void narrow_avx2(const double* in,
+                                                 float* out, int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_loadu_pd(in + i)));
+  narrow_scalar(in + i, out + i, n - i);
+}
+#endif  // COMDML_SIMD_X86
+
+void widen(const float* in, double* out, int64_t n) {
+#if COMDML_SIMD_X86
+  if (simd::kAvx2) return widen_avx2(in, out, n);
+#endif
+  widen_scalar(in, out, n);
+}
+
+void narrow(const double* in, float* out, int64_t n) {
+#if COMDML_SIMD_X86
+  if (simd::kAvx2) return narrow_avx2(in, out, n);
+#endif
+  narrow_scalar(in, out, n);
+}
+
 }  // namespace
 
 void BucketPlan::flatten_bucket(const std::vector<tensor::Tensor*>& state,
@@ -85,7 +131,8 @@ void BucketPlan::flatten_bucket(const std::vector<tensor::Tensor*>& state,
   for_bucket_tensors(tensor_elems_, bk, state, [&](size_t t, int64_t elems) {
     const auto flat = state[t]->flat();
     COMDML_CHECK(static_cast<int64_t>(flat.size()) == elems);
-    for (const float v : flat) *out++ = v;
+    widen(flat.data(), out, elems);
+    out += elems;
   });
 }
 
@@ -96,7 +143,8 @@ void BucketPlan::unflatten_bucket(
   for_bucket_tensors(tensor_elems_, bk, state, [&](size_t t, int64_t elems) {
     auto flat = state[t]->flat();
     COMDML_CHECK(static_cast<int64_t>(flat.size()) == elems);
-    for (float& v : flat) v = static_cast<float>(*in++);
+    narrow(in, flat.data(), elems);
+    in += elems;
   });
 }
 

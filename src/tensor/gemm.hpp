@@ -3,9 +3,12 @@
 // paths can write into caller-owned buffers without Tensor temporaries).
 //
 // Implementation (gemm.cpp) is a BLIS-style packed GEMM: A is packed into
-// MR-row panels of an MC x KC block, B into NR-column panels of a KC x NC
-// block (both in thread-local workspace-arena scratch), and a register-
-// tiled 6x16 micro-kernel runs over the panels. The micro-kernel is
+// MR-row panels of an MC x KC block (thread-local workspace-arena
+// scratch), and a register-tiled 6x16 micro-kernel runs over NR-column B
+// panels with a row stride. A B with unit column stride is read in place
+// wherever its NR-column panels are full; its ragged edge panel, and every
+// panel of any other B (8x8 AVX2 transposes for a transposed one), is
+// packed into scratch, zero-padded. The micro-kernel is
 // explicitly vectorized (AVX2+FMA, selected at runtime via CPU detection)
 // behind the COMDML_SIMD compile gate, with a scalar fallback compiled
 // unconditionally.

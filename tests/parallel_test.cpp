@@ -201,6 +201,33 @@ TEST(KernelParity, MatmulTnNtBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(nt1, tensor::matmul_nt(a, bt));
 }
 
+// The batch-16 Linear GEMMs read a row-major B in place when its 16-column
+// panels are full and pack a transposed B with 8x8 register transposes.
+// matmul, matmul_nt and matmul_tn run one FMA chain per element over the
+// same values, so every layout of one product must agree exactly: k % 8 != 0
+// exercises the transpose tail, n % 16 != 0 the packed edge panel.
+TEST(KernelParity, SmallBatchMatmulVariantsAgreeBitwise) {
+  ThreadCountGuard guard;
+  const MatmulShape shapes[] = {
+      {16, 32, 256}, {16, 256, 256}, {16, 256, 10}, {13, 259, 48}, {7, 17, 32},
+  };
+  for (const auto& s : shapes) {
+    Rng rng(16);
+    const Tensor a = rng.normal_tensor({s.m, s.k}, 0, 1);
+    const Tensor b = rng.normal_tensor({s.k, s.n}, 0, 1);
+    const Tensor at = tensor::transpose2d(a);
+    const Tensor bt = tensor::transpose2d(b);
+    for (const int t : {1, 4}) {
+      set_num_threads(t);
+      const Tensor nn = tensor::matmul(a, b);
+      EXPECT_EQ(nn, tensor::matmul_nt(a, bt))
+          << s.m << "x" << s.k << "x" << s.n << " at " << t << " threads";
+      EXPECT_EQ(nn, tensor::matmul_tn(at, b))
+          << s.m << "x" << s.k << "x" << s.n << " at " << t << " threads";
+    }
+  }
+}
+
 // ---- conv parity -----------------------------------------------------------
 
 struct ConvCase {

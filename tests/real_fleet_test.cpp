@@ -199,6 +199,44 @@ TEST(RealFleet, PairedCnnRoundsMatchParentDigest) {
   EXPECT_EQ(h, want) << "kernel " << kernel << " digest 0x" << std::hex << h;
 }
 
+TEST(RealFleet, Int8OverlapMlpRoundsMatchParentDigest) {
+  // Three overlapped rounds of an 8-agent MLP fleet with the int8 codec and
+  // error feedback must reproduce, bit for bit, every agent's state and each
+  // round's mean_loss as recorded before the GEMM read B in place, error
+  // feedback ran fused and the bucket mean fanned out. The 16-multiple
+  // hidden width sends the Linear GEMMs through the in-place B panels; the
+  // middle bucket (one 64x64 weight) is big enough that its steps and its
+  // mean fan out over the collectors. Like PairedCnnRoundsMatchParentDigest
+  // the digest depends only on the host's kernel family.
+  RealFleet::Options opt;
+  opt.seed = 41;
+  opt.train.batch_size = 16;
+  opt.train.batches_per_round = 2;
+  opt.comms.aggregation = comm::AllReduceAlgo::kHalvingDoubling;
+  opt.comms.bucket_bytes = 8192;
+  opt.comms.codec = FleetOptions::CommOptions::Codec::kInt8Quantized;
+  opt.comms.error_feedback = true;
+  opt.comms.overlap = true;
+  const ModelFactory factory = [](Rng& r) {
+    return nn::mlp({16, 64, 64, 4}, r);
+  };
+  RealFleet fleet(factory, 4, blob_shards(8, 48, 4, 16, 42), hetero_mesh(8),
+                  opt);
+  uint64_t h = 14695981039346656037ull;
+  for (int r = 0; r < 3; ++r) {
+    const RealFleet::RoundStats st = fleet.step();
+    ASSERT_GE(st.buckets, 3) << "round " << r;
+    h = fnv1a(h, &st.mean_loss, 1);
+  }
+  for (int64_t a = 0; a < fleet.agents(); ++a)
+    for (const tensor::Tensor& t : nn::state_of(fleet.model(a)))
+      h = fnv1a(h, t.flat().data(), t.flat().size());
+  const std::string kernel = tensor::gemm_kernel_name();
+  const uint64_t want =
+      kernel == "scalar" ? 0x3100c9d6c7c2a4ccull : 0xffa93db226cfd64dull;
+  EXPECT_EQ(h, want) << "kernel " << kernel << " digest 0x" << std::hex << h;
+}
+
 TEST(RealFleet, PlateauScheduleDecaysLearningRate) {
   RealFleet::Options opt;
   opt.train.plateau_factor = 0.5f;

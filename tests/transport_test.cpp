@@ -11,6 +11,8 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "comm/collective.hpp"
 #include "comm/reliable.hpp"
@@ -424,9 +426,15 @@ void expect_codec_matches_reference(std::vector<double> data,
       << what << " (n=" << n << ")";
 }
 
-TEST(Codecs, QuantizingCodecMatchesTheScalarLoopBitForBit) {
+/// Payloads that stress the int8 round trip: random ones of lengths 0-37
+/// and 16387 with NaN, +-Inf and signed zeros at the front, the middle and
+/// the end (in the vector body and in the scalar tail alike), negatives
+/// that round to -0, all zeros, a sub-FLT_MIN range, exact .5 ties and a
+/// range just above FLT_MIN. Each comes with what it tests.
+std::vector<std::pair<std::string, std::vector<double>>> codec_payloads() {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, std::vector<double>>> out;
   Rng rng(7);
   std::vector<size_t> lengths(38);
   std::iota(lengths.begin(), lengths.end(), size_t{0});
@@ -434,48 +442,90 @@ TEST(Codecs, QuantizingCodecMatchesTheScalarLoopBitForBit) {
   for (const size_t n : lengths) {
     std::vector<double> data(n);
     for (double& v : data) v = rng.normal(0.0f, 2.0f);
-    expect_codec_matches_reference(data, "random");
+    out.emplace_back("random", data);
     if (n == 0) continue;
-    // Specials at the front, the middle and the end land in the vector
-    // body and in the scalar tail alike.
     for (const size_t at : {size_t{0}, n / 2, n - 1}) {
       auto special = data;
       special[at] = kNaN;
-      expect_codec_matches_reference(special, "NaN");
+      out.emplace_back("NaN", special);
       special[at] = -0.0;
       special[n - 1 - at] = 0.0;
-      expect_codec_matches_reference(special, "signed zeros");
+      out.emplace_back("signed zeros", special);
       special[at] = kInf;
-      expect_codec_matches_reference(special, "+Inf");
+      out.emplace_back("+Inf", special);
       special[at] = -kInf;
-      expect_codec_matches_reference(special, "-Inf");
+      out.emplace_back("-Inf", special);
     }
     // Negatives that round to -0: max|v| = 127 makes the scale exactly 1.
     std::vector<double> small(n);
     for (size_t i = 0; i < n; ++i)
       small[i] = -0.49 * static_cast<double>(i % 3) / 2.0;
     small[n - 1] = -127.0;
-    expect_codec_matches_reference(small, "negatives to -0");
-    expect_codec_matches_reference(std::vector<double>(n, 0.0), "all zero");
+    out.emplace_back("negatives to -0", small);
+    out.emplace_back("all zero", std::vector<double>(n, 0.0));
     std::vector<double> tiny(n);
     for (size_t i = 0; i < n; ++i)
       tiny[i] = (i % 2 == 0 ? 1.0 : -1.0) * 1e-40 * static_cast<double>(i);
-    expect_codec_matches_reference(tiny, "sub-FLT_MIN range");
+    out.emplace_back("sub-FLT_MIN range", tiny);
   }
   // Exact .5 ties: with max|v| = 127 the scale is exactly 1, so k + 0.5
   // hits nearbyint's round-half-to-even on every element.
   std::vector<double> ties{127.0};
   for (int k = -127; k < 127; ++k) ties.push_back(k + 0.5);
   for (size_t n = 1; n <= ties.size(); n += 13)
-    expect_codec_matches_reference(
-        std::vector<double>(ties.begin(), ties.begin() + n), "ties");
+    out.emplace_back("ties",
+                     std::vector<double>(ties.begin(), ties.begin() + n));
   // Just above the fp32 normal range: the scale is normal, the elements
   // are not.
   std::vector<double> near_min(37);
   for (size_t i = 0; i < near_min.size(); ++i)
     near_min[i] = std::numeric_limits<float>::min() * 127.0 * 3.0 *
                   (static_cast<double>(i) / 36.0 - 0.5);
-  expect_codec_matches_reference(near_min, "near FLT_MIN");
+  out.emplace_back("near FLT_MIN", near_min);
+  return out;
+}
+
+TEST(Codecs, QuantizingCodecMatchesTheScalarLoopBitForBit) {
+  for (const auto& [what, data] : codec_payloads())
+    expect_codec_matches_reference(data, what);
+}
+
+/// The fused error-feedback call against the three-step loop it replaces,
+/// on both outputs, with memcmp so NaN payloads and zero signs count.
+void expect_fused_error_feedback_matches(std::vector<double> data,
+                                         std::vector<double> residual,
+                                         const std::string& what) {
+  const Codec& codec = quantized_codec();
+  const auto n = static_cast<int64_t>(data.size());
+  auto s = data;
+  auto r = residual;
+  for (size_t i = 0; i < s.size(); ++i) {
+    s[i] += r[i];
+    r[i] = s[i];
+  }
+  codec.transform(s.data(), n);
+  for (size_t i = 0; i < s.size(); ++i) r[i] -= s[i];
+  codec.error_feedback(data.data(), residual.data(), n);
+  const size_t bytes = data.size() * sizeof(double);
+  EXPECT_TRUE(bytes == 0 || std::memcmp(data.data(), s.data(), bytes) == 0)
+      << what << " (n=" << n << "): payload";
+  EXPECT_TRUE(bytes == 0 ||
+              std::memcmp(residual.data(), r.data(), bytes) == 0)
+      << what << " (n=" << n << "): residual";
+}
+
+TEST(Codecs, FusedErrorFeedbackMatchesTheThreeStepLoopBitForBit) {
+  Rng rng(8);
+  for (const auto& [what, payload] : codec_payloads()) {
+    std::vector<double> other(payload.size());
+    for (double& v : other) v = rng.normal(0.0f, 0.05f);
+    // The special values as the payload and as the carried residual.
+    expect_fused_error_feedback_matches(payload, other, what + " payload");
+    expect_fused_error_feedback_matches(other, payload, what + " residual");
+    expect_fused_error_feedback_matches(
+        payload, std::vector<double>(payload.size(), 0.0),
+        what + " payload, zero residual");
+  }
 }
 
 // encode_copy is copy + encode fused: same bits in `dst` (NaN payloads,
