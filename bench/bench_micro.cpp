@@ -5,11 +5,12 @@
 // Before the google-benchmark suite runs, a hand-rolled kernel suite times
 // the optimized matmul/conv kernels against the kept naive references at
 // 1/2/4/8 threads, the conv kernels on each ResNet-20 conv geometry, the
-// BatchNorm, ReLU and BasicBlock layers at its three stage shapes and
-// the activation wire codec, and writes the results to BENCH_kernels.json
-// (op, shape, threads, GFLOP/s — GB/s for the codec entries, speedup vs
-// the serial reference) so the perf trajectory is tracked across PRs. An
-// allocation probe then measures heap and workspace-arena traffic per
+// BatchNorm, ReLU and BasicBlock layers at its three stage shapes, the
+// activation wire codec and the random draws, and writes the results to
+// BENCH_kernels.json (op, shape, threads, GFLOP/s — GB/s for the codec
+// entries, ns per draw for the random ones, speedup vs the reference) so
+// the perf trajectory is tracked across PRs. An allocation probe then
+// measures heap and workspace-arena traffic per
 // conv2d forward/backward step after warmup, so the
 // zero-steady-state-allocation property is a number, not a claim.
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include <functional>
 #include <new>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "nn/resnet.hpp"
 #include "privacy/dcor.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/random.hpp"
 
 // ---- allocation-counting hook ----------------------------------------------
 //
@@ -510,6 +513,73 @@ void run_kernel_suite() {
                        wire_gb / t_q / 1e9, 1.0, "gbps"});
     std::printf("  %-18s %-22s threads=1: %7.3f GB/s (fp32-wire bytes)\n",
                 "int8_bucket_codec", "64KiB_bucket", wire_gb / t_q / 1e9);
+  }
+
+  {
+    // Random draws in ns per draw (single-threaded), each next to its
+    // std:: reference: the raw engine against std::mt19937_64, and
+    // normal(), fill_normal() and he_normal() against a fresh
+    // std::normal_distribution<float> per draw over the same engine, which
+    // is what normal() ran before its transforms moved in-tree. All of
+    // them draw the same values.
+    const size_t draws = size_t{1} << 20;
+    std::vector<float> out(draws);
+    const auto ns_case = [&](const std::string& op, const std::string& shape,
+                             double n, const std::function<void()>& reference,
+                             const std::function<void()>& optimized) {
+      const double t_ref = time_seconds(reference) / n * 1e9;
+      const double t = time_seconds(optimized) / n * 1e9;
+      records.push_back({op + "_reference", shape, 0, t_ref, 1.0,
+                         "ns_per_draw"});
+      records.push_back({op, shape, 1, t, t_ref / t, "ns_per_draw"});
+      std::printf("  %-18s %-22s %7.2f ns/draw, std:: reference %7.2f "
+                  "(%.2fx)\n",
+                  op.c_str(), shape.c_str(), t, t_ref, t_ref / t);
+    };
+    tensor::Mt19937_64 engine(47);
+    std::mt19937_64 std_engine(47);
+    const auto std_normals = [&] {
+      for (float& v : out)
+        v = std::normal_distribution<float>(0.0f, 1.0f)(engine);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    };
+    ns_case(
+        "rng_engine", "2^20_draws", static_cast<double>(draws),
+        [&] {
+          uint64_t sum = 0;
+          for (size_t i = 0; i < draws; ++i) sum += std_engine();
+          benchmark::DoNotOptimize(sum);
+        },
+        [&] {
+          uint64_t sum = 0;
+          for (size_t i = 0; i < draws; ++i) sum += engine();
+          benchmark::DoNotOptimize(sum);
+        });
+    Rng rng(47);
+    ns_case("rng_normal", "2^20_draws", static_cast<double>(draws),
+            std_normals, [&] {
+              for (float& v : out) v = rng.normal(0.0f, 1.0f);
+              benchmark::DoNotOptimize(out.data());
+              benchmark::ClobberMemory();
+            });
+    ns_case("rng_fill_normal", "2^20_draws", static_cast<double>(draws),
+            std_normals, [&] {
+              rng.fill_normal(out, 0.0f, 1.0f);
+              benchmark::DoNotOptimize(out.data());
+              benchmark::ClobberMemory();
+            });
+    const float he_stddev = std::sqrt(2.0f / 256.0f);
+    ns_case(
+        "he_normal", "256x256", 256.0 * 256.0,
+        [&] {
+          Tensor w({256, 256});
+          for (float& v : w.flat())
+            v = std::normal_distribution<float>(0.0f, he_stddev)(engine);
+          benchmark::DoNotOptimize(w.flat().data());
+          benchmark::ClobberMemory();
+        },
+        [&] { benchmark::DoNotOptimize(rng.he_normal({256, 256}, 256)); });
   }
 
   {

@@ -14,11 +14,12 @@ Dataset make_blobs(int64_t samples, int64_t classes, int64_t features,
   ds.classes = classes;
   auto ci = centers.flat();
   auto xo = ds.images.flat();
+  rng.fill_normal(xo, 0.0f, spread);  // each sample's noise, then its center
   for (int64_t i = 0; i < samples; ++i) {
     const int64_t y = i % classes;  // balanced classes
     ds.labels[static_cast<size_t>(i)] = y;
     for (int64_t f = 0; f < features; ++f)
-      xo[i * features + f] = ci[y * features + f] + rng.normal(0.0f, spread);
+      xo[i * features + f] = ci[y * features + f] + xo[i * features + f];
   }
   return ds;
 }
@@ -68,11 +69,12 @@ Dataset make_synthetic_images(int64_t samples, int64_t classes,
   ds.classes = classes;
   auto pi = prototypes.flat();
   auto xo = ds.images.flat();
+  rng.fill_normal(xo, 0.0f, noise);  // each sample's noise, then its prototype
   for (int64_t i = 0; i < samples; ++i) {
     const int64_t y = i % classes;
     ds.labels[static_cast<size_t>(i)] = y;
     for (int64_t f = 0; f < row; ++f)
-      xo[i * row + f] = pi[y * row + f] + rng.normal(0.0f, noise);
+      xo[i * row + f] = pi[y * row + f] + xo[i * row + f];
   }
   return ds;
 }

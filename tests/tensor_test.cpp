@@ -362,6 +362,86 @@ TEST(Rng, HelpersMatchTheStandardEngineSequences) {
   EXPECT_EQ(ours.below(1000), ref.below(1000));
 }
 
+/// An engine that returns one fixed word, to feed a chosen output to
+/// std::generate_canonical.
+struct FixedWord {
+  using result_type = uint64_t;
+  uint64_t z;
+  static constexpr uint64_t min() { return 0; }
+  static constexpr uint64_t max() { return ~uint64_t{0}; }
+  uint64_t operator()() const { return z; }
+};
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, 4) == 0; }
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * 4) == 0);
+}
+
+TEST(Rng, BlockFillAndScalarDrawsMatchTheStandardDistributions) {
+  // The conversion and the canonical float on edge words: exact ties,
+  // round-to-even cases past 2^63, and words that round up to 1.
+  std::vector<uint64_t> edges{0,
+                              1,
+                              (uint64_t{1} << 24) + 1,
+                              (uint64_t{1} << 53) + 1,
+                              (uint64_t{1} << 63) - 1,
+                              uint64_t{1} << 63,
+                              (uint64_t{1} << 63) + 1,
+                              (uint64_t{1} << 63) + (uint64_t{1} << 39),
+                              (uint64_t{1} << 63) + (uint64_t{1} << 39) + 1,
+                              ~uint64_t{0} - (uint64_t{1} << 39) + 1,
+                              ~uint64_t{0} - (uint64_t{1} << 39),
+                              ~uint64_t{0} - (uint64_t{1} << 39) + 2,
+                              ~uint64_t{0} - (uint64_t{1} << 40) + 1,
+                              ~uint64_t{0}};
+  std::mt19937_64 words(3);
+  for (int i = 0; i < 20000; ++i) edges.push_back(words() >> (i % 64));
+  for (const uint64_t z : edges) {
+    ASSERT_TRUE(same_bits(detail::u64_to_float(z), static_cast<float>(z)))
+        << z;
+    FixedWord w{z};
+    ASSERT_TRUE(same_bits(detail::canonical(z),
+                          std::generate_canonical<float, 24>(w)))
+        << z;
+  }
+  EXPECT_EQ(detail::canonical(~uint64_t{0}), std::nextafter(1.0f, 0.0f));
+
+  // normal(), uniform() and fill_normal() against the standard
+  // distributions on the standard engine. Fills start at odd and even
+  // positions inside a state block (each uniform draw shifts the parity),
+  // and each leaves the engine where as many normal() calls leave it.
+  const std::pair<float, float> params[] = {
+      {0.0f, 1.0f}, {0.5f, 2.0f}, {0.0f, std::sqrt(2.0f / 27.0f)},
+      {0.0f, 1e-3f}};
+  const size_t lengths[] = {0, 1, 2, 311, 312, 313, 4097, size_t{1} << 20};
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{42},
+                              ~uint64_t{0}}) {
+    for (const auto& [mean, stddev] : params) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " mean " +
+                   std::to_string(mean) + " stddev " +
+                   std::to_string(stddev));
+      Rng block(seed), scalar(seed);
+      StdRng ref{std::mt19937_64(seed)};
+      for (const size_t n : lengths) {
+        std::vector<float> got(n), one(n), want(n);
+        block.fill_normal(got, mean, stddev);
+        for (size_t i = 0; i < n; ++i) {
+          one[i] = scalar.normal(mean, stddev);
+          want[i] = ref.normal(mean, stddev);
+        }
+        ASSERT_TRUE(same_bits(got, want)) << n;
+        ASSERT_TRUE(same_bits(one, want)) << n;
+        ASSERT_EQ(block.state(), scalar.state()) << n;
+        const float u = ref.uniform(-2.0f, 3.0f);
+        ASSERT_TRUE(same_bits(block.uniform(-2.0f, 3.0f), u)) << n;
+        ASSERT_TRUE(same_bits(scalar.uniform(-2.0f, 3.0f), u)) << n;
+      }
+    }
+  }
+}
+
 TEST(Rng, StateTakenMidBlockResumesTheExactSequence) {
   Rng a(123);
   for (int i = 0; i < 500; ++i) (void)a.below(1 << 20);  // past one twist

@@ -9,8 +9,15 @@ working tree (every tracked or untracked, not ignored file as it is on disk)
 are copied into two directories under --work, and each is built through its
 own perfbench/run.py (one short warm-up run per workload). Then, per
 workload, N pairs run the two trees back to back, flipping the order every
-pair, so slow phases of the host hit both sides alike. Host steal is read
-from /proc/stat around every run.
+pair, so slow phases of the host hit both sides alike.
+
+Two host readings bracket every run. Steal is read from /proc/stat. A
+fixed-work probe runs 4 processes of the same integer loop at once
+(about 0.25 s on an idle 4-core host) before and after the run and keeps
+the slower process's rate: a shared host can cut every core's throughput
+several-fold while /proc/stat shows no steal at all. A pair is flagged
+when its two sides' steal shares differ by more than 2 points, or their
+probe rates by more than 15 % of the faster one.
 
 For every end-to-end metric of BENCHMARK.json the report gives both medians
 and quartiles, the number of pairs the change won (strictly better in the
@@ -19,6 +26,7 @@ parent's interquartile range. --json writes every run's record as well.
 """
 import argparse
 import json
+import multiprocessing
 import os
 import pathlib
 import shutil
@@ -27,8 +35,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 SIDES = ("parent", "change")
+PROBE_PROCS = 4
+PROBE_ITERS = 1_500_000  # about 0.25 s of one CPython process on an idle core
+STEAL_GAP = 0.02  # flag a pair whose sides' steal shares differ by more
+PROBE_GAP = 0.15  # ... or whose probe rates differ by more than this share
 
 
 def git(*args, **kw):
@@ -74,14 +87,41 @@ def read_steal():
     return steal, sum(ticks[:8])
 
 
+def _probe_worker(barrier, rates) -> None:
+    barrier.wait()
+    t0 = time.perf_counter()
+    x = 0
+    for _ in range(PROBE_ITERS):
+        x = (x * 1103515245 + 12345) & 0xFFFFFFFF
+    rates.put(PROBE_ITERS / (time.perf_counter() - t0))
+
+
+def host_probe() -> float:
+    """Loop iterations per second of the slowest of PROBE_PROCS processes
+    started together on the same fixed work."""
+    ctx = multiprocessing.get_context("fork")
+    barrier, rates = ctx.Barrier(PROBE_PROCS), ctx.Queue()
+    procs = [ctx.Process(target=_probe_worker, args=(barrier, rates))
+             for _ in range(PROBE_PROCS)]
+    for proc in procs:
+        proc.start()
+    got = [rates.get() for _ in procs]
+    for proc in procs:
+        proc.join()
+    return min(got)
+
+
 def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float):
-    """One perfbench run in `tree`: (result dict or None, steal share)."""
+    """One perfbench run in `tree`: (result dict or None, steal share,
+    host probe rate: the lower of the readings before and after)."""
+    probe = host_probe()
     before = read_steal()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     after = read_steal()
+    probe = min(probe, host_probe())
     steal = None
     if before and after and after[1] > before[1]:
         steal = (after[0] - before[0]) / (after[1] - before[1])
@@ -94,7 +134,7 @@ def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float):
             result = None
     if result is None:
         sys.stderr.write(proc.stderr[-2000:])
-    return result, steal
+    return result, steal, probe
 
 
 def quartiles(values):
@@ -108,16 +148,35 @@ def fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
+def flagged_pairs(runs):
+    """(pair, reason) for every pair whose two sides saw different hosts."""
+    out = []
+    for p, c in zip(runs["parent"], runs["change"]):
+        if p["steal"] is not None and c["steal"] is not None and \
+                abs(p["steal"] - c["steal"]) > STEAL_GAP:
+            out.append((p["pair"], f"steal {p['steal']:.2%} vs "
+                                   f"{c['steal']:.2%}"))
+        fast = max(p["probe"], c["probe"])
+        if abs(p["probe"] - c["probe"]) > PROBE_GAP * fast:
+            out.append((p["pair"], f"probe {p['probe'] / 1e6:.2f} vs "
+                                   f"{c['probe'] / 1e6:.2f} M/s"))
+    return out
+
+
 def report(workload, runs, metrics):
     print(f"== {workload}: {len(runs['parent'])} pairs")
     for side in SIDES:
         steal = [r["steal"] for r in runs[side] if r["steal"] is not None]
+        probe = [r["probe"] for r in runs[side]]
         failed = sum(1 for r in runs[side] if r["result"] is None or
                      r["result"].get("failed", 0) or
                      not r["result"].get("correct", False))
         share = f"{statistics.median(steal):.2%}" if steal else "n/a"
-        print(f"   {side:6s}: median steal {share}, failed or incorrect "
-              f"runs {failed}")
+        print(f"   {side:6s}: median steal {share}, host probe median "
+              f"{statistics.median(probe) / 1e6:.2f} M/s (min "
+              f"{min(probe) / 1e6:.2f}), failed or incorrect runs {failed}")
+    for pair, reason in flagged_pairs(runs):
+        print(f"   flagged pair {pair + 1}: {reason} (parent vs change)")
     print(f"   {'metric':22s} {'parent q1/med/q3':>32s} "
           f"{'change q1/med/q3':>32s} {'wins':>6s} {'diff>IQR':>8s}")
     for m in metrics:
@@ -177,7 +236,7 @@ def main() -> int:
             for w in a.workloads:
                 print(f"building and warming up {side} for {w}",
                       file=sys.stderr)
-                result, _ = run_once(trees[side], w, a.seed, 1.0)
+                result, _, _ = run_once(trees[side], w, a.seed, 1.0)
                 if result is None:
                     print(f"ab_bench: {side} failed to build or run {w}",
                           file=sys.stderr)
@@ -187,10 +246,10 @@ def main() -> int:
             for i in range(a.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, steal = run_once(trees[side], w, a.seed,
-                                             a.seconds)
+                    result, steal, probe = run_once(trees[side], w, a.seed,
+                                                    a.seconds)
                     rec = {"workload": w, "pair": i, "side": side,
-                           "steal": steal, "result": result}
+                           "steal": steal, "probe": probe, "result": result}
                     runs[side].append(rec)
                     records.append(rec)
                 print(f"{w}: pair {i + 1}/{a.pairs} done", file=sys.stderr)
