@@ -1,9 +1,6 @@
 #include "privacy/dp.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
-#include <span>
 
 #include "tensor/ops.hpp"
 
@@ -40,15 +37,8 @@ void gaussian_mechanism(std::span<Tensor> tensors, double epsilon,
                         double delta, double sensitivity, Rng& rng) {
   const auto sigma =
       static_cast<float>(gaussian_sigma(epsilon, delta, sensitivity));
-  std::array<float, 256> noise;
-  for (auto& t : tensors) {
-    const auto flat = t.flat();
-    for (size_t i = 0; i < flat.size(); i += noise.size()) {
-      const size_t n = std::min(noise.size(), flat.size() - i);
-      rng.fill_normal(std::span(noise).first(n), 0.0f, sigma);
-      for (size_t j = 0; j < n; ++j) flat[i + j] += noise[j];
-    }
-  }
+  for (auto& t : tensors)
+    for (float& v : t.flat()) v += rng.normal(0.0f, sigma);
 }
 
 }  // namespace comdml::privacy

@@ -74,13 +74,18 @@ size_t accept_pairs_scalar(const float* c, size_t p, size_t pairs,
   return pairs;
 }
 
-/// out = y * sqrt(-2 * log(r2) / r2) * stddev + mean, the tail of a polar
-/// draw with its log already taken.
+/// The tail of a polar draw with its log already taken; normal() and the
+/// scalar block fill share it, so both round the same ops.
+inline float polar_tail(float y, float r2, float log_r2, float mean,
+                        float stddev) {
+  return y * std::sqrt(-2.0f * log_r2 / r2) * stddev + mean;
+}
+
 void finish_scalar(const float* y, const float* r2, const float* log_r2,
                    float mean, float stddev, float* out, size_t lo,
                    size_t hi) {
   for (size_t i = lo; i < hi; ++i)
-    out[i] = y[i] * std::sqrt(-2.0f * log_r2[i] / r2[i]) * stddev + mean;
+    out[i] = polar_tail(y[i], r2[i], log_r2[i], mean, stddev);
 }
 
 #if COMDML_SIMD_X86
@@ -304,7 +309,7 @@ float Rng::normal(float mean, float stddev) {
     y = polar_coord(engine_());
     r2 = x * x + y * y;
   } while (rejected(r2));
-  return y * std::sqrt(-2.0f * std::log(r2) / r2) * stddev + mean;
+  return polar_tail(y, r2, std::log(r2), mean, stddev);
 }
 
 void Rng::fill_normal(std::span<float> out, float mean, float stddev) {

@@ -11,13 +11,13 @@ own perfbench/run.py (one short warm-up run per workload). Then, per
 workload, N pairs run the two trees back to back, flipping the order every
 pair, so slow phases of the host hit both sides alike.
 
-Two host readings bracket every run. Steal is read from /proc/stat. A
-fixed-work probe runs 4 processes of the same integer loop at once
-(about 0.25 s on an idle 4-core host) before and after the run and keeps
-the slower process's rate: a shared host can cut every core's throughput
-several-fold while /proc/stat shows no steal at all. A pair is flagged
-when its two sides' steal shares differ by more than 2 points, or their
-probe rates by more than 15 % of the faster one.
+Two host readings bracket every compared run (not the warm-ups). Steal is
+read from /proc/stat. A fixed-work probe runs 4 processes of the same
+integer loop at once (about 0.25 s on an idle 4-core host) before and
+after the run and keeps the slower process's rate: a shared host can cut
+every core's throughput several-fold while /proc/stat shows no steal at
+all. A pair is flagged when its two sides' steal shares differ by more
+than 2 points, or their probe rates by more than 15 % of the faster one.
 
 For every end-to-end metric of BENCHMARK.json the report gives both medians
 and quartiles, the number of pairs the change won (strictly better in the
@@ -111,29 +111,34 @@ def host_probe() -> float:
     return min(got)
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float):
-    """One perfbench run in `tree`: (result dict or None, steal share,
-    host probe rate: the lower of the readings before and after)."""
-    probe = host_probe()
-    before = read_steal()
+def perfbench(tree: pathlib.Path, workload: str, seed: int, seconds: float):
+    """One perfbench run in `tree`: its result dict, or None if it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0 and lines:
+        try:
+            return json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    sys.stderr.write(proc.stderr[-2000:])
+    return None
+
+
+def measured_run(tree: pathlib.Path, workload: str, seed: int,
+                 seconds: float):
+    """perfbench() with the host readings around it: (result, steal share,
+    host probe rate: the lower of the readings before and after)."""
+    probe = host_probe()
+    before = read_steal()
+    result = perfbench(tree, workload, seed, seconds)
     after = read_steal()
     probe = min(probe, host_probe())
     steal = None
     if before and after and after[1] > before[1]:
         steal = (after[0] - before[0]) / (after[1] - before[1])
-    lines = proc.stdout.strip().splitlines()
-    result = None
-    if proc.returncode == 0 and lines:
-        try:
-            result = json.loads(lines[-1])
-        except json.JSONDecodeError:
-            result = None
-    if result is None:
-        sys.stderr.write(proc.stderr[-2000:])
     return result, steal, probe
 
 
@@ -236,8 +241,7 @@ def main() -> int:
             for w in a.workloads:
                 print(f"building and warming up {side} for {w}",
                       file=sys.stderr)
-                result, _, _ = run_once(trees[side], w, a.seed, 1.0)
-                if result is None:
+                if perfbench(trees[side], w, a.seed, 1.0) is None:
                     print(f"ab_bench: {side} failed to build or run {w}",
                           file=sys.stderr)
                     return 1
@@ -246,8 +250,8 @@ def main() -> int:
             for i in range(a.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, steal, probe = run_once(trees[side], w, a.seed,
-                                                    a.seconds)
+                    result, steal, probe = measured_run(trees[side], w,
+                                                        a.seed, a.seconds)
                     rec = {"workload": w, "pair": i, "side": side,
                            "steal": steal, "probe": probe, "result": result}
                     runs[side].append(rec)
