@@ -668,7 +668,7 @@ void run_kernel_suite() {
       transport.schedule_endpoint_failure(3, 5);
       comm::AsyncCollective op(comm::Protocol::kRingAllReduce, transport,
                                std::move(req));
-      op.enable_recovery(comm::Protocol::kRingAllReduce);
+      op.enable_recovery();
       op.wait();
       const auto& st = transport.stats();
       records.push_back({"ring_allreduce_recovered", "k16_4MB_1death", 1,

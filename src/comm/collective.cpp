@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
 
 #include "comm/reliable.hpp"
 #include "core/parallel.hpp"
-#include "core/workspace.hpp"
 #include "tensor/simd.hpp"
 
 namespace comdml::comm {
@@ -42,26 +42,9 @@ double* buffer_of(const CollectiveRequest& req, int64_t a) {
   return req.buffers[static_cast<size_t>(a)];
 }
 
-void validate_buffers(const CollectiveRequest& req, int64_t agents) {
-  COMDML_REQUIRE(req.owned.empty() ||
-                     static_cast<int64_t>(req.owned.size()) == agents,
-                 "owned mask covers " << req.owned.size() << " endpoints, "
-                                      << "transport has " << agents);
-  if (req.buffers.empty()) return;
-  COMDML_REQUIRE(static_cast<int64_t>(req.buffers.size()) == agents,
-                 "collective got " << req.buffers.size() << " buffers for "
-                                   << agents << " agents");
-}
-
 /// Does this process host endpoint `e` (see CollectiveRequest::owned)?
 bool owns(const CollectiveRequest& req, int64_t e) {
   return req.owned.empty() || req.owned[static_cast<size_t>(e)] != 0;
-}
-
-CollectiveReport report_of(const Transport& t) {
-  CollectiveReport rep;
-  rep.transport = t.stats();
-  return rep;
 }
 
 // The fold and the mean's scale, scalar (the reference) and AVX2: one add
@@ -103,6 +86,11 @@ void add_into(double* dst, const double* src, int64_t n) {
   add_into_scalar(dst, src, n);
 }
 
+/// The star's weighted fold (scalar: the star is not on a hot path).
+void add_scaled_into(double* dst, const double* src, int64_t n, double w) {
+  for (int64_t i = 0; i < n; ++i) dst[i] += w * src[i];
+}
+
 void scale(double* data, int64_t n, double s) {
 #if COMDML_SIMD_X86
   if (simd::kAvx2) return scale_avx2(data, n, s);
@@ -110,29 +98,45 @@ void scale(double* data, int64_t n, double s) {
   scale_scalar(data, n, s);
 }
 
-/// Fold a delivered payload into `dst + seg.begin` (add or overwrite).
-void merge_segment(const Message& msg, double* dst, const Segment& seg,
-                   bool accumulate) {
-  if (dst == nullptr || !msg.has_payload()) return;
-  COMDML_REQUIRE(static_cast<int64_t>(msg.payload.size()) == seg.size(),
+/// Fold a delivered payload into `dst + r.span.begin` (weighted add or
+/// overwrite); false when there was nothing to fold.
+bool merge_segment(const Message& msg, double* dst,
+                   const ScheduleStep::Recv& r) {
+  if (dst == nullptr || !msg.has_payload()) return false;
+  COMDML_REQUIRE(static_cast<int64_t>(msg.payload.size()) == r.span.size(),
                  "message " << msg.src << " -> " << msg.dst << " carries "
                             << msg.payload.size() << " values for a "
-                            << seg.size() << "-element segment");
-  if (accumulate)
-    add_into(dst + seg.begin, msg.payload.data(), seg.size());
+                            << r.span.size() << "-element segment");
+  double* at = dst + r.span.begin;
+  if (!r.accumulate)
+    std::memcpy(at, msg.payload.data(),
+                static_cast<size_t>(r.span.size()) * sizeof(double));
+  else if (r.weight == 1.0)
+    add_into(at, msg.payload.data(), r.span.size());
   else
-    std::memcpy(dst + seg.begin, msg.payload.data(),
-                static_cast<size_t>(seg.size()) * sizeof(double));
+    add_scaled_into(at, msg.payload.data(), r.span.size(), r.weight);
+  return true;
 }
 
-// ---- stepped allreduce schedules --------------------------------------------
+/// Work items of a built step: runs of equal src (sends) and dst (recvs).
+void close_items(ScheduleStep& step) {
+  step.send_items.clear();
+  step.recv_items.clear();
+  for (size_t i = 0; i < step.sends.size(); ++i)
+    if (i == 0 || step.sends[i].src != step.sends[i - 1].src)
+      step.send_items.push_back(static_cast<int64_t>(i));
+  step.send_items.push_back(static_cast<int64_t>(step.sends.size()));
+  for (size_t i = 0; i < step.recvs.size(); ++i)
+    if (i == 0 || step.recvs[i].dst != step.recvs[i - 1].dst)
+      step.recv_items.push_back(static_cast<int64_t>(i));
+  step.recv_items.push_back(static_cast<int64_t>(step.recvs.size()));
+}
+
+// ---- schedule builders ------------------------------------------------------
 //
 // Ring and halving/doubling are *deterministic* message patterns: every
-// send/recv is known from (k, elems) alone. Each protocol therefore builds
-// a SteppedSchedule once, and both the blocking Collective::run and the
-// non-blocking AsyncCollective execute that same object step by step —
-// predicted (SimTransport) and executed (InProcTransport) traffic remain
-// one code path no matter which driver runs the schedule.
+// send/recv is known from (k, elems) alone, so a schedule built once serves
+// every round over the same geometry.
 
 /// Ring: reduce-scatter then all-gather. At step s agent a ships chunk
 /// (a - s) (reduce) or (a + 1 - s) (gather) one hop clockwise. The two
@@ -256,6 +260,112 @@ SteppedSchedule halving_doubling_schedule(int64_t k, int64_t elems) {
   return sched;
 }
 
+/// Param-server round on a star `grid` (endpoint K = grid.endpoints() - 1
+/// is the server) over `participants` (ascending; empty = agents 0..K-1)
+/// with `weights` parallel to them (empty = uniform). Two steps: every
+/// participant uploads and the server folds weights[s] / sum(weights)
+/// times each payload, in participant order, into its zeroed row; then the
+/// server sends the row back and every participant overwrites its buffer.
+/// Throws if a participant has no uplink or every weight is zero.
+SteppedSchedule param_server_schedule(const LinkGrid& grid,
+                                      std::vector<int64_t> participants,
+                                      std::vector<double> weights,
+                                      int64_t elems) {
+  const int64_t server = grid.endpoints() - 1;
+  COMDML_REQUIRE(server >= 1,
+                 "param-server transport needs a server endpoint "
+                 "(LinkGrid::star)");
+  if (participants.empty()) {
+    participants.resize(static_cast<size_t>(server));
+    std::iota(participants.begin(), participants.end(), int64_t{0});
+  }
+  for (const int64_t id : participants) {
+    COMDML_CHECK(id >= 0 && id < server);
+    COMDML_REQUIRE(grid.link(id, server).usable(),
+                   "selected agent " << id << " has no uplink");
+  }
+  if (weights.empty()) weights.assign(participants.size(), 1.0);
+  COMDML_CHECK(weights.size() == participants.size());
+  double wsum = 0.0;
+  for (const double w : weights) {
+    COMDML_CHECK(w >= 0.0);
+    wsum += w;
+  }
+  COMDML_REQUIRE(wsum > 0.0, "all aggregation weights are zero");
+
+  SteppedSchedule sched;
+  sched.protocol = Protocol::kParamServer;
+  sched.scratch = {server};
+  // Upload: every participant ships its state over its own uplink, and the
+  // server folds the weighted payloads into its zeroed row in participant
+  // order. Download: the refreshed model returns the same way.
+  const Segment all{0, elems};
+  ScheduleStep up, down;
+  for (size_t s = 0; s < participants.size(); ++s) {
+    up.sends.push_back({participants[s], server, all});
+    up.recvs.push_back({server, participants[s], all, /*accumulate=*/true,
+                        weights[s] / wsum});
+    down.sends.push_back({server, participants[s], all});
+    down.recvs.push_back({participants[s], server, all, /*accumulate=*/false});
+  }
+  close_items(up);
+  close_items(down);
+  sched.steps.push_back(std::move(up));
+  sched.steps.push_back(std::move(down));
+  sched.participants = std::move(participants);
+  sched.weights = std::move(weights);
+  return sched;
+}
+
+/// Gossip round over `transport`'s links: every live endpoint of
+/// `participants` (empty = every endpoint) draws one live neighbour with
+/// one rng.below() in ascending endpoint order (isolated ones sit the
+/// round out) and pushes its state to it in one step. Each receiver folds
+/// its pushes in ascending sender order into a zeroed scratch row.
+SteppedSchedule gossip_schedule(const Transport& transport,
+                                const std::vector<int64_t>& participants,
+                                tensor::Rng& rng, int64_t elems) {
+  const int64_t k = transport.endpoints();
+  // The selected endpoints still alive; the rest sit the round out.
+  std::vector<int64_t> live;
+  if (participants.empty()) {
+    live = transport.live_endpoints();
+  } else {
+    for (const int64_t e : participants) {
+      COMDML_CHECK(e >= 0 && e < k);
+      if (transport.endpoint_alive(e)) live.push_back(e);
+    }
+  }
+
+  SteppedSchedule sched;
+  sched.protocol = Protocol::kGossip;
+  sched.participants = participants;
+  const Segment all{0, elems};
+  ScheduleStep step;
+  // (receiver, pusher) of every push; pushes use round-start states.
+  std::vector<std::pair<int64_t, int64_t>> pushes;
+  for (const int64_t i : live) {
+    std::vector<int64_t> nbrs;
+    for (const int64_t n : transport.neighbors(i))
+      if (std::binary_search(live.begin(), live.end(), n)) nbrs.push_back(n);
+    if (nbrs.empty()) continue;  // isolated agents sit the round out
+    const int64_t partner = nbrs[static_cast<size_t>(
+        rng.below(static_cast<int64_t>(nbrs.size())))];
+    step.sends.push_back({i, partner, all});
+    pushes.emplace_back(partner, i);
+  }
+  // Each receiver folds its pushes in ascending sender order.
+  std::sort(pushes.begin(), pushes.end());
+  for (const auto& [dst, src] : pushes) {
+    if (sched.scratch.empty() || sched.scratch.back() != dst)
+      sched.scratch.push_back(dst);
+    step.recvs.push_back({dst, src, all, /*accumulate=*/true});
+  }
+  close_items(step);
+  sched.steps.push_back(std::move(step));
+  return sched;
+}
+
 // ---- step executors ---------------------------------------------------------
 
 /// Items one after another on the calling thread, in schedule order.
@@ -283,51 +393,6 @@ PoolExecutor g_pool_executor;
 /// wake-ups than the copies, encodes and folds it would spread.
 constexpr int64_t kMinFanOutElems = 4096;
 
-/// Execute one schedule step: post every owned send, close the transport
-/// step, fold every delivered payload into its owned destination (and hand
-/// its buffer back to the transport). The two phases run on the request's
-/// executor unless the step must stay serial (see ScheduleStep). With a
-/// channel, sends park retransmit copies and receives retry through backoff
-/// — the schedule completes over lossy/corrupting links exactly as it would
-/// over clean ones.
-void execute_schedule_step(Transport& t, const CollectiveRequest& req,
-                           const ScheduleStep& step, ReliableChannel* ch) {
-  int64_t moved = 0;
-  for (const ScheduleStep::Send& s : step.sends) moved += s.span.size();
-  const bool serial = ch != nullptr || req.buffers.empty() ||
-                      moved < kMinFanOutElems || t.has_endpoint_faults();
-  StepExecutor* exec = &g_pool_executor;
-  if (serial)
-    exec = &g_serial_executor;
-  else if (req.executor != nullptr)
-    exec = req.executor;
-  // One item per send: a step has at most one send per source endpoint.
-  const auto send_one = [&](int64_t i) {
-    const ScheduleStep::Send& s = step.sends[static_cast<size_t>(i)];
-    if (!owns(req, s.src)) return;
-    const double* data = buffer_of(req, s.src);
-    const double* payload = data != nullptr ? data + s.span.begin : nullptr;
-    if (ch != nullptr)
-      ch->send(s.src, s.dst, s.span.size(), payload);
-    else
-      t.send(s.src, s.dst, s.span.size(), payload);
-  };
-  // One item per receive: a step has at most one receive per destination.
-  const auto fold_one = [&](int64_t i) {
-    const ScheduleStep::Recv& r = step.recvs[static_cast<size_t>(i)];
-    if (!owns(req, r.dst)) return;
-    Message msg =
-        ch != nullptr ? ch->recv(r.dst, r.src) : t.recv(r.dst, r.src);
-    merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
-    t.recycle(std::move(msg.payload));
-  };
-  exec->run(static_cast<int64_t>(step.sends.size()), std::cref(send_one));
-  // Close the step even when this process posted nothing: the positional
-  // step history must line up across processes.
-  t.end_step();
-  exec->run(static_cast<int64_t>(step.recvs.size()), std::cref(fold_one));
-}
-
 /// Sum -> mean after the last step, over the schedule's owned participants
 /// (all endpoints when unset), one item per participant on the request's
 /// executor (serially when the buffers are too small to pay for a
@@ -350,52 +415,6 @@ void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
     exec = req.executor != nullptr ? req.executor : &g_pool_executor;
   exec->run(k, std::cref(scale_one));
 }
-
-/// Blocking allreduce over a prebuilt schedule (ring and halving/doubling
-/// share everything but the schedule builder). Drives an AsyncCollective
-/// so the blocking path inherits survivor recovery (armed when the
-/// transport has endpoint faults) and reliable delivery (when it has
-/// message faults) — one behavior for both drivers.
-CollectiveReport run_stepped(SteppedSchedule sched, Protocol protocol,
-                             Transport& t, const CollectiveRequest& req) {
-  validate_buffers(req, t.endpoints());
-  AsyncCollective op(sched, t, req);
-  if (t.has_endpoint_faults()) op.enable_recovery(protocol);
-  op.wait();
-  CollectiveReport rep = report_of(t);
-  rep.recoveries = op.recoveries();
-  return rep;
-}
-
-// ---- ring -------------------------------------------------------------------
-
-class RingAllReduce final : public Collective {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "ring_allreduce";
-  }
-
-  CollectiveReport run(Transport& t,
-                       const CollectiveRequest& req) const override {
-    return run_stepped(ring_schedule(t.endpoints(), req.elems),
-                       Protocol::kRingAllReduce, t, req);
-  }
-};
-
-// ---- recursive halving/doubling ---------------------------------------------
-
-class HalvingDoublingAllReduce final : public Collective {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "halving_doubling_allreduce";
-  }
-
-  CollectiveReport run(Transport& t,
-                       const CollectiveRequest& req) const override {
-    return run_stepped(halving_doubling_schedule(t.endpoints(), req.elems),
-                       Protocol::kHalvingDoublingAllReduce, t, req);
-  }
-};
 
 }  // namespace
 
@@ -475,253 +494,6 @@ class Recovery {
   int64_t count_ = 0;
 };
 
-namespace {
-
-// ---- gossip -----------------------------------------------------------------
-
-class GossipExchange final : public Collective {
- public:
-  [[nodiscard]] std::string_view name() const override { return "gossip"; }
-
-  CollectiveReport run(Transport& t,
-                       const CollectiveRequest& req) const override {
-    const int64_t k = t.endpoints();
-    validate_buffers(req, k);
-    COMDML_REQUIRE(req.rng != nullptr, "gossip needs a partner-draw Rng");
-    std::unique_ptr<ReliableChannel> ch;
-    if (t.has_message_faults()) ch = std::make_unique<ReliableChannel>(t);
-    // A survivor rerun also rewinds the partner-draw RNG, so it is
-    // bit-identical to a from-scratch run where the dead never existed.
-    std::optional<Recovery> recovery;
-    std::string rng_state;
-    if (t.has_endpoint_faults()) {
-      recovery.emplace(t, req, req.participants);
-      rng_state = req.rng->state();
-    }
-    for (;;) {
-      try {
-        CollectiveReport rep = run_once(t, req, ch.get());
-        rep.recoveries = recovery ? recovery->count() : 0;
-        return rep;
-      } catch (...) {
-        if (!recovery) throw;
-        (void)recovery->survive(ch.get());
-        req.rng->set_state(rng_state);
-      }
-    }
-  }
-
- private:
-  static CollectiveReport run_once(Transport& t, const CollectiveRequest& req,
-                                   ReliableChannel* ch) {
-    const int64_t k = t.endpoints();
-    // The selected endpoints still alive; the rest sit the round out.
-    std::vector<int64_t> live;
-    if (req.participants.empty()) {
-      live = t.live_endpoints();
-    } else {
-      for (const int64_t e : req.participants) {
-        COMDML_CHECK(e >= 0 && e < k);
-        if (t.endpoint_alive(e)) live.push_back(e);
-      }
-    }
-    std::vector<char> is_live(static_cast<size_t>(k), 0);
-    for (const int64_t e : live) is_live[static_cast<size_t>(e)] = 1;
-
-    CollectiveReport rep;
-    rep.partners.assign(static_cast<size_t>(k), std::nullopt);
-    for (const int64_t i : live) {
-      std::vector<int64_t> nbrs;
-      for (const int64_t n : t.neighbors(i))
-        if (is_live[static_cast<size_t>(n)]) nbrs.push_back(n);
-      if (nbrs.empty()) continue;  // isolated agents sit the round out
-      rep.partners[static_cast<size_t>(i)] =
-          nbrs[static_cast<size_t>(req.rng->below(
-              static_cast<int64_t>(nbrs.size())))];
-    }
-    // All pushes use round-start states: sends snapshot payloads before
-    // any receiver merges.
-    for (const int64_t i : live) {
-      if (!rep.partners[static_cast<size_t>(i)]) continue;
-      const int64_t dst = *rep.partners[static_cast<size_t>(i)];
-      if (ch != nullptr)
-        ch->send(i, dst, req.elems, buffer_of(req, i));
-      else
-        t.send(i, dst, req.elems, buffer_of(req, i));
-    }
-    t.end_step();
-    const bool real = !req.buffers.empty();
-    if (ch != nullptr) {
-      // Reliable merge: the push fan-in is known from the partner draws,
-      // so each receiver runs matched reliable receives in ascending
-      // sender order — the same fp summation order as the lossless
-      // arrival-order path. Runs on timing-only transports too, so Sim
-      // and InProc charge identical retransmission traffic.
-      core::Scratch<double> acc(req.elems);
-      for (const int64_t i : live) {
-        if (real) std::fill(acc.data(), acc.data() + req.elems, 0.0);
-        int64_t pushes = 0;
-        for (const int64_t j : live) {
-          if (!rep.partners[static_cast<size_t>(j)] ||
-              *rep.partners[static_cast<size_t>(j)] != i)
-            continue;
-          const Message msg = ch->recv(i, j);
-          if (!real || !msg.has_payload()) continue;
-          for (int64_t x = 0; x < req.elems; ++x)
-            acc[x] += msg.payload[static_cast<size_t>(x)];
-          ++pushes;
-        }
-        if (!real || pushes == 0) continue;
-        double* mine = buffer_of(req, i);
-        const double inv = 1.0 / static_cast<double>(pushes + 1);
-        for (int64_t x = 0; x < req.elems; ++x)
-          mine[x] = (mine[x] + acc[x]) * inv;
-      }
-    } else if (real) {
-      // Best-effort merge: receiver i averages its own state with every
-      // delivered, intact push (a lost or corrupted push is simply a
-      // quieter round — gossip's tolerance, not an error).
-      core::Scratch<double> acc(req.elems);
-      for (const int64_t i : live) {
-        std::fill(acc.data(), acc.data() + req.elems, 0.0);
-        int64_t pushes = 0;
-        while (auto msg = t.try_recv(i)) {
-          if (!msg->has_payload() || !msg->intact()) continue;
-          for (int64_t x = 0; x < req.elems; ++x)
-            acc[x] += msg->payload[static_cast<size_t>(x)];
-          ++pushes;
-        }
-        if (pushes == 0) continue;
-        double* mine = buffer_of(req, i);
-        const double inv = 1.0 / static_cast<double>(pushes + 1);
-        for (int64_t x = 0; x < req.elems; ++x)
-          mine[x] = (mine[x] + acc[x]) * inv;
-      }
-    }
-    rep.transport = t.stats();
-    return rep;
-  }
-};
-
-// ---- parameter server -------------------------------------------------------
-
-class ParamServerRound final : public Collective {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "param_server";
-  }
-
-  CollectiveReport run(Transport& t,
-                       const CollectiveRequest& req) const override {
-    const int64_t server = t.endpoints() - 1;
-    COMDML_REQUIRE(server >= 1,
-                   "param-server transport needs a server endpoint "
-                   "(LinkGrid::star)");
-    validate_buffers(req, server);
-    std::vector<int64_t> selected = req.participants;
-    if (selected.empty()) {
-      selected.resize(static_cast<size_t>(server));
-      for (int64_t i = 0; i < server; ++i)
-        selected[static_cast<size_t>(i)] = i;
-    }
-    for (const int64_t id : selected) {
-      COMDML_CHECK(id >= 0 && id < server);
-      COMDML_REQUIRE(t.linked(id, server),
-                     "selected agent " << id << " has no uplink");
-    }
-    std::vector<double> weights = req.weights;
-    if (weights.empty()) weights.assign(selected.size(), 1.0);
-    COMDML_CHECK(weights.size() == selected.size());
-    for (const double w : weights) COMDML_CHECK(w >= 0.0);
-
-    std::unique_ptr<ReliableChannel> ch;
-    if (t.has_message_faults()) ch = std::make_unique<ReliableChannel>(t);
-    // A dead *agent* is survivable: the round re-forms over the remaining
-    // clients and the weight normalization re-derives from the survivor
-    // weights, so the rerun is exactly a from-scratch round over the
-    // survivors. A dead *server* is fatal by design — the star has no one
-    // left to aggregate.
-    std::optional<Recovery> recovery;
-    if (t.has_endpoint_faults()) recovery.emplace(t, req, selected);
-    for (;;) {
-      try {
-        CollectiveReport rep =
-            run_round(t, req, selected, weights, server, ch.get());
-        rep.recoveries = recovery ? recovery->count() : 0;
-        return rep;
-      } catch (...) {
-        if (!recovery) throw;
-        const std::vector<int64_t>& survivors =
-            recovery->survive(ch.get(), server);
-        std::vector<double> kept;
-        for (size_t s = 0; s < selected.size(); ++s)
-          if (t.endpoint_alive(selected[s])) kept.push_back(weights[s]);
-        weights = std::move(kept);
-        selected = survivors;
-      }
-    }
-  }
-
- private:
-  static CollectiveReport run_round(Transport& t, const CollectiveRequest& req,
-                                    const std::vector<int64_t>& selected,
-                                    const std::vector<double>& weights,
-                                    int64_t server, ReliableChannel* ch) {
-    double wsum = 0.0;
-    for (const double w : weights) wsum += w;
-    COMDML_REQUIRE(wsum > 0.0, "all aggregation weights are zero");
-    const auto send = [&](int64_t src, int64_t dst, const double* data) {
-      if (ch != nullptr)
-        ch->send(src, dst, req.elems, data);
-      else
-        t.send(src, dst, req.elems, data);
-    };
-    const auto recv = [&](int64_t dst, int64_t src) {
-      return ch != nullptr ? ch->recv(dst, src) : t.recv(dst, src);
-    };
-
-    // Upload: every selected agent ships its state over its own uplink.
-    for (const int64_t id : selected)
-      send(id, server, buffer_of(req, id));
-    t.end_step();
-    core::Scratch<double> mean(req.elems);
-    const bool real = !req.buffers.empty();
-    if (real) std::fill(mean.data(), mean.data() + req.elems, 0.0);
-    for (size_t s = 0; s < selected.size(); ++s) {
-      const Message msg = recv(server, selected[s]);
-      if (!real || !msg.has_payload()) continue;
-      const double w = weights[s] / wsum;
-      for (int64_t j = 0; j < req.elems; ++j)
-        mean[j] += w * msg.payload[static_cast<size_t>(j)];
-    }
-    // Download: the refreshed model returns the same way.
-    for (const int64_t id : selected)
-      send(server, id, real ? mean.data() : nullptr);
-    t.end_step();
-    for (const int64_t id : selected) {
-      const Message msg = recv(id, server);
-      if (!msg.has_payload()) continue;
-      double* mine = buffer_of(req, id);
-      for (int64_t j = 0; j < req.elems; ++j)
-        mine[j] = msg.payload[static_cast<size_t>(j)];
-    }
-    return report_of(t);
-  }
-};
-
-// ---- registry ---------------------------------------------------------------
-
-const RingAllReduce kRing;
-const HalvingDoublingAllReduce kHalvingDoubling;
-const GossipExchange kGossip;
-const ParamServerRound kParamServer;
-
-constexpr size_t kProtocols = 4;
-const Collective* const kRegistry[kProtocols] = {&kRing, &kHalvingDoubling,
-                                                 &kGossip, &kParamServer};
-
-}  // namespace
-
 Protocol allreduce_protocol(AllReduceAlgo algo) {
   switch (algo) {
     case AllReduceAlgo::kRing:
@@ -736,18 +508,16 @@ Protocol allreduce_protocol(AllReduceAlgo algo) {
 SteppedSchedule allreduce_schedule(Protocol protocol, int64_t agents,
                                    int64_t elems) {
   COMDML_CHECK(agents > 0 && elems >= 0);
-  switch (protocol) {
-    case Protocol::kRingAllReduce:
-      return ring_schedule(agents, elems);
-    case Protocol::kHalvingDoublingAllReduce:
-      return halving_doubling_schedule(agents, elems);
-    case Protocol::kGossip:
-    case Protocol::kParamServer:
-      break;
-  }
-  COMDML_REQUIRE(false, "protocol '" << collective(protocol).name()
-                                     << "' has no stepped schedule");
-  return {};
+  COMDML_REQUIRE(protocol == Protocol::kRingAllReduce ||
+                     protocol == Protocol::kHalvingDoublingAllReduce,
+                 "protocol '" << collective(protocol).name()
+                              << "' is not an allreduce");
+  SteppedSchedule sched = protocol == Protocol::kRingAllReduce
+                              ? ring_schedule(agents, elems)
+                              : halving_doubling_schedule(agents, elems);
+  sched.protocol = protocol;
+  for (ScheduleStep& step : sched.steps) close_items(step);
+  return sched;
 }
 
 SteppedSchedule allreduce_schedule_over(
@@ -762,8 +532,9 @@ SteppedSchedule allreduce_schedule_over(
   const auto m = static_cast<int64_t>(participants.size());
   SteppedSchedule sched = allreduce_schedule(protocol, m, elems);
   // The m-rank schedule speaks in virtual ranks 0..m-1; remap every message
-  // endpoint onto the surviving ids. Merge order and spans are untouched, so
-  // the result is bit-identical to a from-scratch m-agent run.
+  // endpoint onto the surviving ids. Merge order, spans and work items are
+  // untouched, so the result is bit-identical to a from-scratch m-agent
+  // run.
   for (ScheduleStep& step : sched.steps) {
     for (ScheduleStep::Send& s : step.sends) {
       s.src = participants[static_cast<size_t>(s.src)];
@@ -778,16 +549,22 @@ SteppedSchedule allreduce_schedule_over(
   return sched;
 }
 
+// ---- AsyncCollective --------------------------------------------------------
+
 AsyncCollective::AsyncCollective(Protocol protocol, Transport& transport,
                                  CollectiveRequest request)
     : transport_(&transport),
       request_(std::move(request)),
       schedule_(&owned_) {
-  owned_ = allreduce_schedule(protocol, transport.endpoints(), request_.elems);
-  validate_buffers(request_, transport.endpoints());
-  if (schedule_->steps.empty()) finalized_ = true;  // k == 1: nothing to do
-  if (transport.has_message_faults())
-    channel_ = std::make_unique<ReliableChannel>(transport);
+  if (protocol == Protocol::kGossip) {
+    COMDML_REQUIRE(request_.rng != nullptr,
+                   "gossip needs a partner-draw Rng");
+    // Snapshot before the draw: a survivor rerun redraws from here, so it
+    // is bit-identical to a from-scratch run where the dead never existed.
+    rng_state_ = request_.rng->state();
+  }
+  owned_ = build(protocol, request_.participants, request_.weights);
+  start();
 }
 
 AsyncCollective::AsyncCollective(const SteppedSchedule& schedule,
@@ -796,45 +573,191 @@ AsyncCollective::AsyncCollective(const SteppedSchedule& schedule,
     : transport_(&transport),
       request_(std::move(request)),
       schedule_(&schedule) {
-  validate_buffers(request_, transport.endpoints());
-  if (schedule_->steps.empty()) finalized_ = true;  // k == 1: nothing to do
-  if (transport.has_message_faults())
-    channel_ = std::make_unique<ReliableChannel>(transport);
+  start();
 }
 
 AsyncCollective::~AsyncCollective() = default;
+
+void AsyncCollective::start() {
+  const int64_t k = transport_->endpoints();
+  COMDML_REQUIRE(request_.owned.empty() ||
+                     static_cast<int64_t>(request_.owned.size()) == k,
+                 "owned mask covers " << request_.owned.size()
+                                      << " endpoints, transport has " << k);
+  // The star's server, the last endpoint, has no request buffer.
+  const int64_t buffered =
+      schedule_->protocol == Protocol::kParamServer ? k - 1 : k;
+  COMDML_REQUIRE(request_.buffers.empty() ||
+                     static_cast<int64_t>(request_.buffers.size()) ==
+                         buffered,
+                 "collective got " << request_.buffers.size()
+                                   << " buffers for " << buffered
+                                   << " agents");
+  bind_rows();
+  if (schedule_->steps.empty()) finalized_ = true;  // k == 1: nothing to do
+  if (transport_->has_message_faults())
+    channel_ = std::make_unique<ReliableChannel>(*transport_);
+}
+
+void AsyncCollective::bind_rows() {
+  fold_rows_.clear();
+  const std::vector<int64_t>& scratch = schedule_->scratch;
+  if (scratch.empty() || request_.buffers.empty()) return;
+  const auto n = static_cast<size_t>(request_.elems);
+  rows_.assign(scratch.size() * n, 0.0);
+  fold_rows_.assign(static_cast<size_t>(transport_->endpoints()), nullptr);
+  std::copy(request_.buffers.begin(), request_.buffers.end(),
+            fold_rows_.begin());
+  for (size_t i = 0; i < scratch.size(); ++i)
+    fold_rows_[static_cast<size_t>(scratch[i])] = rows_.data() + i * n;
+}
 
 int64_t AsyncCollective::recoveries() const noexcept {
   return recovery_ != nullptr ? recovery_->count() : 0;
 }
 
-void AsyncCollective::enable_recovery(Protocol protocol) {
+void AsyncCollective::enable_recovery() {
   COMDML_REQUIRE(request_.owned.empty(),
                  "recovery needs every endpoint owned: processes of a "
                  "multi-process run agree on survivors through a barrier");
   COMDML_REQUIRE(next_step_ == 0,
                  "enable_recovery() must precede the first poll()");
-  recovery_protocol_ = protocol;
   recovery_ = std::make_unique<Recovery>(*transport_, request_,
                                          schedule_->participants);
+}
+
+void AsyncCollective::execute_schedule_step(const ScheduleStep& step) {
+  Transport& t = *transport_;
+  const CollectiveRequest& req = request_;
+  ReliableChannel* ch = channel_.get();
+  int64_t moved = 0;
+  for (const ScheduleStep::Send& s : step.sends) moved += s.span.size();
+  const bool serial = ch != nullptr || req.buffers.empty() ||
+                      moved < kMinFanOutElems || t.has_endpoint_faults();
+  StepExecutor* exec = &g_pool_executor;
+  if (serial)
+    exec = &g_serial_executor;
+  else if (req.executor != nullptr)
+    exec = req.executor;
+  // A send charges its destination's recv_seconds, a float sum: when some
+  // destination receives more than once, the sends keep schedule order.
+  const bool fan_in = step.recv_items.size() <= step.recvs.size();
+  StepExecutor* send_exec = fan_in ? &g_serial_executor : exec;
+  const auto send_item = [&](int64_t i) {
+    const auto item = static_cast<size_t>(i);
+    const auto lo = static_cast<size_t>(step.send_items[item]);
+    const auto hi = static_cast<size_t>(step.send_items[item + 1]);
+    const int64_t src = step.sends[lo].src;
+    if (!owns(req, src)) return;
+    const double* data = nullptr;
+    if (src < static_cast<int64_t>(req.buffers.size()))
+      data = req.buffers[static_cast<size_t>(src)];
+    else if (!fold_rows_.empty())  // the star's server sends its row
+      data = fold_rows_[static_cast<size_t>(src)];
+    for (size_t x = lo; x < hi; ++x) {
+      const ScheduleStep::Send& s = step.sends[x];
+      const double* payload = data != nullptr ? data + s.span.begin : nullptr;
+      if (ch != nullptr)
+        ch->send(s.src, s.dst, s.span.size(), payload);
+      else
+        t.send(s.src, s.dst, s.span.size(), payload);
+    }
+  };
+  // Gossip without reliable delivery merges best-effort: a lost or
+  // corrupted push makes a quieter round, and a receiver that died after
+  // the pushes went out still takes them.
+  const bool gossip = schedule_->protocol == Protocol::kGossip;
+  const bool best_effort = gossip && ch == nullptr;
+  const auto fold_item = [&](int64_t i) {
+    const auto item = static_cast<size_t>(i);
+    const auto lo = static_cast<size_t>(step.recv_items[item]);
+    const auto hi = static_cast<size_t>(step.recv_items[item + 1]);
+    const int64_t dst = step.recvs[lo].dst;
+    if (!owns(req, dst)) return;
+    double* into = fold_rows_.empty() ? buffer_of(req, dst)
+                                      : fold_rows_[static_cast<size_t>(dst)];
+    int64_t folded = 0;
+    for (size_t x = lo; x < hi; ++x) {
+      const ScheduleStep::Recv& r = step.recvs[x];
+      Message msg;
+      if (ch != nullptr) {
+        msg = ch->recv(dst, r.src);
+      } else if (best_effort) {
+        std::optional<Message> got = t.try_recv(dst, r.src);
+        if (!got || !got->intact()) continue;
+        msg = std::move(*got);
+      } else {
+        msg = t.recv(dst, r.src);
+      }
+      folded += merge_segment(msg, into, r) ? 1 : 0;
+      t.recycle(std::move(msg.payload));
+    }
+    if (gossip && folded > 0) {
+      double* mine = buffer_of(req, dst);
+      add_into(mine, into, req.elems);
+      scale(mine, req.elems, 1.0 / static_cast<double>(folded + 1));
+    }
+  };
+  send_exec->run(static_cast<int64_t>(step.send_items.size()) - 1,
+                 std::cref(send_item));
+  // Close the step even when this process posted nothing: the positional
+  // step history must line up across processes.
+  t.end_step();
+  exec->run(static_cast<int64_t>(step.recv_items.size()) - 1,
+            std::cref(fold_item));
+}
+
+SteppedSchedule AsyncCollective::build(
+    Protocol protocol, const std::vector<int64_t>& participants,
+    std::vector<double> weights) {
+  switch (protocol) {
+    case Protocol::kRingAllReduce:
+    case Protocol::kHalvingDoublingAllReduce:
+      return participants.empty()
+                 ? allreduce_schedule(protocol, transport_->endpoints(),
+                                      request_.elems)
+                 : allreduce_schedule_over(protocol, participants,
+                                           request_.elems);
+    case Protocol::kParamServer:
+      return param_server_schedule(transport_->grid(), participants,
+                                   std::move(weights), request_.elems);
+    case Protocol::kGossip:
+      return gossip_schedule(*transport_, participants, *request_.rng,
+                             request_.elems);
+  }
+  COMDML_CHECK(false);
+  return {};
 }
 
 bool AsyncCollective::poll() {
   if (next_step_ < schedule_->steps.size()) {
     try {
-      execute_schedule_step(*transport_, request_,
-                            schedule_->steps[next_step_], channel_.get());
+      execute_schedule_step(schedule_->steps[next_step_]);
       ++next_step_;
     } catch (...) {
       if (recovery_ == nullptr) throw;
       // Partially-reduced buffers are poisoned by the aborted step: restart
       // the survivors from their inputs on a schedule re-formed over them.
-      const bool scale = schedule_->scale_to_mean;
-      owned_ = allreduce_schedule_over(
-          recovery_protocol_, recovery_->survive(channel_.get()),
-          request_.elems);
-      owned_.scale_to_mean = scale;
+      // The star has no one left to aggregate once its server is gone.
+      const SteppedSchedule& failed = *schedule_;
+      const std::vector<int64_t>& survivors = recovery_->survive(
+          channel_.get(), failed.protocol == Protocol::kParamServer
+                              ? transport_->endpoints() - 1
+                              : -1);
+      // The star re-normalizes over the survivors' weights; gossip redraws
+      // from the rewound rng.
+      std::vector<double> weights;
+      for (size_t s = 0; s < failed.weights.size(); ++s)
+        if (transport_->endpoint_alive(failed.participants[s]))
+          weights.push_back(failed.weights[s]);
+      if (failed.protocol == Protocol::kGossip)
+        request_.rng->set_state(rng_state_);
+      SteppedSchedule next =
+          build(failed.protocol, survivors, std::move(weights));
+      next.scale_to_mean = failed.scale_to_mean;
+      owned_ = std::move(next);
       schedule_ = &owned_;
+      bind_rows();
       next_step_ = 0;
       finalized_ = false;
       return done();
@@ -853,10 +776,40 @@ void AsyncCollective::wait() {
   }
 }
 
+// ---- registry ---------------------------------------------------------------
+
+std::string_view Collective::name() const {
+  static constexpr std::string_view kNames[] = {
+      "ring_allreduce", "halving_doubling_allreduce", "gossip",
+      "param_server"};
+  return kNames[static_cast<size_t>(protocol_)];
+}
+
+CollectiveReport Collective::run(Transport& transport,
+                                 const CollectiveRequest& request) const {
+  AsyncCollective op(protocol_, transport, request);
+  if (transport.has_endpoint_faults()) op.enable_recovery();
+  op.wait();
+  CollectiveReport rep;
+  rep.transport = transport.stats();
+  rep.recoveries = op.recoveries();
+  if (protocol_ == Protocol::kGossip) {
+    rep.partners.assign(static_cast<size_t>(transport.endpoints()),
+                        std::nullopt);
+    for (const ScheduleStep::Send& s : op.schedule().steps.front().sends)
+      rep.partners[static_cast<size_t>(s.src)] = s.dst;
+  }
+  return rep;
+}
+
 const Collective& collective(Protocol protocol) {
+  static constexpr Collective kRegistry[] = {
+      Collective(Protocol::kRingAllReduce),
+      Collective(Protocol::kHalvingDoublingAllReduce),
+      Collective(Protocol::kGossip), Collective(Protocol::kParamServer)};
   const auto idx = static_cast<size_t>(protocol);
-  COMDML_CHECK(idx < kProtocols);
-  return *kRegistry[idx];
+  COMDML_CHECK(idx < std::size(kRegistry));
+  return kRegistry[idx];
 }
 
 CollectiveCost allreduce_cost(int64_t agents, int64_t model_bytes,

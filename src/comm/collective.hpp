@@ -1,20 +1,22 @@
-// Transport-generic collectives (one implementation per protocol family).
+// Transport-generic collectives: every protocol is a stepped schedule.
 //
 // Each protocol the repo models — decentralized AllReduce (§IV-B, ring and
 // recursive halving/doubling), gossip exchange (Hegedus et al. [11]), and
 // the central parameter-server round (FedAvg/FedProx baselines) — is
-// written exactly once against comm::Transport. Run it over a SimTransport
+// written exactly once, as a SteppedSchedule that one executor,
+// AsyncCollective, runs over a comm::Transport. Run it over a SimTransport
 // and you get the analytic cost (seconds / steps / bytes per agent); run
-// the identical schedule over an InProcTransport with real buffers and the
+// it over an InProcTransport with real buffers and the
 // payloads move too. Predicted and executed traffic are the same code
-// path, so the old per-protocol cost-vs-trace checks collapse into one
-// parity test per protocol (tests/transport_test.cpp).
+// path, so the parity checks are one test per protocol
+// (tests/transport_test.cpp).
 //
-// Fleets, benches and backends select a protocol through the registry,
-// `collective(Protocol)`, instead of hard-coding free functions. Every
-// protocol survives an endpoint death mid-run the same way: armed when the
-// transport has endpoint faults, it restores the survivors' inputs and
-// reruns over them, bit-identical to a from-scratch survivor-only run.
+// Fleets and benches drive an AsyncCollective (one step per poll()) or the
+// blocking `collective(Protocol).run()`. Every protocol survives an
+// endpoint death mid-run the same way: armed when the transport has
+// endpoint faults, it restores the survivors' inputs and reruns on a
+// schedule re-formed over them, bit-identical to a from-scratch
+// survivor-only run.
 //
 // AllReduce algorithms (paper §IV-B), both bandwidth-optimal:
 //  - ring (Goyal et al. [34]):          2(K-1) steps, 2(K-1)/K * b bytes/agent
@@ -26,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -63,27 +66,28 @@ class StepExecutor {
 struct CollectiveRequest {
   /// Per-agent payload size in fp32 wire elements.
   int64_t elems = 0;
-  /// One fp64 buffer of `elems` per agent endpoint; empty for timing-only
-  /// runs (the schedule and accounting are identical either way).
+  /// One fp64 buffer of `elems` per agent endpoint (the param-server's
+  /// server endpoint has none); empty for timing-only runs (the schedule
+  /// and accounting are identical either way).
   std::vector<double*> buffers;
   /// Aggregation weights parallel to `participants` (param-server;
   /// empty = uniform).
   std::vector<double> weights;
-  /// Selected agents, ascending (param-server and gossip; empty = every
-  /// agent endpoint). Gossip draws partners among the live selected
-  /// agents only.
+  /// Selected agents, ascending (empty = every agent endpoint). The
+  /// param-server averages over them, gossip draws partners among the live
+  /// ones only, and an AllReduce runs its survivor schedule over them.
   std::vector<int64_t> participants;
   /// Randomness for randomized protocols (gossip partner draw). The draw
   /// sequence is identical with and without buffers, so a timing-only run
   /// with an equally-seeded Rng predicts the executed schedule exactly.
   tensor::Rng* rng = nullptr;
-  /// Endpoints this process hosts (stepped protocols; empty = all). Only
-  /// sends from owned endpoints post, only recvs into owned endpoints fold,
-  /// and the final mean scales owned rows only; non-owned buffers are never
-  /// touched. Every step still closes one transport step, so per-process
-  /// step histories stay aligned for merge_transport_stats().
+  /// Endpoints this process hosts (empty = all). Only sends from owned
+  /// endpoints post, only recvs into owned endpoints fold, and the final
+  /// mean scales owned rows only; non-owned buffers are never touched.
+  /// Every step still closes one transport step, so per-process step
+  /// histories stay aligned for merge_transport_stats().
   std::vector<char> owned;
-  /// Runs the phases of each stepped-schedule step (borrowed; nullptr =
+  /// Runs the phases of each schedule step (borrowed; nullptr =
   /// core::parallel_for over the global pool). See ScheduleStep.
   StepExecutor* executor = nullptr;
 };
@@ -97,12 +101,17 @@ struct CollectiveReport {
   int64_t recoveries = 0;
 };
 
+/// Blocking driver of one protocol: an AsyncCollective run to completion,
+/// with recovery armed when the transport has endpoint faults.
 class Collective {
  public:
-  virtual ~Collective() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  virtual CollectiveReport run(Transport& transport,
-                               const CollectiveRequest& request) const = 0;
+  explicit constexpr Collective(Protocol protocol) : protocol_(protocol) {}
+  [[nodiscard]] std::string_view name() const;
+  CollectiveReport run(Transport& transport,
+                       const CollectiveRequest& request) const;
+
+ private:
+  Protocol protocol_;
 };
 
 // ---- stepped schedules / non-blocking collectives ---------------------------
@@ -117,23 +126,26 @@ struct Span {
 /// One synchronous exchange step of a stepped collective: every send in the
 /// step is posted, the transport step closes (modeled span = slowest
 /// message), then each receive folds its payload into the destination
-/// buffer (accumulate) or overwrites it (gather).
+/// (accumulate, with its fold weight) or overwrites it (gather).
 ///
 /// Step fan-out. A step runs in three phases: the sends, one work item per
 /// source endpoint; end_step(); the receive-and-folds, one work item per
-/// destination endpoint. The items of a phase run on the request's
-/// StepExecutor, so a big bucket's step uses the whole pool. Every schedule
-/// built here sends at most one message from each source and into each
-/// destination per step (survivor schedules included), so an endpoint's
-/// per-edge seq, its mailbox order, its fold order and every TransportStats
-/// sum are the same however the items interleave, and the results are bit
-/// identical at every thread count. A step runs its items serially, in
-/// schedule order, when it goes through a ReliableChannel (retransmit
-/// windows and backoff), when the transport has endpoint faults (the order
-/// of the global drop stream and what is accounted before an
-/// EndpointDownError must stay fixed), on timing-only runs, and when the
-/// step moves too few elements to pay for a fan-out. The serial case is
-/// the same loop body on a different executor.
+/// destination endpoint, running its receives in schedule order. The items
+/// of a phase run on the request's StepExecutor, so a big bucket's step
+/// uses the whole pool. Every schedule built here moves at most one
+/// message per directed edge per step (survivor schedules included), so
+/// every per-edge seq, every fold order and every TransportStats sum are
+/// the same however the items interleave, and the results are bit
+/// identical at every thread count. The one sum a send charges to another
+/// endpoint is the destination's recv_seconds, so a step where some
+/// destination receives more than once (the star's upload, gossip) posts
+/// its sends serially. A step runs all its items serially, in schedule
+/// order, when it goes through a ReliableChannel (retransmit windows and
+/// backoff), when the transport has endpoint faults (the order of the
+/// global drop stream and what is accounted before an EndpointDownError
+/// must stay fixed), on timing-only runs, and when the step moves too few
+/// elements to pay for a fan-out. The serial case is the same loop body on
+/// a different executor.
 struct ScheduleStep {
   struct Send {
     int64_t src = 0;
@@ -145,32 +157,46 @@ struct ScheduleStep {
     int64_t src = 0;
     Span span;
     bool accumulate = false;
+    /// Accumulate dst += weight * payload, a multiply then an add (no FMA);
+    /// 1 * x is x for every double, so weight 1 folds with the plain add.
+    double weight = 1.0;
   };
   std::vector<Send> sends;
   std::vector<Recv> recvs;
+  /// Work items as start offsets plus a trailing end: sends [send_items[i],
+  /// send_items[i + 1]) are one source's, recvs [recv_items[i],
+  /// recv_items[i + 1]) one destination's (runs of equal src / dst).
+  std::vector<int64_t> send_items;
+  std::vector<int64_t> recv_items;
 };
 
-/// The full message schedule of a deterministic stepped protocol. Both the
-/// blocking Collective::run and the non-blocking AsyncCollective execute
-/// this same object, so predicted and executed traffic cannot drift no
-/// matter which driver runs it.
+/// The full message schedule of a protocol. AsyncCollective executes this
+/// one object with buffers (the executed traffic) and without them (the
+/// predicted cost), so the two cannot drift.
 struct SteppedSchedule {
+  /// What recovery re-forms the schedule around the survivors as.
+  Protocol protocol = Protocol::kRingAllReduce;
   std::vector<ScheduleStep> steps;
   /// Scale every buffer by 1/|participants| after the last step
   /// (sum -> mean).
   bool scale_to_mean = false;
   /// Endpoints the schedule runs over, ascending; empty = every endpoint
-  /// of the transport. Survivor schedules built by
-  /// allreduce_schedule_over() fill this so the final mean divides by the
-  /// live-set size, not the transport width.
+  /// of the transport. Survivor schedules fill this so the final mean
+  /// divides by the live-set size, not the transport width.
   std::vector<int64_t> participants;
+  /// Param-server: each participant's aggregation weight.
+  std::vector<double> weights;
+  /// Endpoints whose receives fold into a zeroed scratch row the executing
+  /// AsyncCollective owns instead of a request buffer, ascending: the
+  /// star's server, which has no request buffer and sends from its row,
+  /// and gossip's receivers, whose fold items end by mixing the row into
+  /// their own buffer, buf = (buf + row) * (1 / (folds + 1)).
+  std::vector<int64_t> scratch;
 };
 
 /// Schedule of an AllReduce protocol (kRingAllReduce or
 /// kHalvingDoublingAllReduce) over `agents` endpoints moving `elems`
-/// fp32-wire elements per agent. Throws for protocols without a stepped
-/// schedule (gossip's fan-in is data-dependent; param_server needs the
-/// star's server endpoint).
+/// fp32-wire elements per agent. Throws for gossip and param_server.
 [[nodiscard]] SteppedSchedule allreduce_schedule(Protocol protocol,
                                                  int64_t agents,
                                                  int64_t elems);
@@ -196,9 +222,8 @@ struct SteppedSchedule {
 class AsyncCollective {
  public:
   /// `transport` and the request's buffers must outlive the operation.
-  /// Throws for kGossip and kParamServer, which have no stepped schedule
-  /// (data-dependent fan-in / star geometry): run them through
-  /// collective(protocol).run().
+  /// Builds `protocol`'s schedule over the request's participants (with
+  /// their weights); gossip draws its partners from the request's rng here.
   AsyncCollective(Protocol protocol, Transport& transport,
                   CollectiveRequest request);
   /// Borrow a prebuilt schedule (must outlive the operation and match the
@@ -235,20 +260,23 @@ class AsyncCollective {
   /// drops the dead endpoints from the participant set, (2) restores the
   /// survivors' buffers from the snapshot, (3) clears undelivered
   /// transport mail and the channel's unacked copies, and (4) restarts on
-  /// a schedule re-formed over the survivors via
-  /// allreduce_schedule_over(protocol, ...) — whose final scaling averages
-  /// over the live set. The result is bit-identical to a from-scratch
-  /// survivor-only run; the pre-failure traffic stays in the transport
-  /// stats (those bytes really crossed the wire). Repeated failures
-  /// recover repeatedly; only the last survivor standing completes with
-  /// its own contribution as the "mean". Throws only if every participant
-  /// is dead. Gossip and param-server runs recover through the same steps
-  /// whenever the transport has endpoint faults.
-  void enable_recovery(Protocol protocol);
+  /// the schedule re-formed over the survivors (an allreduce's final
+  /// scaling averages over the live set, the star re-normalizes their
+  /// weights, gossip redraws from its rewound rng). The result is
+  /// bit-identical to a from-scratch survivor-only run; the pre-failure
+  /// traffic stays in the transport stats (those bytes really crossed the
+  /// wire). Repeated failures recover repeatedly; only the last survivor
+  /// standing completes with its own contribution as the "mean". Throws if
+  /// every participant is dead, and when the star's server dies.
+  void enable_recovery();
 
   /// Completed recovery cycles (0 = the collective never saw a failure).
   [[nodiscard]] int64_t recoveries() const noexcept;
 
+  /// The schedule running now (re-formed after a recovery).
+  [[nodiscard]] const SteppedSchedule& schedule() const noexcept {
+    return *schedule_;
+  }
   [[nodiscard]] int64_t steps_executed() const noexcept {
     return static_cast<int64_t>(next_step_);
   }
@@ -257,6 +285,17 @@ class AsyncCollective {
   }
 
  private:
+  /// `protocol`'s schedule over `participants` (gossip draws partners).
+  [[nodiscard]] SteppedSchedule build(Protocol protocol,
+                                      const std::vector<int64_t>& participants,
+                                      std::vector<double> weights);
+  /// Validate the request, bind the scratch rows, open the channel.
+  void start();
+  /// Zero schedule_->scratch's rows and point fold_rows_ at them.
+  void bind_rows();
+  /// Post, close and fold one step (see ScheduleStep).
+  void execute_schedule_step(const ScheduleStep& step);
+
   Transport* transport_;
   CollectiveRequest request_;
   SteppedSchedule owned_;  ///< empty when the schedule is borrowed
@@ -264,9 +303,14 @@ class AsyncCollective {
   /// Reliable delivery for stepped traffic; created when the transport
   /// injects message faults.
   std::unique_ptr<ReliableChannel> channel_;
+  /// One row per scratch endpoint, and where each endpoint folds (its row,
+  /// else its buffer); empty without scratch endpoints or buffers.
+  std::vector<double> rows_;
+  std::vector<double*> fold_rows_;
+  /// Gossip: the partner-draw rng's state before the draw.
+  std::string rng_state_;
   size_t next_step_ = 0;
   bool finalized_ = false;
-  Protocol recovery_protocol_ = Protocol::kRingAllReduce;
   /// Armed by enable_recovery(); see Recovery in collective.cpp.
   std::unique_ptr<Recovery> recovery_;
 };

@@ -908,12 +908,12 @@ std::optional<Message> Transport::try_recv_from(int64_t dst, int64_t src) {
   return std::nullopt;
 }
 
-std::optional<Message> Transport::try_recv(int64_t dst) {
+std::optional<Message> Transport::try_recv(int64_t dst, int64_t src) {
   COMDML_CHECK(dst >= 0 && dst < endpoints());
   std::lock_guard<std::mutex> guard(mutex_);
   auto& box = mailboxes_[static_cast<size_t>(dst)];
   for (auto it = box.begin(); it != box.end(); ++it) {
-    if (!mature_locked(*it)) continue;
+    if ((src >= 0 && it->src != src) || !mature_locked(*it)) continue;
     Message msg = std::move(*it);
     box.erase(it);
     return msg;

@@ -6,7 +6,8 @@
 // analytic cost function next to an ad-hoc real implementation; this header
 // replaces that N-times pattern with one transport:
 //
-//   Collective (ring / halving-doubling / gossip / param-server)
+//   AsyncCollective running a SteppedSchedule
+//   (ring / halving-doubling / gossip / param-server)
 //        |  send(src, dst, elems [, payload]) / recv / end_step
 //        v
 //   Transport  — per-edge LinkModel, byte/step/latency accounting,
@@ -396,10 +397,12 @@ class Transport {
   [[nodiscard]] virtual bool nack(int64_t src, int64_t dst,
                                   int64_t last_delivered_seq);
 
-  /// Any-source receive in arrival order; nullopt when dst's mailbox holds
-  /// nothing deliverable. Used by protocols with data-dependent fan-in
-  /// (gossip).
-  [[nodiscard]] std::optional<Message> try_recv(int64_t dst);
+  /// Best-effort receive: the oldest deliverable message into dst (from
+  /// `src`, or from any source when it is -1), or nullopt. Never raises:
+  /// endpoint liveness is not checked. Gossip's merge without reliable
+  /// delivery takes its pushes through this.
+  [[nodiscard]] std::optional<Message> try_recv(int64_t dst,
+                                                int64_t src = -1);
 
   /// Hand a delivered payload's storage back for a later send() to reuse.
   /// Kept while the free list holds fewer than payload_pool_bound()

@@ -752,12 +752,12 @@ void RealFleet::set_dist_context(DistContext ctx) {
                  "bad shard index " << ctx.shard << " of " << ctx.shards);
   // Settings a multi-process round cannot take: FleetSpec carries none of
   // them, and each lacks the cross-process wire or stat machinery.
-  COMDML_REQUIRE(pipeline_->stepped(),
-                 "multi-process fleets run a stepped allreduce; "
-                     << learncurve::method_name(method_) << "'s "
-                     << comm::collective(pipeline_->protocol()).name()
-                     << " collective has no schedule to run over the "
-                        "socket mesh");
+  COMDML_REQUIRE(method_ == learncurve::Method::kComDML ||
+                     method_ == learncurve::Method::kAllReduceDML,
+                 "multi-process fleets run ComDML and AllReduce-DML only, "
+                 "not " << learncurve::method_name(method_)
+                        << ": FleetSpec carries no method, and the socket "
+                           "mesh hosts no param-server endpoint");
   COMDML_REQUIRE(
       options_.comms.codec == FleetOptions::CommOptions::Codec::kFp32,
       "multi-process mode needs the fp32 codec (comms.codec): residuals of "

@@ -172,11 +172,11 @@ class RealFleet {
   };
 
   /// Enable multi-process mode; any bucket_bytes works. Throws, naming the
-  /// setting, for what a multi-process round cannot take: a method whose
-  /// collective is not a stepped allreduce (param-server, gossip), a lossy
-  /// codec,
-  /// overlap, a straggler deadline, :bN/:kN/:cS failure modes (only
-  /// leave-mode failures), and message loss — plus shards > 1 without
+  /// setting, for what a multi-process round cannot take: a method other
+  /// than ComDML and AllReduce-DML (the mesh hosts no param-server
+  /// endpoint, and FleetSpec carries no method), a lossy codec, overlap, a
+  /// straggler deadline, :bN/:kN/:cS failure modes (only leave-mode
+  /// failures), and message loss — plus shards > 1 without
   /// `exchange` or `collective_sync`. Call before the first step() (a
   /// rejoining worker calls it before restore()).
   void set_dist_context(DistContext ctx);

@@ -94,18 +94,14 @@ RoundPipeline::RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
   for (int64_t b = 0; b < plan.buckets(); ++b)
     transports_.push_back(
         std::make_unique<comm::InProcTransport>(grid, codec_, faults));
-  if (stepped()) {
+  // A full round's allreduce depends on the bucket geometry alone.
+  if (!star && protocol_ != comm::Protocol::kGossip) {
     schedules_.reserve(static_cast<size_t>(plan.buckets()));
     for (int64_t b = 0; b < plan.buckets(); ++b)
       schedules_.push_back(
           comm::allreduce_schedule(protocol_, agents_, plan.bucket(b).elems));
   }
   begin_round();
-}
-
-bool RoundPipeline::stepped() const noexcept {
-  return protocol_ == comm::Protocol::kRingAllReduce ||
-         protocol_ == comm::Protocol::kHalvingDoublingAllReduce;
 }
 
 void RoundPipeline::begin_round() {
@@ -121,7 +117,9 @@ void RoundPipeline::begin_round() {
 }
 
 void RoundPipeline::set_mesh(comm::Transport* mesh, std::vector<char> owned) {
-  COMDML_CHECK(stepped());
+  // RealFleet::set_dist_context refuses the star and gossip.
+  COMDML_CHECK(protocol_ != comm::Protocol::kParamServer &&
+               protocol_ != comm::Protocol::kGossip);
   COMDML_CHECK(mesh != nullptr && mesh->endpoints() == agents_);
   COMDML_CHECK(owned.empty() || static_cast<int64_t>(owned.size()) == agents_);
   mesh_ = mesh;
@@ -324,39 +322,35 @@ void RoundPipeline::run_bucket(int64_t bucket) {
   req.buffers.resize(static_cast<size_t>(agents_));
   for (int64_t a = 0; a < agents_; ++a)
     req.buffers[static_cast<size_t>(a)] = slot(a, bucket);
-  if (!stepped()) {
-    // Param-server and gossip run whole on the bucket's own transport,
-    // over the contributors only; they recover from endpoint deaths
-    // themselves whenever the transport has endpoint faults.
-    req.participants = contributors;
-    if (!weights_.empty())
-      for (const int64_t a : contributors)
-        req.weights.push_back(weights_[static_cast<size_t>(a)]);
-    req.rng = rng_;
-    (void)comm::collective(protocol_).run(
-        *transports_[static_cast<size_t>(bucket)], req);
-    return;
-  }
   req.owned = owned_;
   // On a pool worker a parallel_for would run inline: let the collectors
   // waiting in drain() take the step items instead.
   if (mesh_ == nullptr && in_parallel_region()) req.executor = &help_;
   comm::Transport& transport =
       mesh_ != nullptr ? *mesh_ : *transports_[static_cast<size_t>(bucket)];
-  const bool full = static_cast<int64_t>(contributors.size()) == agents_;
-  comm::SteppedSchedule survivor_schedule;
-  if (!full)
-    survivor_schedule = comm::allreduce_schedule_over(protocol_, contributors,
-                                                      req.elems);
-  comm::AsyncCollective op(
-      full ? schedules_[static_cast<size_t>(bucket)] : survivor_schedule,
-      transport, std::move(req));
+  // A full allreduce round borrows the bucket's prebuilt schedule.
+  // Otherwise the protocol's schedule runs over the contributors, with
+  // their weights; gossip draws its partners here.
+  const bool prebuilt =
+      static_cast<int64_t>(contributors.size()) == agents_ &&
+      !schedules_.empty();
+  if (!prebuilt) {
+    req.participants = contributors;
+    if (!weights_.empty())
+      for (const int64_t a : contributors)
+        req.weights.push_back(weights_[static_cast<size_t>(a)]);
+    req.rng = rng_;
+  }
+  comm::AsyncCollective op =
+      prebuilt ? comm::AsyncCollective(schedules_[static_cast<size_t>(bucket)],
+                                       transport, std::move(req))
+               : comm::AsyncCollective(protocol_, transport, std::move(req));
   // With fault injection armed on this transport, a mid-collective
   // endpoint death re-forms the schedule around the survivors instead of
   // failing the round. Never on the mesh: survivors there are agreed
   // across processes by the fleet's barrier.
   if (mesh_ == nullptr && transport.has_endpoint_faults())
-    op.enable_recovery(protocol_);
+    op.enable_recovery();
   op.wait();
   if (owned_.empty()) return;
   // Non-owned rows were never touched; they adopt the owned mean.

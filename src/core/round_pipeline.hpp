@@ -148,15 +148,14 @@ class RoundPipeline {
   /// codec so defer()/absorb_late() can carry a late agent's update into
   /// its next contribution (error feedback with an identity codec).
   ///
-  /// `protocol` is the bucket collective. Ring and halving/doubling run
-  /// stepped through comm::AsyncCollective (on the mesh too); param-server
-  /// and gossip run whole through comm::collective(protocol).run() on the
-  /// bucket's own transport, over that bucket's contributors. `grid` has
-  /// one endpoint per agent, plus the server for param-server
-  /// (param_server_grid). `weights` (param-server; empty =
-  /// uniform) holds one aggregation weight per agent, filtered down to
-  /// each bucket's contributors. `rng` (gossip; borrowed) draws the
-  /// partners, so gossip must not run buckets concurrently.
+  /// `protocol` is the bucket collective; every bucket of every protocol
+  /// runs its schedule through comm::AsyncCollective, over that bucket's
+  /// contributors (on the mesh too, for the allreduces). `grid` has one
+  /// endpoint per agent, plus the server for param-server
+  /// (param_server_grid). `weights` (param-server; empty = uniform) holds
+  /// one aggregation weight per agent, filtered down to each bucket's
+  /// contributors. `rng` (gossip; borrowed) draws the partners, so gossip
+  /// must not run buckets concurrently.
   RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
                 const comm::LinkGrid& grid, comm::Protocol protocol,
                 const comm::Codec* codec = nullptr,
@@ -168,7 +167,7 @@ class RoundPipeline {
   /// contribute()/drain() when this runs.
   void begin_round();
 
-  /// Mesh mode (stepped protocols only): run every bucket collective over
+  /// Mesh mode (allreduce protocols only): run every bucket collective over
   /// `mesh` (borrowed; endpoints == agents) with only the rows `owned`
   /// marks (empty = all).
   /// After each bucket reduces, the non-owned contributor rows copy the
@@ -180,8 +179,6 @@ class RoundPipeline {
   }
   [[nodiscard]] int64_t agents() const noexcept { return agents_; }
   [[nodiscard]] comm::Protocol protocol() const noexcept { return protocol_; }
-  /// Ring or halving/doubling: a stepped schedule that can run on a mesh.
-  [[nodiscard]] bool stepped() const noexcept;
 
   // ---- elastic membership ---------------------------------------------------
 
@@ -328,8 +325,8 @@ class RoundPipeline {
   tensor::Rng* rng_;             ///< gossip partner draws
   /// One transport per bucket so concurrent bucket collectives keep
   /// independent mailboxes and per-bucket accounting, and one prebuilt
-  /// schedule per bucket (stepped protocols) so steady-state rounds stop
-  /// re-deriving them.
+  /// full-round schedule per bucket (allreduces) so steady-state rounds
+  /// stop re-deriving them.
   std::vector<std::unique_ptr<comm::InProcTransport>> transports_;
   std::vector<comm::SteppedSchedule> schedules_;
   /// Mesh mode (nullptr = off): transport, owned rows, round traffic.

@@ -373,6 +373,10 @@ __attribute__((target("avx2,fma"))) void dw_avx2(
 #pragma GCC unroll 16
     for (int64_t v = 0; v < kVecs; ++v)
       _mm256_store_ps(tile + (i * kVecs + v) * 8, acc[i][v]);
+  // store_dw_tile is plain SSE code: GCC calls it with the upper YMM
+  // halves dirty unless they are cleared here, and every SSE instruction
+  // after that runs several times slower.
+  _mm256_zeroupper();
   store_dw_tile(g, t, tile, co0, c0, dw);
 }
 

@@ -1,8 +1,10 @@
 // Communication substrate tests: transfer-time model, AllReduce cost model
 // vs real message-level execution (ring and halving/doubling, including
 // non-power-of-two fleets), step fan-out determinism across thread counts
-// and item orders, the reference state means the collectives are checked
-// against, gossip exchange through the registry, parameter-server sharing.
+// and item orders, the stepped star and gossip against reference copies of
+// the whole-run loops they replaced, the reference state means the
+// collectives are checked against, gossip exchange through the registry,
+// parameter-server sharing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include "core/parallel.hpp"
 #include "core/trainer.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace comdml::comm {
 namespace {
@@ -315,18 +318,59 @@ struct FanOutRun {
   TransportStats stats;
 };
 
-FanOutRun run_fan_out(Protocol protocol, int64_t k, int64_t elems,
+/// One protocol setup of the fan-out sweep.
+struct FanOutCase {
+  Protocol protocol;
+  /// Star: every other agent only. Gossip: a sparse random topology.
+  bool subset = false;
+};
+
+std::string fan_out_name(const FanOutCase& c) {
+  return std::string(collective(c.protocol).name()) +
+         (c.subset ? " subset" : "");
+}
+
+/// Links of unequal rates, so the per-endpoint second sums depend on the
+/// order a step's messages are charged in.
+double fan_out_mbps(int64_t a) { return 10.0 + 7.0 * static_cast<double>(a); }
+
+FanOutRun run_fan_out(const FanOutCase& c, int64_t k, int64_t elems,
                       const std::vector<double>& input, const Codec* codec,
                       StepExecutor* executor) {
   FanOutRun run;
   run.slab = input;
-  InProcTransport transport(LinkGrid::uniform(k, 100.0), codec);
   CollectiveRequest req;
   req.elems = elems;
   req.executor = executor;
   for (int64_t a = 0; a < k; ++a)
     req.buffers.push_back(run.slab.data() + a * elems);
-  run.stats = collective(protocol).run(transport, req).transport;
+  std::vector<ResourceProfile> profiles;
+  for (int64_t a = 0; a < k; ++a) profiles.push_back({1.0, fan_out_mbps(a)});
+  Rng rng(static_cast<uint64_t>(17 * k + 3));
+  LinkGrid grid = LinkGrid::uniform(k, 100.0);
+  switch (c.protocol) {
+    case Protocol::kParamServer: {
+      std::vector<double> mbps;
+      for (int64_t a = 0; a < k; ++a) mbps.push_back(fan_out_mbps(a));
+      grid = LinkGrid::star(mbps);
+      for (int64_t a = 0; a < k; ++a) {
+        if (c.subset && a % 2 == 1) continue;
+        req.participants.push_back(a);
+        req.weights.push_back(1.0 + static_cast<double>(a % 3));
+      }
+      break;
+    }
+    case Protocol::kGossip:
+      grid = LinkGrid::from_topology(
+          c.subset ? Topology::random_graph(profiles, 0.3, rng)
+                   : Topology::full_mesh(profiles));
+      req.rng = &rng;
+      break;
+    default:
+      break;
+  }
+  InProcTransport transport(std::move(grid), codec);
+  run.stats = collective(c.protocol).run(transport, req).transport;
   return run;
 }
 
@@ -337,8 +381,11 @@ TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
     ~Guard() { core::set_num_threads(0); }
   } guard;
   ReverseExecutor reverse;
-  for (const Protocol p :
-       {Protocol::kRingAllReduce, Protocol::kHalvingDoublingAllReduce})
+  const FanOutCase cases[] = {
+      {Protocol::kRingAllReduce},        {Protocol::kHalvingDoublingAllReduce},
+      {Protocol::kParamServer},          {Protocol::kParamServer, true},
+      {Protocol::kGossip},               {Protocol::kGossip, true}};
+  for (const FanOutCase& c : cases)
     for (const Codec* codec : {&identity_codec(), &quantized_codec()})
       for (const int64_t k : {2, 3, 5, 8, 16})
         for (const int64_t elems : {0, 1, 7, 65792}) {
@@ -347,12 +394,11 @@ TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
           for (double& v : input)
             v = static_cast<double>(rng.normal(0.0f, 1.0f));
           const std::string what =
-              std::string(collective(p).name()) + " " +
-              std::string(codec->name()) + " k=" + std::to_string(k) +
-              " elems=" + std::to_string(elems);
+              fan_out_name(c) + " " + std::string(codec->name()) +
+              " k=" + std::to_string(k) + " elems=" + std::to_string(elems);
           core::set_num_threads(1);
           const FanOutRun ref =
-              run_fan_out(p, k, elems, input, codec, nullptr);
+              run_fan_out(c, k, elems, input, codec, nullptr);
           // threads == 0 is the reversed executor; it runs on the calling
           // thread, so one pass covers it.
           for (const int threads : {1, 2, 4, 0}) {
@@ -361,7 +407,7 @@ TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
             const std::string run_what =
                 what + (threads == 0 ? std::string(" reversed")
                                      : " threads=" + std::to_string(threads));
-            const FanOutRun got = run_fan_out(p, k, elems, input, codec, exec);
+            const FanOutRun got = run_fan_out(c, k, elems, input, codec, exec);
             ASSERT_EQ(got.slab.size(), ref.slab.size()) << run_what;
             EXPECT_TRUE(got.slab.empty() ||
                         std::memcmp(got.slab.data(), ref.slab.data(),
@@ -370,6 +416,219 @@ TEST(StepFanOut, ResultsAndAccountingIgnoreThreadCountAndItemOrder) {
             expect_stats_equal(got.stats, ref.stats, run_what);
           }
         }
+}
+
+// The star and gossip steps are built so that step fan-out stays
+// deterministic: one message per directed edge, each source's sends one
+// work item, each destination's receives one work item in ascending sender
+// order, and every send matched by exactly one receive.
+TEST(StepFanOut, StarAndGossipStepsMoveOneMessagePerDirectedEdge) {
+  const auto check = [](const SteppedSchedule& sched, const std::string& what) {
+    for (size_t s = 0; s < sched.steps.size(); ++s) {
+      const ScheduleStep& step = sched.steps[s];
+      const std::string at = what + " step " + std::to_string(s);
+      std::vector<std::pair<int64_t, int64_t>> sent, received;
+      for (const auto& x : step.sends) sent.emplace_back(x.src, x.dst);
+      for (const auto& x : step.recvs) received.emplace_back(x.src, x.dst);
+      std::sort(sent.begin(), sent.end());
+      std::sort(received.begin(), received.end());
+      EXPECT_EQ(std::adjacent_find(sent.begin(), sent.end()), sent.end())
+          << at << ": an edge carries two messages";
+      EXPECT_EQ(sent, received) << at << ": sends and receives differ";
+      // Items: runs of one source / one destination, each endpoint once.
+      ASSERT_FALSE(step.send_items.empty()) << at;
+      ASSERT_FALSE(step.recv_items.empty()) << at;
+      EXPECT_EQ(step.send_items.back(),
+                static_cast<int64_t>(step.sends.size()))
+          << at;
+      EXPECT_EQ(step.recv_items.back(),
+                static_cast<int64_t>(step.recvs.size()))
+          << at;
+      std::vector<int64_t> srcs, dsts;
+      for (size_t i = 0; i + 1 < step.send_items.size(); ++i) {
+        const auto lo = static_cast<size_t>(step.send_items[i]);
+        const auto hi = static_cast<size_t>(step.send_items[i + 1]);
+        for (size_t x = lo; x < hi; ++x)
+          EXPECT_EQ(step.sends[x].src, step.sends[lo].src) << at;
+        srcs.push_back(step.sends[lo].src);
+      }
+      for (size_t i = 0; i + 1 < step.recv_items.size(); ++i) {
+        const auto lo = static_cast<size_t>(step.recv_items[i]);
+        const auto hi = static_cast<size_t>(step.recv_items[i + 1]);
+        for (size_t x = lo; x < hi; ++x) {
+          EXPECT_EQ(step.recvs[x].dst, step.recvs[lo].dst) << at;
+          if (x > lo)
+            EXPECT_LT(step.recvs[x - 1].src, step.recvs[x].src)
+                << at << ": receives out of sender order";
+        }
+        dsts.push_back(step.recvs[lo].dst);
+      }
+      std::sort(srcs.begin(), srcs.end());
+      std::sort(dsts.begin(), dsts.end());
+      EXPECT_EQ(std::adjacent_find(srcs.begin(), srcs.end()), srcs.end())
+          << at << ": a source's sends split over two items";
+      EXPECT_EQ(std::adjacent_find(dsts.begin(), dsts.end()), dsts.end())
+          << at << ": a destination's receives split over two items";
+    }
+  };
+  // The schedule an AsyncCollective builds for `request` over `t`.
+  const auto built = [](Protocol p, const Transport& t,
+                        CollectiveRequest request) {
+    SimTransport copy(t.grid());
+    return AsyncCollective(p, copy, std::move(request)).schedule();
+  };
+  for (int64_t k = 1; k <= 17; ++k)
+    for (const int64_t elems : {0, 1, 7, 100}) {
+      const std::string what =
+          " k=" + std::to_string(k) + " elems=" + std::to_string(elems);
+      CollectiveRequest req;
+      req.elems = elems;
+      const SimTransport star(LinkGrid::star(
+          std::vector<double>(static_cast<size_t>(k), 100.0)));
+      check(built(Protocol::kParamServer, star, req), "star" + what);
+      for (int64_t a = 1; a < k; a += 2) req.participants.push_back(a);
+      if (!req.participants.empty())
+        check(built(Protocol::kParamServer, star, req), "star subset" + what);
+      req.participants.clear();
+      std::vector<ResourceProfile> profiles(static_cast<size_t>(k),
+                                            {1.0, 100.0});
+      Rng rng(static_cast<uint64_t>(k));
+      req.rng = &rng;
+      const SimTransport mesh(LinkGrid::uniform(k, 100.0));
+      check(built(Protocol::kGossip, mesh, req), "gossip" + what);
+      const SimTransport sparse(
+          LinkGrid::from_topology(Topology::random_graph(profiles, 0.3, rng)));
+      check(built(Protocol::kGossip, sparse, req), "gossip sparse" + what);
+    }
+}
+
+// ---- stepped star and gossip vs the whole-run loops -------------------------
+
+/// The whole-run param-server round the star schedule replaced: a zeroed
+/// fp64 mean folds (w_s / sum w) * x_s in selection order, then every
+/// selected agent copies it.
+void reference_param_server(std::vector<std::vector<double>>& bufs,
+                            const std::vector<int64_t>& selected,
+                            const std::vector<double>& weights) {
+  double wsum = 0.0;
+  for (const double w : weights) wsum += w;
+  std::vector<double> mean(bufs.front().size(), 0.0);
+  for (size_t s = 0; s < selected.size(); ++s) {
+    const double w = weights[s] / wsum;
+    const std::vector<double>& x = bufs[static_cast<size_t>(selected[s])];
+    for (size_t j = 0; j < mean.size(); ++j) mean[j] += w * x[j];
+  }
+  for (const int64_t id : selected) bufs[static_cast<size_t>(id)] = mean;
+}
+
+/// The whole-run gossip exchange the gossip schedule replaced: one partner
+/// draw per endpoint in ascending order over `t`'s links, then each
+/// receiver folds the round-start states pushed to it, in ascending sender
+/// order, into a zeroed accumulator and takes (own + acc) / (pushes + 1).
+std::vector<std::optional<int64_t>> reference_gossip(
+    std::vector<std::vector<double>>& bufs, const Transport& t, Rng& rng) {
+  const auto k = static_cast<int64_t>(bufs.size());
+  std::vector<std::optional<int64_t>> partners(static_cast<size_t>(k));
+  for (int64_t i = 0; i < k; ++i) {
+    const std::vector<int64_t> nbrs = t.neighbors(i);
+    if (nbrs.empty()) continue;
+    partners[static_cast<size_t>(i)] = nbrs[static_cast<size_t>(
+        rng.below(static_cast<int64_t>(nbrs.size())))];
+  }
+  const auto start = bufs;
+  for (int64_t i = 0; i < k; ++i) {
+    std::vector<double> acc(bufs.front().size(), 0.0);
+    int64_t pushes = 0;
+    for (int64_t j = 0; j < k; ++j) {
+      if (partners[static_cast<size_t>(j)] != i) continue;
+      for (size_t x = 0; x < acc.size(); ++x)
+        acc[x] += start[static_cast<size_t>(j)][x];
+      ++pushes;
+    }
+    if (pushes == 0) continue;
+    std::vector<double>& mine = bufs[static_cast<size_t>(i)];
+    const double inv = 1.0 / static_cast<double>(pushes + 1);
+    for (size_t x = 0; x < acc.size(); ++x) mine[x] = (mine[x] + acc[x]) * inv;
+  }
+  return partners;
+}
+
+bool same_bits(const std::vector<std::vector<double>>& a,
+               const std::vector<std::vector<double>>& b) {
+  for (size_t i = 0; i < a.size(); ++i)
+    if (a[i].size() != b[i].size() ||
+        (!a[i].empty() && std::memcmp(a[i].data(), b[i].data(),
+                                      a[i].size() * sizeof(double)) != 0))
+      return false;
+  return true;
+}
+
+// Every agent holds a variant of one special-value payload (-0, NaN, +-Inf,
+// fp32- and fp64-range denormals): the payload scaled by 2^a, which keeps
+// each special value in place on every agent (so -0 meets -0), or reversed
+// on odd agents (so specials meet ordinary values).
+TEST(SteppedBaselines, StarAndGossipMatchTheWholeRunLoopsBitwise) {
+  auto payloads = testing::codec_payloads();
+  std::vector<double> denormals(23);
+  for (size_t i = 0; i < denormals.size(); ++i)
+    denormals[i] = (i % 2 == 0 ? 1.0 : -1.0) *
+                   std::numeric_limits<double>::denorm_min() *
+                   static_cast<double>(i);
+  payloads.emplace_back("fp64 denormals", denormals);
+  const int64_t k = 5;
+  for (const auto& [what, payload] : payloads)
+    for (const bool reversed : {false, true}) {
+      std::vector<std::vector<double>> input;
+      for (int64_t a = 0; a < k; ++a) {
+        std::vector<double> v = payload;
+        if (reversed && a % 2 == 1) std::reverse(v.begin(), v.end());
+        if (!reversed)
+          for (double& x : v) x *= static_cast<double>(int64_t{1} << a);
+        input.push_back(std::move(v));
+      }
+      const auto elems = static_cast<int64_t>(payload.size());
+      const std::string at = what + " n=" + std::to_string(elems) +
+                             (reversed ? " reversed" : " scaled");
+      // The star over everyone and over a subset, a zero weight included
+      // (0 * Inf is NaN).
+      const LinkGrid star = LinkGrid::star({10.0, 20.0, 30.0, 40.0, 50.0});
+      const std::vector<double> all_weights{3.0, 0.0, 1.0, 2.0, 5.0};
+      for (const std::vector<int64_t>& selected :
+           {std::vector<int64_t>{0, 1, 2, 3, 4},
+            std::vector<int64_t>{1, 3, 4}}) {
+        std::vector<double> weights;
+        for (const int64_t id : selected)
+          weights.push_back(all_weights[static_cast<size_t>(id)]);
+        auto expected = input;
+        reference_param_server(expected, selected, weights);
+        auto got = input;
+        InProcTransport t(star);
+        CollectiveRequest req;
+        req.elems = elems;
+        req.buffers = {got[0].data(), got[1].data(), got[2].data(),
+                       got[3].data(), got[4].data()};
+        req.participants = selected;
+        req.weights = weights;
+        (void)collective(Protocol::kParamServer).run(t, req);
+        EXPECT_TRUE(same_bits(got, expected))
+            << "star over " << selected.size() << " " << at;
+      }
+      // Gossip over a full mesh: several receivers take two or more pushes.
+      auto expected = input;
+      InProcTransport t(LinkGrid::uniform(k, 100.0));
+      Rng ref_rng(41);
+      const auto partners = reference_gossip(expected, t, ref_rng);
+      auto got = input;
+      Rng rng(41);
+      CollectiveRequest req;
+      req.elems = elems;
+      req.buffers = {got[0].data(), got[1].data(), got[2].data(),
+                     got[3].data(), got[4].data()};
+      req.rng = &rng;
+      const CollectiveReport rep = collective(Protocol::kGossip).run(t, req);
+      EXPECT_EQ(rep.partners, partners) << at;
+      EXPECT_TRUE(same_bits(got, expected)) << "gossip " << at;
+    }
 }
 
 TEST(MeanState, WeightedMeanMatchesManual) {

@@ -229,7 +229,7 @@ std::vector<std::vector<double>> recovered_allreduce(
   req.elems = elems;
   req.buffers = pointers(bufs);
   AsyncCollective op(protocol, t, std::move(req));
-  op.enable_recovery(protocol);
+  op.enable_recovery();
   op.wait();
   if (recoveries != nullptr) *recoveries = op.recoveries();
   return bufs;
@@ -313,7 +313,7 @@ TEST(CollectiveRecovery, AllButOneFailingLeavesOwnContribution) {
   req.elems = elems;
   req.buffers = pointers(bufs);
   AsyncCollective op(Protocol::kRingAllReduce, t, std::move(req));
-  op.enable_recovery(Protocol::kRingAllReduce);
+  op.enable_recovery();
   op.wait();
   EXPECT_GE(op.recoveries(), 1);
   EXPECT_EQ(bufs[0], orig[0]);
@@ -330,7 +330,7 @@ TEST(CollectiveRecovery, SimInProcParityForSurvivingTraffic) {
     req.elems = elems;
     req.buffers = pointers(bufs);
     AsyncCollective op(Protocol::kRingAllReduce, t, std::move(req));
-    op.enable_recovery(Protocol::kRingAllReduce);
+    op.enable_recovery();
     op.wait();
     executed = t.stats();
   }
@@ -340,7 +340,7 @@ TEST(CollectiveRecovery, SimInProcParityForSurvivingTraffic) {
     CollectiveRequest req;  // timing-only: no buffers
     req.elems = elems;
     AsyncCollective op(Protocol::kRingAllReduce, t, std::move(req));
-    op.enable_recovery(Protocol::kRingAllReduce);
+    op.enable_recovery();
     op.wait();
     predicted = t.stats();
   }

@@ -289,16 +289,28 @@ TEST(AsyncCollective, SingleAgentIsImmediatelyDone) {
   EXPECT_EQ(buf[0], 1.0);  // untouched
 }
 
-TEST(AsyncCollective, RejectsProtocolsWithoutSteppedSchedule) {
+// allreduce_schedule builds the allreduces only; AsyncCollective builds
+// every protocol's schedule, and refuses gossip without a partner-draw Rng.
+TEST(AsyncCollective, BuildsEveryProtocolsSchedule) {
   EXPECT_THROW((void)comm::allreduce_schedule(comm::Protocol::kGossip, 4, 8),
                std::invalid_argument);
   EXPECT_THROW(
       (void)comm::allreduce_schedule(comm::Protocol::kParamServer, 4, 8),
       std::invalid_argument);
   comm::SimTransport t(comm::LinkGrid::uniform(4, 100.0));
-  for (const auto p : {comm::Protocol::kGossip, comm::Protocol::kParamServer})
-    EXPECT_THROW(comm::AsyncCollective(p, t, comm::CollectiveRequest{}),
-                 std::invalid_argument);
+  EXPECT_THROW(comm::AsyncCollective(comm::Protocol::kGossip, t,
+                                     comm::CollectiveRequest{}),
+               std::invalid_argument);
+  Rng rng(1);
+  comm::CollectiveRequest req;
+  req.elems = 8;
+  req.rng = &rng;
+  const comm::AsyncCollective gossip(comm::Protocol::kGossip, t, req);
+  EXPECT_EQ(gossip.total_steps(), 1);
+  // Endpoint 3 of the 4-endpoint grid serves agents 0..2.
+  const comm::AsyncCollective star(comm::Protocol::kParamServer, t, req);
+  EXPECT_EQ(star.total_steps(), 2);
+  EXPECT_EQ(star.schedule().participants, (std::vector<int64_t>{0, 1, 2}));
 }
 
 // ---- bucketed determinism at the collective layer ---------------------------

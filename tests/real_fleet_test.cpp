@@ -541,8 +541,8 @@ TEST(RealFleet, RefusesFailureAgentOutsideTheFleet) {
 }
 
 TEST(RealFleet, DistContextRefusesParamServerAndGossip) {
-  // A multi-process round runs each bucket as a stepped allreduce over the
-  // socket mesh; the param-server star and gossip have no such schedule.
+  // FleetSpec carries no method, and the socket mesh hosts no server
+  // endpoint for the param-server star: fleetd runs the allreduces only.
   for (const Method m : {Method::kFedAvg, Method::kFedProx,
                          Method::kBrainTorrent, Method::kGossip}) {
     RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 20, 3, 6, 19),
@@ -555,8 +555,8 @@ TEST(RealFleet, DistContextRefusesParamServerAndGossip) {
       fleet.set_dist_context(std::move(ctx));
       ADD_FAILURE() << learncurve::method_name(m) << " was not refused";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("no schedule to run over the "
-                                           "socket mesh"),
+      EXPECT_NE(std::string(e.what()).find("multi-process fleets run ComDML "
+                                           "and AllReduce-DML only"),
                 std::string::npos)
           << e.what();
     }

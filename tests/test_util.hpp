@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/module.hpp"
 
@@ -80,6 +85,66 @@ inline Tensor away_from_zero(Rng& rng, tensor::Shape shape,
     if (std::fabs(v) < margin) v = v < 0 ? v - margin : v + margin;
   }
   return t;
+}
+
+/// Payloads that stress the int8 round trip: random ones of lengths 0-37
+/// and 16387 with NaN, +-Inf and signed zeros at the front, the middle and
+/// the end (in the vector body and in the scalar tail alike), negatives
+/// that round to -0, all zeros, a sub-FLT_MIN range, exact .5 ties and a
+/// range just above FLT_MIN. Each comes with what it tests.
+inline std::vector<std::pair<std::string, std::vector<double>>>
+codec_payloads() {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, std::vector<double>>> out;
+  Rng rng(7);
+  std::vector<size_t> lengths(38);
+  std::iota(lengths.begin(), lengths.end(), size_t{0});
+  lengths.push_back(16387);
+  for (const size_t n : lengths) {
+    std::vector<double> data(n);
+    for (double& v : data) v = rng.normal(0.0f, 2.0f);
+    out.emplace_back("random", data);
+    if (n == 0) continue;
+    for (const size_t at : {size_t{0}, n / 2, n - 1}) {
+      auto special = data;
+      special[at] = kNaN;
+      out.emplace_back("NaN", special);
+      special[at] = -0.0;
+      special[n - 1 - at] = 0.0;
+      out.emplace_back("signed zeros", special);
+      special[at] = kInf;
+      out.emplace_back("+Inf", special);
+      special[at] = -kInf;
+      out.emplace_back("-Inf", special);
+    }
+    // Negatives that round to -0: max|v| = 127 makes the scale exactly 1.
+    std::vector<double> small(n);
+    for (size_t i = 0; i < n; ++i)
+      small[i] = -0.49 * static_cast<double>(i % 3) / 2.0;
+    small[n - 1] = -127.0;
+    out.emplace_back("negatives to -0", small);
+    out.emplace_back("all zero", std::vector<double>(n, 0.0));
+    std::vector<double> tiny(n);
+    for (size_t i = 0; i < n; ++i)
+      tiny[i] = (i % 2 == 0 ? 1.0 : -1.0) * 1e-40 * static_cast<double>(i);
+    out.emplace_back("sub-FLT_MIN range", tiny);
+  }
+  // Exact .5 ties: with max|v| = 127 the scale is exactly 1, so k + 0.5
+  // hits nearbyint's round-half-to-even on every element.
+  std::vector<double> ties{127.0};
+  for (int k = -127; k < 127; ++k) ties.push_back(k + 0.5);
+  for (size_t n = 1; n <= ties.size(); n += 13)
+    out.emplace_back("ties",
+                     std::vector<double>(ties.begin(), ties.begin() + n));
+  // Just above the fp32 normal range: the scale is normal, the elements
+  // are not.
+  std::vector<double> near_min(37);
+  for (size_t i = 0; i < near_min.size(); ++i)
+    near_min[i] = std::numeric_limits<float>::min() * 127.0 * 3.0 *
+                  (static_cast<double>(i) / 36.0 - 0.5);
+  out.emplace_back("near FLT_MIN", near_min);
+  return out;
 }
 
 }  // namespace comdml::testing

@@ -602,6 +602,39 @@ TEST(FaultyCollectives, GossipSurvivorMatchesPreDeadRun) {
   }
 }
 
+TEST(FaultyCollectives, GossipReceiverDyingAfterThePushesStillMerges) {
+  // Without message faults gossip merges best-effort: a receiver that dies
+  // once the push step has closed still takes its pushes, and the round
+  // needs no rerun.
+  const int64_t k = 5, elems = 9;
+  auto clean_bufs = random_buffers(k, elems, 31);
+  auto dying_bufs = clean_bufs;
+  CollectiveRequest req;
+  req.elems = elems;
+
+  Rng clean_rng(12);
+  req.rng = &clean_rng;
+  req.buffers = pointers(clean_bufs);
+  InProcTransport clean(LinkGrid::uniform(k, 100.0));
+  const auto clean_rep = comm::collective(Protocol::kGossip).run(clean, req);
+  ASSERT_TRUE(clean_rep.partners[0].has_value());
+  const int64_t victim = *clean_rep.partners[0];  // receives agent 0's push
+
+  Rng dying_rng(12);
+  req.rng = &dying_rng;
+  req.buffers = pointers(dying_bufs);
+  InProcTransport dying(LinkGrid::uniform(k, 100.0));
+  dying.schedule_endpoint_failure(victim, 1);  // dead once the pushes land
+  const auto rep = comm::collective(Protocol::kGossip).run(dying, req);
+  EXPECT_EQ(rep.recoveries, 0);
+  EXPECT_FALSE(dying.endpoint_alive(victim));
+  EXPECT_EQ(rep.partners, clean_rep.partners);
+  for (int64_t i = 0; i < k; ++i)
+    EXPECT_EQ(dying_bufs[static_cast<size_t>(i)],
+              clean_bufs[static_cast<size_t>(i)])
+        << "agent " << i;
+}
+
 TEST(FaultyCollectives, GossipFailsSilentPeerAndRecovers) {
   // Total loss on 0 -> 1 in a 2-agent mesh: the push times out, agent 0 is
   // declared dead, and the round re-forms (a lone survivor sits it out
